@@ -104,15 +104,23 @@ def criterion_backward_naive(q: np.ndarray, targets: np.ndarray,
 @capturable({"out_q": 2}, loss_source=True)
 def criterion_forward_fused(logits: np.ndarray, targets: np.ndarray,
                             alpha: float, *, ignore_index: int = -100,
-                            fp16: bool = False, out_q=None
+                            fp16: bool = False, out_q=None, out_logq=None
                             ) -> Tuple[float, int, np.ndarray]:
     """LightSeq2 fused forward: one launch on top of the shared softmax
-    reductions. Returns (loss_sum, n_valid_tokens, q)."""
+    reductions. Returns (loss_sum, n_valid_tokens, q).
+
+    ``out_logq`` is scratch for the nested log-softmax's ``log q`` (not
+    returned); a replayed step has no ambient arena, so a caller that wants
+    it allocation-free passes the buffer in.
+    """
     x, t = _flatten(logits, targets)
     n, v = x.shape
     if out_q is not None:
         out_q = out_q.reshape(x.shape)
-    logq, q = log_softmax_forward_fused(x, fp16=fp16, out_q=out_q)
+    if out_logq is not None:
+        out_logq = out_logq.reshape(x.shape)
+    logq, q = log_softmax_forward_fused(x, fp16=fp16, out_logq=out_logq,
+                                        out_q=out_q)
     valid = t != ignore_index
     safe_t = np.where(valid, t, 0)
     nll = -logq[np.arange(n), safe_t]

@@ -287,6 +287,39 @@ def bias_dropout_residual_backward(dy: np.ndarray,
     return dx, dbias, dy
 
 
+def _gelu_saving_derivative(pre: np.ndarray, out) -> np.ndarray:
+    """tanh-GeLU of ``pre`` into the ``out`` buffer; ``pre`` becomes d act/d pre.
+
+    The derivative ``0.5*(1+t) + 0.5*pre*(1-t**2)*dinner`` is evaluated with
+    the operations, association and dtypes of :func:`gelu_backward_naive`, so
+    ``da * pre`` afterwards is bit-identical to recomputing the chain from
+    the pre-activation — while ``pre ** 3`` and ``tanh`` run once per element
+    per step instead of twice.  Beyond three call-local scratch tensors
+    (``t``, ``half``, ``s``) every step writes in place (``out=``) — no more
+    live temporaries than the bare forward expression holds.
+    """
+    inner = _GELU_C * (pre + _GELU_A * pre ** 3)
+    t = np.tanh(inner, out=inner)
+    half = 0.5 * pre
+    s = np.add(1.0, t)
+    y = out_buffer(out, pre.shape, s.dtype)
+    np.multiply(half, s, out=y)              # act = 0.5*pre * (1 + t)
+    # dinner = C * (1 + 3A * pre**2), in place over pre when the storage
+    # dtype is the compute dtype (always, for the layers' FP32 compute)
+    dinner = pre if pre.dtype == t.dtype else np.empty_like(t)
+    np.square(pre, out=dinner)
+    np.multiply(3.0 * _GELU_A, dinner, out=dinner)
+    np.add(1.0, dinner, out=dinner)
+    np.multiply(_GELU_C, dinner, out=dinner)
+    np.multiply(0.5, s, out=s)               # 0.5 * (1 + t)
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(half, t, out=t)
+    np.multiply(t, dinner, out=t)            # 0.5*pre * (1 - t**2) * dinner
+    np.add(s, t, out=pre)
+    return y
+
+
 @capturable({"out": 0, "out_pre": 2})
 def bias_act_dropout_forward(x: np.ndarray, bias: np.ndarray, p: float,
                              rng: np.random.Generator, *,
@@ -297,27 +330,28 @@ def bias_act_dropout_forward(x: np.ndarray, bias: np.ndarray, p: float,
                                         np.ndarray]:
     """Fused FFN inner chain: ``dropout(act(x + b))`` in one launch.
 
-    Returns ``(y, mask, pre_act)`` — ``pre_act = x + b`` is saved for
-    backward, as the CUDA kernel does.  ``mask`` is None when ``p == 0``
-    (no all-ones mask is materialised).
+    Returns ``(y, mask, residual)``.  ``residual`` is what
+    :func:`bias_act_dropout_backward` needs to turn ``d act`` into ``d x``,
+    written to the ``out_pre`` buffer (shape and dtype of ``x + b``): for
+    ReLU the pre-activation ``x + b`` itself, as the CUDA kernel saves; for
+    GeLU the activation derivative at ``x + b``, which the forward already
+    holds every piece of (see :func:`_gelu_saving_derivative`).  ``mask`` is
+    None when ``p == 0`` (no all-ones mask is materialised).
     """
     pre = out_buffer(out_pre, x.shape, np.result_type(x, bias))
     np.add(x, bias, out=pre)
     if activation == "relu":
-        a = np.maximum(pre, 0.0)
+        y = out_buffer(out, x.shape, pre.dtype)
+        np.maximum(pre, 0.0, out=y)
     elif activation == "gelu":
-        inner = _GELU_C * (pre + _GELU_A * pre ** 3)
-        a = 0.5 * pre * (1.0 + np.tanh(inner))
+        y = _gelu_saving_derivative(pre, out)
     else:
         raise ValueError(f"unknown activation {activation!r}")
     if mask is None:
         mask = make_dropout_mask(x.shape, p, rng)
-    y = out_buffer(out, x.shape, a.dtype)
-    if mask is None:
-        np.copyto(y, a)
-    else:
+    if mask is not None:
         scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-        np.multiply(a, mask * np.float32(scale), out=y)
+        np.multiply(y, mask * np.float32(scale), out=y)
     record("ls_bias_act_dropout_fwd",
            x.size + bias.size + _mask_traffic(mask), y.size + pre.size,
            flops=10 * y.size, fp16=fp16)
@@ -326,31 +360,32 @@ def bias_act_dropout_forward(x: np.ndarray, bias: np.ndarray, p: float,
 
 @capturable({"out_dx": 0, "out_dbias": 1})
 def bias_act_dropout_backward(dy: np.ndarray, mask: Optional[np.ndarray],
-                              pre_act: np.ndarray, p: float, *,
+                              residual: np.ndarray, p: float, *,
                               activation: str = "relu", fp16: bool = False,
                               out_dx=None, out_dbias=None
                               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused backward of ``dropout(act(x + b))``: (dx, dbias), one launch."""
+    """Fused backward of ``dropout(act(x + b))``: (dx, dbias), one launch.
+
+    ``residual`` is the third return of :func:`bias_act_dropout_forward` for
+    the same ``activation``: the pre-activation for ReLU, the saved
+    activation derivative for GeLU (one multiply, nothing recomputed).
+    """
     if mask is None:
         da = dy
     else:
         scale = 1.0 / (1.0 - p) if p > 0 else 1.0
         da = dy * (mask * np.float32(scale))
-    dx = out_buffer(out_dx, dy.shape, np.result_type(da, pre_act))
+    dx = out_buffer(out_dx, dy.shape, np.result_type(da, residual))
     if activation == "relu":
-        np.multiply(da, pre_act > 0.0, out=dx)
+        np.multiply(da, residual > 0.0, out=dx)
     elif activation == "gelu":
-        inner = _GELU_C * (pre_act + _GELU_A * pre_act ** 3)
-        t = np.tanh(inner)
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * pre_act ** 2)
-        np.multiply(da, 0.5 * (1.0 + t) + 0.5 * pre_act * (1.0 - t ** 2)
-                    * dinner, out=dx)
+        np.multiply(da, residual, out=dx)
     else:
         raise ValueError(f"unknown activation {activation!r}")
     dbias = out_buffer(out_dbias, (dx.shape[-1],), dx.dtype)
     dx.reshape(-1, dx.shape[-1]).sum(axis=0, out=dbias)
     record("ls_bias_act_dropout_bwd",
-           dy.size + _mask_traffic(mask) + pre_act.size,
+           dy.size + _mask_traffic(mask) + residual.size,
            dx.size + dbias.size, flops=14 * dx.size, fp16=fp16)
     return dx, dbias
 

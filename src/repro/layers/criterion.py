@@ -40,10 +40,17 @@ class LSCrossEntropyLayer(Layer):
             raise ValueError(
                 f"logits {logits.shape} and targets {targets.shape} disagree")
         cfg = self.config
-        fn = (crit.criterion_forward_fused if cfg.fused
-              else crit.criterion_forward_naive)
-        loss, ntok, q = fn(logits, targets, self.epsilon,
-                           ignore_index=self.ignore_index, fp16=cfg.fp16)
+        if cfg.fused:
+            # log q scratch from the threaded arena slab: a replayed step has
+            # no ambient arena for the nested log-softmax to draw it from
+            loss, ntok, q = crit.criterion_forward_fused(
+                logits, targets, self.epsilon,
+                ignore_index=self.ignore_index, fp16=cfg.fp16,
+                out_logq=self._buf(logits.shape, logits.dtype))
+        else:
+            loss, ntok, q = crit.criterion_forward_naive(
+                logits, targets, self.epsilon,
+                ignore_index=self.ignore_index, fp16=cfg.fp16)
         self.save(q=q)
         self._targets = targets
         self._ntok = ntok

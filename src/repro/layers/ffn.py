@@ -51,11 +51,15 @@ class FeedForward(Layer):
         inner = gemm.linear_forward(x, self.w1.compute(), fp16=fp16,
                                     name="gemm_ffn1")
         if fused:
-            hidden, mask, pre = ew.bias_act_dropout_forward(
+            # residual: what the fused backward multiplies by (pre-activation
+            # for ReLU, the saved activation derivative for GeLU)
+            hidden, mask, residual = ew.bias_act_dropout_forward(
                 inner, self.b1.compute(), p, self.rng, activation=act,
                 fp16=fp16)
         else:
-            pre = ew.bias_add_naive(inner, self.b1.compute(), fp16=fp16)
+            # the naive backward kernels recompute from the pre-activation
+            residual = pre = ew.bias_add_naive(inner, self.b1.compute(),
+                                               fp16=fp16)
             if act == "relu":
                 a = ew.relu_forward_naive(pre, fp16=fp16)
             else:
@@ -68,7 +72,7 @@ class FeedForward(Layer):
         out = gemm.linear_forward(hidden, self.w2.compute(), fp16=fp16,
                                   name="gemm_ffn2")
         self.tap("out", out)
-        self.save(x=x, pre=pre, hidden=hidden)
+        self.save(x=x, residual=residual, hidden=hidden)
         if mask is not None:
             self.save(mask=mask)
         self._had_mask = mask is not None
@@ -80,7 +84,8 @@ class FeedForward(Layer):
         fp16 = self.config.fp16
         act = self.config.activation
         p = self._p
-        x, pre, hidden = self.saved("x"), self.saved("pre"), self.saved("hidden")
+        x, hidden = self.saved("x"), self.saved("hidden")
+        residual = self.saved("residual")
 
         d_hidden, dw2 = gemm.linear_backward(
             hidden, self.w2.compute(), d_out, fp16=fp16, name="gemm_ffn2")
@@ -90,7 +95,7 @@ class FeedForward(Layer):
             # mask=None when dropout was off — no all-ones mask materialised
             mask = self.saved("mask") if self._had_mask else None
             d_inner, db1 = ew.bias_act_dropout_backward(
-                d_hidden, mask, pre, p, activation=act, fp16=fp16)
+                d_hidden, mask, residual, p, activation=act, fp16=fp16)
         else:
             if self._had_mask and p > 0:
                 d_act = ew.dropout_backward_naive(
@@ -98,9 +103,9 @@ class FeedForward(Layer):
             else:
                 d_act = d_hidden
             if act == "relu":
-                d_inner = ew.relu_backward_naive(d_act, pre, fp16=fp16)
+                d_inner = ew.relu_backward_naive(d_act, residual, fp16=fp16)
             else:
-                d_inner = ew.gelu_backward_naive(d_act, pre, fp16=fp16)
+                d_inner = ew.gelu_backward_naive(d_act, residual, fp16=fp16)
             db1 = ew.bias_grad_naive(d_inner, fp16=fp16)
         self.b1.accumulate_grad(db1)
 

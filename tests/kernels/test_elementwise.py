@@ -82,14 +82,17 @@ def test_bias_act_dropout_fused_matches_naive(act, rng):
     x = rng.standard_normal((2, 4, 8)).astype(np.float32)
     bias = rng.standard_normal(8).astype(np.float32)
     mask = ew.make_dropout_mask(x.shape, 0.3, rng)
-    y_f, _, pre_f = ew.bias_act_dropout_forward(x, bias, 0.3, rng,
-                                                activation=act, mask=mask)
+    y_f, _, residual = ew.bias_act_dropout_forward(x, bias, 0.3, rng,
+                                                   activation=act, mask=mask)
     pre = ew.bias_add_naive(x, bias)
     a = (ew.relu_forward_naive(pre) if act == "relu"
          else ew.gelu_forward_naive(pre))
     y_n, _ = ew.dropout_forward_naive(a, 0.3, rng, mask=mask)
     np.testing.assert_allclose(y_f, y_n, atol=1e-6)
-    np.testing.assert_allclose(pre_f, pre, atol=1e-6)
+    # third return: the pre-activation (ReLU) / activation derivative (GeLU)
+    saved = (pre if act == "relu"
+             else ew.gelu_backward_naive(np.ones_like(pre), pre))
+    np.testing.assert_allclose(residual, saved, atol=1e-6)
 
 
 @pytest.mark.parametrize("act", ["relu", "gelu"])
@@ -98,9 +101,9 @@ def test_bias_act_dropout_backward_finite_differences(act, rng):
     bias = rng.standard_normal(6).astype(np.float32)
     dy = rng.standard_normal(x.shape).astype(np.float32)
     mask = np.ones(x.shape, dtype=np.uint8)      # p=0 keeps f differentiable
-    _, _, pre = ew.bias_act_dropout_forward(x, bias, 0.0, rng,
-                                            activation=act, mask=mask)
-    dx, dbias = ew.bias_act_dropout_backward(dy, mask, pre, 0.0,
+    _, _, residual = ew.bias_act_dropout_forward(x, bias, 0.0, rng,
+                                                 activation=act, mask=mask)
+    dx, dbias = ew.bias_act_dropout_backward(dy, mask, residual, 0.0,
                                              activation=act)
 
     def loss_x(xv):

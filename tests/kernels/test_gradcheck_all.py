@@ -20,7 +20,6 @@ from repro.backend.kernels.criterion import (criterion_backward_fused,
                                              criterion_forward_fused)
 from repro.backend.kernels.elementwise import (bias_act_dropout_backward,
                                                bias_act_dropout_forward,
-                                               bias_add_naive,
                                                bias_dropout_residual_backward,
                                                bias_dropout_residual_forward,
                                                make_dropout_mask)
@@ -121,11 +120,13 @@ def test_gradcheck_bias_gelu_dropout_backward(mode):
         return y
 
     def bwd(dy, x, bias):
-        # the pre-activation recompute goes through the bias-add kernel so
-        # the captured program records it as a product (a raw `x + bias`
-        # would bake capture-time values in as a constant)
-        pre = bias_add_naive(x, bias)
-        return bias_act_dropout_backward(dy, mask, pre, p,
+        # the residual comes from a (captured) forward call so the program
+        # records it as a product (computing it outside a kernel would bake
+        # capture-time values in as a constant)
+        _, _, residual = bias_act_dropout_forward(
+            x, bias, p, np.random.default_rng(0), activation="gelu",
+            mask=mask)
+        return bias_act_dropout_backward(dy, mask, residual, p,
                                          activation="gelu")
 
     _check(mode, "bias_gelu_dropout_bwd", fwd, bwd,

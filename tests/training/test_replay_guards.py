@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.backend.arena import ActivationArena
 from repro.backend.device import Device, use_device
-from repro.backend.profiler import replay_counters, reset_replay_counters
+from repro.backend.profiler import (alloc_counters, replay_counters,
+                                    reset_replay_counters)
 from repro.config import get_config
 from repro.models import BertModel
 from repro.obs import (NumericsCollector, SpanRecorder, use_collector,
@@ -152,6 +153,31 @@ def test_invalidation_preserves_parity_with_eager_twin():
         for pe, pr in zip(eager.parameters(), m.parameters()):
             assert np.array_equal(pe.grad, pr.grad), pe.name
     assert replay_counters().invalidations >= 1
+
+
+def test_replayed_step_allocates_nothing():
+    """A replayed step serves every kernel output from a baked buffer: no
+    fresh numpy allocation, no arena miss (the criterion's nested
+    log-softmax scratch used to leak one per step) — and the loss and
+    grads stay bit-equal to an eager twin's."""
+    seed = 6
+    eager = BertModel(_cfg(), seed=seed)
+    m = BertModel(_cfg(), seed=seed)
+    reset_replay_counters()
+    engine = CaptureReplayEngine(m, arena=ActivationArena())
+    batch = _batch(np.random.default_rng(seed), 2, 8)
+    for _ in range(3):                             # scan, capture, replay
+        eager.forward_backward(*batch)
+        engine.forward_backward(*batch)
+    loss_e, _ = eager.forward_backward(*batch)
+    replays = replay_counters().replays
+    base = alloc_counters().snapshot()
+    loss_r, _ = engine.forward_backward(*batch)
+    assert replay_counters().replays == replays + 1
+    assert alloc_counters().since(base).new_allocs == 0
+    assert loss_r == loss_e
+    for pe, pr in zip(eager.parameters(), m.parameters()):
+        assert np.array_equal(pe.grad, pr.grad), pe.name
 
 
 def test_active_collector_forces_eager():
