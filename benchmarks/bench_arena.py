@@ -26,7 +26,6 @@ Run directly for a human-readable report::
     PYTHONPATH=src python benchmarks/bench_arena.py
 """
 
-import sys
 import time
 
 import numpy as np
@@ -39,6 +38,8 @@ from repro.backend.profiler import (alloc_counters, compare,
 from repro.config import get_config
 from repro.layers.encoder import LSTransformerEncoderLayer
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import gate_main
 
 #: fresh may beat arena by at most this factor before we call it a
 #: regression.  The two paths are at parity on CPU, but shared CI runners
@@ -208,17 +209,7 @@ def test_arena_smoke(tmp_path):
     assert rec["counters"]["arena_allocs_per_step"] == 0
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    record_path = None
-    if "--record" in argv:
-        i = argv.index("--record")
-        try:
-            record_path = argv[i + 1]
-        except IndexError:
-            print("--record needs a file path")
-            return 2
-    r = run_comparison()
+def _report(r):
     print("encoder-layer fwd+bwd step (fused, hidden 256, batch 8x64)")
     print(f"  fresh : {r['fresh_ms']:7.2f} ms/step, "
           f"{r['fresh_allocs_per_step']:3d} allocs "
@@ -228,10 +219,10 @@ def main(argv=None):
           f"({r['arena_hits_per_step']} slab hits)")
     print(f"  speedup: {r['speedup']:.2f}x "
           f"(launch ratio {r['launch_ratio']:.2f})")
-    if record_path:
-        write_run_record(record_path, run_record(r))
-        print(f"  run record written to {record_path}")
-    return 0
+
+
+def main(argv=None):
+    return gate_main(run_comparison, _report, run_record, argv)
 
 
 if __name__ == "__main__":

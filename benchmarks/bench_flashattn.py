@@ -35,6 +35,8 @@ from repro.backend.device import Device, use_device
 from repro.config import get_config
 from repro.models import GPTModel
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import gate_main
 from repro.sim.costmodel import trace_hbm_bytes
 
 _V = 128            # tiny vocab: the bench exercises attention, not softmax
@@ -210,17 +212,7 @@ def _sweep(Ls=(2048, 4096, 8192, 16384)):
     return rows
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    record_path = None
-    if "--record" in argv:
-        i = argv.index("--record")
-        try:
-            record_path = argv[i + 1]
-        except IndexError:
-            print("--record needs a file path")
-            return 2
-    r = run_comparison()
+def _report(r, sweep):
     print(f"GPT 1-block step (hidden 64, 2 heads, tile {_TILE}), "
           f"tiled vs fused attention")
     print(f"  parity @ L={_PARITY_L}: "
@@ -237,16 +229,19 @@ def main(argv=None):
           f"{r['hbm_bytes_tiled'] / _MIB:.1f} MiB vs "
           f"{r['hbm_bytes_fused'] / _MIB:.1f} MiB "
           f"(ratio {r['hbm_bytes_ratio_tiled_over_fused']:.3f})")
-    if "--sweep" in argv:
+    if sweep:
         print("  long-context sweep (arena MiB/step):")
         for L, cap_t, cap_f in _sweep():
             f = f"{cap_f / _MIB:9.1f}" if cap_f is not None else \
                 "   (probe capped: L^2 host tensors)"
             print(f"    L={L:6d}  tiled {cap_t / _MIB:8.1f}   fused {f}")
-    if record_path:
-        write_run_record(record_path, run_record(r))
-        print(f"  run record written to {record_path}")
-    return 0
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    return gate_main(run_comparison,
+                     lambda r: _report(r, "--sweep" in argv), run_record,
+                     argv)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 The memory tracer's hot-path residue is two things: the ``on_request``
 hook (one :class:`~repro.obs.memory.SlotEvent` append per arena request)
-and the ``mem_scope`` site push/pop around each decorated layer method.
+and the ``mem_scope`` site push/pop around each layer's forward/backward.
 Everything else the observatory does — the occupancy timeline, peak
 attribution, waste accounting, what-if projections
 (:mod:`repro.obs.memory`) — happens *offline* on the recorded events,
@@ -24,7 +24,6 @@ Run directly for a human-readable report::
     PYTHONPATH=src python benchmarks/bench_memory_overhead.py [--record P]
 """
 
-import sys
 import time
 
 import numpy as np
@@ -36,6 +35,8 @@ from repro.config import get_config
 from repro.layers.encoder import LSTransformerEncoderLayer
 from repro.obs.memory import MemoryTracer, memory_report
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import gate_main
 
 #: tracer overhead budget, as a fraction of step wallclock.
 _BUDGET = 0.03
@@ -220,17 +221,7 @@ def test_memory_overhead_smoke():
     assert r["sharing_saved_bytes"] > 0   # the Fig.-8 plan really shares
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    record_path = None
-    if "--record" in argv:
-        i = argv.index("--record")
-        try:
-            record_path = argv[i + 1]
-        except IndexError:
-            print("--record needs a file path")
-            return 2
-    r = run_comparison()
+def _report(r):
     print("memory observatory overhead (encoder fwd+bwd step, arena-backed)")
     print(f"  requests per step     : {r['requests_per_step']}")
     print(f"  on_request hook       : {r['hook_ns']:7.0f} ns/call")
@@ -244,10 +235,10 @@ def main(argv=None):
           f"equal: {bool(r['bitwise_peak_equal'])})")
     print(f"  lifetime sharing saved: "
           f"{r['sharing_saved_bytes'] / 2**20:.2f} MiB at peak")
-    if record_path:
-        write_run_record(record_path, run_record(r))
-        print(f"  run record written to {record_path}")
-    return 0
+
+
+def main(argv=None):
+    return gate_main(run_comparison, _report, run_record, argv)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ Run directly for a human-readable report::
     PYTHONPATH=src python benchmarks/bench_numerics_overhead.py [--record P]
 """
 
-import sys
 import time
 
 import numpy as np
@@ -39,6 +38,8 @@ from repro.obs import (MetricsRecorder, NumericsCollector, SpanRecorder,
 from repro.obs.health import AnomalyEngine
 from repro.obs.numerics import tap_activation
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import gate_main
 from repro.training import LSFusedTrainer, OptimizerSpec, train_step
 
 #: uninstalled-tap overhead budget, as a fraction of step wallclock.
@@ -172,17 +173,7 @@ def test_numerics_overhead_smoke():
         f"budget is {_BUDGET:.0%}")
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    record_path = None
-    if "--record" in argv:
-        i = argv.index("--record")
-        try:
-            record_path = argv[i + 1]
-        except IndexError:
-            print("--record needs a file path")
-            return 2
-    r = run_comparison()
+def _report(r):
     print("numerics observatory overhead (2+2-layer fused MT step)")
     print(f"  tap sites per step     : {r['taps_per_step']}")
     print(f"  no-op tap cost         : {r['noop_tap_ns']:7.0f} ns/call")
@@ -191,10 +182,10 @@ def main(argv=None):
           f"({r['instrumented_ratio']:.2f}x)")
     print(f"  uninstalled overhead   : {r['uninstalled_overhead_frac']:.3%} "
           f"of step (budget {_BUDGET:.0%})")
-    if record_path:
-        write_run_record(record_path, run_record(r))
-        print(f"  run record written to {record_path}")
-    return 0
+
+
+def main(argv=None):
+    return gate_main(run_comparison, _report, run_record, argv)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ Run directly for a human-readable report::
     PYTHONPATH=src python benchmarks/bench_profile_overhead.py [--record P]
 """
 
-import sys
 import time
 
 import numpy as np
@@ -41,6 +40,8 @@ from repro.models import GPTModel
 from repro.obs.critpath import StepInputs
 from repro.obs.profile import analyze
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import gate_main
 from repro.sim.gpu_specs import GPUS
 
 #: traced-record overhead budget, as a fraction of step wallclock.
@@ -185,17 +186,7 @@ def test_profile_overhead_smoke():
     assert r["analysis_ms"] > 0
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    record_path = None
-    if "--record" in argv:
-        i = argv.index("--record")
-        try:
-            record_path = argv[i + 1]
-        except IndexError:
-            print("--record needs a file path")
-            return 2
-    r = run_comparison()
+def _report(r):
     print("performance observatory overhead (2-layer fused GPT step, "
           f"L={_L})")
     print(f"  launches per step     : {r['launches_per_step']}")
@@ -207,10 +198,10 @@ def main(argv=None):
           f"(roofline + DAG + 2 what-ifs)")
     print(f"  tracing overhead      : {r['tracing_overhead_frac']:.3%} "
           f"of step (budget {_BUDGET:.0%})")
-    if record_path:
-        write_run_record(record_path, run_record(r))
-        print(f"  run record written to {record_path}")
-    return 0
+
+
+def main(argv=None):
+    return gate_main(run_comparison, _report, run_record, argv)
 
 
 if __name__ == "__main__":

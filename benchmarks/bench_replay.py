@@ -42,6 +42,8 @@ from repro.backend.profiler import (compare, replay_counters,
 from repro.config import get_config
 from repro.models import BertModel
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import flag_path
 from repro.training import CaptureReplayEngine
 
 #: replay may trail eager by at most this factor before we call it a
@@ -201,19 +203,8 @@ def test_replay_smoke(tmp_path):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-
-    def _flag_path(flag):
-        if flag not in argv:
-            return None
-        i = argv.index(flag)
-        try:
-            return argv[i + 1]
-        except IndexError:
-            print(f"{flag} needs a file path")
-            raise SystemExit(2)
-
-    record_path = _flag_path("--record")
-    dump_path = _flag_path("--dump-program")
+    record_path = flag_path(argv, "--record")
+    dump_path = flag_path(argv, "--dump-program")
     r, engine = run_comparison()
     print("BERT fwd+bwd step (fused, hidden 32, 4 layers, batch 2x8), "
           "arena-backed")

@@ -22,7 +22,6 @@ Run directly for a human-readable report::
     PYTHONPATH=src python benchmarks/bench_resilience.py
 """
 
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -33,6 +32,8 @@ import pytest
 from repro.config import get_config
 from repro.models import TransformerModel
 from repro.obs.runrecord import make_run_record, write_run_record
+
+from conftest import gate_main
 from repro.precision import DynamicLossScaler
 from repro.resilience import (CheckpointStore, FaultInjector, FaultPlan,
                               FaultSpec, TornWrite, use_faults)
@@ -216,17 +217,7 @@ def test_resilience_smoke(tmp_path):
         r["ckpt_overhead_per_step"]
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    record_path = None
-    if "--record" in argv:
-        i = argv.index("--record")
-        try:
-            record_path = argv[i + 1]
-        except IndexError:
-            print("--record needs a file path")
-            return 2
-    r = run_comparison()
+def _report(r):
     print("crash-safe checkpointing vs fp16 training step "
           "(hidden 64, 2+2 layers, batch 8x32)")
     print(f"  step    : {r['step_ms']:7.2f} ms")
@@ -240,10 +231,10 @@ def main(argv=None):
     print(f"  recovery: bit-identical resume "
           f"{'OK' if r['resume_bitwise'] else 'FAILED'}, torn-write "
           f"fallback {'OK' if r['torn_fallback_ok'] else 'FAILED'}")
-    if record_path:
-        write_run_record(record_path, run_record(r))
-        print(f"  run record written to {record_path}")
-    return 0
+
+
+def main(argv=None):
+    return gate_main(run_comparison, _report, run_record, argv)
 
 
 if __name__ == "__main__":

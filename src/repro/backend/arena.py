@@ -148,8 +148,9 @@ def mem_scope(site: str) -> Iterator[None]:
 
 
 def mem_scoped(fn):
-    """Decorate a ``Layer`` method so its arena requests carry the layer
-    name as the requesting site (``with mem_scope(self.name)``)."""
+    """Wrap a ``Layer`` method so its arena requests carry the layer name
+    as the requesting site (``with mem_scope(self.name)``);
+    ``Layer.__init_subclass__`` applies it to every forward/backward."""
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
         if not _tracers:

@@ -29,7 +29,6 @@ import numpy as np
 from ..backend.kernels import elementwise as ew
 from ..backend.kernels import flash, gemm, softmax, transform
 from ..backend.program import capturable
-from ..backend.arena import mem_scoped
 from ..config import LSConfig
 from . import initializers as init
 from .base import Layer
@@ -112,7 +111,6 @@ class MultiHeadAttention(Layer):
 
     # -- forward ---------------------------------------------------------------
 
-    @mem_scoped
     def forward(self, x: np.ndarray, kv: Optional[np.ndarray] = None,
                 mask: Optional[np.ndarray] = None,
                 causal: bool = False) -> np.ndarray:
@@ -231,7 +229,6 @@ class MultiHeadAttention(Layer):
 
     # -- backward ----------------------------------------------------------------
 
-    @mem_scoped
     def backward(self, d_out: np.ndarray
                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Backward through the whole attention block.

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend.arena import ActivationArena, current_arena
+from ..backend.arena import ActivationArena, current_arena, mem_scoped
 from ..backend.dtypes import COMPUTE_DTYPE, storage_dtype
 from ..backend.program import host_call
 from ..config import LSConfig
@@ -138,6 +138,22 @@ class Layer:
         self._saved: Dict[str, np.ndarray] = {}
         self._arena: Optional[ActivationArena] = None
         self.training = True
+
+    def __init_subclass__(cls, **kwargs):
+        """Label every subclass's ``forward``/``backward`` arena requests
+        with the layer name (memory-observatory site attribution)."""
+        super().__init_subclass__(**kwargs)
+        for method in ("forward", "backward"):
+            if method in cls.__dict__:
+                setattr(cls, method, mem_scoped(cls.__dict__[method]))
+
+    def forward_backward(self, *batch, grad_scale: float = 1.0
+                         ) -> Tuple[float, int]:
+        """One step's compute for a model whose ``forward`` returns
+        ``(loss, ntok)``: forward then backward, returning that pair."""
+        loss, ntok = self.forward(*batch)
+        self.backward(grad_scale)
+        return loss, ntok
 
     # -- parameter / sublayer registry ---------------------------------------
 

@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..backend.kernels import criterion as crit
-from ..backend.arena import mem_scoped
 from ..config import LSConfig, get_config
 from .base import Layer
 
@@ -32,7 +31,6 @@ class LSCrossEntropyLayer(Layer):
         self.epsilon = config.label_smoothing
         self.ignore_index = config.padding_idx
 
-    @mem_scoped
     def forward(self, logits: np.ndarray, targets: np.ndarray
                 ) -> Tuple[float, int]:
         """Returns ``(summed loss, number of non-pad target tokens)``."""
@@ -56,7 +54,6 @@ class LSCrossEntropyLayer(Layer):
         self._ntok = ntok
         return loss, ntok
 
-    @mem_scoped
     def backward(self, grad_scale: float = 1.0) -> np.ndarray:
         """Gradient w.r.t. logits, scaled by ``grad_scale``."""
         cfg = self.config

@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..backend.kernels import elementwise as ew
-from ..backend.arena import mem_scoped
 from ..config import LSConfig, get_config
 from . import initializers as init
 from .attention import MultiHeadAttention
@@ -98,7 +97,6 @@ class LSTransformerDecoderLayer(Layer):
         bias.accumulate_grad(db)
         return d_z, d_res
 
-    @mem_scoped
     def forward(self, x: np.ndarray, enc_out: np.ndarray,
                 self_mask: Optional[np.ndarray] = None,
                 cross_mask: Optional[np.ndarray] = None,
@@ -138,7 +136,6 @@ class LSTransformerDecoderLayer(Layer):
         self.tap("out", out)
         return out
 
-    @mem_scoped
     def backward(self, d_out: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
         """Returns ``(d_x, d_enc_out)``."""

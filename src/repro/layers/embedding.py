@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from ..backend.kernels import embedding as embk
-from ..backend.arena import mem_scoped
 from ..config import LSConfig, get_config
 from . import initializers as init
 from .base import Layer
@@ -52,7 +51,6 @@ class LSEmbeddingLayer(Layer):
     def capture_constants(self):
         return [self.pos_table] + super().capture_constants()
 
-    @mem_scoped
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """``tokens``: int array (B, L) -> embeddings (B, L, H)."""
         cfg = self.config
@@ -67,7 +65,6 @@ class LSEmbeddingLayer(Layer):
         self._tokens = tokens
         return y
 
-    @mem_scoped
     def backward(self, dy: np.ndarray) -> None:
         """Embedding is the bottom of the graph: no input gradient."""
         cfg = self.config

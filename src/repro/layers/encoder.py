@@ -25,7 +25,6 @@ import numpy as np
 
 from ..backend.kernels import elementwise as ew
 from ..backend.kernels import layernorm as lnk
-from ..backend.arena import mem_scoped
 from ..config import LSConfig, get_config
 from . import initializers as init
 from .attention import MultiHeadAttention
@@ -127,7 +126,6 @@ class LSTransformerEncoderLayer(Layer):
 
     # -- forward / backward --------------------------------------------------------
 
-    @mem_scoped
     def forward(self, x: np.ndarray,
                 mask: Optional[np.ndarray] = None,
                 causal: bool = False) -> np.ndarray:
@@ -153,7 +151,6 @@ class LSTransformerEncoderLayer(Layer):
         self.tap("out", out)
         return out
 
-    @mem_scoped
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         cfg = self.config
         pre_ln = cfg.pre_layer_norm

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..backend.kernels import elementwise as ew
 from ..backend.kernels import gemm
-from ..backend.arena import mem_scoped
 from ..config import LSConfig
 from . import initializers as init
 from .base import Layer
@@ -42,7 +41,6 @@ class FeedForward(Layer):
             return 0.0
         return self.config.activation_dropout
 
-    @mem_scoped
     def forward(self, x: np.ndarray) -> np.ndarray:
         fused = self.config.fused
         fp16 = self.config.fp16
@@ -78,7 +76,6 @@ class FeedForward(Layer):
         self._had_mask = mask is not None
         return out
 
-    @mem_scoped
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         fused = self.config.fused
         fp16 = self.config.fp16

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from ..backend.kernels import gemm
-from ..backend.arena import mem_scoped
 from ..config import LSConfig
 from . import initializers as init
 from .base import Layer, Parameter
@@ -41,7 +40,6 @@ class OutputProjection(Layer):
                     self.rng, config.vocab_size, config.hidden_dim))
             self.tied = False
 
-    @mem_scoped
     def forward(self, x: np.ndarray) -> np.ndarray:
         logits = gemm.linear_forward(x, self.weight.compute(),
                                      fp16=self.config.fp16,
@@ -49,7 +47,6 @@ class OutputProjection(Layer):
         self.save(x=x)
         return logits
 
-    @mem_scoped
     def backward(self, d_logits: np.ndarray) -> np.ndarray:
         dx, dw = gemm.linear_backward(
             self.saved("x"), self.weight.compute(), d_logits,

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..backend.kernels import elementwise as ew
 from ..backend.kernels import gemm, transform
-from ..backend.arena import mem_scoped
 from ..config import LSConfig
 from ..layers import initializers as init
 from ..layers.attention import padding_mask
@@ -66,7 +65,6 @@ class BertModel(Layer):
         # labels are 0..C-1; no padding sentinel in a classification head
         self.criterion.ignore_index = -100
 
-    @mem_scoped
     def forward(self, tokens: np.ndarray, labels: np.ndarray
                 ) -> Tuple[float, int]:
         """``tokens``: (B, L) ids; ``labels``: (B,) class ids."""
@@ -94,7 +92,6 @@ class BertModel(Layer):
         loss, n = self.criterion.forward(logits, labels)
         return loss, n
 
-    @mem_scoped
     def backward(self, grad_scale: float = 1.0) -> None:
         cfg = self.config
         d_logits = self.criterion.backward(grad_scale)
@@ -121,9 +118,3 @@ class BertModel(Layer):
         for layer in reversed(self.layers):
             d_x = layer.backward(d_x)
         self.embed.backward(d_x)
-
-    def forward_backward(self, tokens: np.ndarray, labels: np.ndarray, *,
-                         grad_scale: float = 1.0) -> Tuple[float, int]:
-        loss, n = self.forward(tokens, labels)
-        self.backward(grad_scale)
-        return loss, n

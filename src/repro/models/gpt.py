@@ -13,8 +13,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend.arena import mem_scoped
-
 from ..config import LSConfig
 from ..layers import initializers as init
 from ..layers.attention import causal_mask, combine_masks, padding_mask
@@ -51,7 +49,6 @@ class GPTModel(Layer):
             "criterion", LSCrossEntropyLayer(config, name=f"{name}.crit",
                                              seed=seed))
 
-    @mem_scoped
     def forward(self, tokens: np.ndarray, targets: np.ndarray
                 ) -> Tuple[float, int]:
         """``tokens``: (B, L) input ids; ``targets``: (B, L) next tokens
@@ -74,7 +71,6 @@ class GPTModel(Layer):
         logits = self.out_proj.forward(x)
         return self.criterion.forward(logits, targets)
 
-    @mem_scoped
     def backward(self, grad_scale: float = 1.0) -> None:
         cfg = self.config
         d_logits = self.criterion.backward(grad_scale)
@@ -84,9 +80,3 @@ class GPTModel(Layer):
         for blk in reversed(self.blocks):
             d_x = blk.backward(d_x)
         self.embed.backward(d_x)
-
-    def forward_backward(self, tokens: np.ndarray, targets: np.ndarray, *,
-                         grad_scale: float = 1.0) -> Tuple[float, int]:
-        loss, n = self.forward(tokens, targets)
-        self.backward(grad_scale)
-        return loss, n

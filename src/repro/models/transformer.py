@@ -20,7 +20,6 @@ import numpy as np
 
 from ..backend.dtypes import itemsize
 from ..backend.kernels import elementwise as ew
-from ..backend.arena import mem_scoped
 from ..config import LSConfig
 from ..layers import initializers as init
 from ..layers.attention import causal_mask, padding_mask
@@ -107,7 +106,6 @@ class TransformerModel(Layer):
             x = self._dec_ln.forward(x, "dec_ln")
         return x
 
-    @mem_scoped
     def forward(self, src_tokens: np.ndarray, tgt_input: np.ndarray,
                 tgt_output: np.ndarray) -> Tuple[float, int]:
         """Full forward: returns (summed loss, non-pad target tokens).
@@ -120,7 +118,6 @@ class TransformerModel(Layer):
         logits = self.out_proj.forward(dec_out)
         return self.criterion.forward(logits, tgt_output)
 
-    @mem_scoped
     def backward(self, grad_scale: float = 1.0) -> None:
         """Backward through the whole graph; accumulates param grads."""
         cfg = self.config
@@ -143,14 +140,6 @@ class TransformerModel(Layer):
         for layer in reversed(self.encoder_layers):
             d_x = layer.backward(d_x)
         self.src_embed.backward(d_x)
-
-    def forward_backward(self, src_tokens: np.ndarray,
-                         tgt_input: np.ndarray, tgt_output: np.ndarray, *,
-                         grad_scale: float = 1.0) -> Tuple[float, int]:
-        """One step's compute: forward then backward. Returns (loss, ntok)."""
-        loss, ntok = self.forward(src_tokens, tgt_input, tgt_output)
-        self.backward(grad_scale)
-        return loss, ntok
 
 
 def activation_bytes(config: LSConfig, batch: int, seq: int) -> int:

@@ -21,7 +21,6 @@ import numpy as np
 from ..backend.kernels import elementwise as ew
 from ..backend.kernels import gemm, out_buffer, record, transform
 from ..backend.program import capturable
-from ..backend.arena import mem_scoped
 from ..config import LSConfig
 from ..layers import initializers as init
 from ..layers.base import Layer
@@ -111,7 +110,6 @@ class ViTModel(Layer):
         self.save(patches=patches, embed_dmask=mask)
         return x
 
-    @mem_scoped
     def forward(self, images: np.ndarray, labels: np.ndarray
                 ) -> Tuple[float, int]:
         """``images``: (B, C, H, W) floats; ``labels``: (B,) class ids."""
@@ -129,7 +127,6 @@ class ViTModel(Layer):
         self._seq_shape = x.shape
         return self.criterion.forward(logits, labels)
 
-    @mem_scoped
     def backward(self, grad_scale: float = 1.0) -> None:
         cfg = self.config
         d_logits = self.criterion.backward(grad_scale)
@@ -158,9 +155,3 @@ class ViTModel(Layer):
             self.saved("patches"), self.w_patch.compute(), d_proj,
             fp16=cfg.fp16, name="gemm_patch_proj")
         self.w_patch.accumulate_grad(dw_patch)
-
-    def forward_backward(self, images: np.ndarray, labels: np.ndarray, *,
-                         grad_scale: float = 1.0) -> Tuple[float, int]:
-        loss, n = self.forward(images, labels)
-        self.backward(grad_scale)
-        return loss, n

@@ -1,9 +1,10 @@
 """Crash-safe checkpointing: atomic writes, CRC manifests, auto-resume.
 
-``save_checkpoint`` in :mod:`repro.training.serialization` writes files
-in place — a crash mid-write leaves a torn ``.npz`` that poisons the next
-resume.  This module supplies the durable protocol production trainers
-use:
+Writing :mod:`repro.training.serialization` payloads in place would let a
+crash mid-write leave a torn ``.npz`` that poisons the next resume.  This
+module is the one checkpoint protocol (``--save-dir``/``--resume`` and
+every library caller go through it) — the durable one production
+trainers use:
 
 * **Atomicity** — every artifact is serialised fully in memory, written
   to a temp file *in the target directory*, flushed + fsynced, and

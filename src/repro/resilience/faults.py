@@ -88,7 +88,7 @@ class ReplicaCrash(FaultError):
 
     Not retryable at the collective level — recovery is either elastic
     degradation (:meth:`DataParallel.drop_rank`) or restart-from-
-    checkpoint (``--resume auto``).
+    checkpoint (``--resume``).
     """
 
     def __init__(self, rank: int, step: int = 0, stage: Optional[str] = None):

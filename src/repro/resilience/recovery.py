@@ -145,7 +145,7 @@ def run_elastic_step(dp, arrays: Sequence[np.ndarray], *,
     ``dp.train_step``; if a replica crashes, the dead rank is dropped
     (``dp.drop_rank``), the batch is re-sharded for world N-1, and the
     step re-runs on the survivors.  A crash at world size 1 is
-    unrecoverable here (that is what ``--resume auto`` is for) and
+    unrecoverable here (that is what ``--resume`` is for) and
     re-raises.
     """
     from ..training.data_parallel import shard_batch

@@ -11,19 +11,19 @@ Examples::
     python -m repro.train --task mt --steps 40 --max-tokens 1024 --fp16
     python -m repro.train --task gpt --trainer naive --steps 20
     python -m repro.train --task mt --save-dir /tmp/ckpt --steps 10
-    python -m repro.train --task mt --save-dir /tmp/ckpt --resume --steps 10
+    python -m repro.train --task mt --save-dir /tmp/ckpt --resume --steps 20
 """
 
 from __future__ import annotations
 
 import argparse
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend.arena import ActivationArena
+from .backend.arena import ActivationArena, use_memory_tracer
 from .backend.device import Device, KernelLaunch, use_device
 from .backend.profiler import replay_counters
 from .config import LSConfig, get_config
@@ -40,7 +40,6 @@ from .resilience import (CheckpointStore, FaultInjector, FaultPlan,
                          PeriodicCheckpointer, TornWrite, use_faults)
 from .training import (CaptureReplayEngine, InverseSqrtSchedule,
                        OptimizerSpec, make_trainer, train_step)
-from .training.serialization import load_checkpoint, save_checkpoint
 
 #: shrunken-but-faithful model dims so the CLI runs in seconds on a laptop;
 #: pass --full for the paper presets.
@@ -81,13 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use full paper-size presets (slow on CPU)")
     p.add_argument("--save-dir", default=None,
                    help="write a checkpoint here after training")
-    p.add_argument("--resume", nargs="?", const="last", default=None,
-                   choices=("last", "auto"), metavar="MODE",
-                   help="load a checkpoint from --save-dir first: bare "
-                        "--resume loads the plain final checkpoint; "
-                        "'--resume auto' restores the newest checksum-"
-                        "valid crash-safe checkpoint (falling back past "
-                        "corrupt ones) and continues the loop from its "
+    p.add_argument("--resume", action="store_true",
+                   help="first restore the newest checksum-valid "
+                        "checkpoint in --save-dir (falling back past "
+                        "corrupt ones) and continue the loop from its "
                         "step")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="write a crash-safe checkpoint (atomic, CRC "
@@ -99,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", default=None, metavar="PATH",
                    help="arm a deterministic fault-injection plan (JSON); "
                         "an injected replica crash exits with code 4, "
-                        "leaving checkpoints for '--resume auto'")
+                        "leaving checkpoints for '--resume'")
     p.add_argument("--fault-seed", type=int, default=None,
                    help="override the fault plan's seed (reproduce or "
                         "vary a fault scenario)")
@@ -220,37 +216,34 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.checkpoint_every and not args.save_dir:
         print("--checkpoint-every requires --save-dir")
         return 2
+    if args.keep < 1:
+        print("--keep must be >= 1")
+        return 2
+    if args.resume and not args.save_dir:
+        print("--resume requires --save-dir")
+        return 2
     cfg = _config(args)
     model, batch_fn = _build_task(args, cfg)
     scaler = DynamicLossScaler() if args.fp16 else None
     trainer = make_trainer(args.trainer, model, OptimizerSpec(lr=args.lr),
                            scaler=scaler)
     store = (CheckpointStore(args.save_dir, keep=args.keep)
-             if args.save_dir and (args.checkpoint_every
-                                   or args.resume == "auto") else None)
+             if args.save_dir else None)
     start_step = 0
     if args.resume:
-        if not args.save_dir:
-            print("--resume requires --save-dir")
-            return 2
-        if args.resume == "auto":
-            manifest = store.resume_auto(model, trainer)
-            if manifest is None:
-                print(f"no valid checkpoint in {args.save_dir}; "
-                      f"starting fresh")
-            else:
-                start_step = int(manifest.get("extra", {}).get(
-                    "loop_step", manifest["step"]))
-                skipped = manifest.get("skipped") or {}
-                for bad_step, problems in sorted(skipped.items()):
-                    print(f"skipped corrupt checkpoint step {bad_step}: "
-                          f"{problems[0]}")
-                print(f"resumed from {args.save_dir} at step {start_step} "
-                      f"(trainer step {trainer.step_count})")
+        manifest = store.resume_auto(model, trainer)
+        if manifest is None:
+            print(f"no valid checkpoint in {args.save_dir}; "
+                  f"starting fresh")
         else:
-            load_checkpoint(model, trainer, args.save_dir)
-            print(f"resumed from {args.save_dir} at step "
-                  f"{trainer.step_count}")
+            start_step = int(manifest.get("extra", {}).get(
+                "loop_step", manifest["step"]))
+            skipped = manifest.get("skipped") or {}
+            for bad_step, problems in sorted(skipped.items()):
+                print(f"skipped corrupt checkpoint step {bad_step}: "
+                      f"{problems[0]}")
+            print(f"resumed from {args.save_dir} at step {start_step} "
+                  f"(trainer step {trainer.step_count})")
     sched = InverseSqrtSchedule(peak_lr=args.lr, warmup_steps=args.warmup)
     spec = GPUS[args.gpu]
     lib = "pytorch" if args.no_fused else "lightseq2"
@@ -270,25 +263,20 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.numerics_every, metrics=metrics, engine=AnomalyEngine(),
             halt_on_anomaly=args.halt_on_anomaly,
             dump_path=args.anomaly_dump)
-    engine = None
-    if args.capture_replay:
-        engine = CaptureReplayEngine(model, trainer,
-                                     arena=ActivationArena())
-    mem_tracer = mem_arena = None
+    # one arena either way: the capture engine owns it when replaying (note
+    # that replay steps dispatch baked slots without re-requesting, so only
+    # capture/eager steps contribute memory-timeline events)
+    arena = (ActivationArena()
+             if args.capture_replay or args.memory_out else None)
+    engine = (CaptureReplayEngine(model, trainer, arena=arena)
+              if args.capture_replay else None)
+    mem_tracer = None
     if args.memory_out:
-        from .backend.arena import use_memory_tracer
         from .obs.memory import MemoryTracer
         mem_tracer = MemoryTracer(
             epoch=recorder.epoch if recorder is not None else None)
-        if engine is not None:
-            # the capture engine already owns the arena; note that replay
-            # steps dispatch baked slots without re-requesting, so only
-            # capture/eager steps contribute timeline events
-            mem_arena = engine.arena
-        else:
-            mem_arena = ActivationArena()
     checkpointer = (PeriodicCheckpointer(store, args.checkpoint_every)
-                    if store is not None and args.checkpoint_every else None)
+                    if args.checkpoint_every else None)
     injector = FaultInjector(plan) if plan is not None else None
     kept_launches: List[KernelLaunch] = []
     window_loss = window_tokens = 0
@@ -296,12 +284,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     halted = crashed = None
     last_step = start_step
     rc = replay_counters()
-    with use_device(dev), \
-            (use_recorder(recorder) if recorder else nullcontext()), \
-            (use_collector(collector) if collector else nullcontext()), \
-            (use_memory_tracer(mem_tracer) if mem_tracer is not None
-             else nullcontext()), \
-            (use_faults(injector) if injector else nullcontext()):
+    with ExitStack() as ambient:
+        ambient.enter_context(use_device(dev))
+        for install, plane in ((use_recorder, recorder),
+                               (use_collector, collector),
+                               (use_memory_tracer, mem_tracer),
+                               (use_faults, injector)):
+            if plane is not None:
+                ambient.enter_context(install(plane))
         for step in range(start_step + 1, args.steps + 1):
             step_t0 = time.perf_counter()
             rc0 = rc.snapshot()
@@ -315,9 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 res = (engine.step(batch_fn(step - 1), lr=lr)
                        if engine is not None
                        else train_step(model, trainer, batch_fn(step - 1),
-                                       lr=lr,
-                                       arena=(mem_arena if engine is None
-                                              else None)))
+                                       lr=lr, arena=arena))
             except Exception as e:
                 from .obs.health import AnomalyHalted
                 if not isinstance(e, AnomalyHalted):
@@ -336,9 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 metrics.observe_step(
                     step=step, loss=res.loss, num_tokens=res.num_tokens,
                     wall_s=time.perf_counter() - step_t0,
-                    applied=res.applied, scaler=scaler,
-                    arena=(engine.arena if engine is not None
-                           else mem_arena),
+                    applied=res.applied, scaler=scaler, arena=arena,
                     replay=rc if engine is not None else None,
                     replayed=rc.since(rc0).replays > 0,
                     faults=injector)
@@ -377,7 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obs.memory import memory_report, write_memory_report
         # fold the final step's demand into the reservation so the
         # timeline peak is bitwise comparable to the slab high-water mark
-        mem_arena.begin_step()
+        arena.begin_step()
         first = next((a for a in batch_fn(0)
                       if isinstance(a, np.ndarray)), None)
         base = {
@@ -389,7 +375,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         and first.ndim >= 2 else 0),
             "attn": step_meta["attn"],
         }
-        mem_report = memory_report(mem_tracer, arena=mem_arena, base=base)
+        mem_report = memory_report(mem_tracer, arena=arena, base=base)
         write_memory_report(args.memory_out, mem_report)
         peak = mem_report.peak_demand_bytes
         print(f"memory report written to {args.memory_out} "
@@ -422,12 +408,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out} "
               f"({metrics.steps} steps)")
-    if args.save_dir and crashed is None:
-        if store is not None:
-            store.save(model, trainer, step=last_step,
-                       extra={"loop_step": last_step})
-        else:
-            save_checkpoint(model, trainer, args.save_dir)
+    if store is not None and crashed is None:
+        store.save(model, trainer, step=last_step,
+                   extra={"loop_step": last_step})
         print(f"checkpoint written to {args.save_dir}")
     if collector:
         if anomalies:
@@ -452,7 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     if crashed is not None:
         print(f"CRASHED (injected): {crashed} — resume with "
-              f"'--resume auto'")
+              f"'--resume'")
         return 4
     return 0
 

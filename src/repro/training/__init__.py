@@ -6,9 +6,8 @@ from .checkpointing import (CheckpointedLayer, checkpoint_stack,
                             stack_backward, stack_forward)
 from .loop import (EpochStats, StepResult, train_epoch, train_step,
                    train_step_accumulated)
-from .serialization import (load_checkpoint, load_model,
-                            load_trainer, save_checkpoint,
-                            save_model, save_trainer)
+from .serialization import (load_model, load_trainer, save_model,
+                            save_trainer)
 from .optimizers import (ConstantSchedule, InverseSqrtSchedule,
                          LinearDecaySchedule, OptimizerSpec)
 from .trainer import (ApexLikeTrainer, LSFusedTrainer, NaiveMPTrainer,
@@ -23,5 +22,4 @@ __all__ = [
     "StepResult", "EpochStats", "CheckpointedLayer",
     "checkpoint_stack", "stack_forward", "stack_backward",
     "save_model", "load_model", "save_trainer", "load_trainer",
-    "save_checkpoint", "load_checkpoint",
 ]

@@ -34,14 +34,12 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend.arena import ActivationArena
-from ..backend.device import current_device
 from ..backend.profiler import replay_counters
 from ..backend.program import (CaptureError, CaptureSession, KernelProgram,
                                ProgramInvalidated, capturing)
 from ..layers.base import Layer, link_epoch
 from ..obs.numerics import current_collector
-from ..obs.spans import span
-from .loop import StepResult
+from .loop import StepResult, _optimisation_step, staged_forward_backward
 from .trainer import TrainerBase
 
 
@@ -149,7 +147,8 @@ class CaptureReplayEngine:
 
         if observing:
             counters.eager_fallbacks += 1
-            return self._eager_fb(batch, grad_scale)
+            return staged_forward_backward(self.model, batch, grad_scale,
+                                           self.arena)
         if self.arena is not None:
             # eligibility is decided inside the step scope: begin_step has
             # then already (re-)reserved the slab, so a warm arena captures
@@ -158,24 +157,8 @@ class CaptureReplayEngine:
                 if self._capture_ready():
                     return self._captured_fb(batch, grad_scale, sig)
                 counters.eager_fallbacks += 1
-                return self._run_fb(batch, grad_scale)
+                return staged_forward_backward(self.model, batch, grad_scale)
         return self._captured_fb(batch, grad_scale, sig)
-
-    def _run_fb(self, batch: Sequence, grad_scale: float
-                ) -> Tuple[float, int]:
-        dev = current_device()
-        with dev.stage_scope("forward"), span("train/forward"):
-            loss, ntok = self.model.forward(*batch)
-        with dev.stage_scope("backward"), span("train/backward"):
-            self.model.backward(grad_scale=grad_scale)
-        return loss, ntok
-
-    def _eager_fb(self, batch: Sequence, grad_scale: float
-                  ) -> Tuple[float, int]:
-        if self.arena is not None:
-            with self.arena.step():
-                return self._run_fb(batch, grad_scale)
-        return self._run_fb(batch, grad_scale)
 
     def _captured_fb(self, batch: Sequence, grad_scale: float,
                      sig: tuple) -> Tuple[float, int]:
@@ -188,7 +171,7 @@ class CaptureReplayEngine:
                 sess.add_input(f"in{i}", a)
         self._register_stable(sess)
         with capturing(sess):
-            result = self._run_fb(batch, grad_scale)
+            result = staged_forward_backward(self.model, batch, grad_scale)
 
         try:
             prog = sess.finish(
@@ -208,32 +191,13 @@ class CaptureReplayEngine:
 
     def step(self, batch: Sequence, *, lr: Optional[float] = None
              ) -> StepResult:
-        """One optimisation step, mirroring ``loop.train_step`` exactly:
+        """One optimisation step through ``loop``'s single step body:
         zero-grad and the optimizer update always run eagerly (overflow
         checks and the LR schedule are dynamic); only the forward+backward
         kernel sequence is replayed."""
-        trainer = self.trainer
-        if trainer is None:
+        if self.trainer is None:
             raise RuntimeError("engine.step() requires a trainer")
-        col = current_collector()
-        with span("train/step"):
-            if col is not None:
-                col.begin_step(trainer.step_count + 1)
-            with span("train/zero_grad"):
-                trainer.zero_grad()
-            scale = (trainer.scaler.scale if trainer.scaler is not None
-                     else 1.0)
-            loss, ntok = self.forward_backward(*batch, grad_scale=scale)
-            gs = 1.0 / (scale * max(ntok, 1))
-            if col is not None and col.active:
-                with span("numerics/collect"):
-                    col.collect_pre_update(trainer, grad_scale=gs)
-            with span("train/update"):
-                applied = trainer.step(lr=lr, grad_scale=gs)
-            if col is not None and col.active:
-                with span("numerics/collect"):
-                    col.collect_post_update(trainer)
-            if col is not None:
-                col.finish_step(loss=loss, num_tokens=ntok, applied=applied,
-                                scaler=trainer.scaler)
-        return StepResult(loss=loss, num_tokens=ntok, applied=applied)
+        return _optimisation_step(
+            self.trainer,
+            lambda scale: self.forward_backward(*batch, grad_scale=scale),
+            lr)

@@ -10,7 +10,7 @@ state so regenerated dropout masks are bit-identical.
 Gradients are exactly those of the un-checkpointed layer (tests assert
 equality); the cost is one extra forward per layer per step, the saving is
 the whole per-layer activation footprint — the classic sqrt-memory
-trade-off, quantified in ``benchmarks/bench_ablations.py``.
+trade-off, quantified in ``benchmarks/bench_figures.py -k test_ablations``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..backend.arena import ActivationArena
 from ..backend.device import current_device
@@ -34,6 +34,55 @@ class StepResult:
         return self.loss / max(self.num_tokens, 1)
 
 
+def staged_forward_backward(model: Layer, batch: Sequence,
+                            grad_scale: float,
+                            arena: Optional[ActivationArena] = None
+                            ) -> Tuple[float, int]:
+    """Eager forward+backward under their device stage scopes and spans
+    (shared with the capture engine's eager and capturing steps), inside
+    ``arena.step()`` when an arena is given."""
+    dev = current_device()
+    with arena.step() if arena is not None else nullcontext():
+        with dev.stage_scope("forward"), span("train/forward"):
+            loss, ntok = model.forward(*batch)
+        with dev.stage_scope("backward"), span("train/backward"):
+            model.backward(grad_scale=grad_scale)
+    return loss, ntok
+
+
+def _optimisation_step(trainer: TrainerBase,
+                       run_fb: Callable[[float], Tuple[float, int]],
+                       lr: Optional[float]) -> StepResult:
+    """The one body of the optimisation-step protocol.
+
+    ``run_fb(loss_scale)`` runs the step's forward+backward — one batch, a
+    micro-batch loop, or a replayed program — and returns the summed
+    ``(loss, num_tokens)``; everything around it (zero-grad, numerics
+    collection, the update) is identical for every caller.
+    """
+    col = current_collector()
+    with span("train/step"):
+        if col is not None:
+            col.begin_step(trainer.step_count + 1)
+        with span("train/zero_grad"):
+            trainer.zero_grad()
+        scale = trainer.scaler.scale if trainer.scaler is not None else 1.0
+        loss, ntok = run_fb(scale)
+        gs = 1.0 / (scale * max(ntok, 1))
+        if col is not None and col.active:
+            with span("numerics/collect"):
+                col.collect_pre_update(trainer, grad_scale=gs)
+        with span("train/update"):
+            applied = trainer.step(lr=lr, grad_scale=gs)
+        if col is not None and col.active:
+            with span("numerics/collect"):
+                col.collect_post_update(trainer)
+        if col is not None:
+            col.finish_step(loss=loss, num_tokens=ntok, applied=applied,
+                            scaler=trainer.scaler)
+    return StepResult(loss=loss, num_tokens=ntok, applied=applied)
+
+
 def train_step(model: Layer, trainer: TrainerBase, batch: Sequence, *,
                lr: Optional[float] = None,
                arena: Optional[ActivationArena] = None) -> StepResult:
@@ -49,32 +98,10 @@ def train_step(model: Layer, trainer: TrainerBase, batch: Sequence, *,
     the optimiser update stays *outside* the arena so its state never
     aliases the recycled slab.
     """
-    dev = current_device()
-    col = current_collector()
-    with span("train/step"):
-        if col is not None:
-            col.begin_step(trainer.step_count + 1)
-        with span("train/zero_grad"):
-            trainer.zero_grad()
-        scale = trainer.scaler.scale if trainer.scaler is not None else 1.0
-        with arena.step() if arena is not None else nullcontext():
-            with dev.stage_scope("forward"), span("train/forward"):
-                loss, ntok = model.forward(*batch)
-            with dev.stage_scope("backward"), span("train/backward"):
-                model.backward(grad_scale=scale)
-        gs = 1.0 / (scale * max(ntok, 1))
-        if col is not None and col.active:
-            with span("numerics/collect"):
-                col.collect_pre_update(trainer, grad_scale=gs)
-        with span("train/update"):
-            applied = trainer.step(lr=lr, grad_scale=gs)
-        if col is not None and col.active:
-            with span("numerics/collect"):
-                col.collect_post_update(trainer)
-        if col is not None:
-            col.finish_step(loss=loss, num_tokens=ntok, applied=applied,
-                            scaler=trainer.scaler)
-    return StepResult(loss=loss, num_tokens=ntok, applied=applied)
+    return _optimisation_step(
+        trainer,
+        lambda scale: staged_forward_backward(model, batch, scale, arena),
+        lr)
 
 
 @dataclass
@@ -135,34 +162,14 @@ def train_step_accumulated(model: Layer, trainer: TrainerBase,
     """
     if not microbatches:
         raise ValueError("no microbatches")
-    dev = current_device()
-    col = current_collector()
-    with span("train/step"):
-        if col is not None:
-            col.begin_step(trainer.step_count + 1)
-        with span("train/zero_grad"):
-            trainer.zero_grad()
-        scale = trainer.scaler.scale if trainer.scaler is not None else 1.0
+
+    def run_fb(scale: float) -> Tuple[float, int]:
         total_loss = 0.0
         total_tokens = 0
         for mb in microbatches:
-            with dev.stage_scope("forward"), span("train/forward"):
-                loss, ntok = model.forward(*mb)
-            with dev.stage_scope("backward"), span("train/backward"):
-                model.backward(grad_scale=scale)
+            loss, ntok = staged_forward_backward(model, mb, scale)
             total_loss += loss
             total_tokens += ntok
-        gs = 1.0 / (scale * max(total_tokens, 1))
-        if col is not None and col.active:
-            with span("numerics/collect"):
-                col.collect_pre_update(trainer, grad_scale=gs)
-        with span("train/update"):
-            applied = trainer.step(lr=lr, grad_scale=gs)
-        if col is not None and col.active:
-            with span("numerics/collect"):
-                col.collect_post_update(trainer)
-        if col is not None:
-            col.finish_step(loss=total_loss, num_tokens=total_tokens,
-                            applied=applied, scaler=trainer.scaler)
-    return StepResult(loss=total_loss, num_tokens=total_tokens,
-                      applied=applied)
+        return total_loss, total_tokens
+
+    return _optimisation_step(trainer, run_fb, lr)

@@ -1,7 +1,9 @@
-"""Checkpointing to disk: save/load model and trainer state.
+"""Checkpoint payloads: save/load model and trainer state.
 
 Long training runs (the paper's WMT runs take days) need restartable
-state.  This module serialises:
+state.  This module is the payload format of the crash-safe
+:class:`~repro.resilience.checkpoint.CheckpointStore` (the one checkpoint
+protocol); it serialises:
 
 * **model parameters** — by qualified name, at storage precision, to a
   single ``.npz``;
@@ -17,9 +19,8 @@ Every payload is stamped with :data:`SERIALIZATION_SCHEMA` in its
 ``__meta`` entry; the loaders check it *first* and raise a clear
 ``ValueError`` on a stale or foreign checkpoint — previously a pre-schema
 file surfaced as an opaque ``KeyError`` deep in the restore.  Paths may
-be file objects (``io.BytesIO``), which the crash-safe
-:class:`~repro.resilience.checkpoint.CheckpointStore` uses to serialise
-fully in memory before its atomic write.
+be file objects (``io.BytesIO``), which the store uses to serialise fully
+in memory before its atomic write.
 """
 
 from __future__ import annotations
@@ -163,21 +164,3 @@ def load_trainer(trainer: TrainerBase, path: _PathLike) -> None:
                 if getattr(trainer, "masters", None) is not None \
                         and key in data.files:
                     trainer.masters[i][...] = data[key]
-
-
-def save_checkpoint(model: Layer, trainer: TrainerBase,
-                    directory: _PathLike, tag: str = "checkpoint") -> Path:
-    """Save model + trainer under ``directory/tag.{model,trainer}.npz``."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    save_model(model, d / f"{tag}.model.npz")
-    save_trainer(trainer, d / f"{tag}.trainer.npz")
-    return d
-
-
-def load_checkpoint(model: Layer, trainer: TrainerBase,
-                    directory: _PathLike, tag: str = "checkpoint") -> None:
-    """Restore a pair saved by :func:`save_checkpoint`."""
-    d = Path(directory)
-    load_model(model, d / f"{tag}.model.npz")
-    load_trainer(trainer, d / f"{tag}.trainer.npz")

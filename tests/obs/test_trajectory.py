@@ -40,6 +40,18 @@ class TestIngestion:
         vals = [p.value for p in traj.series["step_total_s"]]
         assert vals == pytest.approx([0.10, 0.20, 0.30])
 
+    def test_every_checked_in_baseline_carries_an_order_key(self):
+        """Without one the trajectory silently orders by file mtime, which
+        a fresh clone resets."""
+        base = os.path.join(os.path.dirname(__file__), "..", "..",
+                            "benchmarks", "baselines")
+        traj = load_trajectory(base)
+        assert traj.records and not traj.skipped
+        for key, path, rec in traj.records:
+            sha = rec["provenance"]["git_sha"]
+            assert key == rec["provenance"]["order_key"], path
+            assert key.endswith("-" + sha[:12]), path
+
     def test_invalid_file_skipped_with_reason(self, tmp_path):
         d = _write(tmp_path, [_record(0, 0.1)])
         (tmp_path / "torn.json").write_text('{"schema": "repro.obs.run')

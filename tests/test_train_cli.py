@@ -49,6 +49,9 @@ def test_save_and_resume(tmp_path, capsys):
                  "--save-dir", d, "--resume", "--log-interval", "1"]) == 0
     out = capsys.readouterr().out
     assert "resumed from" in out and "at step 2" in out
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+        "step-00000002.manifest.json", "step-00000002.model.npz",
+        "step-00000002.trainer.npz"]
 
 
 def test_resume_requires_save_dir(capsys):
@@ -167,7 +170,7 @@ class TestResilienceCli:
     def test_injected_crash_exits_4_and_resume_auto_is_bit_identical(
             self, tmp_path, capsys):
         """The acceptance path: crash at step 4 via a fault plan, restart
-        with --resume auto, final crash-safe checkpoint bitwise equals an
+        with --resume, final crash-safe checkpoint bitwise equals an
         uninterrupted run's."""
         import numpy as np
         base = ["--task", "mt", "--steps", "6", "--max-tokens", "128",
@@ -180,7 +183,7 @@ class TestResilienceCli:
                             "--fault-plan", plan]) == 4
         out = capsys.readouterr().out
         assert "CRASHED (injected)" in out and "step 4" in out
-        assert main(base + ["--save-dir", crash_d, "--resume", "auto"]) == 0
+        assert main(base + ["--save-dir", crash_d, "--resume"]) == 0
         assert "resumed from" in capsys.readouterr().out
         for name in ("step-00000006.model.npz", "step-00000006.trainer.npz"):
             with np.load(f"{clean_d}/{name}") as a, \
@@ -189,8 +192,31 @@ class TestResilienceCli:
                 for k in a.files:
                     np.testing.assert_array_equal(a[k], b[k], err_msg=k)
 
+    def test_periodic_checkpoints_then_bare_resume_is_bit_identical(
+            self, tmp_path, capsys):
+        """Periodic checkpoints and the final one are the same protocol: a
+        run stopped after step 2 and continued with bare --resume picks the
+        loop up at step 3 (RNG state restored) and ends bitwise equal to an
+        uninterrupted 4-step run.  (With two protocols this died with
+        FileNotFoundError: checkpoint.model.npz.)"""
+        base = ["--task", "bert", "--max-tokens", "8", "--fp16",
+                "--log-interval", "4", "--checkpoint-every", "1"]
+        clean_d, split_d = str(tmp_path / "clean"), str(tmp_path / "split")
+        assert main(base + ["--steps", "4", "--save-dir", clean_d]) == 0
+        assert main(base + ["--steps", "2", "--save-dir", split_d]) == 0
+        capsys.readouterr()
+        assert main(base + ["--steps", "4", "--save-dir", split_d,
+                            "--resume"]) == 0
+        assert "at step 2 (trainer step" in capsys.readouterr().out
+        for name in ("step-00000004.model.npz", "step-00000004.trainer.npz"):
+            with np.load(f"{clean_d}/{name}") as a, \
+                    np.load(f"{split_d}/{name}") as b:
+                assert set(a.files) == set(b.files)
+                for k in a.files:
+                    np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
     def test_torn_checkpoint_write_is_survivable(self, tmp_path, capsys):
-        """A checkpoint torn mid-write exits 4; --resume auto falls back
+        """A checkpoint torn mid-write exits 4; --resume falls back
         to the previous good checkpoint and finishes cleanly."""
         d = str(tmp_path / "ck")
         base = ["--task", "mt", "--steps", "6", "--max-tokens", "128",
@@ -200,9 +226,22 @@ class TestResilienceCli:
             {"site": "checkpoint.write", "kind": "torn", "after": 3}])
         assert main(base + ["--fault-plan", plan]) == 4
         assert "torn checkpoint write" in capsys.readouterr().out
-        assert main(base + ["--resume", "auto"]) == 0
+        assert main(base + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "resumed from" in out and "checkpoint written" in out
+
+    def test_crash_hint_names_the_resume_flag(self, tmp_path, capsys):
+        plan = self._plan(tmp_path, [
+            {"site": "replica.crash", "kind": "crash", "step": 1}])
+        assert main(["--task", "bert", "--steps", "1", "--max-tokens", "8",
+                     "--fault-plan", plan]) == 4
+        assert "resume with '--resume'\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keep", ["0", "-2"])
+    def test_keep_below_one_exits_2(self, keep, tmp_path, capsys):
+        assert main(["--task", "mt", "--steps", "1", "--keep", keep,
+                     "--save-dir", str(tmp_path)]) == 2
+        assert "--keep must be >= 1" in capsys.readouterr().out
 
     def test_fault_plan_digest_in_provenance_header(self, tmp_path, capsys):
         import json
@@ -222,6 +261,6 @@ class TestResilienceCli:
         d = str(tmp_path / "empty")
         rc = main(["--task", "mt", "--steps", "2", "--max-tokens", "128",
                    "--log-interval", "2", "--save-dir", d,
-                   "--checkpoint-every", "2", "--resume", "auto"])
+                   "--checkpoint-every", "2", "--resume"])
         assert rc == 0
         assert "starting fresh" in capsys.readouterr().out

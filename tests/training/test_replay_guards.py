@@ -12,6 +12,7 @@ throughout.
 """
 
 import numpy as np
+import pytest
 
 from repro.backend.arena import ActivationArena
 from repro.backend.device import Device, use_device
@@ -21,8 +22,9 @@ from repro.config import get_config
 from repro.models import BertModel
 from repro.obs import (NumericsCollector, SpanRecorder, use_collector,
                        use_recorder)
+from repro.precision import DynamicLossScaler
 from repro.training import (CaptureReplayEngine, OptimizerSpec, make_trainer,
-                            train_step)
+                            train_step, train_step_accumulated)
 
 HID, NHEAD, FFN, V = 32, 4, 64, 61
 
@@ -212,24 +214,88 @@ def test_replayed_steps_emit_stage_spans():
     assert any("attrs" in s.as_dict() for s in replay_spans)
 
 
-def test_engine_step_matches_train_step():
-    """The full optimisation loop — zero-grad, scaler, update — through
-    the engine is bit-identical to ``loop.train_step``, including the
-    steps that replayed."""
+class _SpyCollector(NumericsCollector):
+    """Logs the step-lifecycle calls the step body makes on the collector."""
+
+    def __init__(self, every):
+        super().__init__(every)
+        self.calls = []
+
+    def begin_step(self, step):
+        self.calls.append("begin_step")
+        return super().begin_step(step)
+
+    def collect_pre_update(self, trainer, **kw):
+        self.calls.append("collect_pre_update")
+        super().collect_pre_update(trainer, **kw)
+
+    def collect_post_update(self, trainer):
+        self.calls.append("collect_post_update")
+        super().collect_post_update(trainer)
+
+    def finish_step(self, **kw):
+        self.calls.append("finish_step")
+        return super().finish_step(**kw)
+
+
+def _run_step_path(path, every, steps=3):
+    """``steps`` FP16 steps of one batch down one of the step entry points;
+    returns everything the single step body is responsible for."""
     reset_replay_counters()
-    seed = 11
-    m_ref = BertModel(_cfg(fp16=True), seed=seed)
-    t_ref = make_trainer("lightseq", m_ref, OptimizerSpec(lr=1e-3))
-    m_rep = BertModel(_cfg(fp16=True), seed=seed)
-    t_rep = make_trainer("lightseq", m_rep, OptimizerSpec(lr=1e-3))
-    engine = CaptureReplayEngine(m_rep, t_rep, arena=ActivationArena())
-    rng = np.random.default_rng(3)
-    batch = _batch(rng, 2, 8)
-    for _ in range(5):
-        res_ref = train_step(m_ref, t_ref, batch)
-        res_rep = engine.step(batch)
-        assert res_rep.loss == res_ref.loss
-        assert res_rep.applied == res_ref.applied
-        for pe, pr in zip(m_ref.parameters(), m_rep.parameters()):
-            assert np.array_equal(pe.data, pr.data), pe.name
-    assert replay_counters().replays >= 1
+    m = BertModel(_cfg(fp16=True), seed=11)
+    # an init scale high enough that one of the steps overflows, so the
+    # scaler's skip path is part of what is compared
+    t = make_trainer("lightseq", m, OptimizerSpec(lr=1e-3),
+                     DynamicLossScaler(init_scale=2.0 ** 15))
+    batch = _batch(np.random.default_rng(3), 2, 8)
+    if path == "train_step":
+        step = lambda: train_step(m, t, batch)
+    elif path == "train_step_arena":
+        arena = ActivationArena()
+        step = lambda: train_step(m, t, batch, arena=arena)
+    elif path == "accumulated":
+        step = lambda: train_step_accumulated(m, t, [batch])
+    else:
+        engine = CaptureReplayEngine(m, t, arena=ActivationArena())
+        step = lambda: engine.step(batch)
+    col, rec = _SpyCollector(every), SpanRecorder()
+    with use_device(Device()), use_collector(col), use_recorder(rec):
+        results = [step() for _ in range(steps)]
+    return {
+        "results": [(r.loss, r.num_tokens, r.applied) for r in results],
+        # arena/reserve is the slab growing, not the step protocol
+        "spans": [s.name for s in sorted(rec.spans, key=lambda s: s.start_s)
+                  if s.name != "arena/reserve"],
+        "collector": col.calls,
+        "params": [p.data.copy() for p in m.parameters()],
+        "moments": (t.m.copy(), t.v.copy()),
+        "scaler": t.scaler.state_dict(),
+        "replays": replay_counters().replays,
+    }
+
+
+@pytest.mark.parametrize("path,every", [
+    ("train_step_arena", 2),
+    ("accumulated", 2),
+    ("engine_eager", 1),          # sampling every step forces eager
+    ("engine_replayed", 100),     # never sampling: scan, capture, replay
+], ids=lambda v: v if isinstance(v, str) else f"every{v}")
+def test_step_entry_points_match_train_step(path, every):
+    """Drift gate for the single step body: every entry point — arena-scoped
+    ``train_step``, ``train_step_accumulated`` with one micro-batch, and
+    ``engine.step`` both eager and replayed — emits the same span-name
+    sequence, drives the numerics collector through the same call sequence
+    and leaves parameters, Adam moments and loss-scaler state bit-identical
+    to plain ``train_step`` after 3 FP16 steps."""
+    ref = _run_step_path("train_step", every)
+    got = _run_step_path(path, every)
+    assert (got.pop("replays") > 0) == (path == "engine_replayed")
+    assert ref.pop("replays") == 0
+    for key in ("results", "spans", "collector", "scaler"):
+        assert got[key] == ref[key], key
+    for a, b in zip(got["params"] + list(got["moments"]),
+                    ref["params"] + list(ref["moments"])):
+        assert np.array_equal(a, b)
+    assert ref["collector"][:2] == ["begin_step"] + (
+        ["collect_pre_update"] if every == 1 else ["finish_step"])
+    assert not all(applied for _, _, applied in ref["results"])

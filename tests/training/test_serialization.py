@@ -7,8 +7,8 @@ from repro.config import get_config
 from repro.models import TransformerModel
 from repro.precision import DynamicLossScaler
 from repro.training import OptimizerSpec, make_trainer, train_step
-from repro.training.serialization import (load_checkpoint, load_model,
-                                          load_trainer, save_checkpoint,
+from repro.resilience import CheckpointStore
+from repro.training.serialization import (load_model, load_trainer,
                                           save_model, save_trainer)
 
 
@@ -77,11 +77,12 @@ class TestResumeExactness:
         part_tr = make_trainer(kind, part, spec)
         for s in range(2):
             train_step(part, part_tr, _batch(s))
-        save_checkpoint(part, part_tr, tmp_path, tag="t")
+        store = CheckpointStore(tmp_path)
+        store.save(part, part_tr)
 
         resumed = TransformerModel(cfg16, seed=123)    # wrong init on purpose
         resumed_tr = make_trainer(kind, resumed, spec)
-        load_checkpoint(resumed, resumed_tr, tmp_path, tag="t")
+        store.load(resumed, resumed_tr, 2)
         assert resumed_tr.step_count == 2
         for s in range(2, 4):
             train_step(resumed, resumed_tr, _batch(s))
@@ -118,10 +119,11 @@ class TestTrainerState:
         m = TransformerModel(cfg16, seed=1)
         tr = make_trainer("lightseq", m, OptimizerSpec(lr=1e-3))
         train_step(m, tr, _batch(0))
-        save_checkpoint(m, tr, tmp_path, tag="w")
+        store = CheckpointStore(tmp_path)
+        store.save(m, tr)
         m2 = TransformerModel(cfg16, seed=9)
         tr2 = make_trainer("lightseq", m2, OptimizerSpec(lr=1e-3))
-        load_checkpoint(m2, tr2, tmp_path, tag="w")
+        store.load(m2, tr2, 1)
         for p in m2.parameters():
             assert tr2.workspace.is_linked(p.data), p.name
         # loaded values actually reached the workspace
