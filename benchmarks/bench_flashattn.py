@@ -154,7 +154,7 @@ def run_record(results=None):
     Every gated number is modeled (reservation bytes, roofline traffic)
     so the record is deterministic across machines; ``stage_seconds``
     carries the two lower-is-better ratios the CI gate diffs via
-    ``repro.obs.summarize``.
+    ``python -m repro.obs compare``.
     """
     r = results or run_comparison()
     return make_run_record(

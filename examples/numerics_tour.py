@@ -12,7 +12,7 @@ tour shows the instrumentation that makes them loud:
 2. a **fault injection** — a NaN is poisoned into one layer's gradient
    mid-run; the anomaly engine catches it on that step, attributes it to
    that layer, and the halt-on-anomaly collector stops the run;
-3. **offline triage** — ``python -m repro.obs.health`` reads the recorded
+3. **offline triage** — ``python -m repro.obs health`` reads the recorded
    metrics JSONL back and prints the first-bad-step report, exiting
    non-zero exactly as the CI gate does.
 
@@ -126,7 +126,7 @@ def main() -> int:
     print(f"\noffline triage of {jsonl}:")
     print("\n".join("  " + line for line in report.format().splitlines()))
     print("\n(the same report, as a CI gate: "
-          f"python -m repro.obs.health {jsonl})")
+          f"python -m repro.obs health {jsonl})")
     return 0
 
 

@@ -8,7 +8,7 @@ trace — then renders all three time sources (plus the two-stream overlap
 schedule for a simulated 4-GPU sync) into one Chrome/Perfetto trace you
 can drop onto https://ui.perfetto.dev.  Finally it captures a baseline
 run record from the naive (unfused) trainer, a current record from the
-fused LightSeq2-style trainer, and prints the ``repro.obs.summarize``
+fused LightSeq2-style trainer, and prints the ``repro.obs compare``
 diff between them — the same diff CI uses as a perf-regression gate.
 
 Run:  python examples/observability_tour.py

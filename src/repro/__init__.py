@@ -29,25 +29,10 @@ from .layers.criterion import LSCrossEntropyLayer
 from .layers.decoder import LSTransformerDecoderLayer
 from .layers.embedding import LSEmbeddingLayer
 from .layers.encoder import LSTransformerEncoderLayer
-from .obs import (MetricsRecorder, NumericsCollector, SpanRecorder,
-                  perfetto_trace, span, use_collector, use_recorder,
-                  write_trace)
-
-_LAZY_OBS = {
-    # kept lazy so `python -m repro.obs.summarize` / `.health` don't
-    # import the module they are about to execute (see repro/obs/
-    # __init__.py)
-    "summarize_run_records", "AnomalyEngine", "AnomalyHalted",
-    "analyze_rows",
-}
-
-
-def __getattr__(name):
-    if name in _LAZY_OBS:
-        from . import obs
-        return getattr(obs, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .obs import (AnomalyEngine, AnomalyHalted, MetricsRecorder,
+                  NumericsCollector, SpanRecorder, analyze_rows,
+                  perfetto_trace, span, summarize_run_records, use_collector,
+                  use_recorder, write_trace)
 
 __version__ = "1.0.0"
 

@@ -1406,8 +1406,9 @@ def smoke_numerics_run(scale: Optional[str] = None) -> ExperimentResult:
     A tiny fused FP16 MT model trains with the numerics observatory
     sampling every step; the run record carries simulated V100 per-stage
     seconds (deterministic given the kernel trace) and per-step metrics,
-    so ``repro.obs.summarize`` can regression-gate it against a
-    checked-in baseline and ``repro.obs.health`` can vet the telemetry.
+    so ``python -m repro.obs compare`` can regression-gate it against a
+    checked-in baseline and ``python -m repro.obs health`` can vet the
+    telemetry.
     """
     from ..backend.device import Device, use_device
     from ..models import TransformerModel
@@ -1464,7 +1465,7 @@ def smoke_numerics_run(scale: Optional[str] = None) -> ExperimentResult:
                   "anomalies": len(engine.anomalies),
                   "numerics_records": len(collector.records)},
         notes="steady-state step kernel trace priced on V100; gated by "
-              "repro.obs.summarize + repro.obs.health in CI")
+              "repro.obs compare + repro.obs health in CI")
     res.claim("healthy run produces no anomalies",
               not engine.anomalies,
               f"{len(engine.anomalies)} anomalies")

@@ -40,7 +40,7 @@ class ExperimentResult:
     claims: List[ShapeClaim] = field(default_factory=list)
     notes: str = ""
     #: optional per-stage simulated seconds — lands in the run record's
-    #: ``stage_seconds`` section, the part ``repro.obs.summarize`` gates.
+    #: ``stage_seconds`` section, the part ``python -m repro.obs compare`` gates.
     stage_seconds: Optional[Dict[str, float]] = None
     #: optional per-step metrics rows for the run record.
     metrics: Optional[List[Dict[str, Any]]] = None
@@ -92,7 +92,7 @@ class ExperimentResult:
         The record carries the full result table, every claim outcome,
         and any extra ``counters`` the bench measured — the machine-
         readable twin of :meth:`format` that
-        ``python -m repro.obs.summarize`` can diff across runs.
+        ``python -m repro.obs compare`` can diff across runs.
         """
         from ..obs.runrecord import make_run_record
         cfg: Dict[str, Any] = {}

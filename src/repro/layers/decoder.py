@@ -26,7 +26,7 @@ from ..config import LSConfig, get_config
 from . import initializers as init
 from .attention import MultiHeadAttention
 from .base import Layer
-from .encoder import _LayerNormOp
+from .encoder import _LayerNormOp, _epilogue_bwd, _epilogue_fwd
 from .ffn import FeedForward
 
 
@@ -61,42 +61,6 @@ class LSTransformerDecoderLayer(Layer):
         self._ln2 = _LayerNormOp(self, self.ln2_w, self.ln2_b)
         self._ln3 = _LayerNormOp(self, self.ln3_w, self.ln3_b)
 
-    # epilogue helpers identical to the encoder's (shared math, own masks)
-
-    def _epilogue_fwd(self, z, bias, residual, tag):
-        cfg = self.config
-        p = self.dropout_p
-        if cfg.fused:
-            out, mask = ew.bias_dropout_residual_forward(
-                z, bias.compute(), residual, p, self.rng, fp16=cfg.fp16)
-        else:
-            zb = ew.bias_add_naive(z, bias.compute(), fp16=cfg.fp16)
-            if p > 0:
-                zd, mask = ew.dropout_forward_naive(zb, p, self.rng,
-                                                    fp16=cfg.fp16)
-            else:
-                zd, mask = zb, None    # p == 0: no mask materialised
-            out = ew.residual_add_naive(zd, residual, fp16=cfg.fp16)
-        self.save(**{f"{tag}_dmask": mask})
-        return out
-
-    def _epilogue_bwd(self, d_out, bias, tag):
-        cfg = self.config
-        p = self.dropout_p
-        mask = self.saved(f"{tag}_dmask")
-        if cfg.fused:
-            d_z, db, d_res = ew.bias_dropout_residual_backward(
-                d_out, mask, p, fp16=cfg.fp16)
-        else:
-            if p > 0:
-                d_z = ew.dropout_backward_naive(d_out, mask, p, fp16=cfg.fp16)
-            else:
-                d_z = d_out
-            db = ew.bias_grad_naive(d_z, fp16=cfg.fp16)
-            d_res = d_out
-        bias.accumulate_grad(db)
-        return d_z, d_res
-
     def forward(self, x: np.ndarray, enc_out: np.ndarray,
                 self_mask: Optional[np.ndarray] = None,
                 cross_mask: Optional[np.ndarray] = None,
@@ -114,7 +78,7 @@ class LSTransformerDecoderLayer(Layer):
         residual = x
         y = self._ln1.forward(x, "ln1") if pre_ln else x
         z = self.self_attn.forward(y, mask=self_mask, causal=self_causal)
-        h = self._epilogue_fwd(z, self.b_self_o, residual, "self")
+        h = _epilogue_fwd(self, z, self.b_self_o, residual, "self")
         if not pre_ln:
             h = self._ln1.forward(h, "ln1")
         self.tap("self_attn_out", h)
@@ -122,7 +86,7 @@ class LSTransformerDecoderLayer(Layer):
         residual = h
         y = self._ln2.forward(h, "ln2") if pre_ln else h
         z = self.cross_attn.forward(y, kv=enc_out, mask=cross_mask)
-        h = self._epilogue_fwd(z, self.b_cross_o, residual, "cross")
+        h = _epilogue_fwd(self, z, self.b_cross_o, residual, "cross")
         if not pre_ln:
             h = self._ln2.forward(h, "ln2")
         self.tap("cross_attn_out", h)
@@ -130,7 +94,7 @@ class LSTransformerDecoderLayer(Layer):
         residual = h
         y = self._ln3.forward(h, "ln3") if pre_ln else h
         z = self.ffn.forward(y)
-        out = self._epilogue_fwd(z, self.b_ffn_o, residual, "ffn")
+        out = _epilogue_fwd(self, z, self.b_ffn_o, residual, "ffn")
         if not pre_ln:
             out = self._ln3.forward(out, "ln3")
         self.tap("out", out)
@@ -144,7 +108,7 @@ class LSTransformerDecoderLayer(Layer):
         # --- FFN backward
         if not pre_ln:
             d_out = self._ln3.backward(d_out, "ln3")
-        d_z, d_res = self._epilogue_bwd(d_out, self.b_ffn_o, "ffn")
+        d_z, d_res = _epilogue_bwd(self, d_out, self.b_ffn_o, "ffn")
         d_y = self.ffn.backward(d_z)
         if pre_ln:
             d_y = self._ln3.backward(d_y, "ln3")
@@ -152,7 +116,7 @@ class LSTransformerDecoderLayer(Layer):
         # --- cross-attention backward
         if not pre_ln:
             d_h = self._ln2.backward(d_h, "ln2")
-        d_z, d_res = self._epilogue_bwd(d_h, self.b_cross_o, "cross")
+        d_z, d_res = _epilogue_bwd(self, d_h, self.b_cross_o, "cross")
         d_y, d_enc = self.cross_attn.backward(d_z)
         if pre_ln:
             d_y = self._ln2.backward(d_y, "ln2")
@@ -160,7 +124,7 @@ class LSTransformerDecoderLayer(Layer):
         # --- self-attention backward
         if not pre_ln:
             d_h = self._ln1.backward(d_h, "ln1")
-        d_z, d_res = self._epilogue_bwd(d_h, self.b_self_o, "self")
+        d_z, d_res = _epilogue_bwd(self, d_h, self.b_self_o, "self")
         d_y, _ = self.self_attn.backward(d_z)
         if pre_ln:
             d_y = self._ln1.backward(d_y, "ln1")

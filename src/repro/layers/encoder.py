@@ -62,6 +62,49 @@ class _LayerNormOp:
         return dx
 
 
+def _epilogue_fwd(layer: Layer, z: np.ndarray, bias, residual: np.ndarray,
+                  tag: str) -> np.ndarray:
+    """``dropout(z + b) + residual`` — fused: 1 kernel; naive: 3.
+
+    Shared by the encoder and decoder layers (same math, each layer saves
+    its own masks under ``tag``).
+    """
+    cfg = layer.config
+    p = layer.dropout_p
+    if cfg.fused:
+        out, mask = ew.bias_dropout_residual_forward(
+            z, bias.compute(), residual, p, layer.rng, fp16=cfg.fp16)
+    else:
+        zb = ew.bias_add_naive(z, bias.compute(), fp16=cfg.fp16)
+        if p > 0:
+            zd, mask = ew.dropout_forward_naive(zb, p, layer.rng,
+                                                fp16=cfg.fp16)
+        else:
+            zd, mask = zb, None    # p == 0: no mask materialised
+        out = ew.residual_add_naive(zd, residual, fp16=cfg.fp16)
+    layer.save(**{f"{tag}_dmask": mask})
+    return out
+
+
+def _epilogue_bwd(layer: Layer, d_out: np.ndarray, bias, tag: str):
+    """Backward of the epilogue: returns (d_z, d_residual)."""
+    cfg = layer.config
+    p = layer.dropout_p
+    mask = layer.saved(f"{tag}_dmask")
+    if cfg.fused:
+        d_z, db, d_res = ew.bias_dropout_residual_backward(
+            d_out, mask, p, fp16=cfg.fp16)
+    else:
+        if p > 0:
+            d_z = ew.dropout_backward_naive(d_out, mask, p, fp16=cfg.fp16)
+        else:
+            d_z = d_out
+        db = ew.bias_grad_naive(d_z, fp16=cfg.fp16)
+        d_res = d_out
+    bias.accumulate_grad(db)
+    return d_z, d_res
+
+
 class LSTransformerEncoderLayer(Layer):
     """LightSeq2 encoder layer: self-attention + FFN sublayers."""
 
@@ -85,45 +128,6 @@ class LSTransformerEncoderLayer(Layer):
         self._ln1 = _LayerNormOp(self, self.ln1_w, self.ln1_b)
         self._ln2 = _LayerNormOp(self, self.ln2_w, self.ln2_b)
 
-    # -- sublayer plumbing -------------------------------------------------------
-
-    def _epilogue_fwd(self, z: np.ndarray, bias, residual: np.ndarray,
-                      tag: str) -> np.ndarray:
-        """``dropout(z + b) + residual`` — fused: 1 kernel; naive: 3."""
-        cfg = self.config
-        p = self.dropout_p
-        if cfg.fused:
-            out, mask = ew.bias_dropout_residual_forward(
-                z, bias.compute(), residual, p, self.rng, fp16=cfg.fp16)
-        else:
-            zb = ew.bias_add_naive(z, bias.compute(), fp16=cfg.fp16)
-            if p > 0:
-                zd, mask = ew.dropout_forward_naive(zb, p, self.rng,
-                                                    fp16=cfg.fp16)
-            else:
-                zd, mask = zb, None    # p == 0: no mask materialised
-            out = ew.residual_add_naive(zd, residual, fp16=cfg.fp16)
-        self.save(**{f"{tag}_dmask": mask})
-        return out
-
-    def _epilogue_bwd(self, d_out: np.ndarray, bias, tag: str):
-        """Backward of the epilogue: returns (d_z, d_residual)."""
-        cfg = self.config
-        p = self.dropout_p
-        mask = self.saved(f"{tag}_dmask")
-        if cfg.fused:
-            d_z, db, d_res = ew.bias_dropout_residual_backward(
-                d_out, mask, p, fp16=cfg.fp16)
-        else:
-            if p > 0:
-                d_z = ew.dropout_backward_naive(d_out, mask, p, fp16=cfg.fp16)
-            else:
-                d_z = d_out
-            db = ew.bias_grad_naive(d_z, fp16=cfg.fp16)
-            d_res = d_out
-        bias.accumulate_grad(db)
-        return d_z, d_res
-
     # -- forward / backward --------------------------------------------------------
 
     def forward(self, x: np.ndarray,
@@ -137,7 +141,7 @@ class LSTransformerEncoderLayer(Layer):
         residual = x
         y = self._ln1.forward(x, "ln1") if pre_ln else x
         z = self.attn.forward(y, mask=mask, causal=causal)
-        h = self._epilogue_fwd(z, self.b_attn_o, residual, "attn")
+        h = _epilogue_fwd(self, z, self.b_attn_o, residual, "attn")
         if not pre_ln:
             h = self._ln1.forward(h, "ln1")
         self.tap("attn_out", h)
@@ -145,7 +149,7 @@ class LSTransformerEncoderLayer(Layer):
         residual = h
         y = self._ln2.forward(h, "ln2") if pre_ln else h
         z = self.ffn.forward(y)
-        out = self._epilogue_fwd(z, self.b_ffn_o, residual, "ffn")
+        out = _epilogue_fwd(self, z, self.b_ffn_o, residual, "ffn")
         if not pre_ln:
             out = self._ln2.forward(out, "ln2")
         self.tap("out", out)
@@ -157,7 +161,7 @@ class LSTransformerEncoderLayer(Layer):
         # --- FFN sublayer backward
         if not pre_ln:
             d_out = self._ln2.backward(d_out, "ln2")
-        d_z, d_res = self._epilogue_bwd(d_out, self.b_ffn_o, "ffn")
+        d_z, d_res = _epilogue_bwd(self, d_out, self.b_ffn_o, "ffn")
         d_y = self.ffn.backward(d_z)
         if pre_ln:
             d_y = self._ln2.backward(d_y, "ln2")
@@ -165,7 +169,7 @@ class LSTransformerEncoderLayer(Layer):
         # --- attention sublayer backward
         if not pre_ln:
             d_h = self._ln1.backward(d_h, "ln1")
-        d_z, d_res = self._epilogue_bwd(d_h, self.b_attn_o, "attn")
+        d_z, d_res = _epilogue_bwd(self, d_h, self.b_attn_o, "attn")
         d_y, _ = self.attn.backward(d_z)
         if pre_ln:
             d_y = self._ln1.backward(d_y, "ln1")

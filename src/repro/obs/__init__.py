@@ -19,28 +19,28 @@ instead of ad-hoc printouts:
   Chrome/Perfetto ``trace_event`` JSON (open at https://ui.perfetto.dev).
 * :mod:`~repro.obs.runrecord` — the structured ``BENCH_*.json`` run
   records every bench emits.
-* :mod:`~repro.obs.summarize` — ``python -m repro.obs.summarize A B``
-  diffs two run records and prints per-stage regressions.
 * :mod:`~repro.obs.numerics` / :mod:`~repro.obs.health` — the numerics
   observatory: a sampling per-layer tensor-health collector (grad norms,
   FP16 saturation, update ratios, activation taps), a pluggable anomaly
-  engine, and the ``python -m repro.obs.health`` triage CLI.
+  engine, and the ``python -m repro.obs health`` triage CLI.
 * :mod:`~repro.obs.provenance` — git SHA / config hash / history
   order-key stamps making telemetry streams comparable across commits.
 * :mod:`~repro.obs.roofline` / :mod:`~repro.obs.critpath` — the
   performance observatory: per-kernel compute- vs memory-bound roofline
   attribution, the step's dependency-DAG critical path, and what-if
   re-costing ("comm is free", "attn_impl=tiled", "world=16", "gpu=H100"),
-  surfaced by ``python -m repro.obs.profile`` (and ``repro.train
+  surfaced by ``python -m repro.obs profile`` (and ``repro.train
   --profile-out``).
-* :mod:`~repro.obs.trajectory` — ``python -m repro.obs.trajectory DIR``
-  orders a directory of run records by commit history and applies
-  budget-based regression detection across the whole series.
+* :mod:`~repro.obs.trajectory` — the one run-record comparer:
+  ``python -m repro.obs trajectory DIR`` orders a directory of run
+  records by commit history and applies budget-based regression
+  detection across the whole series; ``python -m repro.obs compare A B``
+  is its two-record case.
 * :mod:`~repro.obs.memory` — the memory observatory: arena lifetime
   timelines (peak bitwise-equal to the reserved high-water mark),
   peak attribution by layer/stage/tensor family, waste accounting,
   OOM forensics, and the what-if capacity engine, surfaced by
-  ``python -m repro.obs.memory`` (and ``repro.train --memory-out``).
+  ``python -m repro.obs memory`` (and ``repro.train --memory-out``).
 
 With no recorder installed every hook is a near-free no-op, so the
 instrumentation can stay permanently threaded through the hot paths.
@@ -65,44 +65,14 @@ from .runrecord import (RUN_RECORD_SCHEMA, bench_record_path,
                         load_run_record, make_run_record, record_order_key,
                         write_run_record)
 from .spans import Span, SpanRecorder, current_recorder, span, use_recorder
-
-_LAZY = {
-    # lazy: `python -m repro.obs.summarize` / `.health` / `.trajectory` /
-    # `.profile` re-execute the module as __main__, and an eager import
-    # here would leave a second copy in sys.modules (runpy prints a
-    # RuntimeWarning about exactly that).
-    "summarize_run_records": ("summarize", "summarize_run_records"),
-    "Anomaly": ("health", "Anomaly"),
-    "AnomalyEngine": ("health", "AnomalyEngine"),
-    "AnomalyHalted": ("health", "AnomalyHalted"),
-    "HealthReport": ("health", "HealthReport"),
-    "analyze_rows": ("health", "analyze_rows"),
-    "default_detectors": ("health", "default_detectors"),
-    "Trajectory": ("trajectory", "Trajectory"),
-    "load_trajectory": ("trajectory", "load_trajectory"),
-    "profile_report": ("profile", "profile_report"),
-    "MEMORY_SCHEMA": ("memory", "MEMORY_SCHEMA"),
-    "MemoryTracer": ("memory", "MemoryTracer"),
-    "MemoryReport": ("memory", "MemoryReport"),
-    "memory_report": ("memory", "memory_report"),
-    "write_memory_report": ("memory", "write_memory_report"),
-    "load_memory_report": ("memory", "load_memory_report"),
-    "project_capacity": ("memory", "project_capacity"),
-    "max_fit": ("memory", "max_fit"),
-    "oom_forensics": ("memory", "oom_forensics"),
-    "use_memory_tracer": ("memory", "use_memory_tracer"),
-    "mem_scope": ("memory", "mem_scope"),
-}
-
-
-def __getattr__(name):
-    try:
-        mod, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-    return getattr(importlib.import_module(f".{mod}", __name__), attr)
+from .health import (Anomaly, AnomalyEngine, AnomalyHalted, HealthReport,
+                     analyze_rows, default_detectors)
+from .memory import (MEMORY_SCHEMA, MemoryReport, MemoryTracer,
+                     load_memory_report, max_fit, mem_scope, memory_report,
+                     oom_forensics, project_capacity, use_memory_tracer,
+                     write_memory_report)
+from .profile import profile_report
+from .trajectory import Trajectory, load_trajectory, summarize_run_records
 
 __all__ = [
     "Span", "SpanRecorder", "current_recorder", "span", "use_recorder",

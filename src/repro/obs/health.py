@@ -1,4 +1,4 @@
-"""Anomaly engine + ``python -m repro.obs.health`` triage CLI.
+"""Anomaly engine + ``python -m repro.obs health`` triage CLI.
 
 When a mixed-precision run diverges, the operator needs the *first bad
 step and the offending layer*, not a Perfetto trace of healthy kernels.
@@ -15,7 +15,7 @@ that:
 * a CLI that reads a metrics JSONL (or a ``BENCH_*.json`` run record),
   prints a per-layer health report with first-bad-step triage, and
   exits non-zero on anomalies — a CI gate next to
-  ``python -m repro.obs.summarize``.
+  ``python -m repro.obs compare``.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ class LayerHealth:
 
 @dataclass
 class HealthReport:
-    """Everything ``python -m repro.obs.health`` prints (or JSON-dumps)."""
+    """Everything ``python -m repro.obs health`` prints (or JSON-dumps)."""
 
     steps: int = 0
     numerics_records: int = 0
@@ -533,7 +533,7 @@ EXIT_SKIPPED_LINES = 4
 
 def main(argv: Optional[List[str]] = None) -> int:
     p = argparse.ArgumentParser(
-        prog="python -m repro.obs.health",
+        prog="python -m repro.obs health",
         description="Triage a training run's numerics: per-layer health "
                     "report, first-bad-step attribution, non-zero exit on "
                     "anomalies.  Truncated/corrupt JSONL lines are skipped "
@@ -563,4 +563,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit("moved: python -m repro.obs health")

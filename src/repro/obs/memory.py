@@ -27,7 +27,7 @@ as a :class:`SlotEvent` (bytes, requesting layer via :func:`~repro.backend
 
 Entry point::
 
-    PYTHONPATH=src python -m repro.obs.memory MEMORY.json \
+    PYTHONPATH=src python -m repro.obs memory MEMORY.json \
         [--whatif seq_len=2048,attn_impl=tiled] [--budget 72MiB] \
         [--max-fit seq_len] [--check] [--json]
 
@@ -51,6 +51,7 @@ from ..backend.arena import (_PLAN_ALIGN, ActivationArena, ArenaOOM,
                              current_site, mem_scope, mem_scoped,
                              use_memory_tracer)
 from ..backend.device import current_device
+from .runrecord import load_json_document
 
 __all__ = [
     "MEMORY_SCHEMA", "SlotEvent", "PlanRecord", "MemoryTracer",
@@ -480,17 +481,7 @@ def write_memory_report(path: str, report: MemoryReport) -> None:
 
 def load_memory_report(path: str) -> Dict[str, object]:
     """Load and schema-check a memory report document."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON (truncated or "
-                             f"corrupt write?): {e}") from e
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != MEMORY_SCHEMA:
-        raise ValueError(f"{path}: not a {MEMORY_SCHEMA} document "
-                         f"(schema={schema!r})")
-    return doc
+    return load_json_document(path, schema=MEMORY_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +796,7 @@ def _print_report(doc: Dict[str, object], n: int = 10) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     p = argparse.ArgumentParser(
-        prog="python -m repro.obs.memory",
+        prog="python -m repro.obs memory",
         description="Inspect a memory observatory report: peak "
                     "attribution, waste, OOM forensics, and what-if "
                     "capacity projections.")
@@ -854,7 +845,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "value": max_fit(plan, budget, knob=args.max_fit,
                                        **fixed)}
     except (OSError, ValueError, KeyError) as e:
-        print(f"error: {e}")
+        print(f"error: {e}", file=sys.stderr)
         return 2
     if args.json:
         out = dict(doc)
@@ -889,4 +880,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit("moved: python -m repro.obs memory")

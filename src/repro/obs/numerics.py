@@ -25,7 +25,7 @@ Each sampled step becomes a :class:`StepNumerics` record, is run through
 the :class:`repro.obs.health.AnomalyEngine`, and is emitted as an
 ``event: "numerics"`` line (anomalies as ``event: "anomaly"`` lines)
 into the :class:`~repro.obs.metrics.MetricsRecorder` JSONL, where
-``python -m repro.obs.health`` can triage it offline.
+``python -m repro.obs health`` can triage it offline.
 """
 
 from __future__ import annotations

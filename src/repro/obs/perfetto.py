@@ -28,6 +28,7 @@ from ..sim.costmodel import kernel_time
 from ..sim.gpu_specs import GPUSpec
 from ..sim.timeline import BucketSchedule
 from .roofline import analyze_launch
+from .runrecord import load_json_document
 from .spans import Span
 
 #: trace_event timestamps are microseconds.
@@ -362,9 +363,8 @@ def write_trace(path: str, trace: Dict[str, object]) -> None:
 
 def read_trace(path: str) -> Dict[str, object]:
     """Load a Perfetto trace JSON written by :func:`write_trace`."""
-    with open(path) as f:
-        trace = json.load(f)
-    if not isinstance(trace, dict) or "traceEvents" not in trace:
+    trace = load_json_document(path)
+    if "traceEvents" not in trace:
         raise ValueError(f"{path}: not a trace_event JSON document")
     return trace
 

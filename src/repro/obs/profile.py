@@ -1,4 +1,4 @@
-"""``python -m repro.obs.profile`` — where is the step's time going?
+"""``python -m repro.obs profile`` — where is the step's time going?
 
 Reads a Perfetto trace JSON written by :func:`repro.obs.perfetto
 .write_trace` (e.g. ``repro.train --trace-out``), rebuilds the kernel
@@ -26,7 +26,6 @@ traces from other producers (benches, tests) get analyzed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -37,6 +36,7 @@ from .critpath import (CriticalPath, Projection, StepDAG, StepInputs,
                        project_timeline, synthetic_buckets, whatif)
 from .perfetto import read_trace, trace_kernels
 from .roofline import RooflineReport, roofline_report
+from .runrecord import emit_document
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 
@@ -184,7 +184,7 @@ def step_inputs_from_trace(trace: Dict[str, object], *,
 
 def main(argv: Optional[List[str]] = None) -> int:
     p = argparse.ArgumentParser(
-        prog="python -m repro.obs.profile",
+        prog="python -m repro.obs profile",
         description="Roofline attribution, critical path, and what-if "
                     "projections for a saved kernel trace.")
     p.add_argument("trace", help="Perfetto trace JSON (repro.train "
@@ -225,20 +225,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenarios = args.whatif or default_scenarios(inputs)
         analysis = analyze(inputs, scenarios)
     except (OSError, ValueError) as e:
-        print(f"error: {e}")
+        print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(analysis.as_dict(args.top), f, indent=2,
-                      sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(analysis.as_dict(args.top), indent=2,
-                         sort_keys=True))
-    else:
-        print(analysis.format_text(args.top))
+    emit_document(analysis.as_dict(args.top), analysis.format_text(args.top),
+                  args)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit("moved: python -m repro.obs profile")

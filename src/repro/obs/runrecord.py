@@ -4,7 +4,7 @@ Every bench (and any traced training run) can emit one run record — a
 plain JSON document with a fixed envelope (schema tag, name, environment)
 and free-form sections: per-stage seconds, named counters, the result
 table, claim outcomes, and per-step metrics.  Records are what
-:mod:`repro.obs.summarize` diffs, so perf claims are regression-gated
+``python -m repro.obs compare`` diffs, so perf claims are regression-gated
 against a captured baseline instead of re-derived by hand.
 """
 
@@ -91,26 +91,44 @@ def write_run_record(path: str, record: Dict[str, object]) -> None:
         f.write("\n")
 
 
-def load_run_record(path: str) -> Dict[str, object]:
-    """Load and schema-check a run record.
+def load_json_document(path: str, *, schema: Optional[str] = None
+                       ) -> Dict[str, object]:
+    """Load one JSON object, the loader behind every obs reader.
 
-    A truncated or corrupt file (a record torn by a crash mid-write)
-    raises a clear ``ValueError`` naming the file, not a bare JSON
-    traceback.
+    With ``schema``, the document's ``"schema"`` tag must equal it.  A
+    truncated or corrupt file (torn by a crash mid-write) or a foreign
+    document raises a clear ``ValueError`` naming the file, not a bare
+    JSON traceback.
     """
     with open(path) as f:
         try:
-            record = json.load(f)
+            doc = json.load(f)
         except json.JSONDecodeError as e:
-            raise ValueError(
-                f"{path}: run record is not valid JSON (truncated or "
-                f"corrupt write?): {e}") from e
-    schema = record.get("schema") if isinstance(record, dict) else None
-    if schema != RUN_RECORD_SCHEMA:
-        raise ValueError(
-            f"{path}: not a {RUN_RECORD_SCHEMA} run record (schema="
-            f"{schema!r})")
-    return record
+            raise ValueError(f"{path}: not valid JSON (truncated or "
+                             f"corrupt write?): {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object "
+                         f"(got {type(doc).__name__})")
+    if schema is not None and doc.get("schema") != schema:
+        raise ValueError(f"{path}: not a {schema} document "
+                         f"(schema={doc.get('schema')!r})")
+    return doc
+
+
+def load_run_record(path: str) -> Dict[str, object]:
+    """Load and schema-check a run record."""
+    return load_json_document(path, schema=RUN_RECORD_SCHEMA)
+
+
+def emit_document(doc: Dict[str, object], text: str, args) -> None:
+    """The output tail every report CLI shares: print ``text`` (``doc``
+    under ``--json``), and ``--out FILE`` also saves ``doc`` — so a gate
+    never runs a command twice to get both."""
+    if args.out:
+        with open(args.out, "w") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.json else text)
 
 
 def record_order_key(record: Dict[str, object],

@@ -1,97 +1,198 @@
-"""Cross-PR bench trajectory: many run records, ordered by history.
+"""The one run-record comparer: a pairwise diff and a cross-PR trajectory.
 
-:mod:`repro.obs.summarize` diffs exactly two records; this module
-generalizes it to a *directory* of them.  Every
-``repro.obs.run_record/v1`` document is ingested, ordered by the
-provenance ``order_key`` (commit timestamp + SHA — deterministic, no
-filename conventions), and each metric becomes a per-commit series:
-stage seconds, derived step total, named counters, and the aggregated
-step metrics (tok/s, exposed comm, allocation counts).
+Every ``repro.obs.run_record/v1`` document is flattened by
+:func:`metric_values` into ``{metric: value}`` (stage seconds, derived
+step total, named counters, memory bytes, aggregated step metrics — tok/s,
+exposed comm, allocation counts), every metric gets its direction from one
+rule table, and one predicate decides "worse than its reference by more
+than the budget".  Two views share that code:
 
-Regression detection is budget-based across the whole series, not
-pairwise: a point regresses when it is worse than the *best earlier*
-point by more than the threshold, so a slow drift that never trips a
-single adjacent diff still trips the trajectory — and a regression
-introduced three PRs ago keeps failing until fixed or re-baselined.
+* **trajectory** — a *directory* of records ordered by the provenance
+  ``order_key`` (commit timestamp + SHA — deterministic, no filename
+  conventions).  Regression detection is budget-based across the whole
+  series, not pairwise: a point regresses when it is worse than the
+  *best earlier* point by more than the threshold, so a slow drift that
+  never trips a single adjacent diff still trips the trajectory — and a
+  regression introduced three PRs ago keeps failing until fixed or
+  re-baselined.
+* **compare** — the two-record case (baseline vs candidate), plus the
+  pairwise-only rules in the same table: a stage the baseline has and the
+  candidate lacks is a regression, lower-is-better counters fail on *any*
+  growth, and the step metrics are printed, never gated.
 
-Entry point::
+Entry points::
 
-    PYTHONPATH=src python -m repro.obs.trajectory RECORD_DIR \
+    PYTHONPATH=src python -m repro.obs compare BASELINE.json CURRENT.json \
+        [--threshold 0.05] [--json] [--out FILE]
+    PYTHONPATH=src python -m repro.obs trajectory RECORD_DIR \
         [--threshold 0.05] [--metric step_total] [--json] [--out FILE]
 
-Exits non-zero when any regression is detected.
+Both exit 1 when a regression is found, so either doubles as a CI gate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .runrecord import load_run_record, record_order_key
-from .summarize import _LOWER_IS_BETTER, _metrics_summary
+from .runrecord import (emit_document, load_run_record,
+                        record_order_key)
 
 TRAJECTORY_SCHEMA = "repro.obs.trajectory/v1"
 
-#: direction of the derived step-metric aggregates (None = tracked,
-#: never gated — loss is a correctness quantity, not a perf budget).
-_METRIC_DIRECTION = {
-    "metrics.tokens_per_s": False,          # higher is better
-    "metrics.comm_exposed_s": True,
-    "metrics.skipped_steps": True,
-    "metrics.new_allocs": True,
-    "metrics.arena_peak_bytes": True,
-    "metrics.mean_loss_per_token": None,
-}
+#: schema tag every ``compare --json`` diff document carries (the name
+#: predates the merge of ``repro.obs.summarize`` into this module).
+SUMMARIZE_SCHEMA = "repro.obs.summarize/v1"
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One row of the direction/rule table (first matching row wins)."""
+
+    prefix: str                      # metric name starts with this ...
+    lower: Optional[bool]            # lower is better (None = never gated)
+    tokens: Tuple[str, ...] = ("",)  # ... and the rest contains any of these
+    #: ``compare`` only: the pairwise budget is the caller's threshold
+    #: times this (None = printed, never gated pairwise), and whether a
+    #: metric the baseline has and the candidate lacks is a regression.
+    pair_scale: Optional[float] = None
+    pair_missing_fails: bool = False
+
+
+_METRIC_DIRECTION = (
+    # A stage the candidate never ran is a hard failure, never a pass:
+    # treating it as 0.0 would give it ratio 0 and let a renamed or
+    # silently-dropped stage sail through the gate.
+    _Rule("stage_seconds.", True, pair_scale=1.0, pair_missing_fails=True),
+    _Rule("step_total_s", True),
+    # counters where *any* growth is a pairwise regression (scale 0).
+    # memory-bytes counters (peak/waste/capacity/mem) are lower-is-better;
+    # "oom" is deliberately absent — boundary benches *want* the fused
+    # configuration to OOM (``fused_ooms_at_budget == 1.0`` is the pass).
+    _Rule("counters.", True, pair_scale=0.0,
+          tokens=("alloc", "miss", "exposed", "skip", "launch", "bytes",
+                  "reservation", "anomal", "peak", "waste", "capacity",
+                  "mem")),
+    # peak/capacity/waste/padding/slack bytes: growth is a regression.
+    # sharing_saved_bytes is the one higher-is-better quantity (more
+    # lifetime sharing is the Fig.-8 win) — track it, don't gate it.
+    _Rule("memory.", None, tokens=("saved",)),
+    _Rule("memory.", True),
+    # the derived step-metric aggregates (mean_loss_per_token has no row:
+    # loss is a correctness quantity, not a perf budget — tracked, never
+    # gated)
+    _Rule("metrics.tokens_per_s", False),
+    _Rule("metrics.comm_exposed_s", True),
+    _Rule("metrics.skipped_steps", True),
+    _Rule("metrics.new_allocs", True),
+    _Rule("metrics.arena_peak_bytes", True),
+)
+
+
+def _rule(metric: str) -> Optional[_Rule]:
+    name = metric.lower()
+    for rule in _METRIC_DIRECTION:
+        if name.startswith(rule.prefix) and any(
+                tok in name[len(rule.prefix):] for tok in rule.tokens):
+            return rule
+    return None
+
+
+def lower_is_better(metric: str) -> Optional[bool]:
+    """Whether smaller values of ``metric`` are better (None = ungated)."""
+    rule = _rule(metric)
+    return rule.lower if rule else None
+
+
+def _ratio(value: float, reference: float, lower: bool) -> float:
+    """How many times worse ``value`` is than ``reference``, with explicit
+    empty-reference handling.  The one gate predicate everywhere is
+    ``_ratio(...) > 1 + budget``."""
+    if not lower:
+        return reference / value if value > 0 else float("inf")
+    if reference > 0:
+        return value / reference
+    return 1.0 if value <= reference else float("inf")
+
+
+def _section(record: Dict[str, object], name: str, kind: type):
+    value = record.get(name)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValueError(f"{name!r} section is a {type(value).__name__}, "
+                         f"not a {kind.__name__}")
+    return value
+
+
+def _number(where: str, value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} is {value!r}, not a number")
+    return float(value)
+
+
+def _metrics_summary(record: Dict[str, object]) -> Dict[str, float]:
+    metrics = _section(record, "metrics", list)
+    for i, m in enumerate(metrics):
+        if not isinstance(m, dict) or "wall_s" not in m:
+            raise ValueError(f"metrics[{i}] is not a step row with 'wall_s'")
+        for key in ("num_tokens", "wall_s", "loss", "new_allocs",
+                    "comm_exposed_s", "arena_peak_bytes"):
+            _number(f"metrics[{i}].{key}", m.get(key, 0))
+    if not metrics:
+        return {}
+    tokens = sum(int(m.get("num_tokens", 0)) for m in metrics)
+    wall = sum(float(m.get("wall_s", 0.0)) for m in metrics)
+    return {
+        "tokens_per_s": tokens / wall if wall > 0 else 0.0,
+        "mean_loss_per_token": (sum(float(m.get("loss", 0.0))
+                                    for m in metrics) / max(tokens, 1)),
+        "skipped_steps": sum(1 for m in metrics if not m.get("applied", True)),
+        "new_allocs": sum(int(m.get("new_allocs", 0)) for m in metrics),
+        "comm_exposed_s": sum(float(m.get("comm_exposed_s", 0.0))
+                              for m in metrics),
+        "arena_peak_bytes": max((int(m.get("arena_peak_bytes", 0))
+                                 for m in metrics), default=0),
+    }
 
 
 def metric_values(record: Dict[str, object]) -> Dict[str, float]:
     """Flatten one run record into ``{metric_name: value}``.
 
     Namespaced by section (``stage_seconds.*``, ``counters.*``,
-    ``metrics.*``) plus the derived ``step_total_s`` so the headline
-    number needs no client-side summing.
+    ``memory.*``, ``metrics.*``) plus the derived ``step_total_s`` so the
+    headline number needs no client-side summing.  A section of the wrong
+    shape or a non-numeric value raises ``ValueError`` — a schema-skewed
+    record is refused whole, never half-read.
     """
     out: Dict[str, float] = {}
-    stages = record.get("stage_seconds") or {}
-    for k, v in stages.items():
-        out[f"stage_seconds.{k}"] = float(v)
-    if stages:
-        out["step_total_s"] = sum(float(v) for v in stages.values())
-    for k, v in (record.get("counters") or {}).items():
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out[f"counters.{k}"] = float(v)
+    for k, v in _section(record, "stage_seconds", dict).items():
+        out[f"stage_seconds.{k}"] = _number(f"stage_seconds.{k}", v)
+    if out:
+        out["step_total_s"] = sum(out.values())
+    for k, v in _section(record, "counters", dict).items():
+        out[f"counters.{k}"] = _number(f"counters.{k}", v)
     # memory-observatory section: only the *_bytes quantities are metrics
     # (peak_step is an index and bitwise_peak_equal a flag — gating either
     # as a magnitude would be nonsense)
-    for k, v in (record.get("memory") or {}).items():
-        if (k.endswith("_bytes") and isinstance(v, (int, float))
-                and not isinstance(v, bool)):
-            out[f"memory.{k}"] = float(v)
-    summary = _metrics_summary(record)
-    if summary:
-        for k, v in summary.items():
-            out[f"metrics.{k}"] = float(v)
+    for k, v in _section(record, "memory", dict).items():
+        if k.endswith("_bytes"):
+            out[f"memory.{k}"] = _number(f"memory.{k}", v)
+    for k, v in _metrics_summary(record).items():
+        out[f"metrics.{k}"] = float(v)
     return out
 
 
-def lower_is_better(metric: str) -> Optional[bool]:
-    """Whether smaller values of ``metric`` are better (None = ungated)."""
-    if metric.startswith("stage_seconds.") or metric == "step_total_s":
-        return True
-    if metric.startswith("counters."):
-        name = metric.lower()
-        return (True if any(tok in name for tok in _LOWER_IS_BETTER)
-                else None)
-    if metric.startswith("memory."):
-        # peak/capacity/waste/padding/slack bytes: growth is a regression.
-        # sharing_saved_bytes is the one higher-is-better quantity (more
-        # lifetime sharing is the Fig.-8 win) — track it, don't gate it.
-        return None if "saved" in metric else True
-    return _METRIC_DIRECTION.get(metric)
+def _load_flat(path: str) -> Tuple[Dict[str, object], Dict[str, float]]:
+    """``(record, metric_values(record))`` with every error naming the file."""
+    record = load_run_record(path)
+    try:
+        return record, metric_values(record)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -137,13 +238,7 @@ class Trajectory:
             best: Optional[TrajectoryPoint] = None
             for pt in self.series[metric]:
                 if best is not None:
-                    if lib:
-                        ratio = (pt.value / best.value if best.value > 0
-                                 else (1.0 if pt.value <= best.value
-                                       else float("inf")))
-                    else:
-                        ratio = (best.value / pt.value if pt.value > 0
-                                 else float("inf"))
+                    ratio = _ratio(pt.value, best.value, lib)
                     if ratio > 1.0 + threshold:
                         found.append(Regression(
                             metric, pt.order_key, pt.name, pt.value,
@@ -171,12 +266,8 @@ class Trajectory:
                                 "name": pt.name, "value": pt.value}
                                for pt in pts]}
                 for m, pts in sorted(self.series.items())},
-            "regressions": [
-                {"metric": r.metric, "order_key": r.order_key,
-                 "name": r.name, "value": r.value,
-                 "best_value": r.best_value,
-                 "best_order_key": r.best_order_key, "ratio": r.ratio}
-                for r in self.detect_regressions(threshold)],
+            "regressions": [asdict(r)
+                            for r in self.detect_regressions(threshold)],
             "skipped": [{"path": p, "reason": why}
                         for p, why in self.skipped],
         }
@@ -233,13 +324,14 @@ def load_trajectory(directory: str) -> Trajectory:
         raise ValueError(f"trajectory directory {directory!r} does not "
                          f"exist")
     records: List[Tuple[str, str, Dict[str, object]]] = []
+    flat: Dict[str, Dict[str, float]] = {}
     skipped: List[Tuple[str, str]] = []
     for n in names:
         if not n.endswith(".json"):
             continue
         path = os.path.join(directory, n)
         try:
-            rec = load_run_record(path)
+            rec, flat[path] = _load_flat(path)
         except (OSError, ValueError) as e:
             skipped.append((path, str(e)))
             continue
@@ -247,16 +339,166 @@ def load_trajectory(directory: str) -> Trajectory:
     records.sort(key=lambda e: (e[0], e[1]))
     series: Dict[str, List[TrajectoryPoint]] = {}
     for key, path, rec in records:
-        for metric, value in metric_values(rec).items():
+        for metric, value in flat[path].items():
             series.setdefault(metric, []).append(
                 TrajectoryPoint(key, str(rec.get("name", "")), path,
                                 value))
     return Trajectory(records, series, skipped)
 
 
+# ---------------------------------------------------------------------------
+# compare: the two-record view
+# ---------------------------------------------------------------------------
+
+
+def _pairwise(section: str, base: Dict[str, float], cur: Dict[str, float],
+              threshold: float
+              ) -> Iterator[Tuple[str, float, Optional[float],
+                                  Optional[float], bool]]:
+    """``(key, baseline, current, ratio, regressed)`` for every baseline
+    metric of one section, judged by its rule's pairwise columns
+    (``current`` is None for a metric the candidate lacks)."""
+    prefix = section + "."
+    for metric, b in base.items():
+        if not metric.startswith(prefix):
+            continue
+        rule, c = _rule(metric), cur.get(metric)
+        ratio, bad = None, False
+        if rule is not None and rule.pair_scale is not None:
+            if c is None:
+                bad = rule.pair_missing_fails
+            else:
+                ratio = _ratio(c, b, rule.lower)
+                bad = ratio > 1.0 + threshold * rule.pair_scale
+        yield metric[len(prefix):], b, c, ratio, bad
+
+
+def diff_records(baseline: Dict[str, object], current: Dict[str, object], *,
+                 threshold: float = 0.05) -> Dict[str, object]:
+    """Machine-readable diff of two run records (``compare --json``).
+
+    One structured document: per-stage rows, counter rows, the shared
+    step-metric summary, both records' provenance, and the regression
+    count — everything the text report prints, parseable.
+    """
+    if baseline.get("stage_seconds") == {}:
+        raise ValueError(
+            "baseline run record has an empty stage_seconds section — "
+            "nothing to diff against (was it produced by an older run?)")
+    base, cur = metric_values(baseline), metric_values(current)
+    b_sum, c_sum = _metrics_summary(baseline), _metrics_summary(current)
+    stages = [
+        # None (not NaN/inf) for missing stages keeps the --json document
+        # strict-JSON parseable
+        {"stage": k, "baseline_s": b, "current_s": c, "ratio": ratio,
+         "missing": c is None, "regression": bad}
+        for k, b, c, ratio, bad in _pairwise("stage_seconds", base, cur,
+                                             threshold)]
+    counters = sorted(
+        ({"counter": k, "baseline": b, "current": c, "regression": bad}
+         for k, b, c, _, bad in _pairwise("counters", base, cur, threshold)
+         if c is not None), key=lambda row: row["counter"])
+    return {
+        "schema": SUMMARIZE_SCHEMA,
+        "baseline": {"name": baseline.get("name"),
+                     "provenance": baseline.get("provenance")},
+        "current": {"name": current.get("name"),
+                    "provenance": current.get("provenance")},
+        "threshold": threshold,
+        "stages": stages,
+        "counters": counters,
+        # printed, never gated pairwise (no pair_scale on the metrics rows)
+        "metrics": {k: {"baseline": b_sum[k], "current": c_sum[k]}
+                    for k in b_sum if k in c_sum},
+        "regressions": sum(row["regression"]
+                           for row in stages + counters),
+    }
+
+
+def summarize_run_records(baseline: Dict[str, object],
+                          current: Dict[str, object], *,
+                          threshold: float = 0.05
+                          ) -> Tuple[str, int]:
+    """Human-readable diff of two run records.
+
+    Returns ``(report_text, regression_count)``.
+    """
+    return _format_diff(diff_records(baseline, current, threshold=threshold))
+
+
+def _format_diff(diff: Dict[str, object]) -> Tuple[str, int]:
+    threshold = diff["threshold"]
+    lines = [f"run-record diff: {diff['baseline']['name']} (baseline) vs "
+             f"{diff['current']['name']} (current), "
+             f"threshold {threshold:.0%}"]
+
+    if diff["stages"]:
+        lines.append(f"  {'stage':<12}{'baseline ms':>14}{'current ms':>14}"
+                     f"{'ratio':>8}")
+        for row in diff["stages"]:
+            flag = "  REGRESSION" if row["regression"] else ""
+            cur, ratio = (("(missing)", "--") if row["missing"] else
+                          (f"{row['current_s'] * 1e3:.3f}",
+                           f"{row['ratio']:.3f}"))
+            lines.append(f"  {row['stage']:<12}"
+                         f"{row['baseline_s'] * 1e3:>14.3f}"
+                         f"{cur:>14}{ratio:>8}{flag}")
+
+    if diff["counters"]:
+        lines.append("  counters:")
+        for row in diff["counters"]:
+            flag = "  REGRESSION" if row["regression"] else ""
+            lines.append(f"    {row['counter']:<32}{row['baseline']:>14g} "
+                         f"-> {row['current']:<14g}{flag}")
+
+    if diff["metrics"]:
+        lines.append("  step metrics:")
+        for key, pair in diff["metrics"].items():
+            lines.append(f"    {key:<32}{pair['baseline']:>14g} -> "
+                         f"{pair['current']:<14g}")
+
+    regressions = diff["regressions"]
+    if regressions:
+        lines.append(f"  {regressions} regression(s) past the "
+                     f"{threshold:.0%} threshold")
+    else:
+        lines.append("  no regressions")
+    return "\n".join(lines), regressions
+
+
+# ---------------------------------------------------------------------------
+# CLIs (dispatched by ``python -m repro.obs``)
+# ---------------------------------------------------------------------------
+
+
+def compare_main(argv: Optional[List[str]] = None) -> int:
+    p = argparse.ArgumentParser(
+        prog="python -m repro.obs compare",
+        description="Diff two run records and flag per-stage regressions.")
+    p.add_argument("baseline", help="baseline run-record JSON")
+    p.add_argument("current", help="current run-record JSON")
+    p.add_argument("--threshold", type=float, default=0.05,
+                   help="relative slowdown tolerated per stage "
+                        "(default 0.05)")
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable diff document on stdout")
+    p.add_argument("--out", help="also write the JSON document here "
+                                 "(the CI artifact)")
+    args = p.parse_args(argv)
+    try:
+        (baseline, _), (current, _) = (_load_flat(args.baseline),
+                                       _load_flat(args.current))
+        diff = diff_records(baseline, current, threshold=args.threshold)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    emit_document(diff, _format_diff(diff)[0], args)
+    return 1 if diff["regressions"] else 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     p = argparse.ArgumentParser(
-        prog="python -m repro.obs.trajectory",
+        prog="python -m repro.obs trajectory",
         description="Order a directory of run records by history and "
                     "flag budget regressions across the whole series.")
     p.add_argument("directory", help="directory of run-record JSON files")
@@ -272,23 +514,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = p.parse_args(argv)
     try:
         traj = load_trajectory(args.directory)
+        if not traj.records:
+            raise ValueError(f"no run records under {args.directory!r}")
     except (OSError, ValueError) as e:
-        print(f"error: {e}")
-        return 2
-    if not traj.records:
-        print(f"error: no run records under {args.directory!r}")
+        print(f"error: {e}", file=sys.stderr)
         return 2
     doc = traj.as_dict(args.threshold)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(traj.format_report(args.threshold, args.metric))
+    emit_document(doc, traj.format_report(args.threshold, args.metric), args)
     return 1 if doc["regressions"] else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit("moved: python -m repro.obs trajectory")

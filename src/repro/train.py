@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "report (occupancy timeline, peak attribution, "
                         "waste, replayable shape plan for what-if "
                         "projections) as JSON; inspect with "
-                        "'python -m repro.obs.memory PATH'")
+                        "'python -m repro.obs memory PATH'")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="append per-step metrics (loss, tokens/s, "
                         "loss-scale, alloc counters) as JSONL")
@@ -205,6 +205,9 @@ def _build_task(args, cfg: LSConfig
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     plan = None
+    if args.fault_seed is not None and not args.fault_plan:
+        print("--fault-seed requires --fault-plan")
+        return 2
     if args.fault_plan:
         plan = FaultPlan.from_file(args.fault_plan)
         if args.fault_seed is not None:
@@ -221,6 +224,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.resume and not args.save_dir:
         print("--resume requires --save-dir")
+        return 2
+    for flag in ("log_interval", "warmup", "max_tokens"):
+        if getattr(args, flag) < 1:
+            print(f"--{flag.replace('_', '-')} must be >= 1")
+            return 2
+    if args.anomaly_dump and not args.halt_on_anomaly:
+        print("--anomaly-dump requires --halt-on-anomaly")
         return 2
     cfg = _config(args)
     model, batch_fn = _build_task(args, cfg)

@@ -1,4 +1,4 @@
-"""Run records and the summarize diff: schema, round-trip, regressions."""
+"""Run records and the pairwise diff: schema, round-trip, regressions."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repro.obs.runrecord import (RUN_RECORD_SCHEMA, bench_record_path,
                                  list_bench_records, load_run_record,
                                  make_run_record, write_run_record)
-from repro.obs.summarize import diff_stages, main, summarize_run_records
+from repro.obs.trajectory import compare_main as main
+from repro.obs.trajectory import diff_records, summarize_run_records
 
 
 def _record(name="base", fwd=0.10, new_allocs=0, **kw):
@@ -86,17 +87,26 @@ class TestSummarize:
         assert n == 1
         assert "new_allocs_per_step" in report and "REGRESSION" in report
 
-    def test_empty_baseline_stages_raise(self):
+    def test_empty_baseline_stages_raise(self, tmp_path, capsys):
+        empty = make_run_record("base", stage_seconds={})
         with pytest.raises(ValueError, match="empty stage_seconds"):
-            diff_stages({}, {"forward": 0.1})
+            diff_records(empty, _record("cur"))
+        base, cur = str(tmp_path / "b.json"), str(tmp_path / "c.json")
+        write_run_record(base, empty)
+        write_run_record(cur, _record("cur"))
+        assert main([base, cur]) == 2
+        assert "empty stage_seconds" in capsys.readouterr().err
 
     def test_missing_current_stage_is_a_hard_regression(self):
         # a stage the candidate never ran must fail, not pass with ratio 0
         # (a renamed/dropped stage would otherwise slip through the gate)
-        import math
-        rows = diff_stages({"forward": 0.1}, {})
-        (stage, base, cur, ratio, bad) = rows[0]
-        assert math.isnan(cur) and math.isinf(ratio) and bad
+        diff = diff_records(
+            make_run_record("b", stage_seconds={"forward": 0.1}),
+            make_run_record("c", stage_seconds={}))
+        (row,) = diff["stages"]
+        assert row["missing"] and row["regression"]
+        assert row["current_s"] is None and row["ratio"] is None
+        assert diff["regressions"] == 1
 
     def test_main_exit_codes(self, tmp_path, capsys):
         base, cur = str(tmp_path / "b.json"), str(tmp_path / "c.json")
@@ -107,4 +117,5 @@ class TestSummarize:
         assert main([base, cur]) == 1
         assert main([base, cur, "--threshold", "5.0"]) == 0
         assert main([base, str(tmp_path / "missing.json")]) == 2
-        assert "error:" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "error:" not in captured.out

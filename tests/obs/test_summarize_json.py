@@ -1,9 +1,10 @@
-"""Machine-readable run-record diffs: diff_records + `summarize --json`."""
+"""Machine-readable run-record diffs: diff_records + `compare --json`."""
 
 import json
 
 from repro.obs.runrecord import make_run_record, write_run_record
-from repro.obs.summarize import diff_records, main, summarize_run_records
+from repro.obs.trajectory import compare_main as main
+from repro.obs.trajectory import diff_records, summarize_run_records
 
 
 def _rec(name="t", *, stages=None, counters=None, metrics=None):

@@ -4,9 +4,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.runrecord import make_run_record, write_run_record
-from repro.obs.trajectory import (TRAJECTORY_SCHEMA, load_trajectory,
+from repro.obs.trajectory import (TRAJECTORY_SCHEMA, compare_main,
+                                  diff_records, load_trajectory,
                                   lower_is_better, main, metric_values)
 
 
@@ -59,6 +62,37 @@ class TestIngestion:
         assert len(traj.records) == 1
         assert len(traj.skipped) == 1
         assert "torn.json" in traj.skipped[0][0]
+
+    @pytest.mark.parametrize("section, value", [
+        ("stage_seconds", {"f": "abc"}),                # string value
+        ("counters", [1, 2]),                           # list, not dict
+        ("metrics", [{"step": 1, "num_tokens": 4}]),    # row without wall_s
+        ("memory", {"peak_demand_bytes": True}),        # bool, not number
+    ])
+    def test_schema_skewed_record_skipped_whole(self, tmp_path, capsys,
+                                                section, value):
+        """Passes ``load_run_record`` but cannot be flattened: the whole
+        record is skipped with a reason (not half-ingested), the rest of
+        the directory gates exactly as without it, and ``compare`` refuses
+        the same file by name — never a traceback."""
+        good = [_record(0, 0.100), _record(1, 0.110)]
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        expected = main([_write(clean, good)])
+        skewed = _record(2, 0.05)       # would be the best point if read
+        skewed[section] = value
+        d = _write(tmp_path, good + [skewed])
+        traj = load_trajectory(d)
+        assert len(traj.records) == 2
+        ((path, why),) = traj.skipped
+        assert path.endswith("r2.json") and section in why
+        assert all(len(pts) == 2 for pts in traj.series.values())
+        assert main([d]) == expected == 1
+        capsys.readouterr()
+        assert compare_main([str(tmp_path / "r0.json"), path]) == 2
+        captured = capsys.readouterr()
+        assert "r2.json" in captured.err and section in captured.err
+        assert captured.out == ""
 
     def test_missing_directory_raises(self):
         with pytest.raises(ValueError, match="does not exist"):
@@ -182,3 +216,33 @@ class TestMemorySection:
         d = _write(tmp_path, recs)
         regs = load_trajectory(d).detect_regressions(0.05)
         assert not any("sharing" in r.metric for r in regs)
+
+
+_STAGES = st.dictionaries(
+    st.sampled_from(["forward", "backward", "sync", "update", "data"]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False), max_size=5)
+
+
+class TestCompareIsTheTwoRecordCase:
+    @settings(max_examples=60, deadline=None)
+    @given(a=_STAGES.filter(bool), b=_STAGES,
+           threshold=st.sampled_from([0.0, 0.05, 0.5]))
+    def test_same_stage_rows_flagged_as_two_point_trajectory(
+            self, tmp_path_factory, a, b, threshold):
+        """``compare A B`` and a two-file trajectory ordered A -> B flag the
+        same ``stage_seconds.*`` rows at the same threshold; the only
+        pairwise extra is a stage B lacks (a shorter series, never a
+        trajectory regression)."""
+        recs = [make_run_record("a", stage_seconds=a),
+                make_run_record("b", stage_seconds=b)]
+        for i, rec in enumerate(recs):
+            rec["provenance"]["order_key"] = f"{i:012d}-{'a' * 12}"
+        rows = diff_records(*recs, threshold=threshold)["stages"]
+        assert {r["stage"] for r in rows if r["missing"]} == set(a) - set(b)
+        assert all(r["regression"] for r in rows if r["missing"])
+        d = _write(tmp_path_factory.mktemp("pair"), recs)
+        flagged = {r.metric for r in
+                   load_trajectory(d).detect_regressions(threshold)}
+        assert {f"stage_seconds.{r['stage']}" for r in rows
+                if r["regression"] and not r["missing"]} == {
+            m for m in flagged if m.startswith("stage_seconds.")}

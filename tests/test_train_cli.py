@@ -95,6 +95,30 @@ def test_trace_and_metrics_out(tmp_path, capsys):
             assert key in m, key
 
 
+def test_profile_out_matches_trace(tmp_path, capsys):
+    """--profile-out writes what ``repro.obs profile`` derives from the
+    saved trace: schema-tagged, critical path within 1% of the timeline,
+    the comm-free what-if always answered."""
+    import json
+
+    from repro.obs.__main__ import main as obs_main
+    trace_path = tmp_path / "step.trace.json"
+    profile_path = tmp_path / "step.profile.json"
+    assert main(["--task", "gpt", "--steps", "2", "--max-tokens", "256",
+                 "--log-interval", "1", "--trace-out", str(trace_path),
+                 "--profile-out", str(profile_path)]) == 0
+    capsys.readouterr()
+    assert obs_main(["profile", str(trace_path), "--json"]) == 0
+    for doc in (json.loads(capsys.readouterr().out),
+                json.loads(profile_path.read_text())):
+        assert doc["schema"] == "repro.obs.profile/v1"
+        assert doc["launch_count"] > 0
+        timeline, path = doc["timeline"], doc["critical_path"]
+        err = abs(path["total_s"] - timeline["total_s"]) / timeline["total_s"]
+        assert err < 0.01, f"critical path off timeline by {err:.2%}"
+        assert "comm_free" in {w["scenario"] for w in doc["whatif"]}
+
+
 def test_numerics_every_emits_events(tmp_path, capsys):
     """--numerics-every samples tensor health into the metrics stream."""
     import json
@@ -242,6 +266,21 @@ class TestResilienceCli:
         assert main(["--task", "mt", "--steps", "1", "--keep", keep,
                      "--save-dir", str(tmp_path)]) == 2
         assert "--keep must be >= 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--log-interval", "0"], "--log-interval must be >= 1"),
+        (["--warmup", "0"], "--warmup must be >= 1"),
+        (["--max-tokens", "0"], "--max-tokens must be >= 1"),
+        (["--anomaly-dump", "snap.json"],
+         "--anomaly-dump requires --halt-on-anomaly"),
+        (["--fault-seed", "7"], "--fault-seed requires --fault-plan"),
+    ])
+    def test_ignored_or_crashing_flag_combination_exits_2(
+            self, flags, message, capsys):
+        """Each of these used to crash with a traceback (ZeroDivisionError,
+        ValueError), train on empty batches, or be silently dropped."""
+        assert main(["--task", "mt", "--steps", "1"] + flags) == 2
+        assert capsys.readouterr().out.strip() == message
 
     def test_fault_plan_digest_in_provenance_header(self, tmp_path, capsys):
         import json
