@@ -9,6 +9,20 @@ is what a rewrite that *changes* bits has to be re-baselined against.
 import numpy as np
 
 
+def cube_f64(x):
+    """``x**3`` in float64 — exact to far below a float32 ulp, since a
+    float32 cube carries 72 significant bits and float64 rounds at 53."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * x * x
+
+
+def ulp_error_f32(got, exact):
+    """``|got - exact|`` in float32 ulps of ``exact`` (elementwise)."""
+    exact = np.asarray(exact, dtype=np.float64)
+    ulp = np.spacing(np.abs(exact).astype(np.float32)).astype(np.float64)
+    return np.abs(np.asarray(got, dtype=np.float64) - exact) / ulp
+
+
 def gelu_tanh_f64(pre):
     """tanh-approximation GeLU and its derivative at ``pre``, in float64.
 

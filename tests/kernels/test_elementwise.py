@@ -88,11 +88,13 @@ def test_bias_act_dropout_fused_matches_naive(act, rng):
     a = (ew.relu_forward_naive(pre) if act == "relu"
          else ew.gelu_forward_naive(pre))
     y_n, _ = ew.dropout_forward_naive(a, 0.3, rng, mask=mask)
-    np.testing.assert_allclose(y_f, y_n, atol=1e-6)
+    # bitwise: both paths share one GeLU chain, so an edit to one copy
+    # that is not made to the other fails here
+    assert np.array_equal(y_f, y_n)
     # third return: the pre-activation (ReLU) / activation derivative (GeLU)
     saved = (pre if act == "relu"
              else ew.gelu_backward_naive(np.ones_like(pre), pre))
-    np.testing.assert_allclose(residual, saved, atol=1e-6)
+    assert np.array_equal(residual, saved)
 
 
 @pytest.mark.parametrize("act", ["relu", "gelu"])
