@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..backend.kernels import elementwise as ew
 from ..backend.kernels import gemm, softmax, transform
 from ..backend.kernels.embedding import sinusoidal_positions
 from ..data.vocab import EOS
@@ -166,8 +167,7 @@ class IncrementalDecoder:
             inner = gemm.linear_forward(y, ffn.w1.compute(), fp16=False,
                                         name="gemm_ffn1") + ffn.b1.compute()
             act = (np.maximum(inner, 0.0) if cfg.activation == "relu"
-                   else 0.5 * inner * (1 + np.tanh(
-                       np.sqrt(2 / np.pi) * (inner + 0.044715 * inner ** 3))))
+                   else ew.gelu_forward_naive(inner))
             out = gemm.linear_forward(act, ffn.w2.compute(), fp16=False,
                                       name="gemm_ffn2")
             x = out + layer.b_ffn_o.compute() + residual

@@ -10,13 +10,18 @@ from repro.inference import IncrementalDecoder
 from repro.models import TransformerModel
 
 
-@pytest.fixture
-def model():
+def _model(activation="relu"):
     cfg = get_config("transformer-base", max_batch_tokens=512,
                      max_seq_len=32, hidden_dim=32, nhead=4, ffn_dim=64,
                      vocab_size=70, num_encoder_layers=2,
-                     num_decoder_layers=2, dropout=0.0, attn_dropout=0.0)
+                     num_decoder_layers=2, dropout=0.0, attn_dropout=0.0,
+                     activation=activation)
     return TransformerModel(cfg, seed=2)
+
+
+@pytest.fixture
+def model():
+    return _model()
 
 
 @pytest.fixture
@@ -27,9 +32,11 @@ def src(rng):
 
 
 class TestConsistency:
-    def test_incremental_matches_teacher_forced(self, model, src, rng):
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_incremental_matches_teacher_forced(self, activation, src, rng):
         """The KV-cache path must produce exactly the logits the training
         forward produces at each position — the unification guarantee."""
+        model = _model(activation)
         dec = IncrementalDecoder(model)
         tgt_prefix = rng.integers(4, 70, (2, 5)).astype(np.int64)
         tgt_prefix[:, 0] = EOS
