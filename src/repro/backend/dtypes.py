@@ -67,6 +67,19 @@ def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
         raise FloatingPointError(f"non-finite values in {what}")
 
 
+_HALF_EXPONENT = 0x7C00
+
+
 def has_overflow(x: np.ndarray) -> bool:
-    """Cheap overflow probe (any NaN/Inf) used by dynamic loss scaling."""
+    """Cheap overflow probe (any NaN/Inf) used by dynamic loss scaling.
+
+    A float16 is NaN or Inf exactly when its five exponent bits are all
+    ones, so FP16 arrays are probed on their ``uint16`` bits — one integer
+    AND and a max, several times faster than ``np.isfinite`` on half
+    precision.  Other dtypes keep ``np.isfinite``.
+    """
+    if x.dtype == HALF_DTYPE:
+        return x.size > 0 and int(
+            np.bitwise_and(x.view(np.uint16), _HALF_EXPONENT).max()
+        ) == _HALF_EXPONENT
     return not bool(np.all(np.isfinite(x)))

@@ -47,3 +47,18 @@ def test_assert_finite():
 def test_has_overflow():
     assert not dt.has_overflow(np.ones(3))
     assert dt.has_overflow(np.array([np.inf, 1.0]))
+
+
+def test_has_overflow_fp16_bit_probe_is_isfinite_exhaustively():
+    """The FP16 exponent-bit probe agrees with ``np.isfinite`` on every one
+    of the 65 536 half-precision bit patterns, alone and in an array."""
+    halves = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+    probed = [dt.has_overflow(h) for h in halves[:, None]]
+    assert probed == list(~np.isfinite(halves))
+    finite = halves[np.isfinite(halves)]
+    assert not dt.has_overflow(finite)
+    assert dt.has_overflow(halves)
+    assert not dt.has_overflow(np.empty(0, np.float16))
+    # strided (non-contiguous) views are probed in place
+    assert dt.has_overflow(np.stack([finite[:4], halves[-4:]], 1)[:, 1])
+    assert not dt.has_overflow(np.stack([finite[:4], halves[-4:]], 1)[:, 0])
