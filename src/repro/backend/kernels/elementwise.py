@@ -142,7 +142,7 @@ def _gelu_inner(x: np.ndarray, out=None) -> np.ndarray:
     written in place into ``out`` (a fresh buffer when None).
 
     The one GeLU cube in the package, evaluated as ``(x * x) * x``: two
-    vector multiplies where numpy runs ``x ** 3`` as scalar ``powf``
+    vector multiplies, where numpy runs a power of 3 as scalar ``powf``
     (~100x slower on float32), at most 1.29 ulp from the exact cube
     against ``powf``'s 1 (``tests/kernels/test_gelu_residual.py`` bounds
     both this cube and the activation against the float64 oracle).
@@ -236,15 +236,6 @@ def residual_add_naive(x: np.ndarray, residual: np.ndarray, *,
     np.add(x, residual, out=y)
     record("residual_add", x.size + residual.size, y.size, flops=y.size,
            fp16=fp16)
-    return y
-
-
-@capturable({"out": 0})
-def scale_naive(x: np.ndarray, s: float, *, fp16: bool = False,
-                out=None) -> np.ndarray:
-    y = out_buffer(out, x.shape, x.dtype)
-    np.multiply(x, np.float32(s), out=y)
-    record("scale", x.size, y.size, flops=x.size, fp16=fp16)
     return y
 
 
@@ -409,23 +400,3 @@ def bias_act_dropout_backward(dy: np.ndarray, mask: Optional[np.ndarray],
            dy.size + _mask_traffic(mask) + residual.size,
            dx.size + dbias.size, flops=14 * dx.size, fp16=fp16)
     return dx, dbias
-
-
-@capturable({"out": 0})
-def dropout_residual_forward(x: np.ndarray, residual: np.ndarray, p: float,
-                             rng: np.random.Generator, *, fp16: bool = False,
-                             mask: Optional[np.ndarray] = None, out=None
-                             ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Fused ``dropout(x) + residual`` (used after the out-proj has no bias)."""
-    if mask is None:
-        mask = make_dropout_mask(x.shape, p, rng)
-    y = out_buffer(out, x.shape, np.result_type(x, residual))
-    if mask is None:
-        np.add(x, residual, out=y)
-    else:
-        scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-        np.add(x * (mask * np.float32(scale)), residual, out=y)
-    record("ls_dropout_residual_fwd",
-           x.size + residual.size + _mask_traffic(mask), y.size,
-           flops=3 * y.size, fp16=fp16)
-    return y, mask

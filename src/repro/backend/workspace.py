@@ -78,11 +78,7 @@ class Workspace:
         current_device().record("ls_zero_grad", 0, self.grads.size,
                                 dtype_bytes=self.grads.dtype.itemsize)
 
-    # -- DDP buckets and ZeRO-1 shards over the flat slabs ---------------------
-
-    def named_sizes(self) -> List[Tuple[str, int]]:
-        """Ordered (name, element count) pairs — the bucket inventory."""
-        return [(name, n) for name, (_, n, _) in self._offsets.items()]
+    # -- per-parameter walks over the flat slabs -------------------------------
 
     def named_param_views(self):
         """Ordered (name, shaped param view) pairs — one slab walk.
@@ -98,26 +94,6 @@ class Workspace:
         """Ordered (name, shaped grad view) pairs (see above)."""
         for name in self._offsets:
             yield name, self.grad_view(name)
-
-    def bucket_partition(self, bucket_bytes: int) -> List["GradBucket"]:
-        """Partition the flat workspace into parameter-aligned DDP buckets
-        (element spans; see :func:`repro.sim.comm.partition_buckets`)."""
-        from ..sim.comm import partition_buckets
-        return partition_buckets(self.named_sizes(),
-                                 self.grads.dtype.itemsize, bucket_bytes)
-
-    def grad_bucket_view(self, bucket) -> np.ndarray:
-        """Flat view of one bucket's span of the gradient workspace."""
-        return self.grads[bucket.start:bucket.stop]
-
-    def shard_view(self, lo: int, hi: int, *, grads: bool = False
-                   ) -> np.ndarray:
-        """Flat view of a ZeRO-1 shard of the parameter (or gradient) slab."""
-        if not 0 <= lo <= hi <= self.total_elems:
-            raise ValueError(f"shard [{lo}, {hi}) out of range "
-                             f"[0, {self.total_elems})")
-        base = self.grads if grads else self.params
-        return base[lo:hi]
 
     # -- introspection ---------------------------------------------------------
 

@@ -354,34 +354,6 @@ class MemoryReport:
             "oom": self.oom,
         }
 
-    def format_table(self, n: int = 10) -> str:
-        """Human-readable report mirroring the roofline table shape."""
-        cap = self.capacity_bytes
-        lines = [
-            f"memory observatory: peak {self.peak_demand_bytes / _MIB:.1f} "
-            f"MiB at step {self.peak_step} "
-            f"({len(self.steps)} step(s)); slab {cap / _MIB:.1f} MiB"
-            + ("" if self.bitwise_peak_equal
-               else "  [PEAK != RESERVED HIGH-WATER]"),
-            f"  waste {max(self.waste_bytes, 0) / _MIB:.2f} MiB "
-            f"(padding {self.padding_bytes / _MIB:.2f}, slack "
-            f"{self.slack_bytes / _MIB:.2f}); lifetime sharing saved "
-            f"{self.sharing_saved_bytes / _MIB:.2f} MiB vs a no-sharing "
-            f"plan ({self.naive_peak_bytes / _MIB:.1f} MiB)",
-        ]
-        for title, rows in (("site", self.by_site), ("stage", self.by_stage),
-                            ("family", self.by_family)):
-            lines.append(f"  peak attribution by {title}:")
-            lines.append(f"  {'#':>3} {'key':<36}{'MiB':>9}{'share':>7}"
-                         f"{'reqs':>7}")
-            for i, r in enumerate(rows[:n], 1):
-                lines.append(f"  {i:>3} {r['key']:<36}"
-                             f"{r['bytes'] / _MIB:>9.2f}"
-                             f"{r['share']:>7.1%}{r['requests']:>7}")
-        if self.oom:
-            lines.append(_format_oom(self.oom))
-        return "\n".join(lines)
-
 
 def _shape_plan(tracer: MemoryTracer, peak: StepOccupancy,
                 base: Optional[Dict[str, object]]) -> Dict[str, object]:
