@@ -79,7 +79,8 @@ def has_overflow(x: np.ndarray) -> bool:
     precision.  Other dtypes keep ``np.isfinite``.
     """
     if x.dtype == HALF_DTYPE:
-        return x.size > 0 and int(
-            np.bitwise_and(x.view(np.uint16), _HALF_EXPONENT).max()
-        ) == _HALF_EXPONENT
+        if x.size == 0:
+            return False
+        exponents = np.bitwise_and(x.view(np.uint16), _HALF_EXPONENT)
+        return int(exponents.max()) == _HALF_EXPONENT
     return not bool(np.all(np.isfinite(x)))

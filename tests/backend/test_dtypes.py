@@ -60,5 +60,5 @@ def test_has_overflow_fp16_bit_probe_is_isfinite_exhaustively():
     assert dt.has_overflow(halves)
     assert not dt.has_overflow(np.empty(0, np.float16))
     # strided (non-contiguous) views are probed in place
-    assert dt.has_overflow(np.stack([finite[:4], halves[-4:]], 1)[:, 1])
-    assert not dt.has_overflow(np.stack([finite[:4], halves[-4:]], 1)[:, 0])
+    mixed = np.stack([finite[:4], halves[-4:]], axis=1)
+    assert not dt.has_overflow(mixed[:, 0]) and dt.has_overflow(mixed[:, 1])
