@@ -137,18 +137,17 @@ _GELU_C = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_A = np.float32(0.044715)
 
 
-def _gelu_inner(x: np.ndarray, out=None) -> np.ndarray:
+def _gelu_inner(x: np.ndarray) -> np.ndarray:
     """The tanh argument ``C * (x + A * x**3)`` of tanh-GeLU, every step
-    written in place into ``out`` (a fresh buffer when None).
+    written in place into one fresh buffer.
 
     The one GeLU cube in the package, evaluated as ``(x * x) * x``: two
     vector multiplies, where numpy runs a power of 3 as scalar ``powf``
     (~100x slower on float32), at most 1.29 ulp from the exact cube
     against ``powf``'s 1 (``tests/kernels/test_gelu_residual.py`` bounds
-    both this cube and the activation against the float64 oracle).
+    this function's cube and result, and the activation, against float64).
     """
-    if out is None:
-        out = np.empty(x.shape, np.result_type(x, _GELU_C))
+    out = np.empty(x.shape, np.result_type(x, _GELU_C))
     np.multiply(x, x, out=out)
     np.multiply(out, x, out=out)
     np.multiply(_GELU_A, out, out=out)

@@ -166,7 +166,7 @@ class IncrementalDecoder:
             ffn = layer.ffn
             inner = gemm.linear_forward(y, ffn.w1.compute(), fp16=False,
                                         name="gemm_ffn1") + ffn.b1.compute()
-            act = (np.maximum(inner, 0.0) if cfg.activation == "relu"
+            act = (ew.relu_forward_naive(inner) if cfg.activation == "relu"
                    else ew.gelu_forward_naive(inner))
             out = gemm.linear_forward(act, ffn.w2.compute(), fp16=False,
                                       name="gemm_ffn2")
