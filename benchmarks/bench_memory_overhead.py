@@ -86,8 +86,6 @@ def _trace_steps(one_step, arena, n=3):
 def _time_hook(arena):
     """Per-call seconds of the on_request hook, site stack populated."""
     tracer = MemoryTracer()
-    with mem_scope("bench.layer"):      # no tracer installed: no-op push
-        pass
     with use_memory_tracer(tracer), mem_scope("bench.layer"):
         t0 = time.perf_counter()
         for _ in range(_HOOK_CALLS):

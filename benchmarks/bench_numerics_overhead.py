@@ -4,8 +4,8 @@ The tensor-health collector (:mod:`repro.obs.numerics`) instruments the
 hot path twice: activation taps compiled into every layer's ``forward``,
 and the pre/post-update workspace walks in ``train_step``.  The design
 contract is that with **no collector installed** the only residue is the
-taps' ``if not _collectors: return`` guard — a handful of nanoseconds per
-layer call.
+taps' ``if not COLLECTORS.stack: return`` guard — a handful of nanoseconds
+per layer call.
 
 This bench is the acceptance gate for that contract, asserted rather than
 eyeballed:

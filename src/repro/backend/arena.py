@@ -41,13 +41,13 @@ outputs live, never what they contain.
 from __future__ import annotations
 
 import functools
-import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .allocator import StaticPlanAllocator, TensorSpec, plan_offsets
+from .ambient import RECORDERS, Slot
 from .device import Device
 from .profiler import begin_alloc_step, count_arena_hit, count_arena_miss
 
@@ -70,42 +70,18 @@ def _nbytes(shape: Sequence[int], dtype) -> int:
 # memory tracers + requesting-site labels (the memory observatory's hooks)
 # ---------------------------------------------------------------------------
 
-#: installed memory tracers (:class:`repro.obs.memory.MemoryTracer`).  A
-#: module-level list so the hot-path guard in :meth:`ActivationArena.request`
-#: is a single truthiness test — the same near-free-when-uninstalled
-#: discipline as ``Layer.tap`` and the span recorder stack.
-_tracers: List[object] = []
+#: installed memory tracers (:class:`repro.obs.memory.MemoryTracer`).
+#: Every installed tracer is notified of every arena request/plan/
+#: reservation/OOM (duck-typed ``on_request``/``on_plan``/``on_step``/
+#: ``on_reserve``/``on_oom`` hooks), so the arena iterates the whole
+#: ``stack`` rather than asking for the innermost.
+MEMORY_TRACERS = Slot("memory tracer")
+use_memory_tracer = MEMORY_TRACERS.use
 
-
-def memory_tracers() -> List[object]:
-    """The live list of installed memory tracers (usually empty)."""
-    return _tracers
-
-
-@contextmanager
-def use_memory_tracer(tracer) -> Iterator[object]:
-    """Install a memory tracer for the dynamic extent of the block.
-
-    Every arena request/plan/reservation/OOM inside the block is reported
-    to ``tracer`` (duck-typed ``on_request``/``on_plan``/``on_step``/
-    ``on_reserve``/``on_oom`` hooks).
-    """
-    _tracers.append(tracer)
-    try:
-        yield tracer
-    finally:
-        _tracers.remove(tracer)
-
-
-_site_tls = threading.local()
-
-
-def _sites() -> List[str]:
-    st = getattr(_site_tls, "stack", None)
-    if st is None:
-        st = []
-        _site_tls.stack = st
-    return st
+#: requesting-site labels (layer names), per thread: ``mem_scope(site)``
+#: labels the arena requests inside its block.
+SITES = Slot("memory site", per_thread=True)
+mem_scope = SITES.use
 
 
 def current_site() -> Optional[str]:
@@ -115,45 +91,26 @@ def current_site() -> Optional[str]:
     forward/backward), falls back to the innermost active span's name, then
     ``None``.
     """
-    st = getattr(_site_tls, "stack", None)
-    if st:
-        return st[-1]
-    # deferred for the same reason as in _reserve: repro.obs is not
-    # importable while backend packages are still initialising
-    from ..obs.spans import current_recorder
-    rec = current_recorder()
+    site = SITES.current()
+    if site is not None:
+        return site
+    rec = RECORDERS.current()
     if rec is not None:
-        spans = rec._stack()
+        spans = rec._open.stack
         if spans:
             return spans[-1].name
     return None
 
 
-@contextmanager
-def mem_scope(site: str) -> Iterator[None]:
-    """Label arena requests inside the block with ``site``.
-
-    A no-op (no stack push, no allocation) when no memory tracer is
-    installed, so the labels stay permanently threaded through the layers.
-    """
-    if not _tracers:
-        yield
-        return
-    st = _sites()
-    st.append(site)
-    try:
-        yield
-    finally:
-        st.pop()
-
-
 def mem_scoped(fn):
     """Wrap a ``Layer`` method so its arena requests carry the layer name
     as the requesting site (``with mem_scope(self.name)``);
-    ``Layer.__init_subclass__`` applies it to every forward/backward."""
+    ``Layer.__init_subclass__`` applies it to every forward/backward.  With
+    no memory tracer installed the wrapper pushes nothing, so the labels
+    stay permanently threaded through the layers at ~no cost."""
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
-        if not _tracers:
+        if not MEMORY_TRACERS.stack:
             return fn(self, *args, **kwargs)
         with mem_scope(self.name):
             return fn(self, *args, **kwargs)
@@ -261,7 +218,7 @@ class ActivationArena:
                 requested=nbytes, budget=self.max_bytes,
                 demand=self._alloc.demand, capacity=self.capacity,
                 site=site)
-            for t in _tracers:
+            for t in MEMORY_TRACERS.stack:
                 t.on_oom(self, exc)
             raise exc
         with span("arena/reserve"):
@@ -270,7 +227,7 @@ class ActivationArena:
             self._slab = np.empty(self._alloc.reserved_bytes, dtype=np.uint8)
             self.reservations += 1
             self.generation += 1
-        for t in _tracers:
+        for t in MEMORY_TRACERS.stack:
             t.on_reserve(self, nbytes)
 
     def begin_step(self) -> None:
@@ -281,7 +238,7 @@ class ActivationArena:
         self._alloc.reset()
         begin_alloc_step()        # new peak_bytes window for the profiler
         self.steps += 1
-        for t in _tracers:
+        for t in MEMORY_TRACERS.stack:
             t.on_step(self)
 
     @contextmanager
@@ -328,7 +285,7 @@ class ActivationArena:
                 requested=nbytes, budget=self.max_bytes,
                 demand=self._alloc.demand, capacity=self.capacity,
                 site=site, shape=shape, dtype=str(dtype))
-            for t in _tracers:
+            for t in MEMORY_TRACERS.stack:
                 t.on_oom(self, exc)
             raise exc
         blk = self._alloc.try_alloc(nbytes)
@@ -339,8 +296,8 @@ class ActivationArena:
             count_arena_hit(nbytes)
             view = self._slab[blk.offset:blk.offset + nbytes]
             out = view.view(dtype).reshape(shape)
-        if _tracers:
-            for t in _tracers:
+        if MEMORY_TRACERS.stack:
+            for t in MEMORY_TRACERS.stack:
                 t.on_request(self, shape=shape, dtype=dtype, nbytes=nbytes,
                              hit=blk is not None, demand=self._alloc.demand)
         return out
@@ -371,8 +328,8 @@ class ActivationArena:
             cached = (offsets, total, sum(s.nbytes for s in specs))
             self._plan_cache[key] = cached
         offsets, total, naive_total = cached
-        if _tracers:
-            for t in _tracers:
+        if MEMORY_TRACERS.stack:
+            for t in MEMORY_TRACERS.stack:
                 t.on_plan(self, entries=key, offsets=offsets, total=total,
                           naive_total=naive_total)
         base = self.request((total,), np.uint8)
@@ -384,33 +341,8 @@ class ActivationArena:
         return out
 
 
-# ---------------------------------------------------------------------------
-# thread-local current arena (installed by ``arena.step()``)
-# ---------------------------------------------------------------------------
-
-_tls = threading.local()
-
-
-def _stack() -> List[ActivationArena]:
-    st = getattr(_tls, "stack", None)
-    if st is None:
-        st = []
-        _tls.stack = st
-    return st
-
-
-def current_arena() -> Optional[ActivationArena]:
-    """The innermost installed arena, or None (fresh-allocation mode)."""
-    st = _stack()
-    return st[-1] if st else None
-
-
-@contextmanager
-def use_arena(arena: ActivationArena) -> Iterator[ActivationArena]:
-    """Install ``arena`` for the dynamic extent of the block."""
-    st = _stack()
-    st.append(arena)
-    try:
-        yield arena
-    finally:
-        st.pop()
+#: the current arena, per thread (installed by ``arena.step()``); None
+#: means fresh-allocation mode.
+ARENA = Slot("arena", per_thread=True)
+use_arena = ARENA.use
+current_arena = ARENA.current

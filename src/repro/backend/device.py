@@ -25,10 +25,11 @@ overhead.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
+
+from .ambient import Slot
 
 #: canonical training-stage names, in paper (Fig. 3/4) order.
 STAGES = ("forward", "backward", "sync", "update")
@@ -173,36 +174,7 @@ class _NullDevice(Device):
 
 NULL_DEVICE = _NullDevice()
 
-_tls = threading.local()
-
-
-def _stack() -> List[Device]:
-    st = getattr(_tls, "stack", None)
-    if st is None:
-        st = []
-        _tls.stack = st
-    return st
-
-
-def current_device() -> Device:
-    """The innermost active device, or the null sink when none is active."""
-    st = _stack()
-    return st[-1] if st else NULL_DEVICE
-
-
-def push_device(dev: Device) -> None:
-    _stack().append(dev)
-
-
-def pop_device() -> Device:
-    return _stack().pop()
-
-
-@contextmanager
-def use_device(dev: Device) -> Iterator[Device]:
-    """Activate ``dev`` for the dynamic extent of the block."""
-    push_device(dev)
-    try:
-        yield dev
-    finally:
-        pop_device()
+#: the active device, per thread; the null sink when none is active.
+DEVICE = Slot("device", per_thread=True, default=NULL_DEVICE)
+use_device = DEVICE.use
+current_device = DEVICE.current

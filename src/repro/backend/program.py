@@ -40,12 +40,11 @@ and recaptures.  A stale program can therefore never silently execute.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ambient import Slot
 from .device import current_device
 
 
@@ -137,11 +136,6 @@ class Instr:
         self.kwarg_patches = kwarg_patches
         self.rets = rets
         self.stage = stage
-
-
-#: the active capture session (module-global: capture is single-threaded,
-#: unlike the thread-local device/arena stacks — documented in DESIGN §11).
-_SESSION: Optional["CaptureSession"] = None
 
 
 class CaptureSession:
@@ -312,21 +306,10 @@ class CaptureSession:
             link_epoch=link_epoch)
 
 
-@contextmanager
-def capturing(session: CaptureSession) -> Iterator[CaptureSession]:
-    """Install ``session`` as the active capture target."""
-    global _SESSION
-    if _SESSION is not None:
-        raise CaptureError("nested capture sessions are not supported")
-    _SESSION = session
-    try:
-        yield session
-    finally:
-        _SESSION = None
-
-
-def active_session() -> Optional[CaptureSession]:
-    return _SESSION
+#: the active capture session, process-wide; ``capturing(session)``
+#: installs it, and a nested ``capturing`` raises :class:`CaptureError`.
+CAPTURE = Slot("capture", refuse_nested=CaptureError)
+capturing = CAPTURE.use
 
 
 def capturable(outs: Optional[Dict[str, int]] = None, *,
@@ -344,8 +327,10 @@ def capturable(outs: Optional[Dict[str, int]] = None, *,
     def deco(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            sess = _SESSION
-            if sess is None or sess.busy or sess.failed is not None:
+            if not CAPTURE.stack:
+                return fn(*args, **kwargs)
+            sess = CAPTURE.stack[-1]
+            if sess.busy or sess.failed is not None:
                 return fn(*args, **kwargs)
             sess.busy = True
             try:
@@ -371,8 +356,10 @@ def host_call(fn: Callable, *args, **kwargs):
     The capture-aware escape hatch for host-side mutation that must happen
     again at replay — gradient accumulation into Parameter storage, most
     importantly."""
-    sess = _SESSION
-    if sess is None or sess.busy or sess.failed is not None:
+    if not CAPTURE.stack:
+        return fn(*args, **kwargs)
+    sess = CAPTURE.stack[-1]
+    if sess.busy or sess.failed is not None:
         return fn(*args, **kwargs)
     sess.busy = True
     try:

@@ -21,7 +21,7 @@ from ..backend.arena import ActivationArena, current_arena, mem_scoped
 from ..backend.dtypes import COMPUTE_DTYPE, storage_dtype
 from ..backend.program import host_call
 from ..config import LSConfig
-from ..obs import numerics as _numerics
+from ..obs.numerics import COLLECTORS, tap_activation
 
 #: bumped whenever any Parameter is re-linked into a workspace: captured
 #: programs bake parameter memory in, so a re-link invalidates them.
@@ -248,13 +248,14 @@ class Layer:
     def tap(self, tag: str, x: np.ndarray) -> None:
         """Report an activation to the numerics observatory, if watching.
 
-        With no collector installed this is a truthiness test on a
-        module-level list — the name string is not even formatted — so
-        uninstrumented runs pay ~nothing (same contract as spans).
+        With no collector installed this is one truthiness test on the
+        collector slot's list, ``COLLECTORS.stack`` — the name string is
+        not even formatted — so uninstrumented runs pay ~nothing (same
+        contract as spans).
         """
-        if not _numerics._collectors:
+        if not COLLECTORS.stack:
             return
-        _numerics.tap_activation(f"{self.name}.{tag}", x)
+        tap_activation(f"{self.name}.{tag}", x)
 
     # -- saved-activation bookkeeping ------------------------------------------
 

@@ -51,7 +51,6 @@ class LSCrossEntropyLayer(Layer):
                 ignore_index=self.ignore_index, fp16=cfg.fp16)
         self.save(q=q)
         self._targets = targets
-        self._ntok = ntok
         return loss, ntok
 
     def backward(self, grad_scale: float = 1.0) -> np.ndarray:
@@ -65,7 +64,3 @@ class LSCrossEntropyLayer(Layer):
         return fn(q, self._targets, self.epsilon,
                   ignore_index=self.ignore_index, grad_scale=grad_scale,
                   fp16=cfg.fp16, out=self._buf(q.shape, q.dtype))
-
-    @property
-    def last_num_tokens(self) -> int:
-        return self._ntok

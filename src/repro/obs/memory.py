@@ -116,10 +116,6 @@ class PlanRecord:
     naive_total: int                # sum of aligned entries (no sharing)
     site: Optional[str] = None
 
-    @property
-    def saved_bytes(self) -> int:
-        return self.naive_total - self.total
-
     def as_dict(self) -> Dict[str, object]:
         return {"entries": [[n, list(s), d, a, b]
                             for n, s, d, a, b in self.entries],
@@ -317,18 +313,6 @@ class MemoryReport:
     def waste_bytes(self) -> int:
         """Slab bytes not holding live tensor data at the peak."""
         return self.capacity_bytes - self.live_bytes
-
-    def counters(self) -> Dict[str, float]:
-        """The run-record ``memory`` section (all lower-is-better bytes)."""
-        return {
-            "peak_demand_bytes": self.peak_demand_bytes,
-            "capacity_bytes": self.capacity_bytes,
-            "live_bytes_at_peak": self.live_bytes,
-            "padding_bytes": self.padding_bytes,
-            "slack_bytes": self.slack_bytes,
-            "waste_bytes": max(self.waste_bytes, 0),
-            "sharing_saved_bytes": self.sharing_saved_bytes,
-        }
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -18,8 +18,8 @@ step cadence:
   optimizer step, the classic "is the LR sane" signal;
 * **activation taps** — layers call :meth:`repro.layers.base.Layer.tap`
   at their sublayer boundaries; with no collector installed the tap is
-  a truthiness test on a module-level list, the same ≈no-overhead
-  contract the span API keeps.
+  a truthiness test on the collector slot's list (``COLLECTORS.stack``),
+  the same ≈no-overhead contract the span API keeps.
 
 Each sampled step becomes a :class:`StepNumerics` record, is run through
 the :class:`repro.obs.health.AnomalyEngine`, and is emitted as an
@@ -31,13 +31,12 @@ into the :class:`~repro.obs.metrics.MetricsRecorder` JSONL, where
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..backend.ambient import Slot
 from ..precision.half import FP16_MAX, FP16_TINY
 
 #: JSONL schema tag for numerics event lines.
@@ -429,34 +428,20 @@ def iter_named_params(trainer: object
 
 
 # ---------------------------------------------------------------------------
-# installation — the same stack discipline as repro.obs.spans
+# installation
 # ---------------------------------------------------------------------------
 
-_collectors: List[NumericsCollector] = []
-_install_lock = threading.Lock()
-
-
-def current_collector() -> Optional[NumericsCollector]:
-    """The innermost installed collector, or None (taps become no-ops)."""
-    return _collectors[-1] if _collectors else None
-
-
-@contextmanager
-def use_collector(col: NumericsCollector) -> Iterator[NumericsCollector]:
-    """Install ``col`` for the dynamic extent of the block."""
-    with _install_lock:
-        _collectors.append(col)
-    try:
-        yield col
-    finally:
-        with _install_lock:
-            _collectors.remove(col)
+#: installed numerics collectors, process-wide; the innermost receives the
+#: taps, and with none installed taps are no-ops.
+COLLECTORS = Slot("numerics collector")
+use_collector = COLLECTORS.use
+current_collector = COLLECTORS.current
 
 
 def tap_activation(name: str, x: np.ndarray) -> None:
     """Layer-side activation tap; near-free with no collector installed."""
-    if not _collectors:
+    if not COLLECTORS.stack:
         return
-    col = _collectors[-1]
+    col = COLLECTORS.stack[-1]
     if col.active:
         col.observe_activation(name, x)

@@ -65,9 +65,9 @@ def make_run_record(name: str, *,
         # own attribution
         record["profile"] = dict(profile)
     if memory is not None:
-        # the memory observatory's peak/waste counters (see
-        # MemoryReport.counters) — flattened into memory.* metrics by the
-        # trajectory so cross-PR memory regressions gate CI like time
+        # the memory observatory's peak/waste byte counts (the caller picks
+        # them from its MemoryReport) — flattened into memory.* metrics by
+        # the trajectory so cross-PR memory regressions gate CI like time
         record["memory"] = dict(memory)
     if notes:
         record["notes"] = notes

@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from ..backend.ambient import RECORDERS, ThreadStack
 from ..backend.device import current_device
 from ..backend.profiler import AllocCounters, alloc_counters
 
@@ -75,7 +76,8 @@ class SpanRecorder:
         self._lock = threading.Lock()
         self._spans: List[Span] = []
         self._tids: Dict[int, int] = {}
-        self._local = threading.local()
+        #: this thread's open spans, innermost last
+        self._open = ThreadStack()
 
     @property
     def spans(self) -> List[Span]:
@@ -91,13 +93,6 @@ class SpanRecorder:
         with self._lock:
             return self._tids.setdefault(ident, len(self._tids))
 
-    def _stack(self) -> List[Span]:
-        st = getattr(self._local, "stack", None)
-        if st is None:
-            st = []
-            self._local.stack = st
-        return st
-
     def _add(self, sp: Span) -> None:
         with self._lock:
             self._spans.append(sp)
@@ -110,27 +105,11 @@ class SpanRecorder:
         return sum(s.dur_s for s in self.by_name(name))
 
 
-# globally-installed recorder stack: spans opened on *any* thread land in
+# the recorder slot is process-wide: spans opened on *any* thread land in
 # the innermost recorder, so worker threads inherit the main thread's one.
-_recorders: List[SpanRecorder] = []
-_install_lock = threading.Lock()
-
-
-def current_recorder() -> Optional[SpanRecorder]:
-    """The innermost installed recorder, or None (spans become no-ops)."""
-    return _recorders[-1] if _recorders else None
-
-
-@contextmanager
-def use_recorder(rec: SpanRecorder) -> Iterator[SpanRecorder]:
-    """Install ``rec`` for the dynamic extent of the block."""
-    with _install_lock:
-        _recorders.append(rec)
-    try:
-        yield rec
-    finally:
-        with _install_lock:
-            _recorders.remove(rec)
+# With none installed, spans are no-ops.
+use_recorder = RECORDERS.use
+current_recorder = RECORDERS.current
 
 
 @contextmanager
@@ -146,7 +125,7 @@ def span(name: str,
     if rec is None:
         yield None
         return
-    stack = rec._stack()
+    stack = rec._open.stack
     sp = Span(name=name, depth=len(stack), tid=rec._tid(),
               parent=stack[-1].name if stack else None,
               attrs=dict(attrs) if attrs else {})

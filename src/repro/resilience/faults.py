@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
+
+from ..backend.ambient import Slot
 
 #: legal fault kinds per site (validation happens at plan build time, so a
 #: typo'd plan fails loudly instead of silently never firing).
@@ -315,22 +316,11 @@ class FaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# ambient installation (same pattern as spans / numerics collectors)
+# ambient installation
 # ---------------------------------------------------------------------------
 
-_injectors: List[FaultInjector] = []
-
-
-def current_injector() -> Optional[FaultInjector]:
-    """The innermost installed injector, or None (the common fast path)."""
-    return _injectors[-1] if _injectors else None
-
-
-@contextmanager
-def use_faults(injector: FaultInjector):
-    """Install a fault injector for the scope of the ``with`` block."""
-    _injectors.append(injector)
-    try:
-        yield injector
-    finally:
-        _injectors.pop()
+#: the installed fault injector, process-wide; None (no faults) is the
+#: common fast path.
+INJECTORS = Slot("fault injector")
+use_faults = INJECTORS.use
+current_injector = INJECTORS.current
