@@ -247,6 +247,12 @@ class DataParallel:
                        slabs[0].size, slabs[0].size * self.world_size,
                        dtype_bytes=slabs[0].dtype.itemsize)
 
+    def _loss_scale(self) -> float:
+        """The replicas' current loss scale (their scalers move in
+        lockstep: every rank sees the same synchronised gradients)."""
+        scaler = self.trainers[0].scaler
+        return scaler.scale if scaler is not None else 1.0
+
     def _global_overflow(self) -> Optional[bool]:
         """All-reduce of the found-inf flag (ZeRO-1 ranks see only their
         shard, so the skip decision must be agreed globally, as NCCL's
@@ -328,6 +334,10 @@ class DataParallel:
         computes the update scaling from the *global* token count, as
         fairseq does after summing token counts across workers.
 
+        Backward runs on the loss scaled by the trainers' loss scaler (if
+        any) and ``1/scale`` is folded into the update's ``grad_scale``, as
+        in :func:`repro.training.loop.train_step`.
+
         Returns (summed loss across replicas, total tokens).
         """
         if len(shards) != self.world_size:
@@ -349,6 +359,7 @@ class DataParallel:
             self._maybe_crash("forward")
             for trainer in self.trainers:
                 trainer.zero_grad()
+            scale = self._loss_scale()
             for rank, (model, shard) in enumerate(zip(self.replicas,
                                                       shards)):
                 with dev.stage_scope("forward"), \
@@ -356,14 +367,15 @@ class DataParallel:
                     loss, ntok = model.forward(*shard)
                 with dev.stage_scope("backward"), \
                         span(f"dp/rank{rank}/backward"):
-                    model.backward()
+                    model.backward(grad_scale=scale)
                 total_loss += loss
                 total_tokens += ntok
             self._maybe_crash("backward")
             self._maybe_crash("sync")
             self.sync_gradients()
-            gs = (grad_scale_fn(total_tokens) if grad_scale_fn
-                  else 1.0 / max(total_tokens, 1) * self.world_size)
+            gs = (grad_scale_fn(total_tokens) / scale if grad_scale_fn
+                  else 1.0 / (scale * max(total_tokens, 1))
+                  * self.world_size)
             overflow = self._global_overflow() if self.zero1 else None
             self._maybe_crash("update")
             with span("dp/update"):
@@ -401,6 +413,7 @@ class DataParallel:
                              f"multiple of world_size {self.world_size}")
         k = P // self.world_size
         dev = current_device()
+        scale = self._loss_scale()
         total_loss = 0.0
         total_tokens = 0
         contributions: List[np.ndarray] = [None] * P  # type: ignore
@@ -412,7 +425,7 @@ class DataParallel:
                 with dev.stage_scope("forward"):
                     loss, ntok = model.forward(*microbatches[g])
                 with dev.stage_scope("backward"):
-                    model.backward()
+                    model.backward(grad_scale=scale)
                 total_loss += loss
                 total_tokens += ntok
                 contributions[g] = np.concatenate(
@@ -425,8 +438,8 @@ class DataParallel:
             dev.record("deterministic_allreduce", flats[0].size * P,
                        flats[0].size * self.world_size, dtype_bytes=4)
         self._unflatten_into(flats)
-        gs = (grad_scale_fn(total_tokens) if grad_scale_fn
-              else 1.0 / max(total_tokens, 1))
+        gs = (grad_scale_fn(total_tokens) / scale if grad_scale_fn
+              else 1.0 / (scale * max(total_tokens, 1)))
         overflow = self._global_overflow()
         for trainer in self.trainers:
             trainer.step(lr=lr, grad_scale=gs, overflow_override=overflow)

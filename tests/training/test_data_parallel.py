@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import get_config
 from repro.models import TransformerModel
+from repro.precision import DynamicLossScaler
 from repro.training import (DataParallel, NaiveMPTrainer, OptimizerSpec,
-                            shard_batch)
+                            make_trainer, shard_batch, train_step)
 
 
 @pytest.fixture
@@ -89,6 +90,32 @@ def test_matches_single_device(cfg, rng):
         np.testing.assert_allclose(np.asarray(ps.data),
                                    np.asarray(pd.data), atol=1e-6,
                                    err_msg=ps.name)
+
+
+def test_loss_scale_matches_train_step(cfg):
+    """A world-1 FP16 DataParallel with a loss scaler takes train_step's
+    exact steps: backward on the scaled loss, ``1/scale`` folded into the
+    update — parameters, Adam moments and scaler state bit-identical."""
+    c = cfg.with_overrides(fp16=True)
+    spec = OptimizerSpec(lr=1e-3)
+
+    def scaler():
+        return DynamicLossScaler(init_scale=2.0 ** 15)
+
+    twin = TransformerModel(c, seed=5)
+    ref = make_trainer("lightseq", twin, spec, scaler())
+    dp = DataParallel(lambda: TransformerModel(c, seed=5), 1, "lightseq",
+                      spec, scaler_factory=scaler)
+    for step in range(3):
+        batch = _batch(np.random.default_rng(step))
+        train_step(twin, ref, batch)
+        dp.train_step([batch])
+    got = dp.trainers[0]
+    assert got.scaler.state_dict() == ref.scaler.state_dict()
+    for a, b in zip([p.data for p in dp.replicas[0].parameters()]
+                    + [got.m, got.v],
+                    [p.data for p in twin.parameters()] + [ref.m, ref.v]):
+        assert np.array_equal(a, b)
 
 
 def test_sync_gradients_averages(cfg, rng):
