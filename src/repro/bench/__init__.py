@@ -7,11 +7,11 @@ Run everything::
 """
 
 from . import figures, harness, tracegen
-from .figures import ALL_EXPERIMENTS, run_all
+from .figures import ALL_EXPERIMENTS
 from .harness import ExperimentResult, ShapeClaim, bench_scale
 
 __all__ = [
     "figures", "harness", "tracegen",
-    "ALL_EXPERIMENTS", "run_all",
+    "ALL_EXPERIMENTS",
     "ExperimentResult", "ShapeClaim", "bench_scale",
 ]

@@ -30,18 +30,24 @@ def _take_flag(argv: list[str], flag: str) -> tuple[list[str], str | None]:
     return argv[:i] + argv[i + 2:], value
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str]) -> int:
     argv, report_path = _take_flag(argv, "--report")
     if report_path == "":
-        print("--report needs a file path")
-        return 2
-    argv, record_dir = _take_flag(argv, "--record-dir")
+        return _usage_error("--report needs a file path")
+    names, record_dir = _take_flag(argv, "--record-dir")
     if record_dir == "":
-        print("--record-dir needs a directory")
-        return 2
+        return _usage_error("--record-dir needs a directory")
+    flags = [a for a in names if a.startswith("-")]
+    if flags:
+        return _usage_error(f"unknown option {flags[0]}; "
+                            "options: --report PATH, --record-dir DIR")
     if record_dir:
         os.makedirs(record_dir, exist_ok=True)
-    names = [a for a in argv if not a.startswith("-")]
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; "

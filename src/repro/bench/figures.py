@@ -14,7 +14,8 @@ Two scales (``REPRO_BENCH_SCALE``):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,15 +26,14 @@ from ..models.transformer import activation_bytes, parameter_bytes
 from ..sim.comm import (bucketed_allreduce_seconds, parameter_server_seconds,
                         partition_buckets)
 from ..sim.costmodel import trace_cost
-from ..sim.gpu_specs import A100, GPUS, V100, GPUSpec
+from ..sim.gpu_specs import A100, V100, GPUSpec
 from ..sim.timeline import StepTimeline, overlap_schedule, step_timeline
 from ..sim.utilization import (StepShape, TrainingRunSimulator,
                                scan_max_activation_bytes, trace_busy_overhead)
 from .harness import (ExperimentResult, bench_scale, monotone_decreasing,
                       monotone_increasing, relative_spread, within)
-from .tracegen import (batch_and_depth_model, bert_step_trace,
-                       cached_batch_model, mt_step_trace, retag,
-                       vit_step_trace)
+from .tracegen import (SYSTEMS, batch_affine_model, record_launches,
+                       trace_model)
 
 # ---------------------------------------------------------------------------
 # configuration presets per scale
@@ -43,21 +43,21 @@ from .tracegen import (batch_and_depth_model, bert_step_trace,
 MT_SEQ_LEN = 30
 
 
-def _mt_config(scale: str, *, fp16: bool = True,
-               enc: int = 6, dec: int = 6,
+def _mt_config(scale: str, *, depth: int = 6,
                base: bool = False) -> LSConfig:
-    """Transformer config at the requested scale."""
+    """FP16 Transformer config at the requested scale, ``depth`` encoder
+    and ``depth`` decoder layers."""
     if scale == "paper":
         preset = "transformer-base" if base else "transformer-big"
         return get_config(preset, max_batch_tokens=16384, max_seq_len=256,
-                          fp16=fp16, num_encoder_layers=enc,
-                          num_decoder_layers=dec)
+                          fp16=True, num_encoder_layers=depth,
+                          num_decoder_layers=depth)
     # quick: same shape ratios, ~1/4 width, tiny vocab
     hidden = 128 if base else 256
     return get_config("transformer-big", max_batch_tokens=16384,
-                      max_seq_len=256, fp16=fp16, hidden_dim=hidden,
+                      max_seq_len=256, fp16=True, hidden_dim=hidden,
                       nhead=8, ffn_dim=4 * hidden, vocab_size=2048,
-                      num_encoder_layers=enc, num_decoder_layers=dec)
+                      num_encoder_layers=depth, num_decoder_layers=depth)
 
 
 def _bert_config(scale: str, *, large: bool = False,
@@ -85,79 +85,56 @@ def _vit_config(scale: str, *, large: bool = False,
                       image_size=64, patch_size=32)
 
 
+# ---------------------------------------------------------------------------
+# parameter counts and the one data-parallel step
+# ---------------------------------------------------------------------------
+
+
+def _transformer_tensor_inventory(cfg: LSConfig) -> List[int]:
+    """Transformer's real per-tensor size inventory: one embedding +
+    per-layer matrices and vectors (the *count* of tensors drives the naive
+    kernel storm, their total size drives bandwidth and sync payloads).
+    The two final-stack LayerNorms of a pre-LN model are not listed."""
+    h, f = cfg.hidden_dim, cfg.ffn_dim
+    tensors: List[int] = [cfg.vocab_size * h]
+    for _ in range(cfg.num_encoder_layers):
+        tensors += [3 * h * h, 3 * h, h * h, h, f * h, f, h * f, h,
+                    h, h, h, h]
+    for _ in range(cfg.num_decoder_layers):
+        tensors += [3 * h * h, 3 * h, h * h, h,
+                    h * h, h, h * h, h, h * h, h, h * h, h,
+                    f * h, f, h * f, h, h, h, h, h, h, h]
+    return tensors
+
+
 def transformer_param_count(cfg: LSConfig) -> int:
     """Exact parameter count of :class:`TransformerModel` (verified against
     the built model in tests) — used to size gradient-sync payloads without
     building multi-GB models."""
-    h, f, v = cfg.hidden_dim, cfg.ffn_dim, cfg.vocab_size
-    embed = v * h                             # shared table (tied everywhere)
-    attn_self = (3 * h) * h + 3 * h + h * h   # w_qkv, b_qkv, w_o
-    attn_cross = 4 * (h * h + h) - h          # w_q/k/v + biases + w_o (no b_o)
-    ffn = f * h + f + h * f
-    enc_layer = attn_self + h + 2 * h + ffn + h + 2 * h
-    dec_layer = (attn_self + h + 2 * h            # self-attn + bias + ln1
-                 + attn_cross + h + 2 * h         # cross-attn + bias + ln2
-                 + ffn + h + 2 * h)               # ffn + bias + ln3
-    final_ln = 4 * h if cfg.pre_layer_norm else 0
-    return (embed + cfg.num_encoder_layers * enc_layer
-            + cfg.num_decoder_layers * dec_layer + final_ln)
+    final_ln = 4 * cfg.hidden_dim if cfg.pre_layer_norm else 0
+    return sum(_transformer_tensor_inventory(cfg)) + final_ln
 
 
-# ---------------------------------------------------------------------------
-# trace-model helpers (cached per config/system)
-# ---------------------------------------------------------------------------
-
-#: MT system definitions: (fused, trainer, lib, fused_scope)
-MT_SYSTEMS: Dict[str, Tuple[bool, str, str, str]] = {
-    "pytorch": (False, "naive", "pytorch", "all"),
-    "apex": (False, "apex", "apex", "all"),
-    "lightseq2": (True, "lightseq", "lightseq2", "all"),
-}
-
-
-#: cache for (batch, depth)-extrapolated MT trace models.
-_MT_DEPTH_CACHE: Dict[Tuple, Callable] = {}
+def param_count(cfg: LSConfig) -> int:
+    """Parameters a data-parallel step synchronises.  Exact for the MT
+    Transformer; for BERT, GPT and ViT, the token table (ViT has none) plus
+    every layer's attention and FFN matrices — biases and LayerNorms are
+    left out."""
+    if cfg.model.startswith("transformer"):
+        return transformer_param_count(cfg)
+    h = cfg.hidden_dim
+    table = 0 if cfg.model.startswith("vit") else cfg.vocab_size * h
+    layers = cfg.num_encoder_layers or cfg.num_decoder_layers
+    return table + layers * (4 * h * h + 2 * h * cfg.ffn_dim)
 
 
-def _mt_model(cfg: LSConfig, system: str, seq: int = MT_SEQ_LEN
-              ) -> Callable[[int], List[KernelLaunch]]:
-    """Trace model for one MT system at ``cfg``'s depth.
-
-    Collection only ever executes depth-1/2 models at batch 2/4 — deep
-    stacks (the Fig.-9 12e12d/24e24d points) are synthesized exactly via
-    :func:`repro.bench.tracegen.batch_and_depth_model`, so paper-scale
-    sweeps never materialise multi-GB models.
-    """
-    if cfg.num_encoder_layers != cfg.num_decoder_layers:
-        raise ValueError("depth synthesis assumes enc depth == dec depth")
-    fused, trainer, lib, scope = MT_SYSTEMS[system]
-    base = cfg.with_overrides(fused=fused, num_encoder_layers=1,
-                              num_decoder_layers=1)
-    key = ("mt", base, system, seq)
-    if key not in _MT_DEPTH_CACHE:
-        def make(b: int, d: int) -> List[KernelLaunch]:
-            c = base.with_overrides(num_encoder_layers=d,
-                                    num_decoder_layers=d)
-            return mt_step_trace(c, b, seq, trainer_kind=trainer, lib=lib,
-                                 fused_scope=scope)
-
-        _MT_DEPTH_CACHE[key] = batch_and_depth_model(make, 2, 4, 1, 2)
-    bd = _MT_DEPTH_CACHE[key]
-    depth = cfg.num_encoder_layers
-    return lambda b: bd(b, depth)
-
-
-def _grad_bytes(cfg: LSConfig) -> int:
-    return transformer_param_count(cfg) * itemsize(cfg.fp16)
-
-
-def _mt_step_seconds(cfg: LSConfig, system: str, batch: int,
-                     spec: GPUSpec, world: int,
-                     seq: int = MT_SEQ_LEN) -> float:
-    trace = _mt_model(cfg, system, seq)(batch)
-    tl = step_timeline(trace, spec, grad_bytes=_grad_bytes(cfg),
-                       world_size=world)
-    return tl.total_s
+def _timeline(cfg: LSConfig, system: str, batch: int, spec: GPUSpec,
+              world: int, seq: Optional[int] = MT_SEQ_LEN) -> StepTimeline:
+    """One data-parallel step of ``cfg`` under ``system``: its kernel trace
+    plus the all-reduce of ``param_count(cfg)`` gradients."""
+    return step_timeline(trace_model(cfg, system, seq)(batch), spec,
+                         grad_bytes=param_count(cfg) * itemsize(cfg.fp16),
+                         world_size=world)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +147,9 @@ def fig04_stage_breakdown(scale: Optional[str] = None) -> ExperimentResult:
     scale = scale or bench_scale()
     cfg = _mt_config(scale)
     batch = 232 if scale == "paper" else 64
-    spec, world = V100, 8
-    gb = _grad_bytes(cfg)
-    tls: Dict[str, StepTimeline] = {}
-    for system in ("pytorch", "lightseq2"):
-        trace = _mt_model(cfg, system)(batch)
-        tls[system] = step_timeline(trace, spec, grad_bytes=gb,
-                                    world_size=world)
+    world = 8
+    tls = {s: _timeline(cfg, s, batch, V100, world)
+           for s in ("pytorch", "lightseq2")}
     res = ExperimentResult(
         name="Fig. 4 — stage breakdown (ms/step, Transformer-big, "
              f"batch {batch}x{MT_SEQ_LEN}, V100x{world})",
@@ -209,29 +182,30 @@ def fig09_mt_scaling(scale: Optional[str] = None) -> ExperimentResult:
     """Tokens/s and speedup for 6e6d/12e12d/24e24d on V100 and A100."""
     scale = scale or bench_scale()
     if scale == "paper":
-        depths = [(6, 6), (12, 12), (24, 24)]
+        depths = [6, 12, 24]
         token_sizes = [1024, 2048, 4096, 8192, 15360]
     else:
-        depths = [(2, 2), (4, 4)]
+        depths = [2, 4]
         token_sizes = [512, 1024, 4096, 8192]
     world = 8
     rows = []
     speedups: Dict[Tuple, List[float]] = {}
-    for enc, dec in depths:
-        cfg = _mt_config(scale, enc=enc, dec=dec)
+    for depth in depths:
+        cfg = _mt_config(scale, depth=depth)
+        label = f"{depth}e{depth}d"
         for gpu_name, spec in (("V100", V100), ("A100", A100)):
             for toks in token_sizes:
                 batch = max(2, toks // MT_SEQ_LEN)
-                secs = {s: _mt_step_seconds(cfg, s, batch, spec, world)
+                secs = {s: _timeline(cfg, s, batch, spec, world).total_s
                         for s in ("pytorch", "apex", "lightseq2")}
                 tokens = batch * MT_SEQ_LEN * world
                 sp = secs["pytorch"] / secs["lightseq2"]
                 sp_apex = secs["pytorch"] / secs["apex"]
-                rows.append([f"{enc}e{dec}d", gpu_name, toks,
+                rows.append([label, gpu_name, toks,
                              tokens / secs["pytorch"],
                              tokens / secs["apex"],
                              tokens / secs["lightseq2"], sp, sp_apex])
-                speedups.setdefault((f"{enc}e{dec}d", gpu_name), []).append(sp)
+                speedups.setdefault((label, gpu_name), []).append(sp)
     res = ExperimentResult(
         name="Fig. 9 — MT training speed (tokens/s, 8 GPUs)",
         headers=["depth", "gpu", "batch_tokens", "pytorch_tok/s",
@@ -244,15 +218,14 @@ def fig09_mt_scaling(scale: Optional[str] = None) -> ExperimentResult:
                   monotone_decreasing(sps, tol=0.02),
                   " -> ".join(f"{s:.2f}" for s in sps))
     for gpu_name in ("V100", "A100"):
-        per_depth = [speedups[(f"{e}e{d}d", gpu_name)][0]
-                     for e, d in depths]
+        per_depth = [speedups[(f"{d}e{d}d", gpu_name)][0] for d in depths]
         res.claim(f"{gpu_name}: deeper models gain more speedup "
                   f"(smallest batch)", monotone_increasing(per_depth),
                   " -> ".join(f"{s:.2f}" for s in per_depth))
-    for e, d in depths:
-        v = speedups[(f"{e}e{d}d", "V100")]
-        a = speedups[(f"{e}e{d}d", "A100")]
-        res.claim(f"{e}e{d}d: A100 speedup >= V100 speedup",
+    for d in depths:
+        v = speedups[(f"{d}e{d}d", "V100")]
+        a = speedups[(f"{d}e{d}d", "A100")]
+        res.claim(f"{d}e{d}d: A100 speedup >= V100 speedup",
                   all(ai >= vi * 0.98 for ai, vi in zip(a, v)))
     all_sp = [s for v in speedups.values() for s in v]
     if scale == "paper":
@@ -286,39 +259,17 @@ def fig11_multi_gpu(scale: Optional[str] = None) -> ExperimentResult:
     cfg = _mt_config(scale)
     token_sizes = ([2048, 4096, 8192, 12288] if scale == "paper"
                    else [512, 1024, 4096, 8192])
-    spec = V100
-    gb = _grad_bytes(cfg)
-
-    def tf_trace(batch: int) -> List[KernelLaunch]:
-        return retag(_mt_model(cfg, "pytorch")(batch), "tensorflow")
-
-    def ls_on_tf_trace(batch: int) -> List[KernelLaunch]:
-        # NeurST integration: only encoder/decoder layers fused; embedding,
-        # criterion and trainer stay TensorFlow
-        c = cfg.with_overrides(fused=True)
-        key = ("mt_tf_ls", c)
-        model = cached_batch_model(
-            key, lambda b: mt_step_trace(c, b, MT_SEQ_LEN,
-                                         trainer_kind="naive",
-                                         lib="lightseq2",
-                                         fused_scope="layers_only"))
-        trace = model(batch)
-        return [k if k.name.startswith("ls_") else retag([k], "tensorflow")[0]
-                for k in trace]
-
     rows = []
     curves: Dict[Tuple[str, int], List[float]] = {}
     for toks in token_sizes:
         batch = max(2, toks // MT_SEQ_LEN)
         for world in (1, 8):
-            def t(tr):
-                return step_timeline(tr, spec, grad_bytes=gb,
-                                     world_size=world).total_s
-            pt = t(_mt_model(cfg, "pytorch")(batch))
-            ls = t(_mt_model(cfg, "lightseq2")(batch))
-            tf = t(tf_trace(batch))
-            lstf = t(ls_on_tf_trace(batch))
-            sp_pt, sp_tf = pt / ls, tf / lstf
+            # "neurst": only encoder/decoder layers fused; embedding,
+            # criterion and trainer stay TensorFlow
+            secs = {s: _timeline(cfg, s, batch, V100, world).total_s
+                    for s in ("pytorch", "lightseq2", "tensorflow", "neurst")}
+            sp_pt = secs["pytorch"] / secs["lightseq2"]
+            sp_tf = secs["tensorflow"] / secs["neurst"]
             rows.append([toks, world, sp_pt, sp_tf])
             curves.setdefault(("pytorch", world), []).append(sp_pt)
             curves.setdefault(("tensorflow", world), []).append(sp_tf)
@@ -358,26 +309,15 @@ def fig12_vit(scale: Optional[str] = None) -> ExperimentResult:
         cfg = _vit_config(scale, large=large)
         label = ("ViT-L-32" if large else "ViT-B-32") if scale == "paper" \
             else ("vit-large-q" if large else "vit-base-q")
-        nparams_proxy = (cfg.hidden_dim * cfg.hidden_dim * 12
-                         * cfg.num_encoder_layers)
-        gb = nparams_proxy * itemsize(cfg.fp16)
-        for system, fused, trainer, lib in (
-                ("pytorch", False, "naive", "pytorch"),
-                ("lightseq2", True, "lightseq", "lightseq2")):
-            c = cfg.with_overrides(fused=fused)
-            key = ("vit", c, system)
-            model = cached_batch_model(
-                key, lambda b, c=c, trainer=trainer, lib=lib:
-                vit_step_trace(c, b, trainer_kind=trainer, lib=lib))
+        ms: Dict[Tuple[str, int], float] = {}
+        for system in ("pytorch", "lightseq2"):
             for b in batches:
-                tl = step_timeline(model(b), spec, grad_bytes=gb,
-                                   world_size=world)
+                tl = _timeline(cfg, system, b, spec, world, seq=None)
+                ms[(system, b)] = tl.total_s * 1e3
                 rows.append([label, system, b,
                              b * world / tl.total_s, tl.total_s * 1e3])
-        for b in batches:
-            pt = next(r for r in rows if r[:3] == [label, "pytorch", b])
-            ls = next(r for r in rows if r[:3] == [label, "lightseq2", b])
-            curves.setdefault(label, []).append(pt[4] / ls[4])
+        curves[label] = [ms[("pytorch", b)] / ms[("lightseq2", b)]
+                         for b in batches]
     res = ExperimentResult(
         name="Fig. 12 — ViT training speedup vs batch size (8xV100)",
         headers=["model", "system", "batch/gpu", "samples/s", "ms/step"],
@@ -417,48 +357,13 @@ def table2_bert(scale: Optional[str] = None) -> ExperimentResult:
         mname = "BERT-large" if large else "BERT-base"
         for fp16 in (False, True):
             cfg = _bert_config(scale, large=large, fp16=fp16)
-            nparams = (cfg.vocab_size * cfg.hidden_dim
-                       + cfg.num_encoder_layers
-                       * (4 * cfg.hidden_dim ** 2
-                          + 2 * cfg.hidden_dim * cfg.ffn_dim))
-            gb = nparams * itemsize(fp16)
-            depth = cfg.num_encoder_layers
-            traces: Dict[str, Callable[[int], List[KernelLaunch]]] = {}
-
-            def bert_model(system, fused, lib, ds=False):
-                # collect at depth 1/2 and synthesize the full stack —
-                # BERT-large never gets built (DESIGN.md tracegen notes)
-                base = cfg.with_overrides(fused=fused,
-                                          num_encoder_layers=1)
-                key = ("bertd", base, system, seq)
-
-                def make(b, d):
-                    c = base.with_overrides(num_encoder_layers=d)
-                    tr = bert_step_trace(c, b, seq, trainer_kind="naive",
-                                         lib=lib,
-                                         fused_scope="layers_only")
-                    if ds:
-                        tr = [retag([k], "deepspeed")[0]
-                              if k.name.startswith("ls_") else k
-                              for k in tr]
-                    return tr
-
-                if key not in _MT_DEPTH_CACHE:
-                    _MT_DEPTH_CACHE[key] = batch_and_depth_model(
-                        make, 2, 4, 1, 2)
-                bd = _MT_DEPTH_CACHE[key]
-                return lambda b: bd(b, depth)
-
-            traces["pytorch"] = bert_model("pytorch", False, "pytorch")
-            traces["deepspeed"] = bert_model("deepspeed", True, "pytorch",
-                                             ds=True)
-            traces["lightseq2"] = bert_model("lightseq2", True,
-                                             "lightseq2")
             for world in (1, 8):
-                for system in ("pytorch", "deepspeed", "lightseq2"):
-                    tl = step_timeline(traces[system](per_gpu_batch),
-                                       GPUS["V100"], grad_bytes=gb,
-                                       world_size=world)
+                # Table 2's LightSeq2 protocol fuses the encoder only
+                for system, traced in (("pytorch", "pytorch"),
+                                       ("deepspeed", "deepspeed"),
+                                       ("lightseq2", "lightseq2-layers")):
+                    tl = _timeline(cfg, traced, per_gpu_batch, V100, world,
+                                   seq)
                     sps = per_gpu_batch * world / tl.total_s
                     rows.append([mname, world,
                                  "FP16" if fp16 else "FP32", system, sps])
@@ -504,18 +409,10 @@ def table2_bert(scale: Optional[str] = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_trace(fn, lib: str) -> List[KernelLaunch]:
-    from ..backend.device import Device, use_device
-    dev = Device(lib=lib)
-    with use_device(dev):
-        fn()
-    return dev.launches
-
-
 def _kernel_seconds(fn, lib: str, spec: GPUSpec) -> float:
     """CUDA-event-style timing: kernel + launch latency, no framework
     dispatch tax (the §4.3 tools measure kernels this way)."""
-    return trace_cost(_kernel_trace(fn, lib), spec,
+    return trace_cost(record_launches(fn, lib), spec,
                       include_host=False).total_s
 
 
@@ -531,7 +428,7 @@ def fig13_layernorm(scale: Optional[str] = None) -> ExperimentResult:
     spec = V100
     rng = np.random.default_rng(0)
     rows = []
-    ls_speedups, ds_speedups = [], []
+    ls_speedups = []
     by_elems: List[Tuple[int, float, float]] = []
     for bt, hidden in grid:
         x = rng.standard_normal((bt, hidden)).astype(np.float32)
@@ -554,7 +451,6 @@ def fig13_layernorm(scale: Optional[str] = None) -> ExperimentResult:
         sp_ls, sp_ds, sp_tf = t_pt / t_ls, t_pt / t_ds, t_pt / t_tf
         rows.append([bt, hidden, sp_ls, sp_ds, sp_tf])
         ls_speedups.append(sp_ls)
-        ds_speedups.append(sp_ds)
         by_elems.append((bt * hidden, sp_ds, sp_tf))
     res = ExperimentResult(
         name="Fig. 13 — LayerNorm kernel speedup over PyTorch (V100)",
@@ -661,12 +557,11 @@ def fig14_dropout_softmax(scale: Optional[str] = None) -> ExperimentResult:
 
 def fig15_layer_speed(scale: Optional[str] = None) -> ExperimentResult:
     """Embedding/encoder/decoder/criterion fwd & bwd speedups, batch 32."""
-    from ..backend.device import Device, use_device
+    from ..backend.device import current_device
     from ..layers.criterion import LSCrossEntropyLayer
     from ..layers.decoder import LSTransformerDecoderLayer
     from ..layers.embedding import LSEmbeddingLayer
     from ..layers.encoder import LSTransformerEncoderLayer
-    from .tracegen import batch_affine_model
 
     scale = scale or bench_scale()
     target_batch = 32
@@ -677,50 +572,41 @@ def fig15_layer_speed(scale: Optional[str] = None) -> ExperimentResult:
         hidden, vocab = 256, 4096
         seqs = [16, 64, 128]
     spec = V100
-    rng = np.random.default_rng(0)
 
-    def layer_fb_trace(kind: str, fused: bool, batch: int, seq: int
-                       ) -> List[KernelLaunch]:
+    def layer_fb_trace(kind: str, fused: bool, lib: str, batch: int,
+                       seq: int) -> List[KernelLaunch]:
         cfg = get_config("transformer-big", max_batch_tokens=batch * seq,
                          max_seq_len=max(seq, 2), fp16=True,
                          hidden_dim=hidden, nhead=16, ffn_dim=4 * hidden,
                          vocab_size=vocab, fused=fused)
-        dev = Device(lib="lightseq2" if fused else "pytorch")
         lrng = np.random.default_rng(1)
-        with use_device(dev):
+
+        def run() -> None:
             if kind == "embedding":
                 layer = LSEmbeddingLayer(cfg, seed=0)
-                toks = lrng.integers(4, vocab, (batch, seq))
-                with dev.stage_scope("forward"):
-                    y = layer.forward(toks)
-                with dev.stage_scope("backward"):
-                    layer.backward(np.ones_like(y))
+                inputs = (lrng.integers(4, vocab, (batch, seq)),)
             elif kind == "encoder":
                 layer = LSTransformerEncoderLayer(cfg, seed=0)
-                x = lrng.standard_normal((batch, seq, hidden)).astype(np.float32)
-                with dev.stage_scope("forward"):
-                    y = layer.forward(x)
-                with dev.stage_scope("backward"):
-                    layer.backward(np.ones_like(y))
+                inputs = (lrng.standard_normal((batch, seq, hidden)).astype(np.float32),)
             elif kind == "decoder":
                 layer = LSTransformerDecoderLayer(cfg, seed=0)
-                x = lrng.standard_normal((batch, seq, hidden)).astype(np.float32)
-                enc = lrng.standard_normal((batch, seq, hidden)).astype(np.float32)
-                with dev.stage_scope("forward"):
-                    y = layer.forward(x, enc)
-                with dev.stage_scope("backward"):
-                    layer.backward(np.ones_like(y))
+                inputs = (lrng.standard_normal((batch, seq, hidden)).astype(np.float32),
+                          lrng.standard_normal((batch, seq, hidden)).astype(np.float32))
             elif kind == "criterion":
                 layer = LSCrossEntropyLayer(cfg, seed=0)
-                logits = lrng.standard_normal((batch, seq, vocab)).astype(np.float32)
-                tgt = lrng.integers(4, vocab, (batch, seq))
-                with dev.stage_scope("forward"):
-                    layer.forward(logits, tgt)
-                with dev.stage_scope("backward"):
-                    layer.backward()
+                inputs = (lrng.standard_normal((batch, seq, vocab)).astype(np.float32),
+                          lrng.integers(4, vocab, (batch, seq)))
             else:
                 raise ValueError(kind)
-        return dev.launches
+            dev = current_device()
+            with dev.stage_scope("forward"):
+                y = layer.forward(*inputs)
+            with dev.stage_scope("backward"):
+                if kind == "criterion":     # the loss ends the graph
+                    layer.backward()
+                else:
+                    layer.backward(np.ones_like(y))
+        return record_launches(run, lib)
 
     rows = []
     curves: Dict[Tuple[str, str], List[float]] = {}
@@ -729,8 +615,8 @@ def fig15_layer_speed(scale: Optional[str] = None) -> ExperimentResult:
             per_dir: Dict[Tuple[str, str], float] = {}
             for fused, lib in ((False, "pytorch"), (True, "lightseq2")):
                 model = batch_affine_model(
-                    layer_fb_trace(kind, fused, 2, seq),
-                    layer_fb_trace(kind, fused, 4, seq), 2, 4)
+                    layer_fb_trace(kind, fused, lib, 2, seq),
+                    layer_fb_trace(kind, fused, lib, 4, seq), 2, 4)
                 trace = model(target_batch)
                 for direction in ("forward", "backward"):
                     sub = [k for k in trace if k.stage == direction]
@@ -793,9 +679,10 @@ def fig15_layer_speed(scale: Optional[str] = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _training_run(scale: str, *, base: bool, static: bool,
-                  steps: int) -> Tuple[List, LSConfig]:
-    """Simulate a WMT training run; returns (samples, config)."""
+def _training_run(scale: str, *, base: bool, system: str,
+                  steps: int) -> List:
+    """Simulate a WMT training run; returns its per-step samples.
+    LightSeq2 plans its activation memory statically; PyTorch caches."""
     from ..data.batching import batch_by_tokens, scan_corpus_shapes
     from ..data.synthetic import SyntheticTranslationCorpus
 
@@ -808,9 +695,9 @@ def _training_run(scale: str, *, base: bool, static: bool,
     shapes = [StepShape(b, l) for b, l in scan_corpus_shapes(batches)]
 
     # per-step time model from an executed trace at a reference seq length
-    system = "lightseq2" if static else "pytorch"
+    static = system == "lightseq2"
     ref_seq = 64
-    model = _mt_model(cfg, system, seq=ref_seq)
+    model = trace_model(cfg, system, ref_seq)
 
     _bo_cache: Dict[int, Tuple[float, float]] = {}
 
@@ -826,9 +713,8 @@ def _training_run(scale: str, *, base: bool, static: bool,
     def overhead_s(b: int, l: int) -> float:
         return _busy_overhead(b, l)[1]
 
-    trainer_kind = "lightseq" if static else "naive"
     perm = parameter_bytes(cfg, transformer_param_count(cfg),
-                           trainer="lightseq" if static else "naive")
+                           trainer=SYSTEMS[system].trainer)
 
     def act_bytes(b: int, l: int) -> int:
         return activation_bytes(cfg, b, l)
@@ -838,33 +724,39 @@ def _training_run(scale: str, *, base: bool, static: bool,
         spec=V100, permanent_bytes=perm, act_bytes_fn=act_bytes,
         busy_s_fn=busy_s, overhead_s_fn=overhead_s, static=static,
         static_reserve_bytes=reserve)
-    return sim.run(shapes), cfg
+    return sim.run(shapes)
+
+
+@lru_cache(maxsize=1)
+def _training_runs(scale: str) -> Dict[Tuple[str, str], List]:
+    """The four simulated runs Figs. 16 and 17 both read, made once:
+    (model, system) -> per-step samples."""
+    steps = 400 if scale == "paper" else 120
+    return {("transformer-base" if base else "transformer-big", system):
+            _training_run(scale, base=base, system=system, steps=steps)
+            for base in (True, False) for system in ("pytorch", "lightseq2")}
 
 
 def fig16_memory(scale: Optional[str] = None) -> ExperimentResult:
     """GPU memory over training time, Transformer-base & big."""
-    scale = scale or bench_scale()
-    steps = 400 if scale == "paper" else 120
+    runs = _training_runs(scale or bench_scale())
     rows = []
-    claims = []
-    for base in (True, False):
-        mname = "transformer-base" if base else "transformer-big"
-        pt, _ = _training_run(scale, base=base, static=False, steps=steps)
-        ls, _ = _training_run(scale, base=base, static=True, steps=steps)
-        for tag, samples in (("pytorch", pt), ("lightseq2", ls)):
+    for mname in ("transformer-base", "transformer-big"):
+        for tag in ("pytorch", "lightseq2"):
+            samples = runs[(mname, tag)]
             probe = [0, len(samples) // 4, len(samples) // 2,
                      3 * len(samples) // 4, len(samples) - 1]
             for i in probe:
                 s = samples[i]
                 rows.append([mname, tag, s.step,
                              s.reserved_bytes / (1 << 30)])
-        claims.append((mname, pt, ls))
     res = ExperimentResult(
         name="Fig. 16 — GPU memory over a training run (GB, V100, "
              "batch tokens 8192)",
         headers=["model", "system", "step", "reserved_GB"],
         rows=rows)
-    for mname, pt, ls in claims:
+    for mname in ("transformer-base", "transformer-big"):
+        pt, ls = runs[(mname, "pytorch")], runs[(mname, "lightseq2")]
         res.claim(f"{mname}: PyTorch reserved memory grows during training",
                   pt[-1].reserved_bytes > pt[0].reserved_bytes,
                   f"{pt[0].reserved_bytes / (1 << 30):.2f} -> "
@@ -885,15 +777,12 @@ def fig16_memory(scale: Optional[str] = None) -> ExperimentResult:
 def fig17_utilization(scale: Optional[str] = None) -> ExperimentResult:
     """GPU utilization over the same training runs."""
     scale = scale or bench_scale()
-    steps = 400 if scale == "paper" else 120
+    runs = _training_runs(scale)
     rows = []
     series: Dict[Tuple[str, str], List[float]] = {}
-    for base in (True, False):
-        mname = "transformer-base" if base else "transformer-big"
-        for tag, static in (("pytorch", False), ("lightseq2", True)):
-            samples, _ = _training_run(scale, base=base, static=static,
-                                       steps=steps)
-            utils = [s.utilization for s in samples]
+    for mname in ("transformer-base", "transformer-big"):
+        for tag in ("pytorch", "lightseq2"):
+            utils = [s.utilization for s in runs[(mname, tag)]]
             series[(mname, tag)] = utils
             rows.append([mname, tag, float(np.mean(utils)),
                          float(np.min(utils)), float(np.max(utils))])
@@ -930,31 +819,14 @@ def fig17_utilization(scale: Optional[str] = None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _transformer_tensor_inventory(cfg: LSConfig) -> List[int]:
-    """Transformer's real per-tensor size inventory: one embedding +
-    per-layer matrices and vectors (the *count* of tensors drives the naive
-    kernel storm, their total size drives bandwidth and sync payloads)."""
-    h, f = cfg.hidden_dim, cfg.ffn_dim
-    tensors: List[int] = [cfg.vocab_size * h]
-    for _ in range(cfg.num_encoder_layers):
-        tensors += [3 * h * h, 3 * h, h * h, h, f * h, f, h * f, h,
-                    h, h, h, h]
-    for _ in range(cfg.num_decoder_layers):
-        tensors += [3 * h * h, 3 * h, h * h, h,
-                    h * h, h, h * h, h, h * h, h, h * h, h,
-                    f * h, f, h * f, h, h, h, h, h, h, h]
-    return tensors
-
-
 def trainer_ablation(scale: Optional[str] = None) -> ExperimentResult:
     """Fused workspace trainer vs Fairseq(+Apex): time & memory (§3.2)."""
-    from ..backend.device import Device, use_device
     from ..layers.base import Layer
     from ..training.optimizers import OptimizerSpec
     from ..training.trainer import make_trainer
 
     scale = scale or bench_scale()
-    cfg = _mt_config("paper") if scale == "paper" else _mt_config("quick")
+    cfg = _mt_config(scale)
     nparams = transformer_param_count(cfg)
 
     class _FlatModel(Layer):
@@ -972,19 +844,18 @@ def trainer_ablation(scale: Optional[str] = None) -> ExperimentResult:
     rows = []
     times = {}
     mems = {}
-    for kind in ("naive", "apex", "lightseq"):
+    for kind, lib in (("naive", "apex"), ("apex", "apex"),
+                      ("lightseq", "lightseq2")):
         model = _FlatModel(cfg.with_overrides(fp16=True), tensors)
         trainer = make_trainer(kind, model, OptimizerSpec(lr=1e-4))
         for p in model.parameters():        # nonzero grads
             p.grad[...] = 1e-3
-        dev = Device(lib="lightseq2" if kind == "lightseq" else "apex")
-        with use_device(dev):
-            trainer.step()
-        t = trace_cost(dev.launches, spec).total_s
+        launches = record_launches(trainer.step, lib)
+        t = trace_cost(launches, spec).total_s
         times[kind] = t
         mems[kind] = trainer.extra_state_bytes()
         rows.append([kind, len(tensors), t * 1e3,
-                     dev.launch_count("update"),
+                     sum(1 for k in launches if k.stage == "update"),
                      mems[kind] / (1 << 30)])
     res = ExperimentResult(
         name="§3.2 — trainer ablation (one update step, Transformer-big "
@@ -1037,8 +908,7 @@ def overlap_zero1(scale: Optional[str] = None) -> ExperimentResult:
         [(f"p{i}", n) for i, n in enumerate(tensors)], 4, bucket_bytes)
 
     batch = max(2, (4096 if scale == "paper" else 1024) // MT_SEQ_LEN)
-    trace = _mt_model(cfg, "lightseq2")(batch)
-    backward_s = step_timeline(trace, spec).backward_s
+    backward_s = _timeline(cfg, "lightseq2", batch, spec, 1).backward_s
 
     nparams = transformer_param_count(cfg)
     full_opt = 8 * nparams
@@ -1093,24 +963,14 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
     cfg = _mt_config(scale)
     batch = 4096 // MT_SEQ_LEN
     spec, world = V100, 8
-    gb = _grad_bytes(cfg)
+    gb = param_count(cfg) * itemsize(cfg.fp16)
     rows = []
 
     # (a) cumulative fusion: none -> layers -> +embed/criterion -> +trainer
-    def step_s(fused: bool, scope: str, trainer: str, lib: str) -> float:
-        c = cfg.with_overrides(fused=fused)
-        key = ("abl", c, scope, trainer, lib)
-        model = cached_batch_model(
-            key, lambda b: mt_step_trace(c, b, MT_SEQ_LEN,
-                                         trainer_kind=trainer, lib=lib,
-                                         fused_scope=scope))
-        return step_timeline(model(batch), spec, grad_bytes=gb,
-                             world_size=world).total_s
-
-    t_none = step_s(False, "all", "naive", "pytorch")
-    t_layers = step_s(True, "layers_only", "naive", "lightseq2")
-    t_embcrit = step_s(True, "all", "naive", "lightseq2")
-    t_full = step_s(True, "all", "lightseq", "lightseq2")
+    t_none, t_layers, t_embcrit, t_full = (
+        _timeline(cfg, system, batch, spec, world).total_s
+        for system in ("pytorch", "lightseq2-layers", "lightseq2-embcrit",
+                       "lightseq2"))
     for label, t in (("baseline (no fusion)", t_none),
                      ("+ fused encoder/decoder layers", t_layers),
                      ("+ fused embedding & criterion", t_embcrit),
@@ -1126,21 +986,12 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
               f"{t_embcrit * 1e3:.1f} > {t_full * 1e3:.1f} ms")
 
     # (b) precision: fp16 vs fp32 speedup of the full system
-    t16 = step_s(True, "all", "lightseq", "lightseq2")
-    cfg32 = cfg.with_overrides(fp16=False)
-    c32 = cfg32.with_overrides(fused=True)
-    key = ("abl32", c32)
-    model32 = cached_batch_model(
-        key, lambda b: mt_step_trace(c32, b, MT_SEQ_LEN,
-                                     trainer_kind="lightseq",
-                                     lib="lightseq2"))
-    t32 = step_timeline(model32(batch), spec,
-                        grad_bytes=transformer_param_count(cfg32) * 4,
-                        world_size=world).total_s
+    t32 = _timeline(cfg.with_overrides(fp16=False), "lightseq2", batch,
+                    spec, world).total_s
     rows.append(["precision", "lightseq2 fp32", t32 * 1e3, t32 / t32])
-    rows.append(["precision", "lightseq2 fp16", t16 * 1e3, t32 / t16])
+    rows.append(["precision", "lightseq2 fp16", t_full * 1e3, t32 / t_full])
     res.claim("FP16 training faster than FP32 (tensor cores + half "
-              "traffic)", t16 < t32, f"{t32 / t16:.2f}x")
+              "traffic)", t_full < t32, f"{t32 / t_full:.2f}x")
 
     # (c) all-reduce vs parameter server sync
     ar = bucketed_allreduce_seconds(gb, world, spec)
@@ -1154,19 +1005,18 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
     from ..backend.allocator import CachingAllocator, StaticPlanAllocator
     lens = np.clip(np.random.default_rng(3).lognormal(3.1, 0.55, 200), 4,
                    256).astype(int)
+    sizes = [int(activation_bytes(cfg, max(1, 2048 // int(ln)), int(ln)))
+             for ln in lens]
     caching = CachingAllocator()
     growths = 0
-    for ln in lens:
-        nb = int(activation_bytes(cfg, max(1, 2048 // int(ln)), int(ln)))
+    for nb in sizes:
         before = caching.reserved_bytes
         blk = caching.alloc(nb)
         caching.free(blk)
         if caching.reserved_bytes > before:
             growths += 1
     static = StaticPlanAllocator()
-    static.reserve(max(int(activation_bytes(cfg, max(1, 2048 // int(l)),
-                                            int(l)))
-                       for l in lens))
+    static.reserve(max(sizes))
     rows.append(["allocator", "caching growth events", float(growths),
                  float("nan")])
     rows.append(["allocator", "static growth events", 0.0, float("nan")])
@@ -1174,27 +1024,26 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
               growths > 1)
 
     # (e) activation checkpointing: memory saved vs forward recompute
-    from ..backend.device import Device, use_device
     from ..layers.encoder import LSTransformerEncoderLayer
     from ..training.checkpointing import CheckpointedLayer
     enc_cfg = cfg.with_overrides(fused=True)
     rng2 = np.random.default_rng(0)
     x = rng2.standard_normal((8, 32, cfg.hidden_dim)).astype(np.float32)
+    held: List[int] = []
+
+    def fwd_bwd(layer) -> None:
+        y = layer.forward(x)
+        held.append(layer.saved_nbytes())
+        layer.backward(np.ones_like(y))
+
     plain = LSTransformerEncoderLayer(enc_cfg, name="abl_ck", seed=0)
-    d_plain = Device(lib="lightseq2")
-    with use_device(d_plain):
-        y = plain.forward(x)
-        saved_plain = plain.saved_nbytes()
-        plain.backward(np.ones_like(y))
+    t_plain = trace_cost(record_launches(lambda: fwd_bwd(plain),
+                                         "lightseq2"), spec).total_s
     ck = CheckpointedLayer(
         LSTransformerEncoderLayer(enc_cfg, name="abl_ck", seed=0))
-    d_ck = Device(lib="lightseq2")
-    with use_device(d_ck):
-        y = ck.forward(x)
-        saved_ck = ck.saved_nbytes()
-        ck.backward(np.ones_like(y))
-    t_plain = trace_cost(d_plain.launches, spec).total_s
-    t_ck = trace_cost(d_ck.launches, spec).total_s
+    t_ck = trace_cost(record_launches(lambda: fwd_bwd(ck), "lightseq2"),
+                      spec).total_s
+    saved_plain, saved_ck = held
     rows.append(["checkpointing", "plain layer (MB held / ms)",
                  saved_plain / 1e6, t_plain * 1e3])
     rows.append(["checkpointing", "checkpointed (MB held / ms)",
@@ -1210,21 +1059,20 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
     from ..data.synthetic import SyntheticTranslationCorpus as _STC
     from ..data.vocab import PAD as _PAD
     corpus = _STC(cfg.vocab_size, max_len=128, seed=11)
-    wastes = []
-    for b in _bbt(corpus.sample(600), 4096, bucket=False)[:20]:
-        lengths = (b.tgt_output != _PAD).sum(axis=1)
-        wastes.append(padding_stats(lengths,
-                                    b.tgt_output.shape[1])["waste_fraction"])
-    mean_waste = float(np.mean(wastes))
+
+    def mean_waste_fraction(bucket: bool) -> float:
+        wastes = []
+        for b in _bbt(corpus.sample(600), 4096, bucket=bucket)[:20]:
+            lengths = (b.tgt_output != _PAD).sum(axis=1)
+            wastes.append(padding_stats(
+                lengths, b.tgt_output.shape[1])["waste_fraction"])
+        return float(np.mean(wastes))
+
+    mean_waste = mean_waste_fraction(bucket=False)
     rows.append(["padding", "unbucketed batches: wasted fraction",
                  mean_waste, float("nan")])
-    bucketed_wastes = []
-    for b in _bbt(corpus.sample(600), 4096, bucket=True)[:20]:
-        lengths = (b.tgt_output != _PAD).sum(axis=1)
-        bucketed_wastes.append(padding_stats(
-            lengths, b.tgt_output.shape[1])["waste_fraction"])
     rows.append(["padding", "bucketed batches: wasted fraction",
-                 float(np.mean(bucketed_wastes)), float("nan")])
+                 mean_waste_fraction(bucket=True), float("nan")])
     res.claim("padding removal target is real: unbucketed batches waste "
               ">15% of position-wise compute",
               mean_waste > 0.15, f"{mean_waste:.0%} wasted")
@@ -1239,24 +1087,13 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
     # (h) DeepSpeed's 16-multiple sequence requirement (Table 1): at
     # seq 100 DeepSpeed must pad to 112 and pay for the dead positions;
     # LightSeq2 supports arbitrary shapes
-    bcfg = _bert_config(scale).with_overrides(fused=True)
+    bcfg = _bert_config(scale)
     seq_raw, seq_padded = 100, 112
-    ds_cell = cached_batch_model(
-        ("abl_ds_pad", bcfg, seq_padded),
-        lambda b: [retag([k], "deepspeed")[0]
-                   if k.name.startswith("ls_") else k
-                   for k in bert_step_trace(bcfg, b, seq_padded,
-                                            trainer_kind="naive",
-                                            lib="pytorch",
-                                            fused_scope="layers_only")])
-    ls_cell = cached_batch_model(
-        ("abl_ls_pad", bcfg, seq_raw),
-        lambda b: bert_step_trace(bcfg, b, seq_raw, trainer_kind="naive",
-                                  lib="lightseq2",
-                                  fused_scope="layers_only"))
     bsz = 32
-    t_ds = trace_cost(ds_cell(bsz), spec).total_s
-    t_ls = trace_cost(ls_cell(bsz), spec).total_s
+    t_ds = trace_cost(trace_model(bcfg, "deepspeed", seq_padded)(bsz),
+                      spec).total_s
+    t_ls = trace_cost(trace_model(bcfg, "lightseq2-layers", seq_raw)(bsz),
+                      spec).total_s
     rows.append(["seq-padding", f"DeepSpeed seq {seq_raw}->{seq_padded}",
                  t_ds * 1e3, t_ds / t_ls])
     rows.append(["seq-padding", f"LightSeq2 seq {seq_raw} (arbitrary)",
@@ -1265,38 +1102,6 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
               "odd sequence lengths; LightSeq2 runs the exact shape",
               t_ls < t_ds, f"{t_ds / t_ls:.2f}x overhead for DeepSpeed")
     return res
-
-
-# ---------------------------------------------------------------------------
-# run-everything entry point
-# ---------------------------------------------------------------------------
-
-ALL_EXPERIMENTS = {
-    "fig04": fig04_stage_breakdown,
-    "fig09": fig09_mt_scaling,
-    "fig11": fig11_multi_gpu,
-    "fig12": fig12_vit,
-    "table2": table2_bert,
-    "fig13": fig13_layernorm,
-    "fig14": fig14_dropout_softmax,
-    "fig15": fig15_layer_speed,
-    "fig16": fig16_memory,
-    "fig17": fig17_utilization,
-    "trainer": trainer_ablation,
-    "overlap_zero1": overlap_zero1,
-    "ablations": ablations,
-}
-
-
-def run_all(scale: Optional[str] = None,
-            names: Optional[Sequence[str]] = None) -> List[ExperimentResult]:
-    """Run the requested experiments (default: all) and return results."""
-    out = []
-    for name, fn in ALL_EXPERIMENTS.items():
-        if names and name not in names:
-            continue
-        out.append(fn(scale))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1309,28 +1114,16 @@ def fig01_model_inventory(scale: Optional[str] = None) -> ExperimentResult:
     the supported model family — training cost grows ~linearly with size,
     the paper's motivating observation."""
     rows = []
-    entries = []
     for preset, tokens in (("transformer-base", 4096),
                            ("transformer-big", 4096),
                            ("bert-base", 4096), ("bert-large", 4096),
                            ("vit-b-32", 800), ("vit-l-32", 800),
                            ("gpt2-small", 4096)):
         cfg = get_config(preset, max_batch_tokens=8192, max_seq_len=256)
-        if preset.startswith("transformer"):
-            n = transformer_param_count(cfg)
-        elif preset.startswith("bert") or preset.startswith("gpt"):
-            layers = cfg.num_encoder_layers or cfg.num_decoder_layers
-            n = (cfg.vocab_size * cfg.hidden_dim
-                 + layers * (4 * cfg.hidden_dim ** 2
-                             + 2 * cfg.hidden_dim * cfg.ffn_dim))
-        else:
-            n = (cfg.num_encoder_layers
-                 * (4 * cfg.hidden_dim ** 2
-                    + 2 * cfg.hidden_dim * cfg.ffn_dim))
+        n = param_count(cfg)
         # standard estimate: ~6 FLOPs per parameter per trained token
         step_flops = 6.0 * n * tokens
         rows.append([preset, n / 1e6, step_flops / 1e12])
-        entries.append((n, step_flops))
     res = ExperimentResult(
         name="Fig. 1 companion — model family inventory",
         headers=["model", "params_M", "step_TFLOPs (6*N*tokens)"],
@@ -1341,7 +1134,7 @@ def fig01_model_inventory(scale: Optional[str] = None) -> ExperimentResult:
     # measured trace FLOPs for one MT step vs the estimate
     cfg = _mt_config("quick")
     batch = 64
-    trace = _mt_model(cfg, "lightseq2")(batch)
+    trace = trace_model(cfg, "lightseq2", MT_SEQ_LEN)(batch)
     measured = sum(k.flops for k in trace)
     estimate = 6.0 * transformer_param_count(cfg) * batch * MT_SEQ_LEN
     ratio = measured / estimate
@@ -1355,7 +1148,6 @@ def fig01_model_inventory(scale: Optional[str] = None) -> ExperimentResult:
 def gpt_training_speed(scale: Optional[str] = None) -> ExperimentResult:
     """Supplementary: decoder-only (GPT) training speedup — the Table-1
     capability DeepSpeed lacks, exercised end to end."""
-    from .tracegen import gpt_step_trace
     scale = scale or bench_scale()
     if scale == "paper":
         cfg = get_config("gpt2-small", max_batch_tokens=16384,
@@ -1371,22 +1163,14 @@ def gpt_training_speed(scale: Optional[str] = None) -> ExperimentResult:
         seq = 128
     spec = V100
     rows = []
-    speedups = []
-    for system, fused, trainer, lib in (
-            ("pytorch", False, "naive", "pytorch"),
-            ("lightseq2", True, "lightseq", "lightseq2")):
-        c = cfg.with_overrides(fused=fused)
-        model = cached_batch_model(
-            ("gpt", c, system, seq),
-            lambda b, c=c, t=trainer, l=lib: gpt_step_trace(
-                c, b, seq, trainer_kind=t, lib=l))
+    ms: Dict[Tuple[str, int], float] = {}
+    for system in ("pytorch", "lightseq2"):
+        model = trace_model(cfg, system, seq)
         for b in batches:
             t = trace_cost(model(b), spec).total_s
+            ms[(system, b)] = t * 1e3
             rows.append([system, b, b * seq / t, t * 1e3])
-    for b in batches:
-        pt = next(r for r in rows if r[0] == "pytorch" and r[1] == b)
-        ls = next(r for r in rows if r[0] == "lightseq2" and r[1] == b)
-        speedups.append(pt[3] / ls[3])
+    speedups = [ms[("pytorch", b)] / ms[("lightseq2", b)] for b in batches]
     res = ExperimentResult(
         name="Supplementary — GPT (decoder-only) training speed (V100)",
         headers=["system", "batch", "tokens/s", "ms/step"],
@@ -1480,6 +1264,25 @@ def smoke_numerics_run(scale: Optional[str] = None) -> ExperimentResult:
     return res
 
 
-ALL_EXPERIMENTS["fig01"] = fig01_model_inventory
-ALL_EXPERIMENTS["gpt"] = gpt_training_speed
-ALL_EXPERIMENTS["smoke"] = smoke_numerics_run
+# ---------------------------------------------------------------------------
+# every experiment, in the order ``python -m repro.bench`` runs them
+# ---------------------------------------------------------------------------
+
+ALL_EXPERIMENTS = {
+    "fig04": fig04_stage_breakdown,
+    "fig09": fig09_mt_scaling,
+    "fig11": fig11_multi_gpu,
+    "fig12": fig12_vit,
+    "table2": table2_bert,
+    "fig13": fig13_layernorm,
+    "fig14": fig14_dropout_softmax,
+    "fig15": fig15_layer_speed,
+    "fig16": fig16_memory,
+    "fig17": fig17_utilization,
+    "trainer": trainer_ablation,
+    "overlap_zero1": overlap_zero1,
+    "ablations": ablations,
+    "fig01": fig01_model_inventory,
+    "gpt": gpt_training_speed,
+    "smoke": smoke_numerics_run,
+}

@@ -54,10 +54,6 @@ class ExperimentResult:
     def claim(self, description: str, holds: bool, detail: str = "") -> None:
         self.claims.append(ShapeClaim(description, bool(holds), detail))
 
-    @property
-    def all_claims_hold(self) -> bool:
-        return all(c.holds for c in self.claims)
-
     def failed_claims(self) -> List[ShapeClaim]:
         return [c for c in self.claims if not c.holds]
 

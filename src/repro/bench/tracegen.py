@@ -16,20 +16,28 @@ affine coefficients per launch record::
 
 which is *exact* (verified against direct execution in
 ``tests/bench/test_tracegen.py``), then evaluate at the paper's batch
-sizes.  Sequence length is quadratic (attention scores), so experiments
-that sweep L (Fig. 15) execute each L directly and extrapolate only B.
+sizes.  Depth is exact too: a deeper stack repeats identical per-layer
+blocks, so two shallow depths determine the trace multiset at any depth
+(:func:`depth_synthesis_model`).  :func:`trace_model` composes both for
+every model family, so a whole-step trace never executes more than a
+2-layer model at batch 4.  Sequence length is quadratic (attention
+scores), so experiments that sweep L (Fig. 15) execute each L directly and
+extrapolate only B.
 
-``retag`` re-labels a trace for a different library when the launch
-*structure* is shared (the TensorFlow baseline has PyTorch's structure;
-DeepSpeed has the fused structure on the encoder) — cost differences then
-come from the per-library efficiency curves.
+:data:`SYSTEMS` names each training system the paper compares once.  A
+system that shares another's launch *structure* (the TensorFlow baseline
+has PyTorch's; DeepSpeed has the fused structure on the encoder) differs
+only in the library tag of its launches — cost differences then come from
+the per-library efficiency curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -58,74 +66,110 @@ def fixed_shape_mt_batch(batch: int, seq: int, vocab: int,
     return src.astype(np.int64), tgt_in.astype(np.int64), tgt_out.astype(np.int64)
 
 
-def _run_step(model, trainer, batch, lib: str) -> List[KernelLaunch]:
-    dev = Device(lib=lib)
-    with use_device(dev):
-        train_step(model, trainer, batch)
-    return dev.launches
-
-
-# ---------------------------------------------------------------------------
-# per-model trace collectors (execute the real substrate once per shape)
-# ---------------------------------------------------------------------------
-
-
-def mt_step_trace(cfg: LSConfig, batch: int, seq: int, *,
-                  trainer_kind: str = "lightseq", lib: Optional[str] = None,
-                  fused_scope: str = "all") -> List[KernelLaunch]:
-    """One full MT training step's kernel trace at exactly (batch, seq)."""
-    model = TransformerModel(cfg, seed=0, fused_scope=fused_scope)
-    trainer = make_trainer(trainer_kind, model,
-                           OptimizerSpec(kind="adam", lr=1e-4))
-    data = fixed_shape_mt_batch(batch, seq, cfg.vocab_size)
-    return _run_step(model, trainer, data,
-                     lib or ("lightseq2" if cfg.fused else "pytorch"))
-
-
-def bert_step_trace(cfg: LSConfig, batch: int, seq: int, *,
-                    trainer_kind: str = "naive", lib: Optional[str] = None,
-                    fused_scope: str = "layers_only") -> List[KernelLaunch]:
-    """One BERT fine-tuning step's trace (Table-2 protocol by default)."""
-    model = BertModel(cfg, seed=0, fused_scope=fused_scope)
-    trainer = make_trainer(trainer_kind, model,
-                           OptimizerSpec(kind="adam", lr=2e-5))
+def _bert_batch(cfg: LSConfig, batch: int, seq: int) -> Tuple[np.ndarray, ...]:
     rng = np.random.default_rng(0)
     tokens = rng.integers(cfg.padding_idx + 1, cfg.vocab_size,
                           size=(batch, seq)).astype(np.int64)
     labels = rng.integers(0, cfg.num_classes, size=batch).astype(np.int64)
-    return _run_step(model, trainer, (tokens, labels),
-                     lib or ("lightseq2" if cfg.fused else "pytorch"))
+    return tokens, labels
 
 
-def vit_step_trace(cfg: LSConfig, batch: int, *,
-                   trainer_kind: str = "lightseq",
-                   lib: Optional[str] = None) -> List[KernelLaunch]:
-    """One ViT training step's trace at the config's image size."""
-    model = ViTModel(cfg, seed=0)
-    trainer = make_trainer(trainer_kind, model,
-                           OptimizerSpec(kind="adam", lr=3e-4))
+def _vit_batch(cfg: LSConfig, batch: int,
+               seq: Optional[int]) -> Tuple[np.ndarray, ...]:
+    """ViT ignores ``seq``: its length follows from the image size."""
     rng = np.random.default_rng(0)
     images = rng.standard_normal(
         (batch, cfg.num_channels, cfg.image_size, cfg.image_size)
     ).astype(np.float32)
     labels = rng.integers(0, cfg.num_classes, size=batch).astype(np.int64)
-    return _run_step(model, trainer, (images, labels),
-                     lib or ("lightseq2" if cfg.fused else "pytorch"))
+    return images, labels
 
 
-def gpt_step_trace(cfg: LSConfig, batch: int, seq: int, *,
-                   trainer_kind: str = "lightseq",
-                   lib: Optional[str] = None) -> List[KernelLaunch]:
-    """One GPT LM step's trace."""
-    model = GPTModel(cfg, seed=0)
-    trainer = make_trainer(trainer_kind, model,
-                           OptimizerSpec(kind="adam", lr=3e-4))
+def _gpt_batch(cfg: LSConfig, batch: int, seq: int) -> Tuple[np.ndarray, ...]:
     rng = np.random.default_rng(0)
     hi = max(cfg.vocab_size, FIRST_CONTENT_ID + 2)
     toks = rng.integers(FIRST_CONTENT_ID, hi, size=(batch, seq)).astype(np.int64)
     tgts = rng.integers(FIRST_CONTENT_ID, hi, size=(batch, seq)).astype(np.int64)
-    return _run_step(model, trainer, (toks, tgts),
-                     lib or ("lightseq2" if cfg.fused else "pytorch"))
+    return toks, tgts
+
+
+#: model family (the preset name's prefix) -> (model class, fixed-shape batch)
+_FAMILIES: Dict[str, Tuple[type, Callable[..., Tuple[np.ndarray, ...]]]] = {
+    "transformer": (TransformerModel, lambda cfg, batch, seq:
+                    fixed_shape_mt_batch(batch, seq, cfg.vocab_size)),
+    "bert": (BertModel, _bert_batch),
+    "vit": (ViTModel, _vit_batch),
+    "gpt2": (GPTModel, _gpt_batch),
+}
+
+
+# ---------------------------------------------------------------------------
+# the training systems the paper compares
+# ---------------------------------------------------------------------------
+
+
+class System(NamedTuple):
+    """How one training system builds its step and tags its kernels.
+
+    ``lib`` tags the fused ``ls_*`` kernels and ``other_lib`` every other
+    launch: that is the retag rule for systems that share another system's
+    launch structure but not its per-kernel efficiency.
+    """
+
+    fused: bool
+    trainer: str
+    lib: str
+    other_lib: str
+    fused_scope: str = "all"
+
+
+#: every system a figure compares, by name.
+SYSTEMS: Dict[str, System] = {
+    "pytorch": System(False, "naive", "pytorch", "pytorch"),
+    "apex": System(False, "apex", "apex", "apex"),
+    "lightseq2": System(True, "lightseq", "lightseq2", "lightseq2"),
+    # PyTorch's launch structure at TensorFlow's kernel efficiency
+    "tensorflow": System(False, "naive", "tensorflow", "tensorflow"),
+    # fused encoder/decoder kernels inside an otherwise-PyTorch step
+    "deepspeed": System(True, "naive", "deepspeed", "pytorch",
+                        "layers_only"),
+    # NeurST: LightSeq2 layers inside an otherwise-TensorFlow step
+    "neurst": System(True, "naive", "lightseq2", "tensorflow",
+                     "layers_only"),
+    # the cumulative-fusion ablation's middle steps; "lightseq2-layers" is
+    # also Table 2's LightSeq2 protocol (no LS embedding/criterion/trainer)
+    "lightseq2-layers": System(True, "naive", "lightseq2", "lightseq2",
+                               "layers_only"),
+    "lightseq2-embcrit": System(True, "naive", "lightseq2", "lightseq2"),
+}
+
+
+def record_launches(fn: Callable[[], object], lib: str) -> List[KernelLaunch]:
+    """Run ``fn`` on a fresh simulated device tagged ``lib``; return the
+    kernels it launched."""
+    dev = Device(lib=lib)
+    with use_device(dev):
+        fn()
+    return dev.launches
+
+
+def step_trace(cfg: LSConfig, system: System, batch: int,
+               seq: Optional[int] = None) -> List[KernelLaunch]:
+    """One whole training step's kernel trace, executed at exactly
+    (batch, seq) on ``cfg``'s model family (MT, BERT, ViT or GPT) as
+    ``system`` builds it."""
+    model_cls, make_batch = _FAMILIES[cfg.model.split("-")[0]]
+    cfg = cfg.with_overrides(fused=system.fused)
+    scope = ({} if system.fused_scope == "all"
+             else {"fused_scope": system.fused_scope})
+    model = model_cls(cfg, seed=0, **scope)
+    trainer = make_trainer(system.trainer, model,
+                           OptimizerSpec(kind="adam", lr=1e-4))
+    data = make_batch(cfg, batch, seq)
+    trace = record_launches(lambda: train_step(model, trainer, data),
+                            system.lib)
+    return [k if k.name.startswith("ls_")
+            else dc_replace(k, lib=system.other_lib) for k in trace]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +197,7 @@ def batch_affine_model(trace_b1: Sequence[KernelLaunch],
             f"trace lengths differ: {len(trace_b1)} vs {len(trace_b2)}")
     coeffs = []
     for k1, k2 in zip(trace_b1, trace_b2):
-        if (k1.name, k1.stage, k1.is_gemm, k1.dtype_bytes, k1.lib) != \
-           (k2.name, k2.stage, k2.is_gemm, k2.dtype_bytes, k2.lib):
+        if _struct_key(k1) != _struct_key(k2):
             raise TraceStructureError(
                 f"record mismatch: {k1.name}/{k1.stage} vs "
                 f"{k2.name}/{k2.stage}")
@@ -179,34 +222,6 @@ def batch_affine_model(trace_b1: Sequence[KernelLaunch],
         return out
 
     return trace_at
-
-
-def retag(trace: Sequence[KernelLaunch], lib: str) -> List[KernelLaunch]:
-    """Re-label a trace as coming from another library with the same launch
-    structure (pytorch→tensorflow, lightseq2→deepspeed)."""
-    return [dc_replace(k, lib=lib) for k in trace]
-
-
-# ---------------------------------------------------------------------------
-# cached collection
-# ---------------------------------------------------------------------------
-
-_CACHE: Dict[Tuple, Callable[[int], List[KernelLaunch]]] = {}
-
-
-def cached_batch_model(key: Tuple,
-                       make_trace: Callable[[int], List[KernelLaunch]],
-                       b1: int = 2, b2: int = 4
-                       ) -> Callable[[int], List[KernelLaunch]]:
-    """Collect-at-two-sizes once per ``key``; reuse across sweep points."""
-    if key not in _CACHE:
-        _CACHE[key] = batch_affine_model(make_trace(b1), make_trace(b2),
-                                         b1, b2)
-    return _CACHE[key]
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +278,12 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
         return counts, protos
 
     c1, p1 = multiset(trace_d1)
-    c2, p2 = multiset(trace_d2)
+    c2, _ = multiset(trace_d2)
 
     #: (proto, mult_intercept, mult_slope) for shape-stable records
     stable: List[Tuple[KernelLaunch, Fraction, Fraction]] = []
     #: (proto, per-field (intercept, slope)) for depth-sized singletons
-    sized: List[Tuple[KernelLaunch, List[Tuple[Fraction, Fraction]], int]] = []
+    sized: List[Tuple[KernelLaunch, List[Tuple[Fraction, Fraction]]]] = []
 
     shared = set(c1) & set(c2)
     for key in shared:
@@ -298,7 +313,7 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
             for f1, f2 in zip(ka[5:], kb[5:]):
                 sl = Fraction(f2 - f1, step)
                 coeffs.append((f1 - sl * d1, sl))
-            sized.append((p1[ka], coeffs, 1))
+            sized.append((p1[ka], coeffs))
 
     def trace_at(depth: int) -> List[KernelLaunch]:
         out: List[KernelLaunch] = []
@@ -309,40 +324,70 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
                     f"non-integral multiplicity {m} for {proto.name} at "
                     f"depth {depth}")
             out.extend([proto] * int(m))
-        for proto, coeffs, mult in sized:
+        for proto, coeffs in sized:
             (ia, sa), (ib, sb), (ic, sc) = coeffs
-            rec = dc_replace(
+            out.append(dc_replace(
                 proto,
                 elems_read=int(ia + sa * depth),
                 elems_written=int(ib + sb * depth),
-                flops=int(ic + sc * depth))
-            out.extend([rec] * mult)
+                flops=int(ic + sc * depth)))
         return out
 
     return trace_at
 
 
-def batch_and_depth_model(make_trace: Callable[[int, int],
-                                               List[KernelLaunch]],
-                          b1: int = 2, b2: int = 4, d1: int = 1,
-                          d2: int = 2) -> Callable[[int, int],
-                                                   List[KernelLaunch]]:
-    """Compose batch-affine and depth-synthesis extrapolation.
+# ---------------------------------------------------------------------------
+# the one whole-step trace path
+# ---------------------------------------------------------------------------
 
-    ``make_trace(batch, depth)`` executes the real substrate; the returned
-    ``trace(batch, depth)`` is exact for any batch and any depth congruent
-    to ``d1`` mod ``(d2 - d1)``.  Only 4 small executions are needed.
-    """
-    batch_at_d1 = batch_affine_model(make_trace(b1, d1),
-                                     make_trace(b2, d1), b1, b2)
-    batch_at_d2 = batch_affine_model(make_trace(b1, d2),
-                                     make_trace(b2, d2), b1, b2)
-    cache: Dict[int, Callable[[int], List[KernelLaunch]]] = {}
+
+def _stack_depth(cfg: LSConfig) -> int:
+    depths = {d for d in (cfg.num_encoder_layers, cfg.num_decoder_layers)
+              if d}
+    if len(depths) != 1:
+        raise ValueError("depth synthesis assumes enc depth == dec depth")
+    return depths.pop()
+
+
+def _with_depth(cfg: LSConfig, depth: int) -> LSConfig:
+    return cfg.with_overrides(
+        num_encoder_layers=depth if cfg.num_encoder_layers else 0,
+        num_decoder_layers=depth if cfg.num_decoder_layers else 0)
+
+
+@lru_cache(maxsize=None)
+def _collected(base: LSConfig, system: str, seq: Optional[int]
+               ) -> Callable[[int, int], List[KernelLaunch]]:
+    """``trace(batch, depth)`` for one (depth-1 config, system, seq), exact
+    for any batch and depth: four executions at batch 2/4 and depth 1/2,
+    once per process."""
+    def collect(batch: int, depth: int) -> List[KernelLaunch]:
+        return step_trace(_with_depth(base, depth), SYSTEMS[system], batch,
+                          seq)
+
+    at_d1 = batch_affine_model(collect(2, 1), collect(4, 1), 2, 4)
+    at_d2 = batch_affine_model(collect(2, 2), collect(4, 2), 2, 4)
+    per_batch: Dict[int, Callable[[int], List[KernelLaunch]]] = {}
 
     def trace_at(batch: int, depth: int) -> List[KernelLaunch]:
-        if batch not in cache:
-            cache[batch] = depth_synthesis_model(
-                batch_at_d1(batch), batch_at_d2(batch), d1, d2)
-        return cache[batch](depth)
+        if batch not in per_batch:
+            per_batch[batch] = depth_synthesis_model(at_d1(batch),
+                                                     at_d2(batch), 1, 2)
+        return per_batch[batch](depth)
 
     return trace_at
+
+
+def trace_model(cfg: LSConfig, system: str, seq: Optional[int] = None
+                ) -> Callable[[int], List[KernelLaunch]]:
+    """``trace(batch)`` of one training step of ``cfg`` under ``system``.
+
+    Exact at ``cfg``'s depth for any batch, but only depth-1/2 models are
+    ever executed, at batch 2/4 — deep stacks (Fig. 9's 24e24d, ViT-L,
+    BERT-large) never materialise.  ``seq`` is the fixed sequence length
+    (``None`` for ViT, whose length follows from the image size).
+    """
+    depth = _stack_depth(cfg)
+    base = _with_depth(cfg, 1).with_overrides(fused=SYSTEMS[system].fused)
+    model = _collected(base, system, seq)
+    return lambda batch: model(batch, depth)

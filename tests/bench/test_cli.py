@@ -35,4 +35,13 @@ def test_record_dir_writes_bench_record(tmp_path, capsys, monkeypatch):
 
 def test_record_dir_needs_value(capsys):
     assert main(["--record-dir"]) == 2
-    assert "needs a directory" in capsys.readouterr().out
+    assert "needs a directory" in capsys.readouterr().err
+
+
+def test_unknown_flag_rejected(capsys, monkeypatch):
+    """A flag the CLI does not know is an error, not a silent full run."""
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
+    assert main(["--quick"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown option --quick")
+    assert captured.out == ""

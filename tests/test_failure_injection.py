@@ -102,16 +102,17 @@ class TestMisuseErrors:
         a grid restriction."""
         from collections import Counter
 
-        from repro.bench.tracegen import (_full_key, depth_synthesis_model,
-                                          mt_step_trace)
+        from repro.bench.tracegen import (SYSTEMS, _full_key,
+                                          depth_synthesis_model, step_trace)
         c = get_config("transformer-base", max_batch_tokens=512,
                        max_seq_len=16, hidden_dim=16, nhead=2, ffn_dim=32,
                        vocab_size=60, num_encoder_layers=2,
                        num_decoder_layers=2)
 
         def make(d):
-            return mt_step_trace(c.with_overrides(
-                num_encoder_layers=d, num_decoder_layers=d), 2, 8)
+            return step_trace(c.with_overrides(
+                num_encoder_layers=d, num_decoder_layers=d),
+                SYSTEMS["lightseq2"], 2, 8)
 
         model = depth_synthesis_model(make(1), make(3), 1, 3)
         assert Counter(map(_full_key, model(2))) == \
