@@ -44,12 +44,8 @@ class ExperimentResult:
     stage_seconds: Optional[Dict[str, float]] = None
     #: optional per-step metrics rows for the run record.
     metrics: Optional[List[Dict[str, Any]]] = None
-    #: optional counters measured by the experiment itself; merged with
-    #: (and overridden by) the caller-supplied counters in to_run_record.
+    #: optional counters measured by the experiment itself.
     counters: Optional[Dict[str, float]] = None
-    #: optional ``repro.obs.profile/v1`` document (roofline attribution,
-    #: critical path, what-if projections) embedded in the run record.
-    profile: Optional[Dict[str, Any]] = None
 
     def claim(self, description: str, holds: bool, detail: str = "") -> None:
         self.claims.append(ShapeClaim(description, bool(holds), detail))
@@ -80,22 +76,19 @@ class ExperimentResult:
         return "\n".join(lines)
 
     def to_run_record(self, slug: str, *, scale: Optional[str] = None,
-                      elapsed_s: Optional[float] = None,
-                      counters: Optional[Dict[str, float]] = None
-                      ) -> Dict[str, Any]:
+                      elapsed_s: Optional[float] = None) -> Dict[str, Any]:
         """This experiment as a structured ``BENCH_*.json`` run record.
 
-        The record carries the full result table, every claim outcome,
-        and any extra ``counters`` the bench measured — the machine-
-        readable twin of :meth:`format` that
-        ``python -m repro.obs compare`` can diff across runs.
+        The record carries the full result table, every claim outcome and
+        the experiment's counters — the machine-readable twin of
+        :meth:`format` that ``python -m repro.obs compare`` can diff across
+        runs.
         """
         from ..obs.runrecord import make_run_record
         cfg: Dict[str, Any] = {}
         if scale is not None:
             cfg["scale"] = scale
         ctr = dict(self.counters or {})
-        ctr.update(counters or {})
         if elapsed_s is not None:
             ctr["elapsed_s"] = float(elapsed_s)
         ctr["claims_checked"] = len(self.claims)
@@ -110,7 +103,6 @@ class ExperimentResult:
             stage_seconds=self.stage_seconds,
             metrics=self.metrics,
             config=cfg or None,
-            profile=self.profile,
             notes=self.notes or self.name,
         )
 

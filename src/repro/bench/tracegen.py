@@ -33,6 +33,7 @@ the per-library efficiency curves.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 from functools import lru_cache
@@ -147,6 +148,9 @@ SYSTEMS: Dict[str, System] = {
 def record_launches(fn: Callable[[], object], lib: str) -> List[KernelLaunch]:
     """Run ``fn`` on a fresh simulated device tagged ``lib``; return the
     kernels it launched."""
+    # models from earlier runs sit in reference cycles, GBs each at paper
+    # scale: free them so they do not add to this run's peak memory
+    gc.collect()
     dev = Device(lib=lib)
     with use_device(dev):
         fn()
@@ -181,6 +185,28 @@ class TraceStructureError(RuntimeError):
     """The two collected traces disagree structurally (a bug, not noise)."""
 
 
+def _fit(k1: KernelLaunch, k2: KernelLaunch, x1: int, x2: int
+         ) -> List[Tuple[Fraction, Fraction]]:
+    """(intercept, slope) of the exact line through record ``k1`` at ``x1``
+    and ``k2`` at ``x2``, for elements read, elements written and FLOPs."""
+    coeffs = []
+    for f1, f2 in ((k1.elems_read, k2.elems_read),
+                   (k1.elems_written, k2.elems_written),
+                   (k1.flops, k2.flops)):
+        slope = Fraction(f2 - f1, x2 - x1)
+        coeffs.append((f1 - slope * x1, slope))
+    return coeffs
+
+
+def _evaluate(proto: KernelLaunch, coeffs: List[Tuple[Fraction, Fraction]],
+              x: int) -> KernelLaunch:
+    """``proto`` with its counts read off the fitted lines at ``x``."""
+    (ia, sa), (ib, sb), (ic, sc) = coeffs
+    return dc_replace(proto, elems_read=int(ia + sa * x),
+                      elems_written=int(ib + sb * x),
+                      flops=int(ic + sc * x))
+
+
 def batch_affine_model(trace_b1: Sequence[KernelLaunch],
                        trace_b2: Sequence[KernelLaunch], b1: int, b2: int
                        ) -> Callable[[int], List[KernelLaunch]]:
@@ -201,25 +227,10 @@ def batch_affine_model(trace_b1: Sequence[KernelLaunch],
             raise TraceStructureError(
                 f"record mismatch: {k1.name}/{k1.stage} vs "
                 f"{k2.name}/{k2.stage}")
-        rec = []
-        for f1, f2 in ((k1.elems_read, k2.elems_read),
-                       (k1.elems_written, k2.elems_written),
-                       (k1.flops, k2.flops)):
-            slope = Fraction(f2 - f1, b2 - b1)
-            intercept = f1 - slope * b1
-            rec.append((intercept, slope))
-        coeffs.append((k1, rec))
+        coeffs.append((k1, _fit(k1, k2, b1, b2)))
 
     def trace_at(batch: int) -> List[KernelLaunch]:
-        out = []
-        for proto, rec in coeffs:
-            (ia, sa), (ib, sb), (ic, sc) = rec
-            out.append(dc_replace(
-                proto,
-                elems_read=int(ia + sa * batch),
-                elems_written=int(ib + sb * batch),
-                flops=int(ic + sc * batch)))
-        return out
+        return [_evaluate(proto, rec, batch) for proto, rec in coeffs]
 
     return trace_at
 
@@ -278,7 +289,7 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
         return counts, protos
 
     c1, p1 = multiset(trace_d1)
-    c2, _ = multiset(trace_d2)
+    c2, p2 = multiset(trace_d2)
 
     #: (proto, mult_intercept, mult_slope) for shape-stable records
     stable: List[Tuple[KernelLaunch, Fraction, Fraction]] = []
@@ -309,11 +320,7 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
                 f"{skey}: {len(a_list)} vs {len(b_list)} depth-sized "
                 f"records — cannot pair across depths")
         for ka, kb in zip(a_list, b_list):
-            coeffs = []
-            for f1, f2 in zip(ka[5:], kb[5:]):
-                sl = Fraction(f2 - f1, step)
-                coeffs.append((f1 - sl * d1, sl))
-            sized.append((p1[ka], coeffs))
+            sized.append((p1[ka], _fit(p1[ka], p2[kb], d1, d2)))
 
     def trace_at(depth: int) -> List[KernelLaunch]:
         out: List[KernelLaunch] = []
@@ -324,13 +331,8 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
                     f"non-integral multiplicity {m} for {proto.name} at "
                     f"depth {depth}")
             out.extend([proto] * int(m))
-        for proto, coeffs in sized:
-            (ia, sa), (ib, sb), (ic, sc) = coeffs
-            out.append(dc_replace(
-                proto,
-                elems_read=int(ia + sa * depth),
-                elems_written=int(ib + sb * depth),
-                flops=int(ic + sc * depth)))
+        out.extend(_evaluate(proto, coeffs, depth)
+                   for proto, coeffs in sized)
         return out
 
     return trace_at
