@@ -11,13 +11,14 @@ Three trainer kernel families, ordered by increasing fusion:
    gradients (converted in a separate launch per chunk).
 3. **lightseq fused**: ONE launch for the whole model.  Parameters and
    gradients live in contiguous FP16 workspaces; the kernel loads FP16,
-   widens to FP32 *in registers* (here: a temporary), updates, and narrows
-   back to FP16 on store.  No FP32 copies exist — Adam's ``m``/``v`` state
-   stays FP32, as on the GPU.
+   widens to FP32 *in registers* (here: a fixed scratch tile), updates,
+   and narrows back to FP16 on store.  No FP32 copies exist — Adam's
+   ``m``/``v`` state stays FP32, as on the GPU.
 
-All three call :func:`adam_math` so their parameter trajectories are
-identical up to FP16 rounding of storage — the paper's "without hurting
-accuracy" claim, enforced by tests.
+All three run the op sequence of :func:`adam_math_into` (the fused kernel
+one scratch tile at a time) so their parameter trajectories are identical
+up to FP16 rounding of storage — the paper's "without hurting accuracy"
+claim, enforced by tests.
 """
 
 from __future__ import annotations
@@ -48,17 +49,33 @@ def adam_math(p32: np.ndarray, g32: np.ndarray, m: np.ndarray,
     Weight decay is L2-style (added to the gradient), matching fairseq's
     ``adam`` optimizer.
     """
+    out = p32.copy()
+    adam_math_into(out, g32, m, v, step, hp, np.empty_like(out),
+                   np.empty_like(out))
+    return out
+
+
+def adam_math_into(p32: np.ndarray, g32: np.ndarray, m: np.ndarray,
+                   v: np.ndarray, step: int, hp: AdamHParams,
+                   t1: np.ndarray, t2: np.ndarray) -> None:
+    """The Adam op sequence of :func:`adam_math`, in place: mutates
+    ``m``/``v``, writes the updated parameter into ``p32`` and uses
+    ``t1``/``t2`` (same shape, FP32) as its only temporaries."""
     if step < 1:
         raise ValueError(f"Adam step must be >= 1, got {step}")
-    g = g32 if hp.weight_decay == 0.0 else g32 + hp.weight_decay * p32
+    g = g32
+    if hp.weight_decay != 0.0:
+        g = np.add(g32, np.multiply(p32, hp.weight_decay, out=t1), out=t1)
     m *= hp.beta1
-    m += (1.0 - hp.beta1) * g
+    m += np.multiply(g, 1.0 - hp.beta1, out=t2)
     v *= hp.beta2
-    v += (1.0 - hp.beta2) * (g * g)
+    v += np.multiply(np.multiply(g, g, out=t2), 1.0 - hp.beta2, out=t2)
     bc1 = 1.0 - hp.beta1 ** step
     bc2 = 1.0 - hp.beta2 ** step
-    denom = np.sqrt(v / bc2) + hp.eps
-    return p32 - hp.lr * (m / bc1) / denom
+    denom = np.add(np.sqrt(np.divide(v, bc2, out=t2), out=t2), hp.eps,
+                   out=t2)
+    upd = np.multiply(np.divide(m, bc1, out=t1), hp.lr, out=t1)
+    np.subtract(p32, np.divide(upd, denom, out=t1), out=p32)
 
 
 def sgd_math(p32: np.ndarray, g32: np.ndarray, mom: np.ndarray,
@@ -178,6 +195,11 @@ def adam_update_apex(params_fp16: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+#: elements per pass of the fused Adam kernel through its FP32 scratch tile
+#: (four 128 KiB buffers: the "registers" of Fig. 7 right).
+ADAM_TILE = 32768
+
+
 def adam_update_ls_fused(ws_param: np.ndarray, ws_grad: np.ndarray,
                          m: np.ndarray, v: np.ndarray, step: int,
                          hp: AdamHParams, *, fp16: bool = True,
@@ -185,17 +207,27 @@ def adam_update_ls_fused(ws_param: np.ndarray, ws_grad: np.ndarray,
     """ONE launch updating the entire model workspace.
 
     ``ws_param``/``ws_grad`` are the contiguous (FP16 when ``fp16``) 1-D
-    workspaces; ``m``/``v`` are FP32 state of the same length.  Loads are
-    widened on the fly, the update runs in FP32, the store narrows back —
-    no FP32 master copy is ever materialised (the widened temporary models
-    registers, exactly as in Fig. 7 right).
+    workspaces; ``m``/``v`` are FP32 state of the same length.  The kernel
+    walks the workspace in :data:`ADAM_TILE`-element slices: each slice's
+    loads are widened into a fixed FP32 scratch tile, updated in FP32 and
+    narrowed back on store — no FP32 master copy is ever materialised, and
+    the scratch stays the same size whatever the model (the on-the-fly
+    register conversion of §3.2, Fig. 7 right).  Adam is elementwise, so
+    the result is bitwise that of :func:`adam_math` on the whole widened
+    arrays.
     """
     if ws_param.shape != ws_grad.shape or ws_param.ndim != 1:
         raise ValueError("workspace arrays must be equal-length 1-D")
-    p32 = ws_param.astype(np.float32)        # on-the-fly widen (registers)
-    g32 = ws_grad.astype(np.float32) * np.float32(grad_scale)
-    p32 = adam_math(p32, g32, m, v, step, hp)
-    ws_param[...] = p32.astype(ws_param.dtype)   # narrow on store
+    scratch = np.empty((4, min(ADAM_TILE, ws_param.size)), np.float32)
+    scale = np.float32(grad_scale)
+    for lo in range(0, ws_param.size, ADAM_TILE):
+        hi = min(lo + ADAM_TILE, ws_param.size)
+        p32, g32, t1, t2 = scratch[:, :hi - lo]
+        np.copyto(p32, ws_param[lo:hi])          # widen (registers)
+        np.copyto(g32, ws_grad[lo:hi])
+        g32 *= scale
+        adam_math_into(p32, g32, m[lo:hi], v[lo:hi], step, hp, t1, t2)
+        np.copyto(ws_param[lo:hi], p32)          # narrow on store
     # traffic: fp16 param+grad read, fp16 param written (2B/elem) plus fp32
     # m/v read+write (4B/elem).  Record as two element streams at their own
     # widths via a weighted count at the fp16 width.

@@ -42,6 +42,57 @@ def test_adam_weight_decay(hp):
     assert np.all(p2 < p)          # L2 decay pulls weights toward zero
 
 
+def _adam_expr(p32, g32, m, v, step, hp):
+    """The Adam step written as whole-array expressions (the original
+    form of ``adam_math``): the reference its in-place op sequence must
+    reproduce bit for bit."""
+    g = g32 if hp.weight_decay == 0.0 else g32 + hp.weight_decay * p32
+    m *= hp.beta1
+    m += (1.0 - hp.beta1) * g
+    v *= hp.beta2
+    v += (1.0 - hp.beta2) * (g * g)
+    bc1 = 1.0 - hp.beta1 ** step
+    bc2 = 1.0 - hp.beta2 ** step
+    denom = np.sqrt(v / bc2) + hp.eps
+    return p32 - hp.lr * (m / bc1) / denom
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("shard", [False, True], ids=["whole", "zero1"])
+def test_fused_adam_tiles_bitwise(dtype, weight_decay, shard):
+    """The fused kernel walks the workspace through a fixed FP32 scratch
+    tile; the result is bitwise ``adam_math`` on the whole widened arrays,
+    which is itself bitwise the expression form — over several steps, on a
+    length that is not a multiple of the tile, and on a ZeRO-1 shard
+    slice (sliced state, neighbours untouched)."""
+    hp = opt.AdamHParams(lr=1e-2, weight_decay=weight_decay)
+    n = 2 * opt.ADAM_TILE + 123
+    lo, hi = (opt.ADAM_TILE // 3, n - 7) if shard else (0, n)
+    rng = np.random.default_rng(3)
+    ws = (rng.standard_normal(n) * 0.1).astype(dtype)
+    ref = ws[lo:hi].astype(np.float32)
+    expr = ref.copy()
+    state = [np.zeros(hi - lo, np.float32) for _ in range(6)]
+    for step in range(1, 4):
+        grads = rng.standard_normal(n).astype(dtype)
+        before = ws.copy()
+        opt.adam_update_ls_fused(ws[lo:hi], grads[lo:hi], state[0],
+                                 state[1], step, hp,
+                                 fp16=dtype == np.float16, grad_scale=0.5)
+        g32 = grads[lo:hi].astype(np.float32) * np.float32(0.5)
+        ref = opt.adam_math(ref, g32, state[2], state[3], step, hp)
+        expr = _adam_expr(expr, g32, state[4], state[5], step, hp)
+        assert np.array_equal(ref, expr)
+        assert np.array_equal(ws[lo:hi], ref.astype(dtype))
+        ref = ws[lo:hi].astype(np.float32)   # the kernel stores narrowed
+        expr = ref.copy()
+        assert np.array_equal(ws[:lo], before[:lo])
+        assert np.array_equal(ws[hi:], before[hi:])
+    for a, b in ((0, 2), (2, 4), (1, 3), (3, 5)):
+        assert np.array_equal(state[a], state[b])
+
+
 def test_sgd_math_momentum():
     p = np.array([1.0], dtype=np.float32)
     g = np.array([1.0], dtype=np.float32)
