@@ -14,6 +14,8 @@ Dropout follows the standard *inverted* convention: during training
 ``y = x * m / (1-p)`` with ``m ~ Bernoulli(1-p)``; the mask is stored as
 ``uint8`` (1 byte/elem traffic, like the CUDA kernels) and reused verbatim in
 backward so fused and naive paths are bit-identical given the same mask.
+Every keep/drop decision spends one 32-bit word of the generator, as
+curand does (:func:`bernoulli_keep`).
 
 With ``p == 0`` dropout is the identity: the kernels neither draw nor
 materialise a mask (``mask`` stays ``None``), skip the multiply-by-one pass,
@@ -26,6 +28,7 @@ producing operation writes directly into its buffer.
 
 from __future__ import annotations
 
+from math import ceil, prod
 from typing import Optional, Tuple
 
 import numpy as np
@@ -57,18 +60,40 @@ def bias_grad_naive(dy: np.ndarray, *, fp16: bool = False,
     return db
 
 
+def bernoulli_keep(bitgen: np.random.BitGenerator, shape: Tuple[int, ...],
+                   p: float) -> np.ndarray:
+    """Bernoulli(1-p) keep-mask as uint8, one 32-bit word per element.
+
+    Draws ``ceil(n/2)`` raw 64-bit words from ``bitgen``, reads them as
+    ``n`` uint32 values ``u`` (low half first on little-endian hosts) and
+    keeps element *i* iff ``u_i >= ceil(p * 2**32)``.  Since ``u`` is an
+    integer this is exactly ``u_i * 2**-32 >= p``: an exact Bernoulli(1-p)
+    with ``p`` quantised to 2**-32, the granularity of curand's 32-bit
+    draws.  When ``p`` is within 2**-32 of 1 the threshold is 2**32, which
+    NumPy compares by value, so every element is dropped.  The boolean
+    result is returned viewed as uint8 (no copy).
+    """
+    n = prod(shape)
+    u = bitgen.random_raw((n + 1) // 2).view(np.uint32)
+    if n & 1:
+        u = u[:n]
+    return (u >= ceil(p * 4294967296.0)).view(np.uint8).reshape(shape)
+
+
 def make_dropout_mask(shape: Tuple[int, ...], p: float,
                       rng: np.random.Generator) -> Optional[np.ndarray]:
     """Bernoulli(1-p) keep-mask as uint8 (curand analog, not a launch).
 
-    ``p == 0`` returns None — dropout is the identity and no mask bytes are
-    materialised or moved (the satellite fix for the old all-ones mask).
+    Drawn by :func:`bernoulli_keep` from ``rng``'s bit generator, so it
+    advances ``rng`` by ``ceil(size/2)`` 64-bit words.  ``p == 0`` returns
+    None — dropout is the identity and no mask bytes are materialised or
+    moved.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if p == 0.0:
         return None
-    return (rng.random(shape) >= p).astype(np.uint8)
+    return bernoulli_keep(rng.bit_generator, shape, p)
 
 
 def _mask_traffic(mask: Optional[np.ndarray]) -> int:

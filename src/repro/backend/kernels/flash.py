@@ -23,7 +23,9 @@ Dropout never stores a mask: the forward draws one 64-bit seed (written to
 a tiny output buffer so capture/replay rebinds it like any other product)
 and both passes regenerate identical keep-masks per *query tile* from
 ``PCG64([seed, tile_index])`` — the counter-based-RNG idiom of the CUDA
-kernels, where Philox state is recomputed from (seed, offset).
+kernels, where Philox state is recomputed from (seed, offset).  Each
+keep/drop decision costs one 32-bit word of that stream, as a curand draw
+does (:func:`~.elementwise.bernoulli_keep`).
 
 Bitwise-parity contract: when a single tile covers the whole problem
 (``Lq <= tile_q and Lk <= tile_k``) both kernels replay the *exact*
@@ -50,8 +52,10 @@ from math import ceil
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.random import PCG64
 
 from . import capturable, out_buffer, record
+from .elementwise import bernoulli_keep
 
 #: additive mask value for disallowed positions (matches layers.attention).
 _NEG_INF = np.float32(-1e9)
@@ -108,12 +112,14 @@ def regen_dropout_mask(seed: int, qtile: int, shape: Tuple[int, ...],
                        p: float) -> np.ndarray:
     """Regenerate the keep-mask rows of one query tile (counter-based RNG).
 
-    ``shape`` is ``(B, N, tile_rows, Lk)`` — a *full-width* row block, so
-    the draw is independent of key-tile iteration order (and of causal
-    tile skipping, which merely slices columns out of it).
+    The mask is :func:`~.elementwise.bernoulli_keep` over a fresh
+    ``PCG64([seed, qtile])``: one 32-bit word per decision, so the stream
+    depends only on ``(seed, qtile)``.  ``shape`` is ``(B, N, tile_rows,
+    Lk)`` — a *full-width* row block, so the draw is independent of
+    key-tile size and iteration order (and of causal tile skipping, which
+    merely slices columns out of it).
     """
-    sub = np.random.default_rng([int(seed), int(qtile)])
-    return (sub.random(shape) >= p).astype(np.uint8)
+    return bernoulli_keep(PCG64([int(seed), int(qtile)]), shape, p)
 
 
 def _dtype(q, k, v):

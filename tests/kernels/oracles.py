@@ -37,3 +37,26 @@ def gelu_tanh_f64(pre):
     d_act = (0.5 * (1.0 + t)
              + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x))
     return act, d_act
+
+
+def raw_u32(bitgen, n):
+    """The first ``n`` 32-bit words of ``bitgen``'s raw 64-bit stream, split
+    arithmetically (low half of each word first) — the order in which
+    ``bernoulli_keep`` spends them, stated without a dtype view."""
+    words = bitgen.random_raw((n + 1) // 2)
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)],
+                      axis=-1)
+    return halves.reshape(-1)[:n]
+
+
+def keep_f64(u32, p):
+    """Keep decisions of 32-bit uniform words at drop rate ``p``: the word
+    read as the float64 uniform ``u * 2**-32`` (exact: a 32-bit integer
+    times a power of two fits a 53-bit mantissa), kept iff ``>= p``."""
+    return np.asarray(u32, dtype=np.float64) * 2.0 ** -32 >= p
+
+
+def keep_rate_sigma(p, n):
+    """Standard deviation of the kept fraction of ``n`` independent
+    Bernoulli(1-p) draws."""
+    return float(np.sqrt(p * (1.0 - p) / n))

@@ -36,10 +36,10 @@ def test_dropout_inverted_scaling(rng):
 
 
 def test_dropout_invalid_p(rng):
-    with pytest.raises(ValueError):
-        ew.make_dropout_mask((4,), 1.0, rng)
-    with pytest.raises(ValueError):
-        ew.make_dropout_mask((4,), -0.1, rng)
+    for p in (1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            ew.make_dropout_mask((4,), p, rng)
+    assert ew.make_dropout_mask((4,), 0.0, rng) is None
 
 
 def test_dropout_backward_uses_same_mask(rng):
