@@ -296,18 +296,22 @@ def depth_synthesis_model(trace_d1: Sequence[KernelLaunch],
     #: (proto, per-field (intercept, slope)) for depth-sized singletons
     sized: List[Tuple[KernelLaunch, List[Tuple[Fraction, Fraction]]]] = []
 
-    shared = set(c1) & set(c2)
-    for key in shared:
-        n1, n2 = c1[key], c2[key]
-        slope = Fraction(n2 - n1, step)
-        stable.append((p1[key], n1 - slope * d1, slope))
+    # dicts, never sets, are iterated below: first-seen order makes the
+    # emitted record order (and so every downstream float sum) independent
+    # of PYTHONHASHSEED
+    for key, n1 in c1.items():
+        if key in c2:
+            slope = Fraction(c2[key] - n1, step)
+            stable.append((p1[key], n1 - slope * d1, slope))
     # leftovers: depth-sized records; pair by structural identity
     left1: Dict[Tuple, List[Tuple]] = {}
-    for key in set(c1) - shared:
-        left1.setdefault(key[:5], []).extend([key] * c1[key])
+    for key, n1 in c1.items():
+        if key not in c2:
+            left1.setdefault(key[:5], []).extend([key] * n1)
     left2: Dict[Tuple, List[Tuple]] = {}
-    for key in set(c2) - shared:
-        left2.setdefault(key[:5], []).extend([key] * c2[key])
+    for key, n2 in c2.items():
+        if key not in c1:
+            left2.setdefault(key[:5], []).extend([key] * n2)
     if set(left1) != set(left2):
         raise TraceStructureError(
             f"unmatched structural groups across depths: "

@@ -1,6 +1,9 @@
 """Trace generator: the affine-in-batch model must be EXACT, and the
 system table must retag without changing structure."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -223,3 +226,31 @@ class TestDepthSynthesis:
         for name in ("ls_zero_grad", "ls_fused_adam"):
             assert synth[name].elems_written == real[name].elems_written
             assert synth[name].flops == real[name].flops
+
+    def test_bit_reproducible_across_hash_seeds(self):
+        """The synthesized trace — record order, hence every float sum
+        over it — must not depend on the process's string-hash seed."""
+        script = (
+            "from tests.bench.test_tracegen import _tiny\n"
+            "from repro.bench.tracegen import (SYSTEMS, _full_key,\n"
+            "    depth_synthesis_model, step_trace)\n"
+            "from repro.sim import V100\n"
+            "from repro.sim.costmodel import trace_cost\n"
+            "def make(d):\n"
+            "    c, seq = _tiny('mt', d)\n"
+            "    return step_trace(c, SYSTEMS['lightseq2'], 2, seq)\n"
+            "t = depth_synthesis_model(make(1), make(2), 1, 2)(4)\n"
+            "print([_full_key(k) for k in t])\n"
+            "print(trace_cost(t, V100).total_s.hex())\n")
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [os.path.join(root, "src"), root]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  cwd=root, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
