@@ -9,7 +9,7 @@ from repro.sim.costmodel import (kernel_family, kernel_time, speedup,
 from repro.sim.gpu_specs import A100, V100
 
 
-def _k(name="x", er=1000, ew=1000, flops=0, gemm=False, db=4,
+def _k(name="bias_x", er=1000, ew=1000, flops=0, gemm=False, db=4,
        stage="forward", lib="pytorch"):
     return KernelLaunch(name, er, ew, flops=flops, is_gemm=gemm,
                         dtype_bytes=db, stage=stage, lib=lib)
