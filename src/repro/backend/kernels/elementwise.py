@@ -74,10 +74,14 @@ def bernoulli_keep(bitgen: np.random.BitGenerator, shape: Tuple[int, ...],
     result is returned viewed as uint8 (no copy).
     """
     n = prod(shape)
+    # the long-lived mask is allocated before the raw-word temporary, so
+    # freeing the temporary does not leave a hole beneath it in the heap
+    keep = np.empty(n, np.bool_)
     u = bitgen.random_raw((n + 1) // 2).view(np.uint32)
     if n & 1:
         u = u[:n]
-    return (u >= ceil(p * 4294967296.0)).view(np.uint8).reshape(shape)
+    np.greater_equal(u, ceil(p * 4294967296.0), out=keep)
+    return keep.view(np.uint8).reshape(shape)
 
 
 def make_dropout_mask(shape: Tuple[int, ...], p: float,
