@@ -160,10 +160,6 @@ class Device:
         return sum(k.bytes_moved for k in self.launches
                    if stage is None or k.stage == stage)
 
-    def total_flops(self, stage: Optional[str] = None) -> int:
-        return sum(k.flops for k in self.launches
-                   if stage is None or k.stage == stage)
-
 
 class _NullDevice(Device):
     """Sink device used when no real device is active: records nothing."""

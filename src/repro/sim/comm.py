@@ -317,11 +317,6 @@ def reduce_scatter_seconds(nbytes: int, world_size: int,
     return (p - 1) * alpha + (p - 1) / p * nbytes * beta
 
 
-def allgather_seconds(nbytes: int, world_size: int, spec: GPUSpec) -> float:
-    """Alpha–beta time for ONE ring all-gather (half an all-reduce)."""
-    return reduce_scatter_seconds(nbytes, world_size, spec)
-
-
 def bucketed_allreduce_seconds(total_bytes: int, world_size: int,
                                spec: GPUSpec,
                                bucket_bytes: int = DDP_BUCKET_BYTES) -> float:

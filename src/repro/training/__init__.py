@@ -11,12 +11,12 @@ from .serialization import (load_model, load_trainer, save_model,
 from .optimizers import (ConstantSchedule, InverseSqrtSchedule,
                          LinearDecaySchedule, OptimizerSpec)
 from .trainer import (ApexLikeTrainer, LSFusedTrainer, NaiveMPTrainer,
-                      TrainerBase, ZeRO1ShardedTrainer, make_trainer)
+                      TrainerBase, make_trainer)
 
 __all__ = [
     "OptimizerSpec", "InverseSqrtSchedule", "LinearDecaySchedule",
     "ConstantSchedule", "TrainerBase", "NaiveMPTrainer", "ApexLikeTrainer",
-    "LSFusedTrainer", "ZeRO1ShardedTrainer", "make_trainer",
+    "LSFusedTrainer", "make_trainer",
     "CaptureReplayEngine", "DataParallel", "shard_batch",
     "train_step", "train_epoch", "train_step_accumulated",
     "StepResult", "EpochStats", "CheckpointedLayer",

@@ -7,6 +7,11 @@ averaged with the real chunked ring all-reduce from :mod:`repro.sim.comm`,
 and every replica's trainer applies the same update — after which all
 replicas hold identical parameters, which tests assert.
 
+The ring reduces each trainer's own :meth:`~repro.training.trainer.
+TrainerBase.flat_grad`: in FP32 the LightSeq2 gradient workspace itself, in
+place (§3.2, Fig. 7; FP16 is widened and narrowed back once), and a
+gathered copy for the per-tensor baselines.
+
 Two orthogonal extensions ride on the contiguous gradient workspace:
 
 * ``overlap_grad_sync`` — the flat gradient buffer is partitioned into
@@ -23,7 +28,7 @@ Two orthogonal extensions ride on the contiguous gradient workspace:
   bit-identical to the unsharded trainer at the same world size.
 
 The sync *time* for the Fig.-11 experiment comes from the alpha–beta model
-(``bucketed_allreduce_seconds``); the data movement here is for correctness.
+in :mod:`repro.sim.comm`; the data movement here is for correctness.
 """
 
 from __future__ import annotations
@@ -38,9 +43,7 @@ from ..obs.spans import span
 from ..resilience.faults import ReplicaCrash, current_injector
 from ..resilience.recovery import (CommRetryStats, RetryPolicy,
                                    retry_collective)
-from ..sim.comm import (DDP_BUCKET_BYTES, GradBucket, allgather_seconds,
-                        bucketed_allreduce_seconds,
-                        compressed_allreduce_seconds,
+from ..sim.comm import (DDP_BUCKET_BYTES, GradBucket,
                         compressed_ring_allreduce, deterministic_allreduce,
                         partition_buckets, reduce_scatter_seconds,
                         ring_allgather, ring_allreduce, ring_allreduce_seconds,
@@ -48,8 +51,9 @@ from ..sim.comm import (DDP_BUCKET_BYTES, GradBucket, allgather_seconds,
 from ..sim.gpu_specs import GPUSpec
 from ..sim.timeline import (BucketSchedule, overlap_schedule,
                             with_extra_exposed)
+from .loop import staged_forward_backward
 from .optimizers import OptimizerSpec
-from .trainer import TrainerBase, ZeRO1ShardedTrainer, make_trainer
+from .trainer import TrainerBase, make_trainer
 
 
 class DataParallel:
@@ -82,21 +86,16 @@ class DataParallel:
         self.world_size = world_size
         self.compress_gradients = compress_gradients
         self.overlap_grad_sync = overlap_grad_sync
-        self.bucket_bytes = bucket_bytes
         self.zero1 = zero1
         self.replicas: List[Layer] = [model_factory()
                                       for _ in range(world_size)]
-        if zero1:
-            self.trainers: List[TrainerBase] = [
-                make_trainer("zero1", m, spec,
-                             scaler_factory() if scaler_factory else None,
-                             rank=r, world_size=world_size)
-                for r, m in enumerate(self.replicas)]
-        else:
-            self.trainers = [
-                make_trainer(trainer_kind, m, spec,
-                             scaler_factory() if scaler_factory else None)
-                for m in self.replicas]
+        # ZeRO-1: each replica's trainer owns one shard of its workspace
+        self.trainers: List[TrainerBase] = [
+            make_trainer(trainer_kind, m, spec,
+                         scaler_factory() if scaler_factory else None,
+                         **(dict(rank=r, world_size=world_size) if zero1
+                            else {}))
+            for r, m in enumerate(self.replicas)]
         # parameter-aligned DDP buckets over the flat FP32 gradient buffer
         self.buckets: List[GradBucket] = partition_buckets(
             [(p.name, p.size) for p in self.replicas[0].parameters()],
@@ -121,24 +120,6 @@ class DataParallel:
                         f"factory must produce identical initial states")
 
     # -- gradient synchronisation ------------------------------------------------
-
-    def _flat_grads(self) -> List[np.ndarray]:
-        """One flat FP32 gradient buffer per replica (DDP's flat bucket)."""
-        outs = []
-        for r in self.replicas:
-            outs.append(np.concatenate(
-                [p.grad.astype(np.float32).reshape(-1)
-                 for p in r.parameters()]))
-        return outs
-
-    def _unflatten_into(self, flats: Sequence[np.ndarray]) -> None:
-        for r, flat in zip(self.replicas, flats):
-            off = 0
-            for p in r.parameters():
-                n = p.size
-                p.grad[...] = flat[off:off + n].reshape(p.shape).astype(
-                    p.grad.dtype)
-                off += n
 
     def _guarded(self, site: str, op: Callable[[], None],
                  buffers: Sequence[np.ndarray]) -> None:
@@ -168,7 +149,8 @@ class DataParallel:
     def sync_gradients(self) -> int:
         """Synchronise gradients across replicas (real data movement).
 
-        Plain mode: one whole-buffer ring all-reduce.  Overlapped mode:
+        Plain mode: one whole-buffer ring all-reduce of each trainer's
+        :meth:`flat_grad` (in place on an FP32 workspace).  Overlapped mode:
         one ring all-reduce per DDP bucket, launched in reverse workspace
         order (the order backward completes them).  ZeRO-1 mode: a ring
         reduce-scatter — each replica ends up with only its reduced shard
@@ -180,7 +162,7 @@ class DataParallel:
         dev = current_device()
         retries0 = self.retry_stats.retries
         with dev.stage_scope("sync"), span("comm/grad_sync") as sp:
-            flats = self._flat_grads()
+            flats = [t.flat_grad() for t in self.trainers]
             nbytes = flats[0].nbytes
             if self.world_size > 1:
                 if self.compress_gradients:
@@ -224,7 +206,8 @@ class DataParallel:
                                flats[0].size * self.world_size,
                                flats[0].size * self.world_size,
                                dtype_bytes=4)
-                self._unflatten_into(flats)
+                for trainer, flat in zip(self.trainers, flats):
+                    trainer.load_flat_grad(flat)
             else:
                 dev.record("allreduce_grads", flats[0].size, flats[0].size,
                            dtype_bytes=1 if self.compress_gradients else 4)
@@ -261,26 +244,6 @@ class DataParallel:
             return None
         return any(t.scaler.check_overflow(t._grads())
                    for t in self.trainers)
-
-    def sync_seconds(self, spec: GPUSpec) -> float:
-        """Alpha–beta estimate of one step's gradient sync."""
-        grad_bytes = sum(p.grad.nbytes
-                         for p in self.replicas[0].parameters())
-        if self.compress_gradients:
-            # flat FP32 payload quartered by int8 quantisation
-            fp32_bytes = sum(4 * p.size
-                             for p in self.replicas[0].parameters())
-            return compressed_allreduce_seconds(fp32_bytes,
-                                                self.world_size, spec)
-        if self.zero1:
-            fp32_bytes = sum(4 * p.size
-                             for p in self.replicas[0].parameters())
-            param_bytes = sum(p.data.nbytes
-                              for p in self.replicas[0].parameters())
-            return (reduce_scatter_seconds(fp32_bytes, self.world_size, spec)
-                    + allgather_seconds(param_bytes, self.world_size, spec))
-        return bucketed_allreduce_seconds(grad_bytes, self.world_size, spec,
-                                          bucket_bytes=self.bucket_bytes)
 
     def sync_timeline(self, spec: GPUSpec, backward_s: float
                       ) -> BucketSchedule:
@@ -324,6 +287,23 @@ class DataParallel:
 
     # -- training step -----------------------------------------------------------
 
+    def _forward_backward(self, rank: int, batch: Tuple, scale: float
+                          ) -> Tuple[float, int]:
+        """One replica's forward+backward under its per-rank span."""
+        with span(f"dp/rank{rank}"):
+            return staged_forward_backward(self.replicas[rank], batch, scale)
+
+    def _update(self, lr: Optional[float], grad_scale: float) -> None:
+        """Both step bodies' update: agree on overflow (only ZeRO-1 ranks
+        hold different gradients), step every trainer, all-gather shards."""
+        overflow = self._global_overflow() if self.zero1 else None
+        with span("dp/update"):
+            for trainer in self.trainers:
+                trainer.step(lr=lr, grad_scale=grad_scale,
+                             overflow_override=overflow)
+        if self.zero1:
+            self._allgather_params()
+
     def train_step(self, shards: Sequence[Tuple], *, lr: Optional[float] = None,
                    grad_scale_fn: Optional[Callable[[int], float]] = None
                    ) -> Tuple[float, int]:
@@ -343,7 +323,6 @@ class DataParallel:
         if len(shards) != self.world_size:
             raise ValueError(
                 f"need {self.world_size} shards, got {len(shards)}")
-        dev = current_device()
         total_loss = 0.0
         total_tokens = 0
         self.step_no += 1
@@ -360,14 +339,8 @@ class DataParallel:
             for trainer in self.trainers:
                 trainer.zero_grad()
             scale = self._loss_scale()
-            for rank, (model, shard) in enumerate(zip(self.replicas,
-                                                      shards)):
-                with dev.stage_scope("forward"), \
-                        span(f"dp/rank{rank}/forward"):
-                    loss, ntok = model.forward(*shard)
-                with dev.stage_scope("backward"), \
-                        span(f"dp/rank{rank}/backward"):
-                    model.backward(grad_scale=scale)
+            for rank, shard in enumerate(shards):
+                loss, ntok = self._forward_backward(rank, shard, scale)
                 total_loss += loss
                 total_tokens += ntok
             self._maybe_crash("backward")
@@ -376,14 +349,8 @@ class DataParallel:
             gs = (grad_scale_fn(total_tokens) / scale if grad_scale_fn
                   else 1.0 / (scale * max(total_tokens, 1))
                   * self.world_size)
-            overflow = self._global_overflow() if self.zero1 else None
             self._maybe_crash("update")
-            with span("dp/update"):
-                for trainer in self.trainers:
-                    trainer.step(lr=lr, grad_scale=gs,
-                                 overflow_override=overflow)
-            if self.zero1:
-                self._allgather_params()
+            self._update(lr, gs)
         return total_loss, total_tokens
 
     def train_step_microbatched(self, microbatches: Sequence[Tuple], *,
@@ -416,35 +383,25 @@ class DataParallel:
         scale = self._loss_scale()
         total_loss = 0.0
         total_tokens = 0
-        contributions: List[np.ndarray] = [None] * P  # type: ignore
-        for r, (model, trainer) in enumerate(zip(self.replicas,
-                                                 self.trainers)):
-            for j in range(k):
-                g = r * k + j                 # global micro-batch index
+        contributions: List[np.ndarray] = []     # global micro-batch order
+        for rank, trainer in enumerate(self.trainers):
+            for batch in microbatches[rank * k:(rank + 1) * k]:
                 trainer.zero_grad()
-                with dev.stage_scope("forward"):
-                    loss, ntok = model.forward(*microbatches[g])
-                with dev.stage_scope("backward"):
-                    model.backward(grad_scale=scale)
+                loss, ntok = self._forward_backward(rank, batch, scale)
                 total_loss += loss
                 total_tokens += ntok
-                contributions[g] = np.concatenate(
-                    [p.grad.astype(np.float32).reshape(-1)
-                     for p in model.parameters()])
+                # a copy: the next zero_grad clears a workspace buffer
+                contributions.append(trainer.flat_grad().copy())
         with dev.stage_scope("sync"):
-            flats = [np.empty_like(contributions[0])
-                     for _ in range(self.world_size)]
+            flats = [t.flat_grad() for t in self.trainers]
             deterministic_allreduce(contributions, flats)
             dev.record("deterministic_allreduce", flats[0].size * P,
                        flats[0].size * self.world_size, dtype_bytes=4)
-        self._unflatten_into(flats)
+        for trainer, flat in zip(self.trainers, flats):
+            trainer.load_flat_grad(flat)
         gs = (grad_scale_fn(total_tokens) / scale if grad_scale_fn
               else 1.0 / (scale * max(total_tokens, 1)))
-        overflow = self._global_overflow()
-        for trainer in self.trainers:
-            trainer.step(lr=lr, grad_scale=gs, overflow_override=overflow)
-        if self.zero1:
-            self._allgather_params()
+        self._update(lr, gs)
         return total_loss, total_tokens
 
     # -- elastic degradation (permanent replica loss) ----------------------------

@@ -9,7 +9,7 @@ SGD and adaptive gradient methods" — both are wired through every trainer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..backend.kernels.optimizer import AdamHParams
@@ -37,9 +37,6 @@ class OptimizerSpec:
         return AdamHParams(lr=lr if lr is not None else self.lr,
                            beta1=self.beta1, beta2=self.beta2, eps=self.eps,
                            weight_decay=self.weight_decay)
-
-    def with_lr(self, lr: float) -> "OptimizerSpec":
-        return replace(self, lr=lr)
 
 
 class InverseSqrtSchedule:

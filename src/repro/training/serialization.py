@@ -10,7 +10,8 @@ protocol); it serialises:
 * **trainer state** — Adam/SGD moments, step counter, loss-scaler state —
   so a resumed run continues the *exact* optimisation trajectory (verified
   in ``tests/training/test_serialization.py``: save/load mid-run equals an
-  uninterrupted run bit-for-bit).
+  uninterrupted run bit-for-bit).  A ZeRO-1 trainer's moments are stamped
+  with their ``shard``/``world_size``; another shard's trainer refuses them.
 
 Works for every trainer kind; the fused trainer's workspace is rebuilt on
 load and re-linked, so symbolic tensor links survive a round trip.
@@ -33,12 +34,12 @@ import numpy as np
 
 from ..layers.base import Layer
 from ..precision.loss_scaler import DynamicLossScaler, StaticLossScaler
-from .trainer import (ApexLikeTrainer, LSFusedTrainer, NaiveMPTrainer,
-                      TrainerBase)
+from .trainer import LSFusedTrainer, NaiveMPTrainer, TrainerBase
 
 #: payload layout version shared by model and trainer files (bump on
-#: incompatible change; v1 was the unstamped pre-resilience layout).
-SERIALIZATION_SCHEMA = 2
+#: incompatible change; v1 was the unstamped pre-resilience layout, v2
+#: lacked the trainer's shard stamp).
+SERIALIZATION_SCHEMA = 3
 
 _PathLike = Union[str, Path, BinaryIO]
 
@@ -118,24 +119,32 @@ def _restore_scaler(scaler, state: Optional[dict]) -> None:
     scaler.load_state_dict(state)
 
 
+def _sharding(trainer: TrainerBase) -> dict:
+    """The workspace slice the moments cover (per-tensor: unsharded)."""
+    if isinstance(trainer, LSFusedTrainer):
+        return {"shard": list(trainer.shard),
+                "world_size": trainer.world_size}
+    return {"shard": None, "world_size": 1}
+
+
 def save_trainer(trainer: TrainerBase, path: _PathLike) -> None:
     """Write optimizer state (moments, step count, scaler) to ``path``."""
     arrays: Dict[str, np.ndarray] = {}
     if isinstance(trainer, LSFusedTrainer):
         arrays["__m"] = trainer.m
         arrays["__v"] = trainer.v
-    elif isinstance(trainer, (NaiveMPTrainer, ApexLikeTrainer)):
+    elif isinstance(trainer, NaiveMPTrainer):
         for i, p in enumerate(trainer.params):
             arrays[f"__m/{p.name}"] = trainer.m[i]
             arrays[f"__v/{p.name}"] = trainer.v[i]
-            if getattr(trainer, "masters", None) is not None:
+            if trainer.masters is not None:
                 arrays[f"__master/{p.name}"] = trainer.masters[i]
     else:
         raise TypeError(f"unknown trainer type {type(trainer)}")
     meta = {"schema": SERIALIZATION_SCHEMA, "payload": "trainer",
             "step_count": trainer.step_count,
             "skipped_steps": trainer.skipped_steps,
-            "kind": type(trainer).__name__,
+            "kind": type(trainer).__name__, **_sharding(trainer),
             "scaler": _scaler_state(trainer.scaler)}
     arrays["__meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -150,6 +159,11 @@ def load_trainer(trainer: TrainerBase, path: _PathLike) -> None:
             raise ValueError(
                 f"trainer kind mismatch: checkpoint has {meta['kind']}, "
                 f"got {type(trainer).__name__}")
+        want = _sharding(trainer)
+        got = {key: meta[key] for key in want}
+        if got != want:
+            raise ValueError(f"trainer shard mismatch: checkpoint holds "
+                             f"{got}, got {want}")
         trainer.step_count = int(meta["step_count"])
         trainer.skipped_steps = int(meta["skipped_steps"])
         _restore_scaler(trainer.scaler, meta["scaler"])
@@ -161,6 +175,5 @@ def load_trainer(trainer: TrainerBase, path: _PathLike) -> None:
                 trainer.m[i][...] = data[f"__m/{p.name}"]
                 trainer.v[i][...] = data[f"__v/{p.name}"]
                 key = f"__master/{p.name}"
-                if getattr(trainer, "masters", None) is not None \
-                        and key in data.files:
+                if trainer.masters is not None and key in data.files:
                     trainer.masters[i][...] = data[key]

@@ -12,6 +12,9 @@
   contiguous workspace, re-links the model's Parameters as views (symbolic
   tensor link), and updates the whole model with ONE fused kernel doing
   on-the-fly FP16↔FP32 conversion.  No masters, no per-tensor launches.
+  ZeRO-1 is the same trainer owning one shard of the workspace.  The
+  workspace is also the data-parallel all-reduce buffer
+  (:meth:`~TrainerBase.flat_grad`): the ring reduces FP32 grads in place.
 
 All trainers share :func:`adam_math`/:func:`sgd_math`, so FP32 parameter
 trajectories are bit-identical and FP16 trajectories differ only by storage
@@ -38,6 +41,7 @@ from ..backend.kernels.optimizer import (adam_update_apex, adam_update_fp32_naiv
 from ..backend.workspace import Workspace, build_workspace
 from ..layers.base import Layer, Parameter
 from ..obs.spans import span
+from ..sim.comm import shard_bounds
 from .optimizers import OptimizerSpec
 
 
@@ -74,6 +78,23 @@ class TrainerBase:
 
     def zero_grad(self) -> None:
         raise NotImplementedError
+
+    # -- the data-parallel all-reduce buffer -----------------------------------
+
+    def flat_grad(self) -> np.ndarray:
+        """The gradient as one flat FP32 buffer for the ring all-reduce —
+        per tensor, a gathered copy (DDP's flat bucket)."""
+        return np.concatenate([p.grad.astype(np.float32).reshape(-1)
+                               for p in self.params])
+
+    def load_flat_grad(self, flat: np.ndarray) -> None:
+        """Scatter a reduced :meth:`flat_grad` buffer back into the grads."""
+        off = 0
+        for p in self.params:
+            n = p.size
+            p.grad[...] = flat[off:off + n].reshape(p.shape).astype(
+                p.grad.dtype)
+            off += n
 
     def step(self, lr: Optional[float] = None, grad_scale: float = 1.0,
              overflow_override: Optional[bool] = None) -> bool:
@@ -169,7 +190,7 @@ class NaiveMPTrainer(TrainerBase):
         return masters_and_fp32_grads + 8 * n
 
 
-class ApexLikeTrainer(TrainerBase):
+class ApexLikeTrainer(NaiveMPTrainer):
     """Apex FusedAdam baseline: multi-tensor kernels, FP32 masters kept."""
 
     def __init__(self, model: Layer, spec: OptimizerSpec,
@@ -177,19 +198,8 @@ class ApexLikeTrainer(TrainerBase):
         if spec.kind != "adam":
             raise ValueError("apex-like trainer implements FusedAdam only")
         super().__init__(model, spec, scaler)
-        self.params: List[Parameter] = list(model.parameters())
-        self.fp16 = any(p.fp16 for p in self.params)
-        self.masters = [p.data.astype(np.float32) for p in self.params]
-        self.m = [np.zeros(p.shape, dtype=np.float32) for p in self.params]
-        self.v = [np.zeros(p.shape, dtype=np.float32) for p in self.params]
-
-    def _grads(self) -> Sequence[np.ndarray]:
-        return [p.grad for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad[...] = 0
-            record("zero_grad", 0, p.grad.size, fp16=p.fp16)
+        if self.masters is None:           # FP32 mode keeps masters too
+            self.masters = [p.data.astype(np.float32) for p in self.params]
 
     def _apply(self, lr: float, grad_scale: float) -> None:
         hp = self.spec.adam_hparams(lr)
@@ -224,73 +234,17 @@ class ApexLikeTrainer(TrainerBase):
                              self.masters, self.m, self.v, self.step_count,
                              hp, grad_scale=grad_scale)
 
-    def extra_state_bytes(self) -> int:
-        n = sum(p.size for p in self.params)
-        masters_and_fp32_grads = 8 * n if self.fp16 else 0
-        return masters_and_fp32_grads + 8 * n   # + m/v
-
 
 class LSFusedTrainer(TrainerBase):
-    """LightSeq2 trainer: workspace + symbolic link + one fused kernel."""
+    """LightSeq2 trainer: workspace + symbolic link + one fused kernel.
 
-    def __init__(self, model: Layer, spec: OptimizerSpec,
-                 scaler: Optional[object] = None):
-        super().__init__(model, spec, scaler)
-        params = list(model.parameters())
-        self.fp16 = any(p.fp16 for p in params)
-        # one-time copy into the workspace, then re-link every Parameter
-        self.workspace: Workspace = build_workspace(
-            [(p.name, p.data) for p in params], fp16=self.fp16)
-        for p in params:
-            p.link(self.workspace.param_view(p.name),
-                   self.workspace.grad_view(p.name))
-        self.params = params
-        n = self.workspace.total_elems
-        self.m = np.zeros(n, dtype=np.float32)
-        self.v = np.zeros(n, dtype=np.float32)
-
-    def _grads(self) -> Sequence[np.ndarray]:
-        return [self.workspace.grads]      # ONE overflow check, not hundreds
-
-    def named_grads(self):
-        """Walk the contiguous grad slab — zero-copy views per layer."""
-        return self.workspace.named_grad_views()
-
-    def named_params(self):
-        return self.workspace.named_param_views()
-
-    def zero_grad(self) -> None:
-        self.workspace.zero_grad()         # single memset launch
-
-    def _apply(self, lr: float, grad_scale: float) -> None:
-        hp = self.spec.adam_hparams(lr)
-        if self.spec.kind == "adam":
-            adam_update_ls_fused(self.workspace.params, self.workspace.grads,
-                                 self.m, self.v, self.step_count, hp,
-                                 fp16=self.fp16, grad_scale=grad_scale)
-        else:
-            g = self.workspace.grads
-            if grad_scale != 1.0:
-                g = (g.astype(np.float32) * grad_scale).astype(g.dtype)
-            sgd_update_ls_fused(self.workspace.params, g, self.m, lr,
-                                self.spec.momentum, self.spec.weight_decay,
-                                fp16=self.fp16)
-
-    def extra_state_bytes(self) -> int:
-        """No masters, no FP32 grads — only Adam m/v (Fig. 7 right)."""
-        return 8 * self.workspace.total_elems
-
-
-class ZeRO1ShardedTrainer(LSFusedTrainer):
-    """ZeRO stage-1 over the LightSeq2 workspace: shard the optimizer.
-
-    Each replica owns one contiguous shard of the flat workspace — the
-    ring chunk ``shard_bounds(n, world_size, rank)``, so a ring
-    reduce-scatter deposits exactly this replica's reduced gradient shard
-    in place.  Only the shard's Adam ``m``/``v`` are allocated
-    (``(world_size-1)/world_size`` of the optimizer state is gone), the
-    fused update runs on the shard views only, and the driver all-gathers
-    updated parameters afterwards.
+    ZeRO stage-1: replica ``rank`` owns the ring chunk
+    ``shard_bounds(n, world_size, rank)`` of the flat workspace, so a ring
+    reduce-scatter deposits exactly its reduced gradient shard in place.
+    Only the shard's Adam ``m``/``v`` are allocated (``(world_size-1)/
+    world_size`` of the optimizer state is gone), the fused update runs on
+    the shard views only, and ``DataParallel`` all-gathers updated
+    parameters afterwards.  The unsharded trainer is the world-1 shard.
 
     Because :func:`adam_update_ls_fused` is purely elementwise, updating a
     slice with sliced state is bitwise identical to slicing the full
@@ -305,7 +259,15 @@ class ZeRO1ShardedTrainer(LSFusedTrainer):
             raise ValueError(f"rank {rank} out of range for world_size "
                              f"{world_size}")
         super().__init__(model, spec, scaler)
-        from ..sim.comm import shard_bounds
+        params = list(model.parameters())
+        self.fp16 = any(p.fp16 for p in params)
+        # one-time copy into the workspace, then re-link every Parameter
+        self.workspace: Workspace = build_workspace(
+            [(p.name, p.data) for p in params], fp16=self.fp16)
+        for p in params:
+            p.link(self.workspace.param_view(p.name),
+                   self.workspace.grad_view(p.name))
+        self.params = params
         self.rank = rank
         self.world_size = world_size
         self.shard = shard_bounds(self.workspace.total_elems, world_size,
@@ -316,7 +278,26 @@ class ZeRO1ShardedTrainer(LSFusedTrainer):
 
     def _grads(self) -> Sequence[np.ndarray]:
         lo, hi = self.shard
-        return [self.workspace.grads[lo:hi]]   # local overflow check: shard
+        return [self.workspace.grads[lo:hi]]   # ONE check: the owned shard
+
+    def flat_grad(self) -> np.ndarray:
+        """The FP32 workspace itself (reduced in place); FP16 widened once."""
+        grads = self.workspace.grads
+        return grads if not self.fp16 else grads.astype(np.float32)
+
+    def load_flat_grad(self, flat: np.ndarray) -> None:
+        if flat is not self.workspace.grads:
+            self.workspace.grads[...] = flat   # one narrowing cast
+
+    def named_grads(self):
+        """Walk the contiguous grad slab — zero-copy views per layer."""
+        return self.workspace.named_grad_views()
+
+    def named_params(self):
+        return self.workspace.named_param_views()
+
+    def zero_grad(self) -> None:
+        self.workspace.zero_grad()         # single memset launch
 
     def _apply(self, lr: float, grad_scale: float) -> None:
         lo, hi = self.shard
@@ -335,21 +316,22 @@ class ZeRO1ShardedTrainer(LSFusedTrainer):
                                 self.spec.weight_decay, fp16=self.fp16)
 
     def extra_state_bytes(self) -> int:
-        """Adam m/v for the owned shard only — the ZeRO-1 saving."""
-        lo, hi = self.shard
-        return 8 * (hi - lo)
+        """No masters, no FP32 grads — only the owned shard's Adam m/v
+        (Fig. 7 right; the ZeRO-1 saving)."""
+        return 8 * self.m.size
 
 
 def make_trainer(kind: str, model: Layer, spec: OptimizerSpec,
                  scaler: Optional[object] = None, **kwargs) -> TrainerBase:
     """Factory: "naive" | "apex" | "lightseq" | "zero1".
 
-    ``zero1`` accepts ``rank``/``world_size`` keyword arguments.
+    ``zero1`` names the sharded :class:`LSFusedTrainer`; it and
+    ``lightseq`` accept ``rank``/``world_size`` keyword arguments.
     """
     cls = {"naive": NaiveMPTrainer, "apex": ApexLikeTrainer,
-           "lightseq": LSFusedTrainer, "zero1": ZeRO1ShardedTrainer}.get(kind)
+           "lightseq": LSFusedTrainer, "zero1": LSFusedTrainer}.get(kind)
     if cls is None:
         raise ValueError(f"unknown trainer kind {kind!r}")
-    if kwargs and cls is not ZeRO1ShardedTrainer:
+    if kwargs and cls is not LSFusedTrainer:
         raise ValueError(f"trainer kind {kind!r} takes no extra arguments")
     return cls(model, spec, scaler, **kwargs)

@@ -1,4 +1,4 @@
-"""``python -m repro.obs <subcommand>``: one dispatcher, five loud redirects."""
+"""``python -m repro.obs <subcommand>``: one dispatcher, four loud redirects."""
 
 import os
 import subprocess
@@ -31,8 +31,8 @@ def test_front_door_usage(capsys):
 
 
 @pytest.mark.parametrize("old, new", [
-    ("summarize", "compare"), ("trajectory", "trajectory"),
-    ("health", "health"), ("profile", "profile"), ("memory", "memory")])
+    ("trajectory", "trajectory"), ("health", "health"),
+    ("profile", "profile"), ("memory", "memory")])
 def test_old_module_spelling_redirects_loudly(old, new):
     """A gate still spelling ``python -m repro.obs.<module>`` must fail,
     not exit 0 having checked nothing."""
@@ -41,3 +41,13 @@ def test_old_module_spelling_redirects_loudly(old, new):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert done.returncode != 0
     assert f"moved: python -m repro.obs {new}" in done.stderr
+
+
+def test_removed_summarize_module_fails():
+    """``repro.obs.summarize`` is gone (``python -m repro.obs compare``
+    replaced it); a gate still spelling it must fail, not exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.obs.summarize", "x.json"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert done.returncode != 0
+    assert "No module named repro.obs.summarize" in done.stderr

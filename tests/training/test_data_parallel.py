@@ -131,14 +131,67 @@ def test_sync_gradients_averages(cfg, rng):
             np.testing.assert_allclose(np.asarray(p.grad), 1.5, atol=1e-6)
 
 
-def test_sync_seconds_positive(cfg):
-    from repro.sim.gpu_specs import V100
-    dp = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
-                      "naive", OptimizerSpec())
-    assert dp.sync_seconds(V100) > 0
-    dp1 = DataParallel(lambda: TransformerModel(cfg, seed=5), 1,
-                       "naive", OptimizerSpec())
-    assert dp1.sync_seconds(V100) == 0.0
+#: sync modes of the cross-path test; "naive" cannot shard, so its ZeRO-1
+#: reference is the plain all-reduce (the reduce-scatter shares its exact
+#: reduction schedule, so every owned shard must match it bitwise)
+SYNC_MODES = {
+    "plain": {},
+    "overlap": {"overlap_grad_sync": True, "bucket_bytes": 4096},
+    "zero1": {"zero1": True},
+    "compress": {"compress_gradients": True},
+}
+
+
+@pytest.mark.parametrize("fp16", [False, True], ids=["fp32", "fp16"])
+@pytest.mark.parametrize("mode", sorted(SYNC_MODES))
+def test_inplace_sync_matches_gathered_copy(cfg, rng, monkeypatch, mode,
+                                            fp16):
+    """The workspace trainer's in-place sync == the per-tensor trainer's
+    gather/scatter sync, bit for bit; in FP32 the ring reduces the
+    workspace itself."""
+    from repro.training import data_parallel as dp_mod
+    c = cfg.with_overrides(fp16=fp16)
+    opts = SYNC_MODES[mode]
+    ls = DataParallel(lambda: TransformerModel(c, seed=5), 2, "lightseq",
+                      OptimizerSpec(), **opts)
+    ref = DataParallel(lambda: TransformerModel(c, seed=5), 2, "naive",
+                       OptimizerSpec(),
+                       **{k: v for k, v in opts.items() if k != "zero1"})
+    shards = shard_batch(list(_batch(rng)), 2)
+    for dp in (ls, ref):
+        for trainer in dp.trainers:
+            trainer.zero_grad()
+        for model, shard in zip(dp.replicas, shards):
+            model.forward(*shard)
+            model.backward()
+
+    reduced = []
+    for name in ("ring_allreduce", "ring_reduce_scatter",
+                 "compressed_ring_allreduce"):
+        def spy(buffers, *args, _op=getattr(dp_mod, name), **kwargs):
+            reduced.append(list(buffers))
+            return _op(buffers, *args, **kwargs)
+        monkeypatch.setattr(dp_mod, name, spy)
+    ls.sync_gradients()
+    monkeypatch.undo()
+    ref.sync_gradients()
+
+    assert reduced
+    if not fp16:
+        for buffers in reduced:
+            for r, buf in enumerate(buffers):
+                assert np.shares_memory(buf, ls.trainers[r].workspace.grads)
+    for r in range(2):
+        got = np.concatenate([p.grad.reshape(-1)
+                              for p in ls.replicas[r].parameters()])
+        want = np.concatenate([p.grad.reshape(-1)
+                               for p in ref.replicas[r].parameters()])
+        assert got.dtype == want.dtype == (np.float16 if fp16
+                                           else np.float32)
+        lo, hi = ls.trainers[r].shard
+        assert np.array_equal(got[lo:hi], want[lo:hi])
+        if mode != "zero1":
+            assert (lo, hi) == (0, got.size)
 
 
 def test_wrong_shard_count(cfg, rng):

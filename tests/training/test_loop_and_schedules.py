@@ -93,4 +93,3 @@ class TestOptimizerSpec:
         spec = OptimizerSpec(lr=1.0, beta2=0.95)
         hp = spec.adam_hparams(lr=0.5)
         assert hp.lr == 0.5 and hp.beta2 == 0.95
-        assert spec.with_lr(0.1).lr == 0.1

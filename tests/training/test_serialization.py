@@ -175,3 +175,51 @@ class TestSchemaStamp:
         load_model(m2, buf)
         for pa, pb in zip(m.parameters(), m2.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+
+class TestShardStamp:
+    """A ZeRO-1 trainer's moments cover one shard: the file names it, and
+    a trainer owning another shard refuses it."""
+
+    @staticmethod
+    def _trained_dp(cfg):
+        from repro.training import DataParallel, shard_batch
+        dp = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
+                          "lightseq", OptimizerSpec(lr=1e-3), zero1=True)
+        for s in range(2):
+            dp.train_step(shard_batch(list(_batch(s, b=4)), 2))
+        return dp
+
+    def test_other_rank_rejected(self, cfg, tmp_path):
+        dp = self._trained_dp(cfg)
+        save_trainer(dp.trainers[1], tmp_path / "t.npz")
+        rank0 = make_trainer("zero1", TransformerModel(cfg, seed=5),
+                             OptimizerSpec(lr=1e-3), rank=0, world_size=2)
+        with pytest.raises(ValueError, match="shard mismatch"):
+            load_trainer(rank0, tmp_path / "t.npz")
+        assert rank0.step_count == 0 and not rank0.m.any()
+
+    def test_sharded_into_unsharded_rejected(self, cfg, tmp_path):
+        dp = self._trained_dp(cfg)
+        save_trainer(dp.trainers[0], tmp_path / "t.npz")
+        whole = make_trainer("lightseq", TransformerModel(cfg, seed=5),
+                             OptimizerSpec(lr=1e-3))
+        with pytest.raises(ValueError, match="shard mismatch"):
+            load_trainer(whole, tmp_path / "t.npz")
+
+    def test_rank0_world2_round_trip(self, cfg, tmp_path):
+        """The benchmark's resume check: rank 0 of world 2 restores into a
+        fresh rank-0/world-2 twin bit for bit."""
+        dp = self._trained_dp(cfg)
+        store = CheckpointStore(tmp_path)
+        store.save(dp.replicas[0], dp.trainers[0], step=2)
+        model = TransformerModel(cfg, seed=9)
+        twin = make_trainer("zero1", model, OptimizerSpec(lr=1e-3), rank=0,
+                            world_size=2)
+        assert store.resume_auto(model, twin) is not None
+        ref = dp.trainers[0]
+        assert twin.shard == ref.shard and twin.step_count == 2
+        assert np.array_equal(twin.m, ref.m)
+        assert np.array_equal(twin.v, ref.v)
+        for a, b in zip(model.parameters(), dp.replicas[0].parameters()):
+            assert np.array_equal(a.data, b.data)
