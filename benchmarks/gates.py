@@ -141,14 +141,16 @@ GATES = {
     ],
     # the memory report's timeline peak is bitwise the arena's reserved
     # high-water mark, the what-if capacity engine reproduces the measured
-    # fused-OOMs-where-tiled-trains boundary of the flash baseline, tracing
+    # fused-OOMs-where-tiled-trains boundary of the flash baseline (and
+    # re-packs the recorded plans on tiled shapes), tracing
     # stays under 3% of an arena step, and memory feeds the trajectory.
     "memory": [
         TRAIN + ["--task", "gpt", "--steps", "3", "--max-tokens", "256",
                  "--log-interval", "1",
                  "--memory-out", "{records}/step.memory.json"],
         OBS + ["memory", "{records}/step.memory.json", "--check",
-               "--whatif", "seq_len=2048", "--whatif", "batch=8"],
+               "--whatif", "seq_len=2048", "--whatif", "batch=8",
+               "--whatif", "seq_len=2048,attn_impl=tiled"],
         PYTEST + ["tests/obs/test_memory.py::TestBitwisePeak",
                   "tests/obs/test_memory.py::TestReportRoundTrip",
                   "tests/obs/test_memory.py::TestCapacityProjection"],

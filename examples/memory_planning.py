@@ -5,20 +5,21 @@
    lifetime-sharing offset planner and compares against the unshared
    layout (the 9BLH + BL²N -> 3BLH + max(3BLH, BL²N) saving).
 2. Replays a variable-length batch stream through the PyTorch-style
-   caching allocator vs LightSeq2's scan-and-reserve discipline and
-   prints the Fig.-16 growth curves.
+   caching allocator (the Fig.-16 model in ``repro.sim.utilization``) vs
+   LightSeq2's scan-and-reserve discipline, whose reservation is the
+   block-rounded maximum step, and prints the Fig.-16 growth curves.
 
 Run:  python examples/memory_planning.py
 """
 
 import numpy as np
 
-from repro.backend.allocator import (CachingAllocator, StaticPlanAllocator,
-                                     attention_backward_specs, plan_offsets,
-                                     validate_plan)
+from repro.backend.allocator import (attention_backward_specs, plan_offsets,
+                                     round_block, validate_plan)
 from repro.config import get_config
 from repro.data import SyntheticTranslationCorpus, batch_by_tokens
 from repro.models import activation_bytes
+from repro.sim.utilization import CachingAllocator
 
 
 def fig8_demo() -> None:
@@ -45,10 +46,8 @@ def fig16_demo() -> None:
     batches = batch_by_tokens(corpus.sample(3000), 2048, shuffle_seed=5)
 
     caching = CachingAllocator()
-    static = StaticPlanAllocator()
-    bound = max(activation_bytes(cfg, b.batch_size, b.max_len)
-                for b in batches)
-    static.reserve(bound)                  # the §3.3 corpus scan
+    static = round_block(max(activation_bytes(cfg, b.batch_size, b.max_len)
+                             for b in batches))   # the §3.3 corpus scan
 
     print("Fig. 16 — reserved temporary memory over a training run:")
     print(f"  {'step':>6} {'caching (PyTorch)':>20} {'static (LS2)':>14}")
@@ -60,11 +59,9 @@ def fig16_demo() -> None:
         caching.free(blk)
         if caching.reserved_bytes > before:
             growth_events += 1
-        static.reset()
-        static.free(static.alloc(need))
         if i % max(1, len(batches) // 8) == 0 or i == len(batches) - 1:
             print(f"  {i:>6} {caching.reserved_bytes / 1e6:>17.1f} MB"
-                  f" {static.reserved_bytes / 1e6:>11.1f} MB")
+                  f" {static / 1e6:>11.1f} MB")
     print(f"\n  caching allocator grew {growth_events} times mid-run "
           f"(each one a cudaMalloc stall); the static slab never moved.")
 

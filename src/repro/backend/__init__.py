@@ -1,4 +1,4 @@
-"""Execution substrate: simulated device, kernels, allocators, workspace.
+"""Execution substrate: simulated device, kernels, activation arena, workspace.
 
 See DESIGN.md §2 for how this substitutes for the paper's CUDA layer.
 """

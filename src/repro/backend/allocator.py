@@ -1,29 +1,35 @@
-"""GPU memory allocators — §3.3 and the Fig. 8/16 experiments.
+"""Static-allocation primitives — §3.3 and Fig. 8.
 
-Two allocation disciplines, matching the systems compared in the paper:
+LightSeq2 scans the training set for the maximum temporary footprint,
+reserves it *once*, and bump-allocates inside that slab for every batch.
+:class:`~repro.backend.arena.ActivationArena` is that allocator; this
+module holds the pieces it is built from:
 
-* :class:`CachingAllocator` — the PyTorch CUDA caching allocator's observable
-  behaviour: blocks are requested on demand, freed blocks are cached for
-  reuse, and the *reserved* footprint only ever grows.  When a batch with a
-  longer sequence arrives, no cached block fits and the pool grows — which is
-  exactly why Fig. 16's PyTorch curve climbs stepwise during training.
-* :class:`StaticPlanAllocator` — LightSeq2's discipline: scan the training
-  set for the maximum temporary footprint, reserve it *once* before training,
-  then bump-allocate inside the slab for every batch at zero cost.
-
-:func:`plan_offsets` is the lifetime-sharing planner behind Fig. 8: tensors
-whose lifetimes do not overlap may share the same offset range, reducing the
-self-attention backward footprint from ``9*B*L*H + B*L^2*N`` to
-``3*B*L*H + max(3*B*L*H, B*L^2*N)``.
+* :func:`round_block` — the allocator's block rounding, shared with the
+  Fig.-16 caching-allocator model in :mod:`repro.sim.utilization`;
+* :func:`plan_offsets` — the lifetime-sharing planner behind Fig. 8:
+  tensors whose lifetimes do not overlap may share the same offset range,
+  reducing the self-attention backward footprint from ``9*B*L*H + B*L^2*N``
+  to ``3*B*L*H + max(3*B*L*H, B*L^2*N)``;
+* :func:`pack_plan` — the one place a set of named, shaped tensors is
+  packed into a plan block, used by the arena and by the memory
+  observatory's what-if projection alike.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .device import Device, current_device
+import numpy as np
+
+#: per-tensor alignment inside a lifetime-sharing plan block, so dtype views
+#: at plan offsets are always aligned regardless of neighbouring tensors.
+PLAN_ALIGN = 64
+
+#: a plan entry: (name, shape, dtype, lifetime_start, lifetime_end).
+PlanEntry = Tuple[str, Tuple[int, ...], np.dtype, int, int]
 
 
 def round_block(nbytes: int) -> int:
@@ -35,113 +41,6 @@ def round_block(nbytes: int) -> int:
     else:
         g = 2 << 20
     return (nbytes + g - 1) // g * g
-
-
-@dataclass
-class Block:
-    """A live allocation handle."""
-
-    nbytes: int
-    offset: int = -1   # slab offset for static allocations; -1 = caching
-    freed: bool = False
-
-
-class CachingAllocator:
-    """PyTorch-caching-allocator model: best-fit reuse, monotone reserve."""
-
-    def __init__(self, device: Optional[Device] = None):
-        self._device = device
-        self._free: List[int] = []            # sorted cached block sizes
-        self.reserved_bytes = 0
-        self.allocated_bytes = 0
-        self.peak_allocated = 0
-        self.alloc_calls = 0                  # cudaMalloc count (slow path)
-        self.cache_hits = 0
-
-    def _dev(self) -> Device:
-        return self._device if self._device is not None else current_device()
-
-    def alloc(self, nbytes: int) -> Block:
-        size = round_block(nbytes)
-        i = bisect.bisect_left(self._free, size)
-        if i < len(self._free):
-            size = self._free.pop(i)          # best-fit cached block
-            self.cache_hits += 1
-        else:
-            self.reserved_bytes += size       # cudaMalloc: pool grows
-            self.alloc_calls += 1
-        self.allocated_bytes += size
-        self.peak_allocated = max(self.peak_allocated, self.allocated_bytes)
-        self._dev().record_memory("alloc", size, self.reserved_bytes)
-        return Block(nbytes=size)
-
-    def free(self, block: Block) -> None:
-        if block.freed:
-            raise ValueError("double free")
-        block.freed = True
-        self.allocated_bytes -= block.nbytes
-        bisect.insort(self._free, block.nbytes)
-        self._dev().record_memory("free", block.nbytes, self.reserved_bytes)
-
-
-class StaticPlanAllocator:
-    """LightSeq2 discipline: reserve the corpus maximum once, bump per batch."""
-
-    def __init__(self, device: Optional[Device] = None):
-        self._device = device
-        self.reserved_bytes = 0
-        self._cursor = 0
-        self.peak_cursor = 0
-        #: bytes the current batch *wanted*, including requests that did not
-        #: fit — the quantity a dry-run shape scan records so the next
-        #: reservation covers the corpus maximum.
-        self.demand = 0
-        self.peak_demand = 0
-
-    def _dev(self) -> Device:
-        return self._device if self._device is not None else current_device()
-
-    def reserve(self, nbytes: int) -> None:
-        """One-time up-front reservation (before training starts)."""
-        if self.reserved_bytes:
-            raise RuntimeError("static slab already reserved")
-        self.reserved_bytes = round_block(nbytes)
-        self._dev().record_memory("reserve", self.reserved_bytes,
-                                  self.reserved_bytes)
-
-    def try_alloc(self, nbytes: int) -> Optional[Block]:
-        """Bump-allocate inside the slab, or return None if it does not fit.
-
-        Demand is recorded either way, so a scan pass (empty or undersized
-        slab) still measures the batch's true footprint.
-        """
-        size = round_block(nbytes)
-        self.demand += size
-        self.peak_demand = max(self.peak_demand, self.demand)
-        if self._cursor + size > self.reserved_bytes:
-            return None
-        blk = Block(nbytes=size, offset=self._cursor)
-        self._cursor += size
-        self.peak_cursor = max(self.peak_cursor, self._cursor)
-        return blk
-
-    def alloc(self, nbytes: int) -> Block:
-        """Bump-allocate inside the slab; free is a no-op (reset per batch)."""
-        blk = self.try_alloc(nbytes)
-        if blk is None:
-            raise MemoryError(
-                f"static slab exhausted: need {self.demand} of "
-                f"{self.reserved_bytes} reserved bytes — the corpus scan "
-                f"under-estimated the maximum batch footprint")
-        return blk
-
-    def free(self, block: Block) -> None:
-        block.freed = True                    # no-op: slab is reset per batch
-
-    def reset(self) -> None:
-        """Rewind the bump cursor at the start of each batch."""
-        self._cursor = 0
-        self.demand = 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +98,24 @@ def plan_offsets(specs: List[TensorSpec]) -> Tuple[Dict[str, int], int]:
         placed.append((s, pos))
         total = max(total, pos + s.nbytes)
     return offsets, total
+
+
+def pack_plan(entries: Sequence[PlanEntry]
+              ) -> Tuple[Dict[str, int], int, int]:
+    """Pack named tensors with half-open lifetimes into one plan block.
+
+    Each tensor is padded to :data:`PLAN_ALIGN` and placed by
+    :func:`plan_offsets`.  Returns ``(offsets by name, shared total,
+    naive total)``; the naive total is the no-sharing footprint (the sum
+    of the aligned tensors), so callers can report the Fig.-8 saving.
+    """
+    specs: List[TensorSpec] = []
+    for name, shape, dtype, start, end in entries:
+        nb = math.prod(int(s) for s in shape) * np.dtype(dtype).itemsize
+        nb = (nb + PLAN_ALIGN - 1) // PLAN_ALIGN * PLAN_ALIGN
+        specs.append(TensorSpec(name, max(nb, PLAN_ALIGN), start, end))
+    offsets, total = plan_offsets(specs)
+    return offsets, total, sum(s.nbytes for s in specs)
 
 
 def validate_plan(specs: List[TensorSpec], offsets: Dict[str, int]) -> None:

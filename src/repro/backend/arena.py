@@ -1,14 +1,12 @@
-"""Activation arena — §3.3 made real on the numpy substrate.
+"""Activation arena — §3.3's static allocator, made real on the numpy substrate.
 
-:class:`~repro.backend.allocator.StaticPlanAllocator` and
-:func:`~repro.backend.allocator.plan_offsets` model the paper's memory
-manager; this module wires that discipline into *actual execution*: an
-:class:`ActivationArena` owns one byte slab, reserved once at the maximum
-per-step footprint observed during a dry-run shape scan (the paper's corpus
-scan), and every kernel output in a training step is bump-allocated as a
-view into that slab.  After warm-up a step performs **zero** numpy buffer
-allocations for kernel outputs — the churn the PyTorch caching allocator
-pays on every batch (Fig. 16) disappears.
+An :class:`ActivationArena` is the repo's one memory manager: it owns one
+byte slab, reserved once at the maximum per-step footprint observed during
+a dry-run shape scan (the paper's corpus scan), and every kernel output in
+a training step is bump-allocated as a view into that slab.  After warm-up
+a step performs **zero** numpy buffer allocations for kernel outputs — the
+churn the PyTorch caching allocator pays on every batch (Fig. 16)
+disappears.
 
 Life cycle::
 
@@ -19,7 +17,7 @@ Life cycle::
             model.forward_backward(batch)
 
 * **Step 1 is the scan**: the slab does not exist yet, so every request
-  falls back to a fresh allocation (an *arena miss*) while the allocator
+  falls back to a fresh allocation (an *arena miss*) while the arena
   records the total demand.  ``step()`` then reserves the slab at that
   maximum before step 2 — all hits from then on.
 * **Re-reservation**: if a later batch is larger than anything scanned, its
@@ -27,8 +25,9 @@ Life cycle::
   re-reserved at the new maximum on the next ``step()`` — the same policy
   LightSeq2 applies when the corpus scan under-estimates.
 * **Lifetime sharing**: :meth:`request_plan` packs a set of named tensors
-  with known lifetimes via :func:`plan_offsets`, so disjoint-lifetime
-  tensors share slab offsets — the Fig. 8 attention-backward plan, used by
+  with known lifetimes via :func:`~repro.backend.allocator.pack_plan`, so
+  disjoint-lifetime tensors share slab offsets — the Fig. 8
+  attention-backward plan, used by
   :meth:`repro.layers.attention.MultiHeadAttention.backward`.
 
 Kernels reach the arena through :func:`current_arena` (installed by
@@ -42,22 +41,13 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocator import StaticPlanAllocator, TensorSpec, plan_offsets
+from .allocator import PlanEntry, pack_plan, round_block
 from .ambient import RECORDERS, Slot
-from .device import Device
 from .profiler import begin_alloc_step, count_arena_hit, count_arena_miss
-
-#: per-tensor alignment inside a lifetime-sharing plan block, so dtype views
-#: at plan offsets are always aligned regardless of neighbouring tensors.
-_PLAN_ALIGN = 64
-
-#: a plan entry: (name, shape, dtype, lifetime_start, lifetime_end).
-PlanEntry = Tuple[str, Tuple[int, ...], np.dtype, int, int]
-
 
 def _nbytes(shape: Sequence[int], dtype) -> int:
     n = 1
@@ -157,13 +147,16 @@ class ActivationArena:
     keeps the historical unbounded behaviour.
     """
 
-    def __init__(self, device: Optional[Device] = None, *,
-                 max_bytes: Optional[int] = None):
-        self._device = device
+    def __init__(self, *, max_bytes: Optional[int] = None):
         self.max_bytes = max_bytes
-        # zero-capacity allocator: every request misses but demand is still
-        # recorded, so the first step doubles as the dry-run shape scan
-        self._alloc = StaticPlanAllocator(device)
+        # zero capacity: every request misses but demand is still recorded,
+        # so the first step doubles as the dry-run shape scan
+        self._capacity = 0
+        #: bump cursor: slab bytes handed out to this step's hits.
+        self._cursor = 0
+        #: bytes this step *wanted*, including requests that did not fit —
+        #: what the next reservation must cover.
+        self._demand = 0
         self._slab: Optional[np.ndarray] = None
         #: demand carried across steps: next reservation must cover the max.
         self._peak_demand = 0
@@ -180,12 +173,12 @@ class ActivationArena:
     @property
     def capacity(self) -> int:
         """Currently reserved slab bytes (0 before the first scan step)."""
-        return self._alloc.reserved_bytes
+        return self._capacity
 
     @property
     def demand(self) -> int:
         """Bytes the current step has requested so far (hits + misses)."""
-        return self._alloc.demand
+        return self._demand
 
     @property
     def peak_demand(self) -> int:
@@ -193,7 +186,7 @@ class ActivationArena:
         step.  Once :meth:`begin_step` has folded the maximum step in,
         ``round_block(peak_demand) == capacity`` — the bitwise invariant
         the memory observatory asserts."""
-        return max(self._peak_demand, self._alloc.peak_demand)
+        return max(self._peak_demand, self._demand)
 
     @property
     def warmed_up(self) -> bool:
@@ -203,8 +196,6 @@ class ActivationArena:
     # -- reservation / step cycle -------------------------------------------
 
     def _reserve(self, nbytes: int) -> None:
-        # a re-reservation is a teardown + fresh reserve: the allocator
-        # keeps its one-shot reserve semantics (and records the mem event).
         # span import is deferred: backend.kernels imports this module
         # during package init, before repro.obs can finish loading.
         from ..obs.spans import span
@@ -216,15 +207,14 @@ class ActivationArena:
                 f"reservation {self.capacity:,} bytes"
                 + (f", requested at {site}" if site else "") + ")",
                 requested=nbytes, budget=self.max_bytes,
-                demand=self._alloc.demand, capacity=self.capacity,
+                demand=self._demand, capacity=self.capacity,
                 site=site)
             for t in MEMORY_TRACERS.stack:
                 t.on_oom(self, exc)
             raise exc
         with span("arena/reserve"):
-            self._alloc = StaticPlanAllocator(self._device)
-            self._alloc.reserve(nbytes)
-            self._slab = np.empty(self._alloc.reserved_bytes, dtype=np.uint8)
+            self._capacity = round_block(nbytes)
+            self._slab = np.empty(self._capacity, dtype=np.uint8)
             self.reservations += 1
             self.generation += 1
         for t in MEMORY_TRACERS.stack:
@@ -232,10 +222,11 @@ class ActivationArena:
 
     def begin_step(self) -> None:
         """Start a step: rewind the bump cursor, re-reserving on growth."""
-        self._peak_demand = max(self._peak_demand, self._alloc.peak_demand)
+        self._peak_demand = max(self._peak_demand, self._demand)
         if self._peak_demand > self.capacity:
             self._reserve(self._peak_demand)
-        self._alloc.reset()
+        self._cursor = 0
+        self._demand = 0
         begin_alloc_step()        # new peak_bytes window for the profiler
         self.steps += 1
         for t in MEMORY_TRACERS.stack:
@@ -272,34 +263,40 @@ class ActivationArena:
         if nbytes == 0:
             return np.empty(shape, dtype)
         if (self.max_bytes is not None
-                and self._alloc.demand + nbytes > self.max_bytes):
+                and self._demand + nbytes > self.max_bytes):
             site = current_site()
             exc = ArenaOOM(
                 f"arena OOM: request of {nbytes:,} bytes for {shape} "
                 f"{dtype}" + (f" at {site}" if site else "")
                 + f" pushes step demand to "
-                f"{self._alloc.demand + nbytes:,} bytes, over the "
+                f"{self._demand + nbytes:,} bytes, over the "
                 f"max_bytes budget of {self.max_bytes:,} "
                 f"(current reservation {self.capacity:,} bytes, step "
-                f"demand before the request {self._alloc.demand:,})",
+                f"demand before the request {self._demand:,})",
                 requested=nbytes, budget=self.max_bytes,
-                demand=self._alloc.demand, capacity=self.capacity,
+                demand=self._demand, capacity=self.capacity,
                 site=site, shape=shape, dtype=str(dtype))
             for t in MEMORY_TRACERS.stack:
                 t.on_oom(self, exc)
             raise exc
-        blk = self._alloc.try_alloc(nbytes)
-        if blk is None:
+        # bump inside the slab; demand is recorded hit or miss, so a scan
+        # step (empty or undersized slab) still measures the true footprint
+        size = round_block(nbytes)
+        self._demand += size
+        offset = self._cursor
+        hit = offset + size <= self._capacity
+        if hit:
+            self._cursor += size
+            count_arena_hit(nbytes)
+            view = self._slab[offset:offset + nbytes]
+            out = view.view(dtype).reshape(shape)
+        else:
             count_arena_miss(nbytes)
             out = np.empty(shape, dtype)
-        else:
-            count_arena_hit(nbytes)
-            view = self._slab[blk.offset:blk.offset + nbytes]
-            out = view.view(dtype).reshape(shape)
         if MEMORY_TRACERS.stack:
             for t in MEMORY_TRACERS.stack:
                 t.on_request(self, shape=shape, dtype=dtype, nbytes=nbytes,
-                             hit=blk is not None, demand=self._alloc.demand)
+                             hit=hit, demand=self._demand)
         return out
 
     def request_plan(self, entries: Sequence[PlanEntry]) -> Dict[str, np.ndarray]:
@@ -316,16 +313,9 @@ class ActivationArena:
                     for name, shape, dtype, start, end in entries)
         cached = self._plan_cache.get(key)
         if cached is None:
-            specs: List[TensorSpec] = []
-            for name, shape, dtype, start, end in entries:
-                nb = _nbytes(shape, dtype)
-                nb = (nb + _PLAN_ALIGN - 1) // _PLAN_ALIGN * _PLAN_ALIGN
-                specs.append(TensorSpec(name, max(nb, _PLAN_ALIGN),
-                                        start, end))
-            offsets, total = plan_offsets(specs)
             # the no-sharing footprint (sum of aligned tensors) rides along
             # so the memory observatory can report the Fig.-8 saving
-            cached = (offsets, total, sum(s.nbytes for s in specs))
+            cached = pack_plan(key)
             self._plan_cache[key] = cached
         offsets, total, naive_total = cached
         if MEMORY_TRACERS.stack:

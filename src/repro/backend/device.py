@@ -71,18 +71,8 @@ class KernelLaunch:
         return self.bytes_read + self.bytes_written
 
 
-@dataclass
-class MemoryEvent:
-    """Allocator event for the Fig.-16 memory timeline."""
-
-    kind: str            # "alloc" | "free" | "reserve"
-    nbytes: int
-    reserved_total: int  # allocator-reported reserved bytes after the event
-    step: int = 0
-
-
 class Device:
-    """A simulated GPU accumulating a kernel trace and memory events."""
+    """A simulated GPU accumulating a kernel trace."""
 
     def __init__(self, name: str = "sim0", lib: str = "lightseq2",
                  trace: bool = True):
@@ -92,9 +82,7 @@ class Device:
         self.lib = lib
         self.trace_enabled = trace
         self.launches: List[KernelLaunch] = []
-        self.mem_events: List[MemoryEvent] = []
         self._stage = "forward"
-        self._step = 0
 
     # -- kernel recording ---------------------------------------------------
 
@@ -115,14 +103,7 @@ class Device:
             lib=self.lib,
         ))
 
-    def record_memory(self, kind: str, nbytes: int, reserved_total: int) -> None:
-        if not self.trace_enabled:
-            return
-        self.mem_events.append(
-            MemoryEvent(kind=kind, nbytes=int(nbytes),
-                        reserved_total=int(reserved_total), step=self._step))
-
-    # -- stage / step scoping -----------------------------------------------
+    # -- stage scoping -----------------------------------------------------
 
     @property
     def stage(self) -> str:
@@ -139,17 +120,10 @@ class Device:
         finally:
             self._stage = prev
 
-    def next_step(self) -> int:
-        """Advance the training-step counter used to timestamp mem events."""
-        self._step += 1
-        return self._step
-
     # -- trace management ----------------------------------------------------
 
     def reset(self) -> None:
         self.launches.clear()
-        self.mem_events.clear()
-        self._step = 0
 
     def launch_count(self, stage: Optional[str] = None) -> int:
         if stage is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from .device import STAGES, KernelLaunch
 
@@ -236,43 +236,15 @@ def by_family(trace: Iterable[KernelLaunch]) -> Dict[str, KernelStats]:
 
     The grouping matches the roofline/critical-path attribution in
     :mod:`repro.obs.roofline`: the family comes from
-    :func:`repro.sim.costmodel.kernel_family`, with ``is_gemm`` launches
-    whose name patterns don't say otherwise promoted to ``gemm`` so
-    matmul traffic never hides under ``elementwise``.
+    :func:`repro.sim.costmodel.cost_family`.
     """
     # imported lazily: sim.costmodel imports backend.device, and an eager
     # import here would make backend <-> sim import order load-bearing
-    from ..sim.costmodel import kernel_family
+    from ..sim.costmodel import cost_family
     out: Dict[str, KernelStats] = defaultdict(KernelStats)
     for k in trace:
-        fam = kernel_family(k.name)
-        if k.is_gemm and fam == "elementwise":
-            fam = "gemm"
-        out[fam].add(k)
+        out[cost_family(k)].add(k)
     return dict(out)
-
-
-def split_gemm(trace: Iterable[KernelLaunch]) -> Dict[str, KernelStats]:
-    """Split a trace into GEMM vs non-GEMM aggregates.
-
-    The paper's fusion work targets only non-GEMM kernels (cuBLAS already
-    handles GEMM); this split quantifies how much of the budget that is.
-    """
-    out = {"gemm": KernelStats(), "non_gemm": KernelStats()}
-    for k in trace:
-        out["gemm" if k.is_gemm else "non_gemm"].add(k)
-    return out
-
-
-def format_stage_table(stats: Mapping[str, KernelStats]) -> str:
-    """Human-readable per-stage table (used by examples and benches)."""
-    rows = [f"{'stage':<10}{'launches':>10}{'MB moved':>12}{'GFLOPs':>10}"]
-    for stage in STAGES:
-        s = stats.get(stage, KernelStats())
-        rows.append(
-            f"{stage:<10}{s.launches:>10}"
-            f"{s.bytes_moved / 1e6:>12.2f}{s.flops / 1e9:>10.3f}")
-    return "\n".join(rows)
 
 
 @dataclass

@@ -28,8 +28,8 @@ from ..sim.comm import (bucketed_allreduce_seconds, parameter_server_seconds,
 from ..sim.costmodel import trace_cost
 from ..sim.gpu_specs import A100, V100, GPUSpec
 from ..sim.timeline import StepTimeline, overlap_schedule, step_timeline
-from ..sim.utilization import (StepShape, TrainingRunSimulator,
-                               scan_max_activation_bytes, trace_busy_overhead)
+from ..sim.utilization import (CachingAllocator, StepShape,
+                               TrainingRunSimulator, trace_busy_overhead)
 from .harness import (ExperimentResult, bench_scale, monotone_decreasing,
                       monotone_increasing, relative_spread, within)
 from .tracegen import (SYSTEMS, batch_affine_model, record_launches,
@@ -719,11 +719,9 @@ def _training_run(scale: str, *, base: bool, system: str,
     def act_bytes(b: int, l: int) -> int:
         return activation_bytes(cfg, b, l)
 
-    reserve = scan_max_activation_bytes(shapes, act_bytes) if static else None
     sim = TrainingRunSimulator(
         spec=V100, permanent_bytes=perm, act_bytes_fn=act_bytes,
-        busy_s_fn=busy_s, overhead_s_fn=overhead_s, static=static,
-        static_reserve_bytes=reserve)
+        busy_s_fn=busy_s, overhead_s_fn=overhead_s, static=static)
     return sim.run(shapes)
 
 
@@ -1002,7 +1000,6 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
               f"{ps / ar:.1f}x")
 
     # (d) allocator: caching stalls vs static zero-stall
-    from ..backend.allocator import CachingAllocator, StaticPlanAllocator
     lens = np.clip(np.random.default_rng(3).lognormal(3.1, 0.55, 200), 4,
                    256).astype(int)
     sizes = [int(activation_bytes(cfg, max(1, 2048 // int(ln)), int(ln)))
@@ -1015,8 +1012,6 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
         caching.free(blk)
         if caching.reserved_bytes > before:
             growths += 1
-    static = StaticPlanAllocator()
-    static.reserve(max(sizes))
     rows.append(["allocator", "caching growth events", float(growths),
                  float("nan")])
     rows.append(["allocator", "static growth events", 0.0, float("nan")])

@@ -97,11 +97,6 @@ class LSConfig:
         return self.attn_impl
 
     @property
-    def max_batch_size(self) -> int:
-        """Worst-case sentences per batch given the token budget."""
-        return max(1, self.max_batch_tokens // self.max_seq_len)
-
-    @property
     def vit_seq_len(self) -> int:
         """ViT token count: (image/patch)^2 patches + [CLS]."""
         n = self.image_size // self.patch_size

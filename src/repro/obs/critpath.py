@@ -31,11 +31,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.device import STAGES, KernelLaunch
 from ..sim.comm import DDP_BUCKET_BYTES, GradBucket, ring_allreduce_seconds
-from ..sim.costmodel import kernel_time_parts, trace_cost
+from ..sim.costmodel import cost_family, kernel_time_parts, trace_cost
 from ..sim.gpu_specs import GPUS, STEP_SETUP_S, GPUSpec
 from ..sim.timeline import (TwoStreamTimeline, bucket_ready_times,
                             overlap_schedule, with_extra_exposed)
-from .roofline import cost_family
 
 #: attribution categories that are not compute families.
 HOST, EXPOSED_COMM, RETRY = "host", "exposed_comm", "retry"

@@ -46,10 +46,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.allocator import TensorSpec, plan_offsets, round_block
-from ..backend.arena import (_PLAN_ALIGN, ActivationArena, ArenaOOM,
-                             current_site, mem_scope, mem_scoped,
-                             use_memory_tracer)
+from ..backend.allocator import pack_plan, round_block
+from ..backend.arena import (ActivationArena, ArenaOOM, current_site,
+                             mem_scope, mem_scoped, use_memory_tracer)
 from ..backend.device import current_device
 from .runrecord import load_json_document
 
@@ -569,10 +568,11 @@ def project_capacity(shape_plan: Dict[str, object], *,
     equal to the base batch scale to ``batch``, flattened ``B*L`` products
     scale to their product), sizes are re-rounded with the allocator's
     block granularity, and lifetime-sharing plans are re-packed with
-    :func:`plan_offsets` on the scaled entries — the same arithmetic the
-    arena itself performs, so a projection at the recorded point is exact
-    and an L-scaled projection reproduces a real run at that L whenever the
-    request stream is shape-independent (it is for every model here).
+    :func:`~repro.backend.allocator.pack_plan` on the scaled entries — the
+    same call the arena itself makes, so a projection at the recorded point
+    is exact and an L-scaled projection reproduces a real run at that L
+    whenever the request stream is shape-independent (it is for every model
+    here).
 
     ``attn_impl="tiled"`` from a fused/naive recording additionally
     rewrites quadratic ``(.., L, L)`` requests and plan entries into
@@ -616,17 +616,13 @@ def project_capacity(shape_plan: Dict[str, object], *,
         nreq += 1
         if req.get("plan") is not None:
             p = plans[int(req["plan"])]
-            specs: List[TensorSpec] = []
+            entries = []
             for name, eshape, edtype, start, end in p["entries"]:
                 es = _scale_shape(eshape, b0, l0, b, l)
                 if retile and _is_quadratic(es, l):
                     es = _retile(es, l, l, tq, tk)
-                nb = int(np.prod(es, dtype=np.int64)) \
-                    * np.dtype(edtype).itemsize
-                nb = (nb + _PLAN_ALIGN - 1) // _PLAN_ALIGN * _PLAN_ALIGN
-                specs.append(TensorSpec(str(name), max(nb, _PLAN_ALIGN),
-                                        int(start), int(end)))
-            _, total = plan_offsets(specs)
+                entries.append((str(name), es, edtype, int(start), int(end)))
+            _, total, _ = pack_plan(entries)
             if total:
                 demand += round_block(total)
             continue

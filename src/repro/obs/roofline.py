@@ -29,19 +29,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..backend.device import KernelLaunch
-from ..sim.costmodel import kernel_family, kernel_time_parts, trace_cost
+from ..sim.costmodel import cost_family, kernel_time_parts, trace_cost
 from ..sim.gpu_specs import GPUSpec, ridge_point
 
 #: the three ways a kernel's simulated time can be bound.
 BOUNDS = ("memory", "compute", "launch")
-
-
-def cost_family(k: KernelLaunch) -> str:
-    """Family with the cost model's gemm promotion rule applied."""
-    fam = kernel_family(k.name)
-    if k.is_gemm and fam == "elementwise":
-        fam = "gemm"
-    return fam
 
 
 @dataclass(frozen=True)

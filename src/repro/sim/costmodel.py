@@ -105,6 +105,21 @@ def kernel_family(name: str) -> str:
     return "elementwise"
 
 
+def cost_family(k: KernelLaunch) -> str:
+    """The family every attribution reports a launch under.
+
+    :func:`kernel_family` of its name, except that an ``is_gemm`` launch
+    whose name maps to ``elementwise`` is promoted to ``gemm``.  Names that
+    claim a more specific family keep it: the tiled attention kernels are
+    GEMM-bound but reported as ``attention``, so fused-vs-tiled traffic is
+    comparable per family.
+    """
+    fam = kernel_family(k.name)
+    if k.is_gemm and fam == "elementwise":
+        fam = "gemm"
+    return fam
+
+
 @dataclass(frozen=True)
 class KernelTimeParts:
     """Roofline decomposition of one kernel launch's simulated time.
@@ -202,17 +217,11 @@ class TraceCost:
     def add(self, k: KernelLaunch, t: float) -> None:
         self.total_s += t
         self.by_stage[k.stage] = self.by_stage.get(k.stage, 0.0) + t
-        # GEMM-priced launches land in the "gemm" bucket unless their name
-        # claims a more specific family (the tiled attention kernels are
-        # GEMM-bound but reported as "attention" so fused-vs-tiled traffic
-        # is comparable per family)
-        fam = known_kernel_family(k.name)
-        if fam is None:
-            fam = kernel_family(k.name)      # warns once per unique name
-            if not k.is_gemm:
-                self.unattributed_s += t
-        if k.is_gemm and fam == "elementwise":
-            fam = "gemm"
+        fam = cost_family(k)                 # warns once per unknown name
+        # an unknown name lands in "elementwise"; only non-GEMM ones count
+        if (fam == "elementwise" and not k.is_gemm
+                and known_kernel_family(k.name) is None):
+            self.unattributed_s += t
         self.by_family[fam] = self.by_family.get(fam, 0.0) + t
         if k.is_gemm:
             self.gemm_s += t
@@ -242,9 +251,7 @@ def trace_hbm_bytes(trace: Iterable[KernelLaunch],
     """
     total = 0
     for k in trace:
-        fam = kernel_family(k.name)
-        if k.is_gemm and fam == "elementwise":
-            fam = "gemm"
+        fam = cost_family(k)
         if family is not None and fam != family:
             continue
         total += k.bytes_moved

@@ -8,10 +8,13 @@ steps.  Per step the simulator knows:
   dispatch), from a representative kernel trace replayed per shape;
 * the temporary-memory request, served by either allocator discipline.
 
-PyTorch's caching allocator grows its reserved pool whenever a longer batch
-arrives than any seen before — each growth is a ``cudaMalloc`` stall and a
-permanent step up in the Fig.-16 curve.  LightSeq2 reserves the scanned
-maximum once, so its curve is flat from step 0 and it never stalls.
+PyTorch's caching allocator (:class:`CachingAllocator`, modelled here and
+only here) grows its reserved pool whenever a longer batch arrives than any
+seen before — each growth is a ``cudaMalloc`` stall and a permanent step up
+in the Fig.-16 curve.  LightSeq2 scans the run's shapes and reserves the
+maximum once (the discipline
+:class:`~repro.backend.arena.ActivationArena` runs for real), so its curve
+is flat from step 0 and it never stalls.
 
 Utilization per sample = busy / (busy + overhead + stall): LightSeq2's few
 fused launches keep it ≈99%; the baseline's launch storm plus allocation
@@ -20,17 +23,60 @@ stalls reproduce the 80–95% band of Fig. 17.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
-from ..backend.allocator import CachingAllocator, StaticPlanAllocator
-from ..backend.device import Device, KernelLaunch
+from ..backend.allocator import round_block
+from ..backend.device import KernelLaunch
 from .costmodel import kernel_time
 from .gpu_specs import HOST_OVERHEAD_US, GPUSpec
 
 #: cudaMalloc cost model: fixed syscall+sync latency plus per-byte mapping.
 ALLOC_STALL_FIXED_S = 1.5e-3
 ALLOC_STALL_PER_BYTE_S = 0.05e-9
+
+
+@dataclass
+class Block:
+    """A live caching-allocator allocation handle."""
+
+    nbytes: int
+    freed: bool = False
+
+
+class CachingAllocator:
+    """PyTorch CUDA caching allocator's observable behaviour: blocks are
+    requested on demand, freed blocks are cached for best-fit reuse, and
+    the *reserved* footprint only ever grows."""
+
+    def __init__(self):
+        self._free: List[int] = []            # sorted cached block sizes
+        self.reserved_bytes = 0
+        self.allocated_bytes = 0
+        self.peak_allocated = 0
+        self.alloc_calls = 0                  # cudaMalloc count (slow path)
+        self.cache_hits = 0
+
+    def alloc(self, nbytes: int) -> Block:
+        size = round_block(nbytes)
+        i = bisect.bisect_left(self._free, size)
+        if i < len(self._free):
+            size = self._free.pop(i)          # best-fit cached block
+            self.cache_hits += 1
+        else:
+            self.reserved_bytes += size       # cudaMalloc: pool grows
+            self.alloc_calls += 1
+        self.allocated_bytes += size
+        self.peak_allocated = max(self.peak_allocated, self.allocated_bytes)
+        return Block(nbytes=size)
+
+    def free(self, block: Block) -> None:
+        if block.freed:
+            raise ValueError("double free")
+        block.freed = True
+        self.allocated_bytes -= block.nbytes
+        bisect.insort(self._free, block.nbytes)
 
 
 @dataclass(frozen=True)
@@ -84,12 +130,12 @@ class TrainingRunSimulator:
                  act_bytes_fn: Callable[[int, int], int],
                  busy_s_fn: Callable[[int, int], float],
                  overhead_s_fn: Callable[[int, int], float],
-                 static: bool, static_reserve_bytes: Optional[int] = None):
+                 static: bool):
         """
         ``act_bytes_fn(batch, seqlen)`` — temporary memory of one step.
         ``busy_s_fn`` / ``overhead_s_fn`` — per-step simulated times.
-        ``static`` — LightSeq2 discipline (needs ``static_reserve_bytes``,
-        the corpus-scan maximum) vs the caching baseline.
+        ``static`` — LightSeq2 discipline (reserve the scanned maximum
+        once) vs the caching baseline.
         """
         self.spec = spec
         self.permanent_bytes = permanent_bytes
@@ -97,28 +143,20 @@ class TrainingRunSimulator:
         self.busy_s_fn = busy_s_fn
         self.overhead_s_fn = overhead_s_fn
         self.static = static
-        dev = Device(lib="lightseq2" if static else "pytorch")
-        if static:
-            if static_reserve_bytes is None:
-                raise ValueError("static discipline requires the scanned "
-                                 "maximum (static_reserve_bytes)")
-            self.alloc = StaticPlanAllocator(device=dev)
-            self.alloc.reserve(static_reserve_bytes)
-        else:
-            self.alloc = CachingAllocator(device=dev)
+        self.alloc = CachingAllocator()
 
     def run(self, shapes: Sequence[StepShape]) -> List[StepSample]:
+        if self.static:
+            # §3.3's corpus scan: reserve the largest step's temporary
+            # memory once, before step 0
+            reserved = round_block(max(
+                self.act_bytes_fn(s.batch_size, s.seq_len) for s in shapes))
         samples: List[StepSample] = []
         t = 0.0
         for i, s in enumerate(shapes):
-            nbytes = self.act_bytes_fn(s.batch_size, s.seq_len)
             stall = 0.0
-            if self.static:
-                self.alloc.reset()
-                blk = self.alloc.alloc(nbytes)
-                self.alloc.free(blk)
-                reserved = self.alloc.reserved_bytes
-            else:
+            if not self.static:
+                nbytes = self.act_bytes_fn(s.batch_size, s.seq_len)
                 before = self.alloc.reserved_bytes
                 blk = self.alloc.alloc(nbytes)
                 grew = self.alloc.reserved_bytes - before
@@ -137,12 +175,3 @@ class TrainingRunSimulator:
                 utilization=busy / wall if wall > 0 else 0.0,
             ))
         return samples
-
-
-def scan_max_activation_bytes(shapes: Sequence[StepShape],
-                              act_bytes_fn: Callable[[int, int], int]) -> int:
-    """LightSeq2's pre-training corpus scan: the temporary-memory upper
-    bound over every batch the run will see (§3.3)."""
-    if not shapes:
-        raise ValueError("empty corpus")
-    return max(act_bytes_fn(s.batch_size, s.seq_len) for s in shapes)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.backend.allocator import (CachingAllocator, StaticPlanAllocator,
-                                     TensorSpec, attention_backward_specs,
+from repro.backend.allocator import (TensorSpec, attention_backward_specs,
                                      plan_offsets, round_block,
                                      validate_plan)
+from repro.backend.arena import ActivationArena
+from repro.sim.utilization import CachingAllocator
 
 
 class TestRoundBlock:
@@ -74,35 +75,37 @@ class TestCachingAllocator:
 
 
 class TestStaticPlanAllocator:
-    def test_reserve_once(self):
-        a = StaticPlanAllocator()
-        a.reserve(1 << 20)
-        with pytest.raises(RuntimeError):
-            a.reserve(1)
+    """The static plan (§3.3): one reservation, bump allocation, a cursor
+    reset per step.  :class:`ActivationArena` carries it once scanned."""
+
+    @staticmethod
+    def _scanned(*request_bytes):
+        a = ActivationArena()
+        a.begin_step()
+        for n in request_bytes:
+            a.request((n,), np.uint8)
+        a.begin_step()          # reserves the scanned step's demand
+        return a
 
     def test_bump_and_reset(self):
-        a = StaticPlanAllocator()
-        a.reserve(1 << 20)
-        a.alloc(1000)
-        a.alloc(2000)
-        assert a.peak_cursor > 0
-        a.reset()
-        a.alloc(1000)   # slab reused
-
-    def test_exhaustion_raises(self):
-        a = StaticPlanAllocator()
-        a.reserve(1024)
-        with pytest.raises(MemoryError):
-            a.alloc(4096)
+        a = self._scanned(1000, 2000)
+        assert a.capacity == round_block(1000) + round_block(2000)
+        x = a.request((1000,), np.uint8)
+        y = a.request((2000,), np.uint8)
+        assert not x.flags.owndata and not y.flags.owndata
+        assert not np.shares_memory(x, y)
+        assert a.demand == a.capacity
+        a.begin_step()
+        z = a.request((1000,), np.uint8)   # slab reused from its start
+        assert np.shares_memory(z, x)
 
     def test_reserved_never_changes(self):
-        a = StaticPlanAllocator()
-        a.reserve(1 << 20)
-        r = a.reserved_bytes
+        a = self._scanned(5000)
+        r = a.capacity
         for _ in range(10):
-            a.reset()
-            a.alloc(5000)
-        assert a.reserved_bytes == r
+            a.begin_step()
+            assert not a.request((5000,), np.uint8).flags.owndata
+        assert a.capacity == r and a.reservations == 1
 
 
 class TestPlanOffsets:

@@ -73,9 +73,8 @@ def test_kernel_launch_byte_properties():
 def test_reset():
     d = Device()
     d.record("k", 1, 1)
-    d.record_memory("alloc", 10, 10)
     d.reset()
-    assert d.launches == [] and d.mem_events == []
+    assert d.launches == []
 
 
 def test_trace_disabled():
@@ -97,13 +96,3 @@ def test_thread_local_stack():
         t.start()
         t.join()
     assert seen["inner"] is NULL_DEVICE
-
-
-def test_memory_events_carry_step():
-    d = Device()
-    d.record_memory("alloc", 100, 100)
-    d.next_step()
-    d.record_memory("alloc", 50, 150)
-    assert d.mem_events[0].step == 0
-    assert d.mem_events[1].step == 1
-    assert d.mem_events[1].reserved_total == 150

@@ -1,10 +1,9 @@
-"""Trace aggregation: stage/kernel grouping, GEMM split, trace diffs."""
+"""Trace aggregation: stage/kernel grouping, trace diffs."""
 
 import pytest
 
 from repro.backend.device import Device, use_device
-from repro.backend.profiler import (KernelStats, by_kernel, by_stage,
-                                    compare, format_stage_table, split_gemm)
+from repro.backend.profiler import KernelStats, by_kernel, by_stage, compare
 
 
 @pytest.fixture
@@ -31,13 +30,6 @@ def test_by_kernel(trace):
     assert k["a"].launches == 2
     assert k["a"].elems_read == 30
     assert k["gemm_x"].gemm_launches == 1
-
-
-def test_split_gemm(trace):
-    s = split_gemm(trace)
-    assert s["gemm"].launches == 1
-    assert s["non_gemm"].launches == 2
-    assert s["gemm"].flops == 1000
 
 
 def test_merge():
@@ -69,9 +61,3 @@ def test_compare_empty_optimized_is_defined(trace):
     diff = compare(trace, [])
     assert diff.launch_ratio == 0.0
     assert diff.bytes_ratio == 0.0
-
-
-def test_format_stage_table(trace):
-    txt = format_stage_table(by_stage(trace))
-    assert "forward" in txt and "update" in txt
-    assert len(txt.splitlines()) == 5

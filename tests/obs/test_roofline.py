@@ -5,9 +5,8 @@ import math
 import pytest
 
 from repro.backend.device import KernelLaunch
-from repro.obs.roofline import (analyze_launch, cost_family,
-                                roofline_report)
-from repro.sim.costmodel import kernel_time, trace_cost
+from repro.obs.roofline import analyze_launch, roofline_report
+from repro.sim.costmodel import cost_family, kernel_time, trace_cost
 from repro.sim.gpu_specs import V100, ridge_point
 
 

@@ -6,8 +6,8 @@ import pytest
 from repro.backend.device import Device, KernelLaunch, use_device
 from repro.sim.gpu_specs import V100
 from repro.sim.timeline import StepTimeline, format_timeline_table, step_timeline
+from repro.backend.allocator import round_block
 from repro.sim.utilization import (StepShape, TrainingRunSimulator,
-                                   scan_max_activation_bytes,
                                    trace_busy_overhead)
 
 
@@ -61,15 +61,14 @@ class TestTrainingRunSimulator:
             act_bytes_fn=lambda b, l: b * l * 1000,
             busy_s_fn=lambda b, l: 1e-3,
             overhead_s_fn=lambda b, l: 1e-4,
-            static=static,
-            static_reserve_bytes=256 * 64 * 1000 if static else None)
+            static=static)
 
     def test_static_memory_flat(self):
         sim = self._mk(static=True)
         shapes = [StepShape(16, 8), StepShape(64, 64), StepShape(8, 4)]
         samples = sim.run(shapes)
         reserved = {s.reserved_bytes for s in samples}
-        assert len(reserved) == 1
+        assert reserved == {10**9 + round_block(64 * 64 * 1000)}
 
     def test_caching_memory_grows_on_longer_batch(self):
         sim = self._mk(static=False)
@@ -84,33 +83,8 @@ class TestTrainingRunSimulator:
         # step 1 grows the pool -> pays a cudaMalloc stall -> lower util
         assert samples[1].utilization < samples[0].utilization
 
-    def test_static_requires_reserve(self):
-        with pytest.raises(ValueError):
-            TrainingRunSimulator(
-                spec=V100, permanent_bytes=0,
-                act_bytes_fn=lambda b, l: 1, busy_s_fn=lambda b, l: 1,
-                overhead_s_fn=lambda b, l: 0, static=True)
-
-    def test_static_underscan_raises(self):
-        sim = TrainingRunSimulator(
-            spec=V100, permanent_bytes=0,
-            act_bytes_fn=lambda b, l: b * l * 1000,
-            busy_s_fn=lambda b, l: 1e-3,
-            overhead_s_fn=lambda b, l: 0.0,
-            static=True, static_reserve_bytes=10)
-        with pytest.raises(MemoryError):
-            sim.run([StepShape(64, 64)])
-
     def test_time_accumulates(self):
         sim = self._mk(static=True)
         samples = sim.run([StepShape(4, 4)] * 5)
         times = [s.time_s for s in samples]
         assert all(b > a for a, b in zip(times, times[1:]))
-
-
-def test_scan_max():
-    shapes = [StepShape(4, 10), StepShape(2, 100), StepShape(64, 2)]
-    got = scan_max_activation_bytes(shapes, lambda b, l: b * l)
-    assert got == 200
-    with pytest.raises(ValueError):
-        scan_max_activation_bytes([], lambda b, l: 1)

@@ -82,11 +82,6 @@ class TestDerived:
         cfg = get_config("transformer-big")
         assert cfg.head_dim == 64
 
-    def test_max_batch_size(self):
-        cfg = get_config("transformer-base", max_batch_tokens=4096,
-                         max_seq_len=256)
-        assert cfg.max_batch_size == 16
-
     def test_with_overrides_immutable(self):
         cfg = get_config("transformer-base")
         cfg2 = cfg.with_overrides(fp16=True)
