@@ -37,9 +37,9 @@ import pytest
 from repro.backend.device import Device, use_device
 from repro.config import get_config
 from repro.models import GPTModel
-from repro.obs.critpath import StepInputs
 from repro.obs.profile import analyze
 from repro.obs.runrecord import make_run_record, write_run_record
+from repro.sim.timeline import StepInputs
 
 from conftest import gate_main
 from repro.sim.gpu_specs import GPUS

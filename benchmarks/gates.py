@@ -127,7 +127,8 @@ GATES = {
         OBS + ["profile", "{records}/step.trace.json",
                "--out", "{records}/profile.json"],
         PYTEST + ["tests/test_train_cli.py::test_profile_out_matches_trace",
-                  "tests/obs/test_critpath.py::TestTiledProjection"],
+                  "tests/obs/test_critpath.py::TestTiledProjection",
+                  "tests/obs/test_cli_fuzz.py"],
         PYTEST + ["benchmarks/bench_profile_overhead.py::"
                   "test_profile_overhead_smoke"],
         PY + ["benchmarks/bench_profile_overhead.py",
@@ -153,7 +154,8 @@ GATES = {
                "--whatif", "seq_len=2048,attn_impl=tiled"],
         PYTEST + ["tests/obs/test_memory.py::TestBitwisePeak",
                   "tests/obs/test_memory.py::TestReportRoundTrip",
-                  "tests/obs/test_memory.py::TestCapacityProjection"],
+                  "tests/obs/test_memory.py::TestCapacityProjection",
+                  "tests/obs/test_cli_fuzz.py"],
         PYTEST + ["benchmarks/bench_memory_overhead.py::"
                   "test_memory_overhead_smoke"],
         PY + ["benchmarks/bench_memory_overhead.py",

@@ -22,7 +22,7 @@ from repro.data import (SyntheticTranslationCorpus, batch_by_tokens,
 from repro.models import TransformerModel, activation_bytes
 from repro.precision import DynamicLossScaler
 from repro.sim import V100
-from repro.sim.timeline import format_timeline_table, step_timeline
+from repro.sim.timeline import StepInputs
 from repro.training import InverseSqrtSchedule, OptimizerSpec, make_trainer, train_epoch
 
 
@@ -70,11 +70,13 @@ def main() -> None:
                   f"{time.perf_counter() - t0:.1f}s wall)")
 
     # -- Fig.-4-style stage breakdown of the recorded kernel trace --------
-    grad_bytes = trainer.workspace.grads.nbytes
-    tl = step_timeline(dev.launches, V100, grad_bytes=grad_bytes,
-                       world_size=1).scaled(1 / max(trainer.step_count, 1))
+    tl = StepInputs(tuple(dev.launches), V100).timeline()
+    steps = max(trainer.step_count, 1)
     print("\nsimulated V100 per-step stage breakdown (ms):")
-    print(format_timeline_table({"lightseq2": tl}))
+    for stage, s in (("forward", tl.forward_s), ("backward", tl.backward_s),
+                     ("sync", tl.sync_exposed_s), ("update", tl.update_s),
+                     ("total", tl.total_s)):
+        print(f"  {stage:<10}{s / steps * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

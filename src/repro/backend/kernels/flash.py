@@ -43,6 +43,9 @@ Each pass records ONE launch whose traffic follows the FlashAttention-2
 reload model: Q is read once, K/V are re-read once per *processed* query
 tile, and only O + stats (+ seed) are written — this is the bytes_moved
 reduction the roofline cost model prices (family "attention").
+:func:`flash_launch_cost` is that model, written once: both kernels
+record its result, and the ``attn_impl=tiled`` what-if of
+:mod:`repro.obs.critpath` builds its projected launches from it.
 """
 
 from __future__ import annotations
@@ -108,6 +111,43 @@ def _mask_tile(mask: Optional[np.ndarray], causal: bool,
     return tm
 
 
+def flash_launch_cost(direction: str, bn: int, lq: int, lk: int, dh: int, *,
+                      tile_q: int, tile_k: int, causal: bool,
+                      mask_elems: int) -> Tuple[int, int, int]:
+    """``(elems_read, elems_written, flops)`` of one flash launch.
+
+    Walks the kernels' tile loop: every processed ``tq x tk`` score tile
+    drives the FLOPs, and its key columns are re-read (K and V) once per
+    query tile.  Causal tiles wholly above the diagonal are skipped, as
+    the kernels skip them; the single-tile fast paths there process the
+    same tiles this loop counts.  ``direction`` is ``"fwd"`` or ``"bwd"``,
+    ``bn`` is batch x heads, ``mask_elems`` the size of the additive mask
+    read (0 without one).
+    """
+    tile_elems = kv_cols = 0
+    for i in range(ceil(lq / tile_q)):
+        i0, i1 = i * tile_q, min(lq, (i + 1) * tile_q)
+        for j in range(ceil(lk / tile_k)):
+            k0, k1 = j * tile_k, min(lk, (j + 1) * tile_k)
+            if _skip_tile(causal, i1, k0):
+                break
+            tile_elems += (i1 - i0) * (k1 - k0)
+            kv_cols += k1 - k0
+    kv_reload = 2 * bn * kv_cols * dh
+    q_elems = bn * lq * dh
+    stats_elems = bn * lq * 2
+    if direction == "fwd":
+        # reads Q, the K/V reloads, the mask; writes O, stats, seed
+        return (q_elems + kv_reload + mask_elems, q_elems + stats_elems + 2,
+                bn * tile_elems * (4 * dh + 8))
+    if direction == "bwd":
+        # reads dO, O, Q, stats, the K/V reloads, the mask; writes dQ/dK/dV
+        return (3 * q_elems + stats_elems + kv_reload + mask_elems,
+                q_elems + 2 * bn * lk * dh,
+                bn * tile_elems * (10 * dh + 12))
+    raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
+
+
 def regen_dropout_mask(seed: int, qtile: int, shape: Tuple[int, ...],
                        p: float) -> np.ndarray:
     """Regenerate the keep-mask rows of one query tile (counter-based RNG).
@@ -162,8 +202,6 @@ def flash_attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     n_qt = ceil(lq / tile_q)
     n_kt = ceil(lk / tile_k)
     kt = np.swapaxes(k, -1, -2)
-    tile_elems = 0          # sum over processed tiles of tq*tk
-    kv_reload = 0           # K/V elements re-read across q-tiles
 
     for i in range(n_qt):
         i0, i1 = i * tile_q, min(lq, (i + 1) * tile_q)
@@ -186,8 +224,6 @@ def flash_attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             np.matmul(pd, v, out=o[:, :, i0:i1, :])
             stats[:, :, i0:i1, 0] = smax[..., 0]
             stats[:, :, i0:i1, 1] = l[..., 0]
-            tile_elems += (i1 - i0) * lk
-            kv_reload += 2 * b * n * lk * dh
             continue
         m_run = np.full((b, n, i1 - i0, 1), -np.inf, dtype=dt)
         l_run = np.zeros((b, n, i1 - i0, 1), dtype=dt)
@@ -207,18 +243,15 @@ def flash_attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             l_run = l_run * alpha + e.sum(axis=-1, keepdims=True)
             acc = acc * alpha + np.matmul(ed, v[:, :, k0:k1, :])
             m_run = m_new
-            tile_elems += (i1 - i0) * (k1 - k0)
-            kv_reload += 2 * b * n * (k1 - k0) * dh
         np.divide(acc, l_run, out=o[:, :, i0:i1, :])
         stats[:, :, i0:i1, 0] = m_run[..., 0]
         stats[:, :, i0:i1, 1] = l_run[..., 0]
 
-    mask_elems = mask.size if mask is not None else 0
-    record("ls_flash_attn_fwd",
-           q.size + kv_reload + mask_elems,
-           o.size + stats.size + seed.size,
-           flops=int(b * n * tile_elems * (4 * dh + 8)),
-           is_gemm=True, fp16=fp16)
+    read, written, flops = flash_launch_cost(
+        "fwd", b * n, lq, lk, dh, tile_q=tile_q, tile_k=tile_k,
+        causal=causal, mask_elems=mask.size if mask is not None else 0)
+    record("ls_flash_attn_fwd", read, written, flops=flops, is_gemm=True,
+           fp16=fp16)
     return o, stats, seed
 
 
@@ -250,8 +283,6 @@ def flash_attn_backward(d_o: np.ndarray, q: np.ndarray, k: np.ndarray,
     n_kt = ceil(lk / tile_k)
     kt = np.swapaxes(k, -1, -2)
     vt = np.swapaxes(v, -1, -2)
-    tile_elems = 0
-    kv_reload = 0
 
     def ws_view(tq_cur, tk_cur):
         if ws is None or ws.dtype != dt:
@@ -280,8 +311,6 @@ def flash_attn_backward(d_o: np.ndarray, q: np.ndarray, k: np.ndarray,
         ds = (probs * (d_probs - dot)) * np.float32(scale)
         np.matmul(ds, k, out=dq)
         np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
-        tile_elems = lq * lk
-        kv_reload = 2 * b * n * lk * dh
     else:
         # D_i = rowsum(dO * O): the softmax dot term, O(L) to hold
         delta = (d_o * o).sum(axis=-1, keepdims=True)
@@ -324,14 +353,11 @@ def flash_attn_backward(d_o: np.ndarray, q: np.ndarray, k: np.ndarray,
                 dq_i += np.matmul(ds, k[:, :, k0:k1, :])
                 dk[:, :, k0:k1, :] += np.matmul(
                     np.swapaxes(ds, -1, -2), q_i)
-                tile_elems += (i1 - i0) * (k1 - k0)
-                kv_reload += 2 * b * n * (k1 - k0) * dh
             dq[:, :, i0:i1, :] = dq_i
 
-    mask_elems = mask.size if mask is not None else 0
-    record("ls_flash_attn_bwd",
-           d_o.size + o.size + q.size + stats.size + kv_reload + mask_elems,
-           dq.size + dk.size + dv.size,
-           flops=int(b * n * tile_elems * (10 * dh + 12)),
-           is_gemm=True, fp16=fp16)
+    read, written, flops = flash_launch_cost(
+        "bwd", b * n, lq, lk, dh, tile_q=tile_q, tile_k=tile_k,
+        causal=causal, mask_elems=mask.size if mask is not None else 0)
+    record("ls_flash_attn_bwd", read, written, flops=flops, is_gemm=True,
+           fp16=fp16)
     return dq, dk, dv

@@ -27,7 +27,8 @@ from ..sim.comm import (bucketed_allreduce_seconds, parameter_server_seconds,
                         partition_buckets)
 from ..sim.costmodel import trace_cost
 from ..sim.gpu_specs import A100, V100, GPUSpec
-from ..sim.timeline import StepTimeline, overlap_schedule, step_timeline
+from ..sim.timeline import (StepInputs, TwoStreamTimeline, overlap_schedule,
+                            synthetic_buckets)
 from ..sim.utilization import (CachingAllocator, StepShape,
                                TrainingRunSimulator, trace_busy_overhead)
 from .harness import (ExperimentResult, bench_scale, monotone_decreasing,
@@ -129,12 +130,16 @@ def param_count(cfg: LSConfig) -> int:
 
 
 def _timeline(cfg: LSConfig, system: str, batch: int, spec: GPUSpec,
-              world: int, seq: Optional[int] = MT_SEQ_LEN) -> StepTimeline:
+              world: int, seq: Optional[int] = MT_SEQ_LEN
+              ) -> TwoStreamTimeline:
     """One data-parallel step of ``cfg`` under ``system``: its kernel trace
-    plus the all-reduce of ``param_count(cfg)`` gradients."""
-    return step_timeline(trace_model(cfg, system, seq)(batch), spec,
-                         grad_bytes=param_count(cfg) * itemsize(cfg.fp16),
-                         world_size=world)
+    plus the all-reduce of ``param_count(cfg)`` gradients, after backward
+    (no overlap, so all of it is exposed)."""
+    nbytes = itemsize(cfg.fp16)
+    return StepInputs(
+        tuple(trace_model(cfg, system, seq)(batch)), spec, world_size=world,
+        buckets=tuple(synthetic_buckets(param_count(cfg), nbytes)),
+        itemsize=nbytes, overlap=False).timeline()
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +159,8 @@ def fig04_stage_breakdown(scale: Optional[str] = None) -> ExperimentResult:
         name="Fig. 4 — stage breakdown (ms/step, Transformer-big, "
              f"batch {batch}x{MT_SEQ_LEN}, V100x{world})",
         headers=["system", "forward", "backward", "sync", "update", "total"],
-        rows=[[s, tl.forward_s * 1e3, tl.backward_s * 1e3, tl.sync_s * 1e3,
-               tl.update_s * 1e3, tl.total_s * 1e3]
+        rows=[[s, tl.forward_s * 1e3, tl.backward_s * 1e3,
+               tl.sync_exposed_s * 1e3, tl.update_s * 1e3, tl.total_s * 1e3]
               for s, tl in tls.items()],
         notes="paper: LightSeq2 shrinks every computed stage, update most")
     pt, ls = tls["pytorch"], tls["lightseq2"]

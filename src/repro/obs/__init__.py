@@ -51,9 +51,8 @@ from .metrics import (METRICS_SCHEMA, MetricsRecorder, StepMetrics,
 from .numerics import (NUMERICS_SCHEMA, NumericsCollector, StepNumerics,
                        TensorStats, current_collector, saturation_histogram,
                        tap_activation, tensor_stats, use_collector)
-from .critpath import (CriticalPath, Projection, StepInputs,
-                       attribute_critical_path, build_step_dag,
-                       project_timeline, tiled_attention_trace, whatif)
+from .critpath import (CriticalPath, Projection, attribute_critical_path,
+                       build_step_dag, tiled_attention_trace, whatif)
 from .perfetto import (anomaly_events, kernel_events, memory_counter_events,
                        metric_counter_events, perfetto_trace, read_trace,
                        roofline_counter_events, schedule_events, span_events,
@@ -92,8 +91,8 @@ __all__ = [
     "make_run_record", "record_order_key", "write_run_record",
     "summarize_run_records",
     "LaunchRoofline", "RooflineReport", "analyze_launch", "roofline_report",
-    "CriticalPath", "Projection", "StepInputs", "attribute_critical_path",
-    "build_step_dag", "project_timeline", "tiled_attention_trace", "whatif",
+    "CriticalPath", "Projection", "attribute_critical_path",
+    "build_step_dag", "tiled_attention_trace", "whatif",
     "Trajectory", "load_trajectory", "profile_report",
     "MEMORY_SCHEMA", "MemoryTracer", "MemoryReport", "memory_report",
     "write_memory_report", "load_memory_report", "project_capacity",

@@ -1,8 +1,9 @@
 """Critical-path and what-if analysis over the two-stream step model.
 
-:mod:`repro.sim.timeline` prices one optimisation step as a closed-form
-sum (forward + backward + exposed sync + update).  This module keeps the
-*structure* instead of just the sum: it reconstructs the step's
+:meth:`repro.sim.timeline.StepInputs.timeline` prices one optimisation
+step as a closed-form sum (forward + backward + exposed sync + update);
+it is the one step pricer, and everything here reads it.  This module
+keeps the *structure* instead of just the sum: it reconstructs the step's
 dependency DAG — setup, forward, backward split at every gradient
 bucket's ready boundary, the FIFO comm stream with straggler delay and
 retry pricing, update — extracts the critical (zero-slack) path through
@@ -11,30 +12,30 @@ overhead, exposed comm, retry} using the same
 :func:`repro.sim.costmodel.kernel_time_parts` decomposition the roofline
 report uses.
 
-The same :class:`StepInputs` bundle also powers the **what-if engine**:
-:func:`whatif` re-costs the identical trace under a modified model —
+The same :class:`~repro.sim.timeline.StepInputs` bundle also powers the
+**what-if engine**: :func:`whatif` re-prices a modified copy of it —
 ``"comm_free"`` (collectives priced at zero, bitwise equal to the
-fully-hidden overlap bound because it calls the *same*
+fully-hidden overlap bound because it runs the *same*
 :func:`~repro.sim.timeline.overlap_schedule`), ``"gpu=H100"``,
 ``"world=16"``, ``"no_overlap"``, and ``"attn_impl=tiled"`` (the fused
-attention kernels are analytically rewritten into the flash kernels'
-traffic model, replaying the tile-loop accounting of
-:mod:`repro.backend.kernels.flash` exactly).  This is the query
-primitive the ROADMAP autotuner will search over.
+attention kernels are rewritten into flash launches priced by
+:func:`repro.backend.kernels.flash.flash_launch_cost`, the cost the real
+flash kernels record).  This is the query primitive the ROADMAP autotuner
+will search over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import ceil
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend.device import STAGES, KernelLaunch
-from ..sim.comm import DDP_BUCKET_BYTES, GradBucket, ring_allreduce_seconds
-from ..sim.costmodel import cost_family, kernel_time_parts, trace_cost
-from ..sim.gpu_specs import GPUS, STEP_SETUP_S, GPUSpec
-from ..sim.timeline import (TwoStreamTimeline, bucket_ready_times,
-                            overlap_schedule, with_extra_exposed)
+from ..backend.kernels.flash import flash_launch_cost
+from ..sim.comm import ring_allreduce_seconds
+from ..sim.costmodel import cost_family, kernel_time_parts
+from ..sim.gpu_specs import GPUS, GPUSpec
+from ..sim.timeline import (StepInputs, TwoStreamTimeline,
+                            bucket_ready_times, synthetic_buckets)
 
 #: attribution categories that are not compute families.
 HOST, EXPOSED_COMM, RETRY = "host", "exposed_comm", "retry"
@@ -43,83 +44,6 @@ HOST, EXPOSED_COMM, RETRY = "host", "exposed_comm", "retry"
 def _free_comm(nbytes: int, world_size: int, spec: GPUSpec) -> float:
     """The "comm is free" pricing: every collective takes zero seconds."""
     return 0.0
-
-
-def synthetic_buckets(grad_elems: int, itemsize: int,
-                      bucket_bytes: int = DDP_BUCKET_BYTES
-                      ) -> List[GradBucket]:
-    """DDP-shaped buckets tiling a flat gradient of ``grad_elems``.
-
-    Used when a what-if changes the world size of a run that never built
-    real buckets (a single-GPU trace): the 25 MB tiling is what DDP would
-    have produced for an equally-sized contiguous workspace.
-    """
-    if grad_elems <= 0:
-        return []
-    per = max(1, bucket_bytes // itemsize)
-    n = ceil(grad_elems / per)
-    return [GradBucket(i, (f"flat[{i}]",), i * per,
-                       min(grad_elems, (i + 1) * per)) for i in range(n)]
-
-
-@dataclass(frozen=True)
-class StepInputs:
-    """Everything needed to price one training step — the re-costable
-    description the DAG, the attribution, and every what-if share.
-
-    ``attn`` optionally carries the attention geometry needed by the
-    ``attn_impl=tiled`` projection: ``head_dim``, ``tile_q``, ``tile_k``,
-    ``causal`` (and optionally ``mask_elems``).  ``grad_elems`` lets
-    world-size what-ifs synthesize buckets for traces that have none.
-    """
-
-    trace: Tuple[KernelLaunch, ...]
-    spec: GPUSpec
-    world_size: int = 1
-    buckets: Tuple[GradBucket, ...] = ()
-    itemsize: int = 4
-    overlap: bool = True
-    step_setup_s: float = STEP_SETUP_S
-    include_host: bool = True
-    straggler_delay_s: float = 0.0
-    retry_exposed_s: float = 0.0
-    comm_seconds_fn: Optional[Callable[[int, int, GPUSpec], float]] = None
-    grad_elems: int = 0
-    attn: Optional[Dict[str, object]] = None
-
-    def stage_seconds(self) -> Dict[str, float]:
-        return trace_cost(self.trace, self.spec,
-                          include_host=self.include_host).by_stage
-
-    def schedule(self):
-        """The step's bucketed comm schedule (retry time appended)."""
-        by = self.stage_seconds()
-        sched = overlap_schedule(
-            self.buckets, self.itemsize, by.get("backward", 0.0),
-            self.world_size, self.spec, overlap=self.overlap,
-            comm_seconds_fn=self.comm_seconds_fn,
-            straggler_delay_s=self.straggler_delay_s)
-        return with_extra_exposed(sched, self.retry_exposed_s)
-
-
-def project_timeline(inputs: StepInputs) -> TwoStreamTimeline:
-    """Price ``inputs`` as a :class:`TwoStreamTimeline`.
-
-    With default resilience/comm settings this performs the *same*
-    ``trace_cost`` + ``overlap_schedule`` calls as
-    :func:`repro.sim.timeline.two_stream_step_timeline`, so the result is
-    bitwise identical — which is what makes the ``comm_free`` what-if
-    comparable bitwise to the timeline's fully-hidden bound.
-    """
-    by = inputs.stage_seconds()
-    sched = inputs.schedule()
-    return TwoStreamTimeline(
-        forward_s=by.get("forward", 0.0) + inputs.step_setup_s,
-        backward_s=by.get("backward", 0.0),
-        sync_exposed_s=sched.exposed_s + by.get("sync", 0.0),
-        sync_hidden_s=sched.hidden_s,
-        update_s=by.get("update", 0.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +125,7 @@ def build_step_dag(inputs: StepInputs) -> StepDAG:
     gradients (plus a straggler-delay node when modeled) and on the
     previous bucket FIFO; retries serialize after both streams; sync-stage
     kernels and ``compute:update`` close the step.  The sink's finish time
-    equals :func:`project_timeline`'s ``total_s`` (up to float
+    equals :meth:`StepInputs.timeline`'s ``total_s`` (up to float
     re-association of the backward split, ~1 ulp).
     """
     by = inputs.stage_seconds()
@@ -397,9 +321,9 @@ def apply_scenario(inputs: StepInputs, scenario: str
 
 def whatif(inputs: StepInputs, scenario: str) -> Projection:
     """Project the step's timeline under one scenario."""
-    baseline = project_timeline(inputs)
+    baseline = inputs.timeline()
     modified, detail = apply_scenario(inputs, scenario)
-    return Projection(scenario, project_timeline(modified),
+    return Projection(scenario, modified.timeline(),
                       baseline.total_s, detail)
 
 
@@ -411,29 +335,6 @@ def whatif(inputs: StepInputs, scenario: str) -> Projection:
 _FWD_FIRST, _FWD_LAST = "gemm_qk", "gemm_pv"
 #: fused backward score-path group.
 _BWD_FIRST, _BWD_LAST = "gemm_pv_dprobs", "gemm_qk_dk"
-
-
-def _tile_accounting(lq: int, lk: int, tile_q: int, tile_k: int,
-                     causal: bool) -> Tuple[int, int]:
-    """Replay the flash kernels' tile loop, counting what they count.
-
-    Returns ``(tile_elems, kv_cols)``: the summed ``tq*tk`` of processed
-    score tiles (the FLOP driver) and the summed key columns re-read
-    across query tiles (``kv_reload = 2 * B*N * kv_cols * Dh``).  Mirrors
-    :func:`repro.backend.kernels.flash.flash_attn_forward` exactly,
-    including the causal early-break (``k0 >= i1``) — the single-tile
-    fast paths there produce the same counts this generic loop does.
-    """
-    tile_elems = kv_cols = 0
-    for i in range(ceil(lq / tile_q)):
-        i0, i1 = i * tile_q, min(lq, (i + 1) * tile_q)
-        for j in range(ceil(lk / tile_k)):
-            k0, k1 = j * tile_k, min(lk, (j + 1) * tile_k)
-            if causal and k0 >= i1:
-                break
-            tile_elems += (i1 - i0) * (k1 - k0)
-            kv_cols += k1 - k0
-    return tile_elems, kv_cols
 
 
 def _recover_attn_shape(score_writer: KernelLaunch,
@@ -473,8 +374,9 @@ def tiled_attention_trace(trace: Sequence[KernelLaunch], *, head_dim: int,
     the softmax/dropout kernels between them) collapses into one
     ``ls_flash_attn_fwd`` launch, and each backward group
     (``gemm_pv_dprobs`` ... ``gemm_qk_dk``) into one
-    ``ls_flash_attn_bwd``, with traffic and FLOPs computed by the same
-    reload model the real flash kernels record — so the projection agrees
+    ``ls_flash_attn_bwd``, with traffic and FLOPs from
+    :func:`~repro.backend.kernels.flash.flash_launch_cost`, which the real
+    flash kernels record — so the projection agrees
     with actually re-running under ``attn_impl=tiled`` up to the mask
     convention (the tiled path never materialises the causal mask the
     fused path folds in, hence ``mask_elems`` defaults to 0).
@@ -484,7 +386,7 @@ def tiled_attention_trace(trace: Sequence[KernelLaunch], *, head_dim: int,
     """
     out: List[KernelLaunch] = []
     fused_bytes = tiled_bytes = 0
-    n_fwd = n_bwd = 0
+    groups = {"fwd": 0, "bwd": 0}
     i, n = 0, len(trace)
     while i < n:
         k = trace[i]
@@ -509,41 +411,25 @@ def tiled_attention_trace(trace: Sequence[KernelLaunch], *, head_dim: int,
             score = group[0]
             ctx = next(g for g in group if g.name == "gemm_qk_dq")
         bn, lq, lk = _recover_attn_shape(score, ctx, head_dim)
-        tile_elems, kv_cols = _tile_accounting(lq, lk, tile_q, tile_k,
-                                               causal)
-        kv_reload = 2 * bn * kv_cols * head_dim
-        q_elems = bn * lq * head_dim
-        kv_elems = bn * lk * head_dim
-        stats_elems = bn * lq * 2
-        if first == _FWD_FIRST:
-            n_fwd += 1
-            synth = KernelLaunch(
-                name="ls_flash_attn_fwd",
-                elems_read=q_elems + kv_reload + mask_elems,
-                elems_written=q_elems + stats_elems + 2,
-                flops=int(bn * tile_elems * (4 * head_dim + 8)),
-                is_gemm=True, dtype_bytes=k.dtype_bytes, stage=k.stage,
-                lib=k.lib)
-        else:
-            n_bwd += 1
-            synth = KernelLaunch(
-                name="ls_flash_attn_bwd",
-                elems_read=(3 * q_elems + stats_elems + kv_reload
-                            + mask_elems),
-                elems_written=q_elems + 2 * kv_elems,
-                flops=int(bn * tile_elems * (10 * head_dim + 12)),
-                is_gemm=True, dtype_bytes=k.dtype_bytes, stage=k.stage,
-                lib=k.lib)
+        direction = "fwd" if first == _FWD_FIRST else "bwd"
+        groups[direction] += 1
+        read, written, flops = flash_launch_cost(
+            direction, bn, lq, lk, head_dim, tile_q=tile_q, tile_k=tile_k,
+            causal=causal, mask_elems=mask_elems)
+        synth = KernelLaunch(
+            name=f"ls_flash_attn_{direction}", elems_read=read,
+            elems_written=written, flops=flops, is_gemm=True,
+            dtype_bytes=k.dtype_bytes, stage=k.stage, lib=k.lib)
         fused_bytes += sum(g.bytes_moved for g in group)
         tiled_bytes += synth.bytes_moved
         out.append(synth)
         i = j + 1
-    if n_fwd == 0 and n_bwd == 0:
+    if not any(groups.values()):
         raise ValueError("trace contains no fused attention groups to "
                          "rewrite (already tiled, or not an attention "
                          "model)")
     detail: Dict[str, object] = {
-        "attn_groups_fwd": n_fwd, "attn_groups_bwd": n_bwd,
+        "attn_groups_fwd": groups["fwd"], "attn_groups_bwd": groups["bwd"],
         "attn_hbm_bytes_fused": fused_bytes,
         "attn_hbm_bytes_tiled": tiled_bytes,
         "attn_hbm_bytes_ratio": (tiled_bytes / fused_bytes

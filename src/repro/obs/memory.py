@@ -435,8 +435,30 @@ def write_memory_report(path: str, report: MemoryReport) -> None:
 
 
 def load_memory_report(path: str) -> Dict[str, object]:
-    """Load and schema-check a memory report document."""
-    return load_json_document(path, schema=MEMORY_SCHEMA)
+    """Load and schema-check a memory report document.
+
+    The containers the CLI walks are type-checked too, so a schema-skewed
+    report raises ``ValueError`` (exit 2) instead of a traceback.
+    """
+    doc = load_json_document(path, schema=MEMORY_SCHEMA)
+    parts = {k: doc.get(k) or {} for k in ("peak", "attribution",
+                                            "shape_plan")}
+    for name, part in parts.items():
+        if not isinstance(part, dict):
+            raise ValueError(f"{path}: {name} is not an object")
+    row = {"key", "bytes", "share", "requests"}
+    lists = [(f"attribution.{t}", parts["attribution"].get(t), row)
+             for t in ("by_site", "by_stage", "by_family")]
+    lists += [(f"shape_plan.{t}", parts["shape_plan"].get(t), keys)
+              for t, keys in (("requests", {"shape", "dtype"}),
+                              ("plans", {"entries"}))]
+    for name, rows, keys in lists:
+        rows = rows or []
+        if not isinstance(rows, list) or not all(
+                isinstance(r, dict) and keys <= r.keys() for r in rows):
+            raise ValueError(f"{path}: {name} is not a list of objects "
+                             f"with keys {sorted(keys)}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -362,10 +362,20 @@ def write_trace(path: str, trace: Dict[str, object]) -> None:
 
 
 def read_trace(path: str) -> Dict[str, object]:
-    """Load a Perfetto trace JSON written by :func:`write_trace`."""
+    """Load a Perfetto trace JSON written by :func:`write_trace`.
+
+    The containers readers walk are type-checked too, so a schema-skewed
+    trace raises ``ValueError`` instead of a traceback downstream.
+    """
     trace = load_json_document(path)
-    if "traceEvents" not in trace:
-        raise ValueError(f"{path}: not a trace_event JSON document")
+    events = trace.get("traceEvents")
+    if not isinstance(events, list):
+        raise ValueError(f"{path}: not a trace_event JSON document "
+                         f"(traceEvents is not a list)")
+    if not all(isinstance(ev, dict) for ev in events):
+        raise ValueError(f"{path}: traceEvents holds a non-object event")
+    if not isinstance(trace.get("otherData") or {}, dict):
+        raise ValueError(f"{path}: otherData is not an object")
     return trace
 
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..sim.gpu_specs import GPUS, GPUSpec
-from .critpath import (CriticalPath, Projection, StepDAG, StepInputs,
-                       attribute_critical_path, build_step_dag,
-                       project_timeline, synthetic_buckets, whatif)
+from ..sim.timeline import StepInputs, synthetic_buckets
+from .critpath import (CriticalPath, Projection, StepDAG,
+                       attribute_critical_path, build_step_dag, whatif)
 from .perfetto import read_trace, trace_kernels
 from .roofline import RooflineReport, roofline_report
 from .runrecord import emit_document
@@ -59,10 +59,10 @@ class ProfileAnalysis:
 
     @property
     def total_s(self) -> float:
-        return project_timeline(self.inputs).total_s
+        return self.inputs.timeline().total_s
 
     def as_dict(self, top: int = 10) -> Dict[str, object]:
-        tl = project_timeline(self.inputs)
+        tl = self.inputs.timeline()
         return {
             "schema": PROFILE_SCHEMA,
             "gpu": self.inputs.spec.name,

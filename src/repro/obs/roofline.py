@@ -24,7 +24,6 @@ total is bitwise equal to ``trace_cost(...).total_s``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -53,13 +52,6 @@ class LaunchRoofline:
     intensity: float           # FLOPs per byte moved (0 for no-flop kernels)
     ridge: float               # GPU ridge point at this launch's precision
     achieved_fraction: float   # achieved/peak for the binding resource
-
-    @property
-    def ridge_distance(self) -> float:
-        """log2(intensity / ridge): negative = memory side of the knee."""
-        if self.intensity <= 0 or self.ridge <= 0:
-            return -math.inf
-        return math.log2(self.intensity / self.ridge)
 
 
 def analyze_launch(k: KernelLaunch, spec: GPUSpec, *,

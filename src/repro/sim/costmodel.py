@@ -264,18 +264,6 @@ def stage_seconds(trace: Iterable[KernelLaunch], spec: GPUSpec
     return trace_cost(trace, spec).by_stage
 
 
-def tokens_per_second(trace: Iterable[KernelLaunch], spec: GPUSpec,
-                      tokens: int, extra_s: float = 0.0) -> float:
-    """Throughput for a trace covering one optimisation step.
-
-    ``extra_s`` adds non-kernel time (gradient sync, allocator stalls).
-    """
-    t = trace_cost(trace, spec).total_s + extra_s
-    if t <= 0:
-        raise ValueError("trace has zero simulated time")
-    return tokens / t
-
-
 def speedup(baseline: Iterable[KernelLaunch],
             optimized: Iterable[KernelLaunch], spec: GPUSpec,
             baseline_extra_s: float = 0.0,

@@ -1,78 +1,36 @@
-"""Training-step timeline: the four stages of Fig. 3/4, plus the
-two-stream (compute + comm) model for overlapped bucketed gradient sync.
+"""The one step model: how a simulated training step is priced.
 
-Combines the roofline cost of the forward/backward/update kernel stages
-with the communication model for the sync stage, producing the stacked
-per-stage breakdown of Fig. 4 for any (library, GPU, world-size) setting.
+LightSeq2's Figs. 3/4 and 11 price one optimisation step as forward +
+backward + gradient sync + update.  :class:`StepInputs` is the one
+description of such a step — its kernel trace, GPU, world size, gradient
+buckets and comm/resilience knobs — and :meth:`StepInputs.timeline` is the
+one function that prices it, combining the roofline cost of the kernel
+stages with the communication model for the sync stage.  The figures, the
+measurement ladder (through :func:`two_stream_step_timeline`), the
+critical-path DAG and what-if engine of :mod:`repro.obs.critpath`, and
+``repro.train --profile-out`` all call it.
 
-The two-stream extension models what DDP-style overlap actually buys: the
-backward pass runs on the compute stream producing gradients from the last
-parameter backwards, and each bucket's ring all-reduce launches on the comm
-stream as soon as every layer writing into it has finished.  Only the comm
-time that outruns the remaining backward compute is *exposed*; the rest is
-hidden behind it (the Fig.-11 sync overhead, attacked directly).
+Sync is a two-stream (compute + comm) model of DDP-style bucketed
+all-reduce: the backward pass runs on the compute stream producing
+gradients from the last parameter backwards, and each bucket's ring
+all-reduce launches on the comm stream as soon as every layer writing
+into it has finished.  Only the comm time that outruns the remaining
+backward compute is *exposed*; the rest is hidden behind it (the Fig.-11
+sync overhead, attacked directly).  With ``overlap=False`` every bucket
+waits for the whole backward pass, so all comm time is exposed — the
+serial Fig.-4 stage sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from math import ceil
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..backend.device import STAGES, KernelLaunch
-from .comm import (GradBucket, bucketed_allreduce_seconds,
-                   ring_allreduce_seconds)
-from .costmodel import stage_seconds
+from ..backend.device import KernelLaunch
+from .comm import DDP_BUCKET_BYTES, GradBucket, ring_allreduce_seconds
+from .costmodel import trace_cost
 from .gpu_specs import STEP_SETUP_S, GPUSpec
-
-
-@dataclass(frozen=True)
-class StepTimeline:
-    """Simulated seconds per training stage for one optimisation step."""
-
-    forward_s: float
-    backward_s: float
-    sync_s: float
-    update_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.forward_s + self.backward_s + self.sync_s + self.update_s
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"forward": self.forward_s, "backward": self.backward_s,
-                "sync": self.sync_s, "update": self.update_s}
-
-    def scaled(self, factor: float) -> "StepTimeline":
-        return StepTimeline(self.forward_s * factor, self.backward_s * factor,
-                            self.sync_s * factor, self.update_s * factor)
-
-
-def step_timeline(trace: Iterable[KernelLaunch], spec: GPUSpec, *,
-                  grad_bytes: int = 0, world_size: int = 1,
-                  step_setup_s: float = STEP_SETUP_S) -> StepTimeline:
-    """Build the Fig.-4 timeline from one step's kernel trace.
-
-    Kernels recorded under the "sync" stage (if any) are added to the
-    alpha–beta all-reduce estimate for ``grad_bytes``.  ``step_setup_s``
-    is the per-step host constant (data loading/collation, identical for
-    every library) folded into the forward stage; it is what deeper models
-    and larger batches amortise.
-    """
-    by = stage_seconds(trace, spec)
-    sync = by.get("sync", 0.0)
-    if world_size > 1 and grad_bytes > 0:
-        sync += bucketed_allreduce_seconds(grad_bytes, world_size, spec)
-    return StepTimeline(
-        forward_s=by.get("forward", 0.0) + step_setup_s,
-        backward_s=by.get("backward", 0.0),
-        sync_s=sync,
-        update_s=by.get("update", 0.0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# two-stream (compute || comm) overlap model
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -195,19 +153,89 @@ class TwoStreamTimeline:
     update_s: float
 
     @property
-    def sync_total_s(self) -> float:
-        return self.sync_exposed_s + self.sync_hidden_s
-
-    @property
     def total_s(self) -> float:
         """Wall-clock step time: hidden sync costs nothing."""
         return (self.forward_s + self.backward_s + self.sync_exposed_s
                 + self.update_s)
 
-    def as_step_timeline(self) -> StepTimeline:
-        """Collapse to the four-stage view (sync = exposed time only)."""
-        return StepTimeline(self.forward_s, self.backward_s,
-                            self.sync_exposed_s, self.update_s)
+
+def synthetic_buckets(grad_elems: int, itemsize: int,
+                      bucket_bytes: int = DDP_BUCKET_BYTES
+                      ) -> List[GradBucket]:
+    """DDP-shaped buckets tiling a flat gradient of ``grad_elems``.
+
+    Used when a step never built real buckets (a single-GPU trace, or a
+    figure pricing a model it did not wrap in ``DataParallel``): the 25 MB
+    tiling is what DDP would have produced for an equally-sized
+    contiguous workspace.
+    """
+    if grad_elems <= 0:
+        return []
+    per = max(1, bucket_bytes // itemsize)
+    n = ceil(grad_elems / per)
+    return [GradBucket(i, (f"flat[{i}]",), i * per,
+                       min(grad_elems, (i + 1) * per)) for i in range(n)]
+
+
+@dataclass(frozen=True)
+class StepInputs:
+    """Everything needed to price one training step — the re-costable
+    description the timeline, the critical-path DAG, the attribution, and
+    every what-if share.
+
+    ``attn`` optionally carries the attention geometry needed by the
+    ``attn_impl=tiled`` projection: ``head_dim``, ``tile_q``, ``tile_k``,
+    ``causal`` (and optionally ``mask_elems``).  ``grad_elems`` lets
+    world-size what-ifs synthesize buckets for traces that have none.
+    """
+
+    trace: Tuple[KernelLaunch, ...]
+    spec: GPUSpec
+    world_size: int = 1
+    buckets: Tuple[GradBucket, ...] = ()
+    itemsize: int = 4
+    overlap: bool = True
+    step_setup_s: float = STEP_SETUP_S
+    include_host: bool = True
+    straggler_delay_s: float = 0.0
+    retry_exposed_s: float = 0.0
+    comm_seconds_fn: Optional[Callable[[int, int, GPUSpec], float]] = None
+    grad_elems: int = 0
+    attn: Optional[Dict[str, object]] = None
+
+    def stage_seconds(self) -> Dict[str, float]:
+        return trace_cost(self.trace, self.spec,
+                          include_host=self.include_host).by_stage
+
+    def schedule(self) -> BucketSchedule:
+        """The step's bucketed comm schedule (retry time appended)."""
+        by = self.stage_seconds()
+        sched = overlap_schedule(
+            self.buckets, self.itemsize, by.get("backward", 0.0),
+            self.world_size, self.spec, overlap=self.overlap,
+            comm_seconds_fn=self.comm_seconds_fn,
+            straggler_delay_s=self.straggler_delay_s)
+        return with_extra_exposed(sched, self.retry_exposed_s)
+
+    def timeline(self) -> TwoStreamTimeline:
+        """Price the step: per-stage seconds with sync split into the part
+        hidden behind backward and the part exposed after it.
+
+        ``step_setup_s`` is the per-step host constant (data loading and
+        collation, identical for every library) folded into the forward
+        stage; it is what deeper models and larger batches amortise.
+        Kernels recorded under the "sync" stage are added to the exposed
+        sync time.
+        """
+        by = self.stage_seconds()
+        sched = self.schedule()
+        return TwoStreamTimeline(
+            forward_s=by.get("forward", 0.0) + self.step_setup_s,
+            backward_s=by.get("backward", 0.0),
+            sync_exposed_s=sched.exposed_s + by.get("sync", 0.0),
+            sync_hidden_s=sched.hidden_s,
+            update_s=by.get("update", 0.0),
+        )
 
 
 def two_stream_step_timeline(trace: Iterable[KernelLaunch], spec: GPUSpec, *,
@@ -215,32 +243,7 @@ def two_stream_step_timeline(trace: Iterable[KernelLaunch], spec: GPUSpec, *,
                              world_size: int = 1, overlap: bool = True,
                              step_setup_s: float = STEP_SETUP_S
                              ) -> TwoStreamTimeline:
-    """Build the two-stream timeline from one step's kernel trace.
-
-    Like :func:`step_timeline`, but the gradient sync is scheduled bucket
-    by bucket against the backward stage, splitting it into hidden and
-    exposed components.
-    """
-    by = stage_seconds(trace, spec)
-    backward = by.get("backward", 0.0)
-    sched = overlap_schedule(buckets, itemsize, backward, world_size, spec,
-                             overlap=overlap)
-    return TwoStreamTimeline(
-        forward_s=by.get("forward", 0.0) + step_setup_s,
-        backward_s=backward,
-        sync_exposed_s=sched.exposed_s + by.get("sync", 0.0),
-        sync_hidden_s=sched.hidden_s,
-        update_s=by.get("update", 0.0),
-    )
-
-
-def format_timeline_table(rows: Dict[str, StepTimeline]) -> str:
-    """Render {label: timeline} as the Fig.-4 comparison table (ms)."""
-    out = [f"{'system':<14}" + "".join(f"{s:>12}" for s in STAGES)
-           + f"{'total':>12}"]
-    for label, tl in rows.items():
-        d = tl.as_dict()
-        out.append(f"{label:<14}"
-                   + "".join(f"{d[s] * 1e3:>12.2f}" for s in STAGES)
-                   + f"{tl.total_s * 1e3:>12.2f}")
-    return "\n".join(out)
+    """:meth:`StepInputs.timeline` of one step's kernel trace."""
+    return StepInputs(tuple(trace), spec, world_size=world_size,
+                      buckets=tuple(buckets), itemsize=itemsize,
+                      overlap=overlap, step_setup_s=step_setup_s).timeline()

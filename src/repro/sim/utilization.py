@@ -29,8 +29,8 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 from ..backend.allocator import round_block
 from ..backend.device import KernelLaunch
-from .costmodel import kernel_time
-from .gpu_specs import HOST_OVERHEAD_US, GPUSpec
+from .costmodel import kernel_time_parts
+from .gpu_specs import GPUSpec
 
 #: cudaMalloc cost model: fixed syscall+sync latency plus per-byte mapping.
 ALLOC_STALL_FIXED_S = 1.5e-3
@@ -116,10 +116,9 @@ def trace_busy_overhead(trace: Iterable[KernelLaunch], spec: GPUSpec
     busy = 0.0
     exposed = 0.0
     for k in trace:
-        fixed = (spec.kernel_launch_us + HOST_OVERHEAD_US[k.lib]) * 1e-6
-        exec_s = kernel_time(k, spec) - fixed
-        busy += exec_s
-        exposed += max(0.0, fixed - exec_s)
+        parts = kernel_time_parts(k, spec)
+        busy += parts.roofline_s
+        exposed += max(0.0, parts.fixed_s - parts.roofline_s)
     return busy, exposed
 
 

@@ -405,8 +405,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.profile_out:
         import json as _json
 
-        from .obs.critpath import StepInputs
         from .obs.profile import profile_report
+        from .sim.timeline import StepInputs
         inputs = StepInputs(
             trace=tuple(kept_launches), spec=spec,
             grad_elems=step_meta["grad_elems"], attn=step_meta["attn"])

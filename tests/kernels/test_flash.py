@@ -243,3 +243,42 @@ class TestLaunchAccounting:
         (launch,) = dev.launches
         assert launch.elems_written == q.size + 64 * 2 + 2
         assert launch.elems_written < 64 * 64      # << the probs tensor
+
+    @pytest.mark.parametrize("lq,lk,tq,tk,causal,padded", [
+        (8, 8, 64, 64, False, False),     # one tile: both fast paths
+        (8, 8, 64, 64, True, False),
+        (24, 8, 8, 16, False, False),     # one key tile, three query tiles
+        (32, 32, 8, 8, False, False),     # multi-tile
+        (32, 32, 8, 8, True, False),      # causal, Lq == Lk
+        (30, 30, 8, 8, True, False),      # causal with ragged last tiles
+        (20, 27, 8, 8, False, False),     # ragged last tiles
+        (16, 16, 8, 8, False, True),      # padding mask
+    ])
+    def test_recorded_launch_is_flash_launch_cost(self, rng, lq, lk, tq, tk,
+                                                  causal, padded):
+        b, n, dh = 2, 2, 4
+        q, k, v = _qkv(rng, b=b, n=n, lq=lq, lk=lk, dh=dh)
+        mask = ((-1e9 * (rng.random((b, 1, 1, lk)) < 0.3)).astype(np.float32)
+                if padded else None)
+        mask_elems = mask.size if padded else 0
+        dev = Device()
+        with use_device(dev):
+            o, stats, seed = flash.flash_attn_forward(
+                q, k, v, 0.5, mask, 0.0, None, causal=causal,
+                tile_q=tq, tile_k=tk)
+            flash.flash_attn_backward(
+                np.ones_like(q), q, k, v, o, stats, seed, 0.5, mask, 0.0,
+                causal=causal, tile_q=tq, tile_k=tk)
+        fwd, bwd = dev.launches
+        for launch, direction in ((fwd, "fwd"), (bwd, "bwd")):
+            assert (launch.elems_read, launch.elems_written,
+                    launch.flops) == flash.flash_launch_cost(
+                direction, b * n, lq, lk, dh, tile_q=tq, tile_k=tk,
+                causal=causal, mask_elems=mask_elems)
+        if not causal:
+            # every tile is processed: dense FLOPs, K/V read once per
+            # query tile
+            assert fwd.flops == b * n * lq * lk * (4 * dh + 8)
+            assert bwd.flops == b * n * lq * lk * (10 * dh + 12)
+            assert fwd.elems_read == (q.size + 2 * -(-lq // tq) * k.size
+                                      + mask_elems)

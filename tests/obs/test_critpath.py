@@ -21,13 +21,14 @@ import pytest
 from repro.backend.device import Device, use_device
 from repro.config import get_config
 from repro.models import GPTModel
-from repro.obs.critpath import (EXPOSED_COMM, HOST, RETRY, StepInputs,
+from repro.obs.critpath import (EXPOSED_COMM, HOST, RETRY,
                                 attribute_critical_path, build_step_dag,
-                                project_timeline, synthetic_buckets,
                                 tiled_attention_trace, whatif)
+from repro.sim.comm import bucketed_allreduce_seconds
 from repro.sim.costmodel import trace_hbm_bytes
 from repro.sim.gpu_specs import GPUS, V100
-from repro.sim.timeline import two_stream_step_timeline
+from repro.sim.timeline import (StepInputs, synthetic_buckets,
+                                two_stream_step_timeline)
 
 _BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                          "benchmarks", "baselines", "BENCH_flashattn.json")
@@ -66,19 +67,35 @@ def _inputs(**kw):
 
 
 class TestProjectTimeline:
-    def test_matches_two_stream_timeline_bitwise(self):
-        inp = _inputs()
-        tl = project_timeline(inp)
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("world", [1, 2, 8])
+    def test_matches_two_stream_timeline_bitwise(self, overlap, world):
+        inp = _inputs(world_size=world, overlap=overlap)
+        tl = inp.timeline()
         ref = two_stream_step_timeline(
             inp.trace, inp.spec, buckets=inp.buckets,
-            itemsize=inp.itemsize, world_size=inp.world_size)
+            itemsize=inp.itemsize, world_size=inp.world_size,
+            overlap=overlap)
         for f in ("forward_s", "backward_s", "sync_exposed_s",
                   "sync_hidden_s", "update_s", "total_s"):
             assert getattr(tl, f) == getattr(ref, f)
 
+    @pytest.mark.parametrize("world", [1, 2, 8])
+    def test_no_overlap_sync_is_the_serial_allreduce(self, world):
+        """The figures price sync with overlap off: every bucket's
+        all-reduce is exposed, the serial Fig.-4 sum of the comm model."""
+        inp = _inputs(world_size=world, overlap=False,
+                      buckets=tuple(synthetic_buckets(_GRAD_ELEMS, 4)))
+        exposed = inp.timeline().sync_exposed_s
+        serial = bucketed_allreduce_seconds(_GRAD_ELEMS * 4, world, V100)
+        if world == 1:
+            assert exposed == serial == 0.0
+        else:
+            assert math.isclose(exposed, serial, rel_tol=1e-12)
+
     def test_retry_time_extends_total_exactly(self):
-        base = project_timeline(_inputs()).total_s
-        bumped = project_timeline(_inputs(retry_exposed_s=0.005)).total_s
+        base = _inputs().timeline().total_s
+        bumped = _inputs(retry_exposed_s=0.005).timeline().total_s
         assert math.isclose(bumped, base + 0.005, rel_tol=1e-12)
 
 
@@ -87,7 +104,7 @@ class TestCriticalPath:
         inp = _inputs()
         dag = build_step_dag(inp)
         path = dag.critical_path()
-        total = project_timeline(inp).total_s
+        total = inp.timeline().total_s
         assert abs(path.total_s - total) / total < 0.01
 
     def test_attribution_sums_to_path_total(self):
@@ -110,7 +127,7 @@ class TestCriticalPath:
         dag = build_step_dag(inp)
         path = dag.critical_path()
         assert any("straggler" in n for n in path.names)
-        total = project_timeline(inp).total_s
+        total = inp.timeline().total_s
         assert abs(path.total_s - total) / total < 0.01
 
     def test_retry_node_attributed_as_retry(self):
@@ -132,7 +149,7 @@ class TestCriticalPath:
 class TestWhatIf:
     def test_comm_free_matches_fully_hidden_bound_bitwise(self):
         inp = _inputs()
-        tl = project_timeline(inp)
+        tl = inp.timeline()
         sched = inp.schedule()
         bound = (tl.forward_s + tl.backward_s
                  + (tl.sync_exposed_s - sched.exposed_s) + tl.update_s)
@@ -147,8 +164,8 @@ class TestWhatIf:
     def test_gpu_h100_faster_than_v100(self):
         p = whatif(_inputs(), "gpu=H100")
         assert p.total_s < p.baseline_total_s
-        assert p.timeline.total_s == project_timeline(
-            _inputs(spec=GPUS["H100"])).total_s
+        assert p.timeline.total_s == _inputs(
+            spec=GPUS["H100"]).timeline().total_s
 
     def test_world_scaling_prices_more_comm(self):
         inp = _inputs(world_size=1, buckets=())

@@ -4,8 +4,7 @@ import pytest
 
 from repro.backend.device import Device, KernelLaunch, use_device
 from repro.sim.costmodel import (kernel_family, kernel_time, speedup,
-                                 stage_seconds, tokens_per_second,
-                                 trace_cost)
+                                 stage_seconds, trace_cost)
 from repro.sim.gpu_specs import A100, V100
 
 
@@ -93,13 +92,6 @@ class TestTraceAggregation:
         s = stage_seconds(trace, V100)
         assert s["forward"] > 0 and s["update"] > 0
         assert s["backward"] == 0
-
-    def test_tokens_per_second(self):
-        trace = [_k()]
-        tps = tokens_per_second(trace, V100, tokens=1000)
-        assert tps > 0
-        slower = tokens_per_second(trace, V100, tokens=1000, extra_s=1.0)
-        assert slower < tps
 
     def test_speedup_symmetric(self):
         fast = [_k(er=10, ew=10)]

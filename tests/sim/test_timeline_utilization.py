@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend.device import Device, KernelLaunch, use_device
 from repro.sim.gpu_specs import V100
-from repro.sim.timeline import StepTimeline, format_timeline_table, step_timeline
+from repro.sim.timeline import StepInputs, synthetic_buckets
 from repro.backend.allocator import round_block
 from repro.sim.utilization import (StepShape, TrainingRunSimulator,
                                    trace_busy_overhead)
@@ -18,28 +18,20 @@ def _k(stage, er=1000, lib="pytorch"):
 class TestTimeline:
     def test_stages_routed(self):
         trace = [_k("forward"), _k("backward"), _k("update")]
-        tl = step_timeline(trace, V100)
+        tl = StepInputs(tuple(trace), V100).timeline()
         assert tl.forward_s > 0 and tl.backward_s > 0 and tl.update_s > 0
-        assert tl.sync_s == 0
+        assert tl.sync_exposed_s == 0
         assert tl.total_s == pytest.approx(
             tl.forward_s + tl.backward_s + tl.update_s)
 
     def test_sync_from_comm_model(self):
         trace = [_k("forward")]
-        tl1 = step_timeline(trace, V100, grad_bytes=10**8, world_size=1)
-        tl8 = step_timeline(trace, V100, grad_bytes=10**8, world_size=8)
-        assert tl1.sync_s == 0
-        assert tl8.sync_s > 0
-
-    def test_scaled(self):
-        tl = StepTimeline(1.0, 2.0, 0.5, 0.25)
-        half = tl.scaled(0.5)
-        assert half.total_s == pytest.approx(tl.total_s / 2)
-
-    def test_format_table(self):
-        tl = StepTimeline(0.001, 0.002, 0.0, 0.0005)
-        txt = format_timeline_table({"sys": tl})
-        assert "sys" in txt and "total" in txt
+        buckets = tuple(synthetic_buckets(10**8 // 4, 4))
+        tl1, tl8 = (StepInputs(tuple(trace), V100, world_size=w,
+                               buckets=buckets, overlap=False).timeline()
+                    for w in (1, 8))
+        assert tl1.sync_exposed_s == 0
+        assert tl8.sync_exposed_s > 0
 
 
 class TestBusyOverhead:

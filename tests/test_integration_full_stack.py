@@ -17,7 +17,7 @@ from repro.data.synthetic import SentencePair
 from repro.inference import IncrementalDecoder
 from repro.models import TransformerModel
 from repro.precision import DynamicLossScaler
-from repro.sim import V100, step_timeline
+from repro.sim import V100, StepInputs
 from repro.training import (CheckpointedLayer, DataParallel, OptimizerSpec,
                             make_trainer, shard_batch,
                             train_step_accumulated)
@@ -61,9 +61,7 @@ def test_fp16_checkpointed_accumulated_training_with_tracing(cfg):
     # it trains
     assert losses[-1] < losses[0]
     # the trace covers all stages and yields a sane simulated timeline
-    tl = step_timeline(dev.launches, V100,
-                       grad_bytes=trainer.workspace.grads.nbytes,
-                       world_size=1)
+    tl = StepInputs(tuple(dev.launches), V100).timeline()
     assert tl.forward_s > 0 and tl.backward_s > 0 and tl.update_s > 0
     # no FP32 master copies exist anywhere (the §3.2 memory claim)
     assert trainer.extra_state_bytes() == 8 * trainer.workspace.total_elems
