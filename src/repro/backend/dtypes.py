@@ -57,16 +57,6 @@ def nbytes(shape, fp16: bool) -> int:
     return n * itemsize(fp16)
 
 
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    """Raise ``FloatingPointError`` if ``x`` contains NaN/Inf.
-
-    Used by the loss scaler to detect FP16 overflow, mirroring the
-    ``check_overflow`` pass of mixed-precision trainers.
-    """
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite values in {what}")
-
-
 _HALF_EXPONENT = 0x7C00
 
 

@@ -1,81 +1,15 @@
-"""Padding removal — the paper's named future work (effective_transformer).
+"""Padding waste of token-budget batches.
 
 Token-budget batches pad every sentence to the batch maximum, so position-
 wise work (FFN GEMMs, criterion, embedding) burns FLOPs on pad tokens the
-loss ignores.  "Padding removing" packs the valid tokens of a (B, L, H)
-batch into a dense (T, H) tensor plus index metadata, runs position-wise
-kernels on T <= B*L rows, and scatters back before sequence-level ops.
-
-* :func:`remove_padding` / :func:`restore_padding` — the pack/unpack copy
-  kernels (one launch each; exact adjoints of each other, so gradients
-  flow by swapping them).
-* :func:`padding_stats` — how much compute a batch wastes on pads, the
-  quantity the ablation bench reports.
-* :func:`packed_ffn_forward` — a demonstration consumer: the FFN inner
-  GEMMs on the packed layout, numerically identical to the padded path on
-  valid rows.
+loss ignores.  :func:`padding_stats` measures how much — the quantity the
+ablation bench reports.  Removing the padding is the paper's named future
+work (effective_transformer); no kernel here does it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
-
-from . import record
-from .elementwise import make_dropout_mask
-
-
-@dataclass(frozen=True)
-class PackingInfo:
-    """Metadata mapping packed rows back to (batch, position) slots."""
-
-    flat_index: np.ndarray     # (T,) indices into the flattened (B*L) axis
-    batch_size: int
-    seq_len: int
-
-    @property
-    def total_tokens(self) -> int:
-        return int(self.flat_index.size)
-
-
-def _lengths_ok(lengths: np.ndarray, b: int, l: int) -> None:
-    if lengths.shape != (b,):
-        raise ValueError(f"lengths shape {lengths.shape} != ({b},)")
-    if np.any(lengths < 0) or np.any(lengths > l):
-        raise ValueError("lengths must lie in [0, seq_len]")
-
-
-def remove_padding(x: np.ndarray, lengths: np.ndarray
-                   ) -> Tuple[np.ndarray, PackingInfo]:
-    """(B, L, H) -> (T, H) keeping only the first ``lengths[i]`` positions
-    of each row.  One gather-copy launch."""
-    b, l, h = x.shape
-    _lengths_ok(lengths, b, l)
-    pos = np.arange(l)
-    keep = pos[None, :] < lengths[:, None]            # (B, L) bool
-    flat_index = np.flatnonzero(keep.reshape(-1))
-    packed = x.reshape(b * l, h)[flat_index]
-    record("ls_remove_padding", packed.size + flat_index.size, packed.size)
-    return packed, PackingInfo(flat_index=flat_index, batch_size=b,
-                               seq_len=l)
-
-
-def restore_padding(packed: np.ndarray, info: PackingInfo,
-                    fill: float = 0.0) -> np.ndarray:
-    """(T, H) -> (B, L, H), pad slots set to ``fill``.  One scatter-copy
-    launch.  Exact adjoint of :func:`remove_padding` when ``fill == 0``."""
-    t, h = packed.shape
-    if t != info.total_tokens:
-        raise ValueError(
-            f"packed rows {t} != packing info tokens {info.total_tokens}")
-    out = np.full((info.batch_size * info.seq_len, h), fill,
-                  dtype=packed.dtype)
-    out[info.flat_index] = packed
-    record("ls_restore_padding", packed.size + info.flat_index.size,
-           out.size)
-    return out.reshape(info.batch_size, info.seq_len, h)
 
 
 def padding_stats(lengths: np.ndarray, seq_len: int) -> dict:
@@ -91,29 +25,3 @@ def padding_stats(lengths: np.ndarray, seq_len: int) -> dict:
         "padded_tokens": total - valid,
         "waste_fraction": (total - valid) / total if total else 0.0,
     }
-
-
-def packed_ffn_forward(x: np.ndarray, lengths: np.ndarray,
-                       w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, *,
-                       p: float = 0.0,
-                       rng: np.random.Generator | None = None,
-                       fp16: bool = False) -> np.ndarray:
-    """Position-wise FFN on the packed layout.
-
-    Packs, runs GEMM1 -> bias+relu+dropout -> GEMM2 on T rows instead of
-    B*L, unpacks.  Identical to the padded FFN on valid rows; pad rows come
-    back zero (they carry no gradient anyway).
-    """
-    from . import gemm
-    packed, info = remove_padding(x, lengths)
-    inner = gemm.linear_forward(packed, w1, fp16=fp16, name="gemm_ffn1")
-    pre = np.maximum(inner + b1, 0.0)
-    if p > 0:
-        if rng is None:
-            raise ValueError("dropout needs an rng")
-        mask = make_dropout_mask(pre.shape, p, rng)
-        pre = pre * (mask * np.float32(1.0 / (1.0 - p)))
-    record("ls_bias_act_dropout_fwd", packed.size, pre.size,
-           flops=4 * pre.size, fp16=fp16)
-    out = gemm.linear_forward(pre, w2, fp16=fp16, name="gemm_ffn2")
-    return restore_padding(out, info)

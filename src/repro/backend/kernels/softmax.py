@@ -116,24 +116,6 @@ def attn_softmax_forward_naive(scores: np.ndarray, scale: float,
 
 
 @capturable({"out": 0})
-def attn_softmax_forward_fused(scores: np.ndarray, scale: float,
-                               mask: Optional[np.ndarray], *,
-                               fp16: bool = False, out=None) -> np.ndarray:
-    """Fused scale + mask + stable softmax: one launch."""
-    s = scores * np.float32(scale)
-    if mask is not None:
-        s = s + mask
-    smax = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - smax)
-    y = out_buffer(out, scores.shape, e.dtype)
-    np.divide(e, e.sum(axis=-1, keepdims=True), out=y)
-    nread = scores.size + (mask.size if mask is not None else 0)
-    record("ls_attn_softmax_fwd", nread, y.size, flops=7 * scores.size,
-           fp16=fp16)
-    return y
-
-
-@capturable({"out": 0})
 def attn_softmax_backward_naive(dy: np.ndarray, y: np.ndarray, scale: float,
                                 *, fp16: bool = False, out=None) -> np.ndarray:
     """Baseline: softmax backward (2 launches) + un-scale kernel."""
@@ -141,19 +123,6 @@ def attn_softmax_backward_naive(dy: np.ndarray, y: np.ndarray, scale: float,
     dscores = out_buffer(out, ds.shape, ds.dtype)
     np.multiply(ds, np.float32(scale), out=dscores)
     record("attn_unscale", ds.size, dscores.size, flops=ds.size, fp16=fp16)
-    return dscores
-
-
-@capturable({"out": 0})
-def attn_softmax_backward_fused(dy: np.ndarray, y: np.ndarray, scale: float,
-                                *, fp16: bool = False, out=None) -> np.ndarray:
-    """Fused softmax backward with the scale folded in: one launch."""
-    dot = (dy * y).sum(axis=-1, keepdims=True)
-    tmp = y * (dy - dot)
-    dscores = out_buffer(out, dy.shape, tmp.dtype)
-    np.multiply(tmp, np.float32(scale), out=dscores)
-    record("ls_attn_softmax_bwd", dy.size + y.size, dscores.size,
-           flops=5 * dy.size, fp16=fp16)
     return dscores
 
 

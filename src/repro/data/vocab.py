@@ -38,16 +38,9 @@ class Vocab:
         return PAD
 
     @property
-    def eos(self) -> int:
-        return EOS
-
-    @property
     def unk(self) -> int:
         return UNK
 
     @property
     def num_content(self) -> int:
         return self.size - FIRST_CONTENT_ID
-
-    def is_special(self, token_id: int) -> bool:
-        return 0 <= token_id < FIRST_CONTENT_ID

@@ -325,10 +325,6 @@ class AnomalyEngine:
         return found
 
     @property
-    def has_errors(self) -> bool:
-        return any(a.severity == "error" for a in self.anomalies)
-
-    @property
     def first_bad(self) -> Optional[Anomaly]:
         """Earliest error-severity anomaly (else earliest of any kind)."""
         ordered = sorted(self.anomalies, key=lambda a: a.step)

@@ -442,7 +442,7 @@ def load_memory_report(path: str) -> Dict[str, object]:
     """
     doc = load_json_document(path, schema=MEMORY_SCHEMA)
     parts = {k: doc.get(k) or {} for k in ("peak", "attribution",
-                                            "shape_plan")}
+                                            "shape_plan", "oom")}
     for name, part in parts.items():
         if not isinstance(part, dict):
             raise ValueError(f"{path}: {name} is not an object")

@@ -393,8 +393,11 @@ def trace_kernels(trace: Dict[str, object]
     for ev in trace.get("traceEvents", []):
         if ev.get("cat") != "kernel":
             continue
+        if "name" not in ev:
+            raise ValueError("kernel slice without a name")
         a = ev.get("args") or {}
-        if "elems_read" not in a or "elems_written" not in a:
+        if (not isinstance(a, dict) or "elems_read" not in a
+                or "elems_written" not in a):
             raise ValueError(
                 f"kernel slice {ev.get('name')!r} lacks elems_read/"
                 f"elems_written args (trace from an older exporter?)")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import platform
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 RUN_RECORD_SCHEMA = "repro.obs.run_record/v1"
 
@@ -117,7 +117,10 @@ def load_json_document(path: str, *, schema: Optional[str] = None
 
 def load_run_record(path: str) -> Dict[str, object]:
     """Load and schema-check a run record."""
-    return load_json_document(path, schema=RUN_RECORD_SCHEMA)
+    record = load_json_document(path, schema=RUN_RECORD_SCHEMA)
+    if not isinstance(record.get("provenance") or {}, dict):
+        raise ValueError(f"{path}: provenance is not an object")
+    return record
 
 
 def emit_document(doc: Dict[str, object], text: str, args) -> None:
@@ -157,13 +160,3 @@ def record_order_key(record: Dict[str, object],
 def bench_record_path(directory: str, name: str) -> str:
     """The canonical ``BENCH_<name>.json`` path for a bench run record."""
     return os.path.join(directory, f"BENCH_{name}.json")
-
-
-def list_bench_records(directory: str) -> List[str]:
-    """All ``BENCH_*.json`` run-record paths under ``directory``, sorted."""
-    try:
-        entries = sorted(os.listdir(directory))
-    except FileNotFoundError:
-        return []
-    return [os.path.join(directory, e) for e in entries
-            if e.startswith("BENCH_") and e.endswith(".json")]

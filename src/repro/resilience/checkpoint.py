@@ -259,13 +259,6 @@ class CheckpointStore:
                 problems.append(f"{key}: tensor CRC32 mismatch")
         return problems
 
-    def latest_valid(self) -> Optional[int]:
-        """Newest step whose checkpoint passes :meth:`validate`."""
-        for step in reversed(self.steps()):
-            if not self.validate(step):
-                return step
-        return None
-
     def read_manifest(self, step: int) -> Dict[str, object]:
         return json.loads(self.paths(step)["manifest"].read_text())
 

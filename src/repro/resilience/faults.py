@@ -220,9 +220,6 @@ class FaultPlan:
             d["name"] = self.name
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
     def with_seed(self, seed: int) -> "FaultPlan":
         return FaultPlan(self.specs, seed=seed, name=self.name)
 

@@ -136,9 +136,7 @@ def retry_collective(op: Callable[[], None],
 
 
 def run_elastic_step(dp, arrays: Sequence[np.ndarray], *,
-                     lr: Optional[float] = None,
-                     grad_scale_fn: Optional[Callable[[int], float]] = None
-                     ) -> Tuple[float, int]:
+                     lr: Optional[float] = None) -> Tuple[float, int]:
     """One data-parallel step that survives permanent replica loss.
 
     Shards ``arrays`` for the current world size and runs
@@ -152,7 +150,7 @@ def run_elastic_step(dp, arrays: Sequence[np.ndarray], *,
     while True:
         shards = shard_batch(arrays, dp.world_size)
         try:
-            return dp.train_step(shards, lr=lr, grad_scale_fn=grad_scale_fn)
+            return dp.train_step(shards, lr=lr)
         except ReplicaCrash as crash:
             if dp.world_size <= 1:
                 raise

@@ -304,15 +304,14 @@ class DataParallel:
         if self.zero1:
             self._allgather_params()
 
-    def train_step(self, shards: Sequence[Tuple], *, lr: Optional[float] = None,
-                   grad_scale_fn: Optional[Callable[[int], float]] = None
+    def train_step(self, shards: Sequence[Tuple], *, lr: Optional[float] = None
                    ) -> Tuple[float, int]:
         """One data-parallel step.
 
         ``shards``: one batch tuple per replica (positional args to the
-        model's ``forward``).  ``grad_scale_fn(total_tokens) -> float``
-        computes the update scaling from the *global* token count, as
-        fairseq does after summing token counts across workers.
+        model's ``forward``).  The update scaling comes from the *global*
+        token count, as fairseq does after summing token counts across
+        workers.
 
         Backward runs on the loss scaled by the trainers' loss scaler (if
         any) and ``1/scale`` is folded into the update's ``grad_scale``, as
@@ -346,17 +345,13 @@ class DataParallel:
             self._maybe_crash("backward")
             self._maybe_crash("sync")
             self.sync_gradients()
-            gs = (grad_scale_fn(total_tokens) / scale if grad_scale_fn
-                  else 1.0 / (scale * max(total_tokens, 1))
-                  * self.world_size)
+            gs = 1.0 / (scale * max(total_tokens, 1)) * self.world_size
             self._maybe_crash("update")
             self._update(lr, gs)
         return total_loss, total_tokens
 
     def train_step_microbatched(self, microbatches: Sequence[Tuple], *,
-                                lr: Optional[float] = None,
-                                grad_scale_fn: Optional[
-                                    Callable[[int], float]] = None
+                                lr: Optional[float] = None
                                 ) -> Tuple[float, int]:
         """One step over P global micro-batches with order-fixed reduction.
 
@@ -370,7 +365,7 @@ class DataParallel:
         provide it because its summation association depends on the world
         size.
 
-        The default grad scale is ``1 / total_tokens`` — deliberately
+        The grad scale is ``1 / total_tokens`` — deliberately
         world-size-independent, unlike :meth:`train_step`'s fairseq-style
         scaling (micro-batch gradients are summed, not averaged).
         """
@@ -399,8 +394,7 @@ class DataParallel:
                        flats[0].size * self.world_size, dtype_bytes=4)
         for trainer, flat in zip(self.trainers, flats):
             trainer.load_flat_grad(flat)
-        gs = (grad_scale_fn(total_tokens) / scale if grad_scale_fn
-              else 1.0 / (scale * max(total_tokens, 1)))
+        gs = 1.0 / (scale * max(total_tokens, 1))
         self._update(lr, gs)
         return total_loss, total_tokens
 

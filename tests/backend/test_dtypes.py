@@ -1,7 +1,6 @@
 """Precision policy helpers."""
 
 import numpy as np
-import pytest
 
 from repro.backend import dtypes as dt
 
@@ -35,13 +34,6 @@ def test_itemsize_and_nbytes():
     assert dt.nbytes((2, 3, 4), True) == 48
     assert dt.nbytes((), False) == 4
 
-
-def test_assert_finite():
-    dt.assert_finite(np.ones(3))
-    with pytest.raises(FloatingPointError):
-        dt.assert_finite(np.array([1.0, np.nan]))
-    with pytest.raises(FloatingPointError):
-        dt.assert_finite(np.array([np.inf]))
 
 
 def test_has_overflow():

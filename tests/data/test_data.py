@@ -8,14 +8,14 @@ from repro.data import (EOS, PAD, MTBatch, SyntheticLMCorpus,
                         make_mt_batch, max_batch_footprint, pad_sequences,
                         scan_corpus_shapes, synthetic_images,
                         synthetic_sentence_pairs)
-from repro.data.vocab import FIRST_CONTENT_ID
+from repro.data.vocab import EOS, FIRST_CONTENT_ID
 
 
 class TestVocab:
     def test_specials(self):
         v = Vocab(100)
-        assert v.pad == 1 and v.eos == 2
-        assert v.is_special(0) and not v.is_special(4)
+        assert v.pad == 1 and EOS == 2
+        assert FIRST_CONTENT_ID == 4
         assert v.num_content == 96
 
     def test_too_small(self):

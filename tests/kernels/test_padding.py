@@ -1,69 +1,9 @@
-"""Padding removal kernels: round trips, adjointness, FLOP accounting."""
+"""Padding waste accounting for the ablation bench."""
 
 import numpy as np
 import pytest
 
-from repro.backend.device import Device, use_device
-from repro.backend.kernels import gemm
-from repro.backend.kernels.padding import (PackingInfo, packed_ffn_forward,
-                                           padding_stats, remove_padding,
-                                           restore_padding)
-
-
-@pytest.fixture
-def batch(rng):
-    x = rng.standard_normal((3, 6, 8)).astype(np.float32)
-    lengths = np.array([6, 2, 4])
-    return x, lengths
-
-
-def test_roundtrip_preserves_valid_positions(batch):
-    x, lengths = batch
-    packed, info = remove_padding(x, lengths)
-    assert packed.shape == (12, 8)
-    restored = restore_padding(packed, info)
-    for i, ln in enumerate(lengths):
-        np.testing.assert_array_equal(restored[i, :ln], x[i, :ln])
-        np.testing.assert_array_equal(restored[i, ln:], 0.0)
-
-
-def test_packed_row_order(batch):
-    """Rows are packed in (batch, position) order."""
-    x, lengths = batch
-    packed, info = remove_padding(x, lengths)
-    np.testing.assert_array_equal(packed[0], x[0, 0])
-    np.testing.assert_array_equal(packed[6], x[1, 0])   # after 6 rows of b0
-    np.testing.assert_array_equal(packed[8], x[2, 0])
-
-
-def test_adjointness(batch, rng):
-    """<remove(x), y> == <x, restore(y)> — pack/unpack are exact adjoints,
-    so swapping them in backward gives correct gradients."""
-    x, lengths = batch
-    packed, info = remove_padding(x, lengths)
-    y = rng.standard_normal(packed.shape).astype(np.float32)
-    lhs = float((packed * y).sum())
-    rhs = float((x * restore_padding(y, info)).sum())
-    assert lhs == pytest.approx(rhs, rel=1e-5)
-
-
-def test_validations(batch):
-    x, lengths = batch
-    with pytest.raises(ValueError):
-        remove_padding(x, lengths[:2])
-    with pytest.raises(ValueError):
-        remove_padding(x, np.array([7, 2, 4]))   # > seq_len
-    packed, info = remove_padding(x, lengths)
-    with pytest.raises(ValueError):
-        restore_padding(packed[:-1], info)
-
-
-def test_zero_length_rows(rng):
-    x = rng.standard_normal((2, 4, 3)).astype(np.float32)
-    packed, info = remove_padding(x, np.array([0, 4]))
-    assert packed.shape == (4, 3)
-    restored = restore_padding(packed, info)
-    np.testing.assert_array_equal(restored[0], 0.0)
+from repro.backend.kernels.padding import padding_stats
 
 
 def test_padding_stats():
@@ -71,47 +11,3 @@ def test_padding_stats():
     assert s["valid_tokens"] == 12
     assert s["padded_tokens"] == 6
     assert s["waste_fraction"] == pytest.approx(1 / 3)
-
-
-def test_packed_ffn_matches_padded(batch, rng):
-    """The packed FFN equals the padded FFN on valid rows."""
-    x, lengths = batch
-    w1 = rng.standard_normal((16, 8)).astype(np.float32)
-    b1 = rng.standard_normal(16).astype(np.float32)
-    w2 = rng.standard_normal((8, 16)).astype(np.float32)
-    packed_out = packed_ffn_forward(x, lengths, w1, b1, w2)
-    padded_out = gemm.linear_forward(
-        np.maximum(gemm.linear_forward(x, w1) + b1, 0.0), w2)
-    for i, ln in enumerate(lengths):
-        np.testing.assert_allclose(packed_out[i, :ln], padded_out[i, :ln],
-                                   atol=1e-5)
-        np.testing.assert_array_equal(packed_out[i, ln:], 0.0)
-
-
-def test_packed_ffn_saves_gemm_flops(batch, rng):
-    """The point of padding removal: GEMM FLOPs scale with valid tokens."""
-    x, lengths = batch
-    w1 = rng.standard_normal((16, 8)).astype(np.float32)
-    b1 = rng.standard_normal(16).astype(np.float32)
-    w2 = rng.standard_normal((8, 16)).astype(np.float32)
-    d_packed, d_padded = Device(), Device()
-    with use_device(d_packed):
-        packed_ffn_forward(x, lengths, w1, b1, w2)
-    with use_device(d_padded):
-        gemm.linear_forward(
-            np.maximum(gemm.linear_forward(x, w1) + b1, 0.0), w2)
-    gemm_packed = sum(k.flops for k in d_packed.launches if k.is_gemm)
-    gemm_padded = sum(k.flops for k in d_padded.launches if k.is_gemm)
-    waste = padding_stats(lengths, x.shape[1])["waste_fraction"]
-    assert gemm_packed == pytest.approx(gemm_padded * (1 - waste), rel=1e-6)
-
-
-def test_packed_ffn_dropout_needs_rng(batch, rng):
-    x, lengths = batch
-    w1 = np.zeros((4, 8), np.float32)
-    b1 = np.zeros(4, np.float32)
-    w2 = np.zeros((8, 4), np.float32)
-    with pytest.raises(ValueError):
-        packed_ffn_forward(x, lengths, w1, b1, w2, p=0.1)
-    out = packed_ffn_forward(x, lengths, w1, b1, w2, p=0.1, rng=rng)
-    assert out.shape == x.shape

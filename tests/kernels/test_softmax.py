@@ -9,6 +9,12 @@ from repro.backend.kernels import softmax as smx
 from ..conftest import assert_grad_close, numerical_grad
 
 
+def _fused_probs(scores, scale, mask):
+    """The attention epilogue with dropout off: scaled, masked softmax."""
+    return smx.attn_softmax_dropout_forward_fused(scores, scale, mask, 0.0,
+                                                  None)[1]
+
+
 def test_forward_fused_matches_naive(rng):
     x = rng.standard_normal((3, 4, 10)).astype(np.float32)
     np.testing.assert_allclose(smx.softmax_forward_naive(x),
@@ -63,7 +69,7 @@ def test_attention_softmax_fused_matches_naive(rng):
     mask = np.where(rng.random((1, 1, 5, 5)) > 0.7, -1e9, 0.0
                     ).astype(np.float32)
     a = smx.attn_softmax_forward_naive(scores, 0.25, mask)
-    b = smx.attn_softmax_forward_fused(scores, 0.25, mask)
+    b = _fused_probs(scores, 0.25, mask)
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
@@ -71,7 +77,7 @@ def test_attention_softmax_respects_mask(rng):
     scores = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
     mask = np.zeros((1, 1, 3, 3), dtype=np.float32)
     mask[..., 2] = -1e9
-    y = smx.attn_softmax_forward_fused(scores, 1.0, mask)
+    y = _fused_probs(scores, 1.0, mask)
     np.testing.assert_allclose(y[..., 2], 0.0, atol=1e-12)
     np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-5)
 
@@ -81,14 +87,13 @@ def test_attention_backward_includes_scale(rng):
     scores = rng.standard_normal((1, 2, 3, 3)).astype(np.float32)
     dy = rng.standard_normal(scores.shape).astype(np.float32)
     scale = 0.5
-    y = smx.attn_softmax_forward_fused(scores, scale, None)
+    y = _fused_probs(scores, scale, None)
     d_naive = smx.attn_softmax_backward_naive(dy, y, scale)
-    d_fused = smx.attn_softmax_backward_fused(dy, y, scale)
+    d_fused = smx.attn_softmax_dropout_backward_fused(dy, y, None, scale, 0.0)
     np.testing.assert_allclose(d_naive, d_fused, atol=1e-6)
 
     def loss(sv):
-        return float((smx.attn_softmax_forward_fused(sv, scale, None)
-                      * dy).sum())
+        return float((_fused_probs(sv, scale, None) * dy).sum())
 
     assert_grad_close(d_fused, numerical_grad(loss, scores))
 
@@ -127,8 +132,7 @@ def test_launch_counts(rng):
     assert dev.launch_count() == 3     # scale + mask + softmax kernels
     dev.reset()
     with use_device(dev):
-        smx.attn_softmax_forward_fused(x[None, None], 0.5,
-                                       np.zeros_like(x)[None, None])
+        _fused_probs(x[None, None], 0.5, np.zeros_like(x)[None, None])
     assert dev.launch_count() == 1
 
 
@@ -143,7 +147,7 @@ class TestFusedSoftmaxDropout:
         dmask = ew.make_dropout_mask(scores.shape, 0.2, rng)
         dropped, probs, _ = smx.attn_softmax_dropout_forward_fused(
             scores, 0.5, mask, 0.2, rng, dmask=dmask)
-        ref_probs = smx.attn_softmax_forward_fused(scores, 0.5, mask)
+        ref_probs = smx.attn_softmax_forward_naive(scores, 0.5, mask)
         ref_dropped, _ = ew.dropout_forward_naive(ref_probs, 0.2, rng,
                                                   mask=dmask)
         np.testing.assert_allclose(probs, ref_probs, atol=1e-6)
@@ -159,7 +163,7 @@ class TestFusedSoftmaxDropout:
         d_fused = smx.attn_softmax_dropout_backward_fused(
             dy, probs, dmask, 0.25, 0.3)
         d_probs = ew.dropout_backward_naive(dy, dmask, 0.3)
-        d_ref = smx.attn_softmax_backward_fused(d_probs, probs, 0.25)
+        d_ref = smx.attn_softmax_backward_naive(d_probs, probs, 0.25)
         np.testing.assert_allclose(d_fused, d_ref, atol=1e-6)
 
     def test_p_zero_equals_plain_softmax(self, rng):
@@ -172,7 +176,7 @@ class TestFusedSoftmaxDropout:
         dy = rng.standard_normal(scores.shape).astype(np.float32)
         d_off = smx.attn_softmax_dropout_backward_fused(
             dy, probs, None, 1.0, 0.0)
-        d_ref = smx.attn_softmax_backward_fused(dy, probs, 1.0)
+        d_ref = smx.attn_softmax_backward_naive(dy, probs, 1.0)
         np.testing.assert_array_equal(d_off, d_ref)
 
     def test_single_launch_each_way(self, rng):

@@ -44,6 +44,10 @@ _PROFILE_CASES = {
     "traceEvents_not_a_list": {"traceEvents": {"cat": "kernel"}},
     "event_not_an_object": {"traceEvents": [1]},
     "otherData_not_an_object": {"traceEvents": [], "otherData": [1]},
+    "kernel_event_without_name": {"traceEvents": [
+        {"cat": "kernel", "args": {"elems_read": 1, "elems_written": 1}}]},
+    "kernel_args_not_an_object": {"traceEvents": [
+        {"cat": "kernel", "name": "k", "args": 5}]},
 }
 
 _MEMORY_CASES = {
@@ -54,6 +58,7 @@ _MEMORY_CASES = {
     "attribution_row_without_bytes": (
         ("attribution", "by_site"),
         [{"key": "attn", "share": 1.0, "requests": 1}]),
+    "oom_not_an_object": (("oom",), "x"),
 }
 
 #: memory runs a what-if so the shape plan is walked too

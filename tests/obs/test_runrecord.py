@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.obs.runrecord import (RUN_RECORD_SCHEMA, bench_record_path,
-                                 list_bench_records, load_run_record,
-                                 make_run_record, write_run_record)
+                                 load_run_record, make_run_record,
+                                 write_run_record)
 from repro.obs.trajectory import compare_main as main
 from repro.obs.trajectory import diff_records, summarize_run_records
 
@@ -60,9 +60,8 @@ class TestRunRecord:
         write_run_record(bench_record_path(str(tmp_path), "a"), _record("a"))
         write_run_record(bench_record_path(str(tmp_path), "b"), _record("b"))
         (tmp_path / "unrelated.json").write_text("{}")
-        found = list_bench_records(str(tmp_path))
-        assert [p.split("BENCH_")[-1] for p in found] == ["a.json", "b.json"]
-        assert list_bench_records(str(tmp_path / "missing")) == []
+        found = sorted(p.name for p in tmp_path.glob("BENCH_*.json"))
+        assert found == ["BENCH_a.json", "BENCH_b.json"]
 
 
 class TestSummarize:

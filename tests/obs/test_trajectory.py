@@ -68,6 +68,7 @@ class TestIngestion:
         ("counters", [1, 2]),                           # list, not dict
         ("metrics", [{"step": 1, "num_tokens": 4}]),    # row without wall_s
         ("memory", {"peak_demand_bytes": True}),        # bool, not number
+        ("provenance", [1]),                            # list, not dict
     ])
     def test_schema_skewed_record_skipped_whole(self, tmp_path, capsys,
                                                 section, value):

@@ -117,7 +117,7 @@ class TestCheckpointStore:
                 store.save(model, trainer, step=2)
         assert store.steps() == [1]                     # no manifest for 2
         assert store.validate(1) == []                  # previous untouched
-        assert store.latest_valid() == 1
+        assert [s for s in store.steps() if not store.validate(s)] == [1]
 
     def test_retention_keeps_newest(self, cfg, tmp_path):
         model, trainer = _pair(cfg)

@@ -1,5 +1,7 @@
 """Deterministic fault injection: plans, injectors, and armed sites."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ class TestFaultPlan:
             FaultSpec("comm.straggler", "delay", delay_s=0.25),
             FaultSpec("checkpoint.write", "torn", after=1, fraction=0.3),
         ], seed=11, name="mixed")
-        again = FaultPlan.from_json(plan.to_json())
+        again = FaultPlan.from_json(json.dumps(plan.as_dict()))
         assert again == plan
         assert again.digest() == plan.digest()
 

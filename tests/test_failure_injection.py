@@ -117,13 +117,3 @@ class TestMisuseErrors:
         model = depth_synthesis_model(make(1), make(3), 1, 3)
         assert Counter(map(_full_key, model(2))) == \
             Counter(map(_full_key, make(2)))
-
-    def test_decoder_rejects_eval_time_misuse(self, cfg):
-        """Incremental decoder refuses non-(1,L) beam input — a common
-        batching mistake."""
-        from repro.inference import IncrementalDecoder
-        model = TransformerModel(cfg, seed=0)
-        dec = IncrementalDecoder(model)
-        src = np.full((3, 5), 4, dtype=np.int64)
-        with pytest.raises(ValueError):
-            dec.beam_search(src)

@@ -38,7 +38,6 @@ def test_subpackage_imports():
     import repro.backend
     import repro.bench
     import repro.data
-    import repro.inference
     import repro.layers
     import repro.models
     import repro.obs
