@@ -99,9 +99,11 @@ GATES = {
         baseline_gate("flashattn", "0.05"),
     ],
     # an injected crash must exit 4 through the resume path and land bitwise
-    # equal to an uninterrupted run; checkpoint overhead held at 0.5 (the
-    # dimensionless amortised overhead-per-step ratio: tolerates jitter,
-    # fails if checkpointing gets ~50% pricier relative to the step).
+    # equal to an uninterrupted run; DataParallel's concurrent ranks stay
+    # bitwise the serial twin and world 1/2/4 stay one trajectory;
+    # checkpoint overhead held at 0.5 (the dimensionless amortised
+    # overhead-per-step ratio: tolerates jitter, fails if checkpointing
+    # gets ~50% pricier relative to the step).
     "resilience": [
         DRILL + ["{records}/clean"],
         (DRILL + ["{records}/crash", "--fault-plan",
@@ -109,7 +111,9 @@ GATES = {
         DRILL + ["{records}/crash", "--resume"],
         PYTEST + ["tests/test_train_cli.py::TestResilienceCli::"
                   "test_injected_crash_exits_4_and_resume_auto_is_"
-                  "bit_identical"],
+                  "bit_identical",
+                  "tests/training/test_concurrent_ranks.py",
+                  "tests/training/test_golden_cross_world.py"],
         PYTEST + ["benchmarks/bench_resilience.py::test_resilience_smoke"],
         PY + ["benchmarks/bench_resilience.py",
               "--record", "{records}/BENCH_resilience.json"],

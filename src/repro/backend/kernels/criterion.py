@@ -147,8 +147,8 @@ def criterion_backward_fused(q: np.ndarray, targets: np.ndarray,
     d = dout.reshape(n, v)
     np.subtract(qf, np.float32(alpha / v), out=d)
     d[np.arange(n), safe_t] -= np.float32(1.0 - alpha)
-    np.multiply(np.where(valid[:, None], d, 0.0), np.float32(grad_scale),
-                out=d)
+    d[~valid] = 0.0
+    np.multiply(d, np.float32(grad_scale), out=d)
     record("ls_criterion_bwd", qf.size + n, d.size, flops=3 * qf.size,
            fp16=fp16)
     return dout

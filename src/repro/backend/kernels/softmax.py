@@ -141,12 +141,17 @@ def log_softmax_forward_fused(x: np.ndarray, *, axis: int = -1,
     operations" — same two reductions, the final element-wise step emits
     ``x - x' - log Z`` (and ``q`` for the backward) in one launch.
     """
+    # both outputs double as the pass's scratch, so no logits-sized
+    # temporary is allocated: logq holds x - x' and q holds exp(x - x')
+    # until log Z is known, then both are finished in place.  The dtype is
+    # the one exp(x - x') computes in (x's own, for floating x).
     xmax = x.max(axis=axis, keepdims=True)
-    shifted = x - xmax
-    lz = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    logq = out_buffer(out_logq, x.shape, np.result_type(shifted, lz))
-    np.subtract(shifted, lz, out=logq)
+    logq = out_buffer(out_logq, x.shape, np.result_type(x, np.float16))
+    np.subtract(x, xmax, out=logq)
     q = out_buffer(out_q, x.shape, logq.dtype)
+    np.exp(logq, out=q)
+    lz = np.log(q.sum(axis=axis, keepdims=True))
+    np.subtract(logq, lz, out=logq)
     np.exp(logq, out=q)
     record("ls_log_softmax_fwd", x.size, logq.size + q.size,
            flops=6 * x.size, fp16=fp16)

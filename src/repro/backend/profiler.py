@@ -15,6 +15,7 @@ after warm-up" rather than inferring it from timings.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable
@@ -65,7 +66,8 @@ class AllocCounters:
         return self.fresh_bytes + self.arena_miss_bytes
 
     def snapshot(self) -> "AllocCounters":
-        return replace(self)
+        with _ALLOC_LOCK:       # never a half-applied count
+            return replace(self)
 
     def since(self, base: "AllocCounters") -> "AllocCounters":
         """Counter delta relative to an earlier :meth:`snapshot`.
@@ -87,6 +89,10 @@ class AllocCounters:
 
 
 _ALLOC_COUNTERS = AllocCounters()
+#: guards every read-modify-write of the counters: data-parallel rank
+#: threads allocate concurrently, and ``+=`` on a shared field can lose an
+#: update when the interpreter switches threads between the read and write.
+_ALLOC_LOCK = threading.Lock()
 
 
 def alloc_counters() -> AllocCounters:
@@ -97,40 +103,51 @@ def alloc_counters() -> AllocCounters:
 def reset_alloc_counters() -> None:
     # mutate in place so references returned by alloc_counters() stay live
     c = _ALLOC_COUNTERS
-    c.fresh = c.fresh_bytes = 0
-    c.arena_hits = c.arena_hit_bytes = 0
-    c.arena_misses = c.arena_miss_bytes = 0
-    c.window_bytes = c.peak_bytes = 0
+    with _ALLOC_LOCK:
+        c.fresh = c.fresh_bytes = 0
+        c.arena_hits = c.arena_hit_bytes = 0
+        c.arena_misses = c.arena_miss_bytes = 0
+        c.window_bytes = c.peak_bytes = 0
 
 
 def begin_alloc_step() -> None:
     """Open a new per-step window for the ``peak_bytes`` high-water mark."""
-    _ALLOC_COUNTERS.window_bytes = 0
+    with _ALLOC_LOCK:
+        _ALLOC_COUNTERS.window_bytes = 0
 
 
-def _count_window(nbytes: int) -> None:
-    c = _ALLOC_COUNTERS
+def _count_window(c: AllocCounters, nbytes: int) -> None:
+    """Caller holds ``_ALLOC_LOCK``."""
     c.window_bytes += nbytes
     if c.window_bytes > c.peak_bytes:
         c.peak_bytes = c.window_bytes
 
 
 def count_fresh_alloc(nbytes: int) -> None:
-    _ALLOC_COUNTERS.fresh += 1
-    _ALLOC_COUNTERS.fresh_bytes += int(nbytes)
-    _count_window(int(nbytes))
+    nbytes = int(nbytes)
+    with _ALLOC_LOCK:
+        c = _ALLOC_COUNTERS
+        c.fresh += 1
+        c.fresh_bytes += nbytes
+        _count_window(c, nbytes)
 
 
 def count_arena_hit(nbytes: int) -> None:
-    _ALLOC_COUNTERS.arena_hits += 1
-    _ALLOC_COUNTERS.arena_hit_bytes += int(nbytes)
-    _count_window(int(nbytes))
+    nbytes = int(nbytes)
+    with _ALLOC_LOCK:
+        c = _ALLOC_COUNTERS
+        c.arena_hits += 1
+        c.arena_hit_bytes += nbytes
+        _count_window(c, nbytes)
 
 
 def count_arena_miss(nbytes: int) -> None:
-    _ALLOC_COUNTERS.arena_misses += 1
-    _ALLOC_COUNTERS.arena_miss_bytes += int(nbytes)
-    _count_window(int(nbytes))
+    nbytes = int(nbytes)
+    with _ALLOC_LOCK:
+        c = _ALLOC_COUNTERS
+        c.arena_misses += 1
+        c.arena_miss_bytes += nbytes
+        _count_window(c, nbytes)
 
 
 # ---------------------------------------------------------------------------

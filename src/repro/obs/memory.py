@@ -434,6 +434,16 @@ def write_memory_report(path: str, report: MemoryReport) -> None:
         f.write("\n")
 
 
+#: the ``oom`` forensics fields :func:`_format_oom` reads unconditionally
+#: (``oom_forensics`` writes them all); the byte counts are formatted as
+#: integers.
+_OOM_BYTES = frozenset({"requested_bytes", "budget_bytes",
+                        "over_budget_bytes", "live_bytes",
+                        "sharing_saved_bytes"})
+_OOM_KEYS = _OOM_BYTES | {"step", "live_slots", "would_fit_without_largest",
+                          "would_fit_without_padding"}
+
+
 def load_memory_report(path: str) -> Dict[str, object]:
     """Load and schema-check a memory report document.
 
@@ -458,6 +468,17 @@ def load_memory_report(path: str) -> Dict[str, object]:
                 isinstance(r, dict) and keys <= r.keys() for r in rows):
             raise ValueError(f"{path}: {name} is not a list of objects "
                              f"with keys {sorted(keys)}")
+    oom = parts["oom"]
+    if oom:
+        missing = sorted(_OOM_KEYS - oom.keys())
+        if missing:
+            raise ValueError(f"{path}: oom lacks the forensics keys "
+                             f"{missing}")
+        if not all(isinstance(oom[k], int) for k in _OOM_BYTES) \
+                or not isinstance(oom["live_slots"], list) \
+                or not isinstance(oom.get("hints", []), list):
+            raise ValueError(f"{path}: oom's byte counts are not integers "
+                             f"or its live_slots/hints are not lists")
     return doc
 
 

@@ -29,16 +29,29 @@ Two orthogonal extensions ride on the contiguous gradient workspace:
 
 The sync *time* for the Fig.-11 experiment comes from the alpha–beta model
 in :mod:`repro.sim.comm`; the data movement here is for correctness.
+
+The replicas compute at the same time, as N GPUs do: every per-rank part
+of a step (forward/backward, the micro-batch loop, the optimizer step) runs
+on one host thread per simulated GPU (:meth:`DataParallel._each_rank`);
+numpy releases the GIL inside its kernels, so the ranks overlap.  Only the
+cross-rank parts (zero-grad, the overflow agreement, the collectives) run
+serially, in rank order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import contextvars
+import functools
+import threading
+import weakref
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from ..backend.device import current_device
+from ..backend.device import Device, current_device, use_device
+from ..backend.program import CAPTURE
 from ..layers.base import Layer
+from ..obs.numerics import COLLECTORS
 from ..obs.spans import span
 from ..resilience.faults import ReplicaCrash, current_injector
 from ..resilience.recovery import (CommRetryStats, RetryPolicy,
@@ -54,6 +67,73 @@ from ..sim.timeline import (BucketSchedule, overlap_schedule,
 from .loop import staged_forward_backward
 from .optimizers import OptimizerSpec
 from .trainer import TrainerBase, make_trainer
+
+_T = TypeVar("_T")
+
+
+class ConcurrentRanksRefused(ValueError):
+    """A data-parallel step refused to run its ranks concurrently.
+
+    Raised when a capture session (``capturing``) or a numerics collector
+    (``use_collector``) is installed: both are process-wide observers that
+    expect one ordered stream of events, which the rank threads would
+    interleave.
+    """
+
+
+def _refuse_process_wide_observers() -> None:
+    if CAPTURE.stack:
+        raise ConcurrentRanksRefused(
+            "DataParallel cannot step inside a capture session: its ranks "
+            "run on concurrent threads, whose kernel calls would "
+            "interleave in one program")
+    if COLLECTORS.stack:
+        raise ConcurrentRanksRefused(
+            "DataParallel cannot step under a numerics collector: its "
+            "ranks run on concurrent threads, whose activation taps would "
+            "interleave in one step record")
+
+
+def _serve_rank(jobs) -> None:
+    """A rank thread's loop: run each ``(job, done)`` it is handed, then
+    set ``done``; ``None`` stops the thread."""
+    while True:
+        item = jobs.get()
+        if item is None:
+            return
+        job, done = item
+        try:
+            job()
+        finally:
+            # drop the job before blocking again: it holds the
+            # DataParallel, whose collection is what stops this thread
+            item = job = None
+            done.set()
+
+
+def _start_rank_thread(rank: int):
+    """Start the host thread worker rank ``rank`` runs on; returns its job
+    queue.
+
+    The thread lives as long as its ``DataParallel`` rather than one
+    call: glibc gives every thread a malloc arena, and a thread started
+    while the previous one is still exiting opens a *new* arena that keeps
+    the memory it frees, so a thread per call lets peak RSS creep upward
+    step after step.
+    """
+    # deferred: only a multi-rank DataParallel needs it, and importing it
+    # adds ~0.2 MiB to the peak RSS of every single-device run
+    import queue
+    jobs = queue.SimpleQueue()
+    # the thread holds its queue only, never the DataParallel
+    threading.Thread(target=_serve_rank, args=(jobs,),
+                     name=f"dp/rank{rank}", daemon=True).start()
+    return jobs
+
+
+def _stop_rank_threads(job_queues) -> None:
+    for jobs in job_queues:
+        jobs.put(None)
 
 
 class DataParallel:
@@ -109,6 +189,11 @@ class DataParallel:
         self.straggler_delay_s = 0.0          # this step's injected delay
         self.dropped_ranks: List[int] = []    # ranks lost to elastic drops
         self._check_replicas_identical()
+        #: job queues of the host threads of ranks 1..N-1 (rank 0 runs on
+        #: the caller's); the threads stop when this object is collected
+        self._rank_jobs = [_start_rank_thread(r)
+                           for r in range(1, world_size)]
+        weakref.finalize(self, _stop_rank_threads, self._rank_jobs)
 
     def _check_replicas_identical(self) -> None:
         ref = list(self.replicas[0].parameters())
@@ -287,6 +372,60 @@ class DataParallel:
 
     # -- training step -----------------------------------------------------------
 
+    def _each_rank(self, fn: Callable[[int], _T]) -> List[_T]:
+        """Run ``fn(rank)`` for every live rank at once; results in rank
+        order.
+
+        Rank 0 runs on the calling thread, every other rank on its own
+        host thread (:func:`_start_rank_thread`), inside a copy of the
+        caller's context (numpy's errstate is a context variable).  A rank touches
+        only its own replica, trainer, workspace and RNG streams, so the
+        results are bit-identical to running the ranks one after another.
+
+        While the caller's device records, each worker rank records into a
+        lane :class:`Device` that starts at the caller's stage; once every
+        rank is done the lanes' launches are appended in rank order, so
+        the trace is the serial one.  Nothing is raised before every rank
+        has finished, and the lowest failing rank's exception is the one
+        raised.
+        """
+        dev = current_device()
+        stage = dev.stage           # read now: rank 0 moves it once started
+        results: List[Optional[_T]] = [None] * self.world_size
+        errors: List[Optional[BaseException]] = [None] * self.world_size
+        lanes: Dict[int, Device] = (
+            {r: Device(f"{dev.name}/rank{r}", lib=dev.lib)
+             for r in range(1, self.world_size)}
+            if dev.trace_enabled else {})
+
+        def run(rank: int) -> None:
+            try:
+                lane = lanes.get(rank)
+                if lane is None:
+                    results[rank] = fn(rank)
+                    return
+                with use_device(lane), lane.stage_scope(stage):
+                    results[rank] = fn(rank)
+            except BaseException as e:      # re-raised once all are done
+                errors[rank] = e
+
+        done: List[threading.Event] = []
+        for rank, jobs in enumerate(self._rank_jobs, start=1):
+            done.append(threading.Event())
+            jobs.put((functools.partial(contextvars.copy_context().run,
+                                        run, rank), done[-1]))
+        try:
+            run(0)
+        finally:
+            for event in done:
+                event.wait()
+        for rank in sorted(lanes):
+            dev.launches.extend(lanes[rank].launches)
+        for e in errors:
+            if e is not None:
+                raise e
+        return results
+
     def _forward_backward(self, rank: int, batch: Tuple, scale: float
                           ) -> Tuple[float, int]:
         """One replica's forward+backward under its per-rank span."""
@@ -298,9 +437,8 @@ class DataParallel:
         hold different gradients), step every trainer, all-gather shards."""
         overflow = self._global_overflow() if self.zero1 else None
         with span("dp/update"):
-            for trainer in self.trainers:
-                trainer.step(lr=lr, grad_scale=grad_scale,
-                             overflow_override=overflow)
+            self._each_rank(lambda rank: self.trainers[rank].step(
+                lr=lr, grad_scale=grad_scale, overflow_override=overflow))
         if self.zero1:
             self._allgather_params()
 
@@ -318,10 +456,14 @@ class DataParallel:
         in :func:`repro.training.loop.train_step`.
 
         Returns (summed loss across replicas, total tokens).
+
+        Raises :class:`ConcurrentRanksRefused` under a capture session or
+        a numerics collector (the replicas run concurrently).
         """
         if len(shards) != self.world_size:
             raise ValueError(
                 f"need {self.world_size} shards, got {len(shards)}")
+        _refuse_process_wide_observers()
         total_loss = 0.0
         total_tokens = 0
         self.step_no += 1
@@ -338,8 +480,9 @@ class DataParallel:
             for trainer in self.trainers:
                 trainer.zero_grad()
             scale = self._loss_scale()
-            for rank, shard in enumerate(shards):
-                loss, ntok = self._forward_backward(rank, shard, scale)
+            for loss, ntok in self._each_rank(
+                    lambda rank: self._forward_backward(rank, shards[rank],
+                                                        scale)):
                 total_loss += loss
                 total_tokens += ntok
             self._maybe_crash("backward")
@@ -368,25 +511,39 @@ class DataParallel:
         The grad scale is ``1 / total_tokens`` — deliberately
         world-size-independent, unlike :meth:`train_step`'s fairseq-style
         scaling (micro-batch gradients are summed, not averaged).
+
+        Each rank runs its own micro-batches concurrently with the others;
+        their results are concatenated in rank order, which is the global
+        micro-batch order.
         """
         P = len(microbatches)
         if P == 0 or P % self.world_size:
             raise ValueError(f"micro-batch count {P} must be a positive "
                              f"multiple of world_size {self.world_size}")
+        _refuse_process_wide_observers()
         k = P // self.world_size
         dev = current_device()
         scale = self._loss_scale()
-        total_loss = 0.0
-        total_tokens = 0
-        contributions: List[np.ndarray] = []     # global micro-batch order
-        for rank, trainer in enumerate(self.trainers):
+
+        def rank_microbatches(rank: int
+                              ) -> List[Tuple[float, int, np.ndarray]]:
+            trainer = self.trainers[rank]
+            out = []
             for batch in microbatches[rank * k:(rank + 1) * k]:
                 trainer.zero_grad()
                 loss, ntok = self._forward_backward(rank, batch, scale)
+                # a copy: the next zero_grad clears a workspace buffer
+                out.append((loss, ntok, trainer.flat_grad().copy()))
+            return out
+
+        total_loss = 0.0
+        total_tokens = 0
+        contributions: List[np.ndarray] = []     # global micro-batch order
+        for per_rank in self._each_rank(rank_microbatches):
+            for loss, ntok, grad in per_rank:
                 total_loss += loss
                 total_tokens += ntok
-                # a copy: the next zero_grad clears a workspace buffer
-                contributions.append(trainer.flat_grad().copy())
+                contributions.append(grad)
         with dev.stage_scope("sync"):
             flats = [t.flat_grad() for t in self.trainers]
             deterministic_allreduce(contributions, flats)
@@ -458,6 +615,7 @@ class DataParallel:
                     t.v = full_v[lo:hi].copy()
             self.world_size = new_world
             self.dropped_ranks.append(rank)
+            _stop_rank_threads([self._rank_jobs.pop()])
 
     def parameters_in_sync(self, atol: float = 0.0) -> bool:
         """True if every replica holds identical parameters."""

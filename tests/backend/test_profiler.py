@@ -1,9 +1,16 @@
-"""Trace aggregation: stage/kernel grouping, trace diffs."""
+"""Trace aggregation: stage/kernel grouping, trace diffs; allocation
+counters under thread contention."""
+
+import sys
+import threading
 
 import pytest
 
 from repro.backend.device import Device, use_device
-from repro.backend.profiler import KernelStats, by_kernel, by_stage, compare
+from repro.backend.profiler import (KernelStats, alloc_counters, by_kernel,
+                                    by_stage, compare, count_arena_hit,
+                                    count_arena_miss, count_fresh_alloc,
+                                    reset_alloc_counters)
 
 
 @pytest.fixture
@@ -61,3 +68,37 @@ def test_compare_empty_optimized_is_defined(trace):
     diff = compare(trace, [])
     assert diff.launch_ratio == 0.0
     assert diff.bytes_ratio == 0.0
+
+
+def test_alloc_counters_exact_under_thread_contention():
+    """Concurrent kernel-output counts lose no update: with a switch
+    interval of one microsecond, an unguarded ``+=`` on the shared fields
+    drops some."""
+    reset_alloc_counters()
+    calls = 20_000
+    counters = (count_fresh_alloc, count_arena_hit, count_arena_miss)
+
+    def hammer():
+        for i in range(calls):
+            counters[i % 3](8)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    c = alloc_counters().snapshot()
+    reset_alloc_counters()
+    total = 4 * calls
+    assert c.fresh + c.arena_hits + c.arena_misses == total
+    assert (c.fresh, c.arena_hits, c.arena_misses) == (
+        4 * 6667, 4 * 6667, 4 * 6666)
+    assert c.fresh_bytes + c.arena_hit_bytes + c.arena_miss_bytes \
+        == 8 * total
+    assert c.window_bytes == c.peak_bytes == 8 * total

@@ -30,6 +30,13 @@ _MEMORY = {
 }
 
 
+#: a well-formed ``oom`` forensics object (what ``oom_forensics`` writes)
+_OOM = {"step": 1, "requested_bytes": 64, "budget_bytes": 1024,
+        "over_budget_bytes": 32, "live_bytes": 992, "live_slots": [],
+        "sharing_saved_bytes": 0, "would_fit_without_largest": False,
+        "would_fit_without_padding": False, "hints": []}
+
+
 def _skewed_memory(path, value):
     doc = copy.deepcopy(_MEMORY)
     *parents, key = path
@@ -59,6 +66,9 @@ _MEMORY_CASES = {
         ("attribution", "by_site"),
         [{"key": "attn", "share": 1.0, "requests": 1}]),
     "oom_not_an_object": (("oom",), "x"),
+    "oom_without_forensics_keys": (("oom",), {"step": 1}),
+    "oom_byte_count_not_an_integer": (("oom",),
+                                      {**_OOM, "requested_bytes": "64"}),
 }
 
 #: memory runs a what-if so the shape plan is walked too
@@ -92,3 +102,11 @@ def test_well_formed_memory_report_is_accepted(tmp_path):
     done = _run(tmp_path, "memory", _MEMORY, *_MEMORY_ARGS)
     assert done.returncode == 0, done.stderr
     assert "what-if" in done.stdout
+
+
+def test_well_formed_oom_is_accepted(tmp_path):
+    """The ``oom`` the forensics cases skew is itself usable input."""
+    done = _run(tmp_path, "memory", _skewed_memory(("oom",), _OOM),
+                *_MEMORY_ARGS)
+    assert done.returncode == 0, done.stderr
+    assert "OOM at step 1: request of 64 bytes" in done.stdout
