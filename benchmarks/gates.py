@@ -86,12 +86,15 @@ GATES = {
               "--dump-program", "{records}/program_dump.txt"],
         baseline_gate("replay", "0.5"),
     ],
-    # tiled attention: bit-identical to the fused path at one-tile L, small
-    # long-context slab, modeled HBM win held.  Everything gated is modeled
-    # (reservation bytes, roofline traffic) — 5% is headroom for intentional
-    # shape changes, not jitter.
+    # tiled attention: bit-identical to the fused path at one-tile L and to
+    # the serial tile loops for any worker count, small long-context slab,
+    # modeled HBM win held.  Everything gated is modeled (reservation
+    # bytes, roofline traffic) — 5% is headroom for intentional shape
+    # changes, not jitter.
     "flash": [
         PYTEST + ["tests/property/test_flash_parity.py",
+                  "tests/property/test_flash_split.py",
+                  "tests/backend/test_workers.py",
                   "tests/layers/test_attention.py::TestTiledAttention"],
         PYTEST + ["benchmarks/bench_flashattn.py::test_flashattn_smoke"],
         PY + ["benchmarks/bench_flashattn.py",

@@ -61,7 +61,7 @@ def bias_grad_naive(dy: np.ndarray, *, fp16: bool = False,
 
 
 def bernoulli_keep(bitgen: np.random.BitGenerator, shape: Tuple[int, ...],
-                   p: float) -> np.ndarray:
+                   p: float, skip: int = 0) -> np.ndarray:
     """Bernoulli(1-p) keep-mask as uint8, one 32-bit word per element.
 
     Draws ``ceil(n/2)`` raw 64-bit words from ``bitgen``, reads them as
@@ -71,15 +71,15 @@ def bernoulli_keep(bitgen: np.random.BitGenerator, shape: Tuple[int, ...],
     with ``p`` quantised to 2**-32, the granularity of curand's 32-bit
     draws.  When ``p`` is within 2**-32 of 1 the threshold is 2**32, which
     NumPy compares by value, so every element is dropped.  The boolean
-    result is returned viewed as uint8 (no copy).
+    result is returned viewed as uint8 (no copy).  ``skip`` (0 or 1)
+    discards the first 32-bit value, so a draw can begin on a word's high
+    half.
     """
     n = prod(shape)
     # the long-lived mask is allocated before the raw-word temporary, so
     # freeing the temporary does not leave a hole beneath it in the heap
     keep = np.empty(n, np.bool_)
-    u = bitgen.random_raw((n + 1) // 2).view(np.uint32)
-    if n & 1:
-        u = u[:n]
+    u = bitgen.random_raw((skip + n + 1) // 2).view(np.uint32)[skip:skip + n]
     np.greater_equal(u, ceil(p * 4294967296.0), out=keep)
     return keep.view(np.uint8).reshape(shape)
 

@@ -40,9 +40,6 @@ serially, in rank order.
 
 from __future__ import annotations
 
-import contextvars
-import functools
-import threading
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -50,6 +47,7 @@ import numpy as np
 
 from ..backend.device import Device, current_device, use_device
 from ..backend.program import CAPTURE
+from ..backend.workers import run_parts, start_worker, stop_workers
 from ..layers.base import Layer
 from ..obs.numerics import COLLECTORS
 from ..obs.spans import span
@@ -92,48 +90,6 @@ def _refuse_process_wide_observers() -> None:
             "DataParallel cannot step under a numerics collector: its "
             "ranks run on concurrent threads, whose activation taps would "
             "interleave in one step record")
-
-
-def _serve_rank(jobs) -> None:
-    """A rank thread's loop: run each ``(job, done)`` it is handed, then
-    set ``done``; ``None`` stops the thread."""
-    while True:
-        item = jobs.get()
-        if item is None:
-            return
-        job, done = item
-        try:
-            job()
-        finally:
-            # drop the job before blocking again: it holds the
-            # DataParallel, whose collection is what stops this thread
-            item = job = None
-            done.set()
-
-
-def _start_rank_thread(rank: int):
-    """Start the host thread worker rank ``rank`` runs on; returns its job
-    queue.
-
-    The thread lives as long as its ``DataParallel`` rather than one
-    call: glibc gives every thread a malloc arena, and a thread started
-    while the previous one is still exiting opens a *new* arena that keeps
-    the memory it frees, so a thread per call lets peak RSS creep upward
-    step after step.
-    """
-    # deferred: only a multi-rank DataParallel needs it, and importing it
-    # adds ~0.2 MiB to the peak RSS of every single-device run
-    import queue
-    jobs = queue.SimpleQueue()
-    # the thread holds its queue only, never the DataParallel
-    threading.Thread(target=_serve_rank, args=(jobs,),
-                     name=f"dp/rank{rank}", daemon=True).start()
-    return jobs
-
-
-def _stop_rank_threads(job_queues) -> None:
-    for jobs in job_queues:
-        jobs.put(None)
 
 
 class DataParallel:
@@ -191,9 +147,9 @@ class DataParallel:
         self._check_replicas_identical()
         #: job queues of the host threads of ranks 1..N-1 (rank 0 runs on
         #: the caller's); the threads stop when this object is collected
-        self._rank_jobs = [_start_rank_thread(r)
+        self._rank_jobs = [start_worker(f"dp/rank{r}")
                            for r in range(1, world_size)]
-        weakref.finalize(self, _stop_rank_threads, self._rank_jobs)
+        weakref.finalize(self, stop_workers, self._rank_jobs)
 
     def _check_replicas_identical(self) -> None:
         ref = list(self.replicas[0].parameters())
@@ -377,10 +333,10 @@ class DataParallel:
         order.
 
         Rank 0 runs on the calling thread, every other rank on its own
-        host thread (:func:`_start_rank_thread`), inside a copy of the
-        caller's context (numpy's errstate is a context variable).  A rank touches
-        only its own replica, trainer, workspace and RNG streams, so the
-        results are bit-identical to running the ranks one after another.
+        host thread (:func:`~repro.backend.workers.run_parts`), inside a
+        copy of the caller's context.  A rank touches only its own
+        replica, trainer, workspace and RNG streams, so the results are
+        bit-identical to running the ranks one after another.
 
         While the caller's device records, each worker rank records into a
         lane :class:`Device` that starts at the caller's stage; once every
@@ -391,40 +347,23 @@ class DataParallel:
         """
         dev = current_device()
         stage = dev.stage           # read now: rank 0 moves it once started
-        results: List[Optional[_T]] = [None] * self.world_size
-        errors: List[Optional[BaseException]] = [None] * self.world_size
         lanes: Dict[int, Device] = (
             {r: Device(f"{dev.name}/rank{r}", lib=dev.lib)
              for r in range(1, self.world_size)}
             if dev.trace_enabled else {})
 
-        def run(rank: int) -> None:
-            try:
-                lane = lanes.get(rank)
-                if lane is None:
-                    results[rank] = fn(rank)
-                    return
-                with use_device(lane), lane.stage_scope(stage):
-                    results[rank] = fn(rank)
-            except BaseException as e:      # re-raised once all are done
-                errors[rank] = e
+        def run(rank: int) -> _T:
+            lane = lanes.get(rank)
+            if lane is None:
+                return fn(rank)
+            with use_device(lane), lane.stage_scope(stage):
+                return fn(rank)
 
-        done: List[threading.Event] = []
-        for rank, jobs in enumerate(self._rank_jobs, start=1):
-            done.append(threading.Event())
-            jobs.put((functools.partial(contextvars.copy_context().run,
-                                        run, rank), done[-1]))
         try:
-            run(0)
+            return run_parts(run, self._rank_jobs)
         finally:
-            for event in done:
-                event.wait()
-        for rank in sorted(lanes):
-            dev.launches.extend(lanes[rank].launches)
-        for e in errors:
-            if e is not None:
-                raise e
-        return results
+            for rank in sorted(lanes):
+                dev.launches.extend(lanes[rank].launches)
 
     def _forward_backward(self, rank: int, batch: Tuple, scale: float
                           ) -> Tuple[float, int]:
@@ -615,7 +554,7 @@ class DataParallel:
                     t.v = full_v[lo:hi].copy()
             self.world_size = new_world
             self.dropped_ranks.append(rank)
-            _stop_rank_threads([self._rank_jobs.pop()])
+            stop_workers([self._rank_jobs.pop()])
 
     def parameters_in_sync(self, atol: float = 0.0) -> bool:
         """True if every replica holds identical parameters."""

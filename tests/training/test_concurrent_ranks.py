@@ -12,7 +12,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.backend import workers
 from repro.backend.device import Device, current_device, use_device
+from repro.backend.kernels import flash
 from repro.backend.program import CaptureSession, capturing
 from repro.config import get_config
 from repro.models import TransformerModel
@@ -140,6 +142,29 @@ def test_trace_is_the_serial_twins_in_order(mode):
     assert len(dev.launches) > 100
     assert rows(dev) == rows(twin_dev)
     assert dev.launches == twin_dev.launches
+
+
+def test_tiled_attention_ranks_split_flash_on_the_kernel_workers(
+        monkeypatch):
+    """Both ranks' multi-tile flash launches share the kernel workers: rank
+    threads are callers of :func:`repro.backend.workers.run_parts` too,
+    and world 2 stays bitwise the serial twin."""
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    monkeypatch.setattr(flash, "_MIN_RANGE_ELEMS", 1)
+    cfg = _cfg(False).with_overrides(attn_impl="tiled", attn_tile_q=4,
+                                     attn_tile_k=4)
+
+    def make():
+        return DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
+                            "lightseq", OptimizerSpec(lr=1e-3),
+                            bucket_bytes=4096)
+
+    dp, twin = make(), make()
+    for step in range(STEPS):
+        shards = _shards(step, 2)       # L = 8: two tiles per axis
+        assert dp.train_step(shards) == _serial_step(twin, shards)
+        _assert_same_state(_state(dp), _state(twin))
+    assert "kernel/worker1" in {t.name for t in threading.enumerate()}
 
 
 def test_microbatched_step_traces_like_world_one():
