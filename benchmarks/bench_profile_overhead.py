@@ -69,7 +69,7 @@ def _time_record(trace):
     dev = Device(trace=trace)
     t0 = time.perf_counter()
     for _ in range(_RECORD_CALLS):
-        dev.record("gemm_bench", 4096, 4096, flops=1 << 20, is_gemm=True)
+        dev.record("gemm_bench", 4096, 4096, flops=1 << 20, family="gemm")
     return (time.perf_counter() - t0) / _RECORD_CALLS
 
 

@@ -2,9 +2,10 @@
 
 Every numpy "kernel" in :mod:`repro.backend.kernels` performs its real math
 eagerly and then reports *what a GPU kernel doing the same work would have
-cost* — a :class:`KernelLaunch` record with element counts, FLOPs, and the
-storage precision.  The roofline model in :mod:`repro.sim.costmodel` replays
-a trace into simulated wall time for a given GPU spec.
+cost* — a :class:`KernelLaunch` record with element counts, FLOPs, the
+storage precision and the kernel family the kernel declares.  The roofline
+model in :mod:`repro.sim.costmodel` replays a trace into simulated wall
+time for a given GPU spec.
 
 This is the substitution layer documented in DESIGN.md §2: kernel *fidelity*
 (launch counts, bytes moved, fusion structure) is preserved even though the
@@ -26,7 +27,7 @@ overhead.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 from .ambient import Slot
@@ -37,6 +38,18 @@ STAGES = ("forward", "backward", "sync", "update")
 #: library tags used to select per-kernel efficiency in the cost model.
 LIBS = ("lightseq2", "pytorch", "deepspeed", "tensorflow", "apex")
 
+#: the kernel families a launch can declare: ``gemm`` for cuBLAS matmuls,
+#: then every family :mod:`repro.sim.gpu_specs` holds a per-library
+#: bandwidth-efficiency curve for.
+FAMILIES = ("gemm", "layernorm", "softmax", "dropout", "elementwise",
+            "transpose", "embedding", "criterion", "optimizer", "reduction",
+            "memcpy", "attention")
+_FAMILY_SET = frozenset(FAMILIES)     # the per-launch membership check
+
+
+class UnknownKernelFamily(ValueError):
+    """A launch declared a family outside :data:`FAMILIES`."""
+
 
 @dataclass(frozen=True)
 class KernelLaunch:
@@ -44,19 +57,32 @@ class KernelLaunch:
 
     ``elems_read``/``elems_written`` are element counts; bytes are derived as
     ``elems * dtype_bytes`` so FP16 storage halves traffic, exactly as on the
-    GPU.  ``is_gemm`` marks cuBLAS-handled matmuls, which the cost model
-    prices with (tensor-core) FLOP throughput rather than launch-bound
-    element-wise efficiency.
+    GPU.  ``family`` is the kernel family the kernel declares (one of
+    :data:`FAMILIES`); every per-family attribution reads it, and the cost
+    model prices ``gemm``/``attention`` launches with (tensor-core) FLOP
+    throughput rather than a bandwidth-efficiency curve.
     """
 
     name: str
     elems_read: int
     elems_written: int
     flops: int = 0
-    is_gemm: bool = False
     dtype_bytes: int = 4
     stage: str = "forward"
     lib: str = "lightseq2"
+    family: str = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.family not in _FAMILY_SET:
+            raise UnknownKernelFamily(
+                f"kernel {self.name!r} declares unknown family "
+                f"{self.family!r}; expected one of {FAMILIES}")
+
+    @property
+    def is_gemm(self) -> bool:
+        """Priced on FLOP throughput: cuBLAS GEMMs and the tiled attention
+        kernels, whose inner loops are GEMMs."""
+        return self.family in ("gemm", "attention")
 
     @property
     def bytes_read(self) -> int:
@@ -87,9 +113,8 @@ class Device:
     # -- kernel recording ---------------------------------------------------
 
     def record(self, name: str, elems_read: int, elems_written: int,
-               flops: int = 0, is_gemm: bool = False,
-               dtype_bytes: int = 4) -> None:
-        """Record one kernel launch under the current stage."""
+               flops: int = 0, dtype_bytes: int = 4, *, family: str) -> None:
+        """Record one kernel launch of ``family`` under the current stage."""
         if not self.trace_enabled:
             return
         self.launches.append(KernelLaunch(
@@ -97,10 +122,10 @@ class Device:
             elems_read=int(elems_read),
             elems_written=int(elems_written),
             flops=int(flops),
-            is_gemm=is_gemm,
             dtype_bytes=dtype_bytes,
             stage=self._stage,
             lib=self.lib,
+            family=family,
         ))
 
     # -- stage scoping -----------------------------------------------------

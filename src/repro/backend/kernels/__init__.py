@@ -14,7 +14,10 @@ Both families compute *identical* math (tests enforce bit-equality in FP32),
 so the only differences a cost model can see are launch counts, bytes moved,
 and storage precision — which is exactly the paper's claim.
 
-All kernels record onto :func:`repro.backend.device.current_device`.
+All kernels record onto :func:`repro.backend.device.current_device`, and
+each record site declares its launch's kernel family as a string literal
+(``tests/test_family_declarations.py`` enforces that), so the cost model
+never guesses a family from a kernel's name.
 """
 
 from __future__ import annotations
@@ -29,15 +32,15 @@ from ..program import capturable  # noqa: F401  (the launch-interception hook
 #                                  every kernel module decorates through)
 
 
-def record(name: str, elems_read: int, elems_written: int, *, flops: int = 0,
-           is_gemm: bool = False, fp16: bool = False) -> None:
-    """Record one kernel launch on the active device.
+def record(name: str, elems_read: int, elems_written: int, *, family: str,
+           flops: int = 0, fp16: bool = False) -> None:
+    """Record one kernel launch of ``family`` on the active device.
 
     Thin wrapper so every kernel module shares the precision→bytes policy.
     """
     current_device().record(
-        name, elems_read, elems_written, flops=flops, is_gemm=is_gemm,
-        dtype_bytes=itemsize(fp16))
+        name, elems_read, elems_written, flops=flops,
+        dtype_bytes=itemsize(fp16), family=family)
 
 
 def elems(*arrays: np.ndarray) -> int:

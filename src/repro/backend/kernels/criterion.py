@@ -64,15 +64,17 @@ def criterion_forward_naive(logits: np.ndarray, targets: np.ndarray,
     safe_t = np.where(valid, t, 0)
     # launch: NLL gather
     nll = -logq[np.arange(n), safe_t]
-    record("nll_gather", logq.size, nll.size, flops=n, fp16=fp16)
+    record("nll_gather", logq.size, nll.size, flops=n, fp16=fp16,
+           family="criterion")
     # launch: smoothing term reduce
     smooth = -logq.sum(axis=-1)
     record("smooth_reduce", logq.size, smooth.size, flops=logq.size,
-           fp16=fp16)
+           fp16=fp16, family="reduction")
     # launch: combine + mask + total reduce
     per_tok = (1.0 - alpha) * nll + (alpha / v) * smooth
     loss = float(np.where(valid, per_tok, 0.0).sum())
-    record("loss_combine", 2 * n, 1, flops=4 * n, fp16=fp16)
+    record("loss_combine", 2 * n, 1, flops=4 * n, fp16=fp16,
+           family="criterion")
     return loss, int(valid.sum()), q.reshape(logits.shape)
 
 
@@ -88,16 +90,19 @@ def criterion_backward_naive(q: np.ndarray, targets: np.ndarray,
     d = dout.reshape(n, v)
     # launch: q - alpha/V
     np.subtract(qf, np.float32(alpha / v), out=d)
-    record("ce_smooth_sub", qf.size, d.size, flops=qf.size, fp16=fp16)
+    record("ce_smooth_sub", qf.size, d.size, flops=qf.size, fp16=fp16,
+           family="criterion")
     # launch: subtract (1 - alpha) at ground-truth index
     valid = t != ignore_index
     safe_t = np.where(valid, t, 0)
     d[np.arange(n), safe_t] -= np.float32(1.0 - alpha)
-    record("ce_onehot_sub", d.size + n, d.size, flops=n, fp16=fp16)
+    record("ce_onehot_sub", d.size + n, d.size, flops=n, fp16=fp16,
+           family="criterion")
     # launch: zero padding rows + scale
     np.multiply(np.where(valid[:, None], d, 0.0), np.float32(grad_scale),
                 out=d)
-    record("ce_mask_scale", d.size + n, d.size, flops=2 * d.size, fp16=fp16)
+    record("ce_mask_scale", d.size + n, d.size, flops=2 * d.size, fp16=fp16,
+           family="criterion")
     return dout
 
 
@@ -128,7 +133,7 @@ def criterion_forward_fused(logits: np.ndarray, targets: np.ndarray,
     per_tok = (1.0 - alpha) * nll + (alpha / v) * smooth
     loss = float(np.where(valid, per_tok, 0.0).sum())
     record("ls_criterion_fwd", logq.size + n, 1, flops=3 * logq.size,
-           fp16=fp16)
+           fp16=fp16, family="criterion")
     return loss, int(valid.sum()), q.reshape(logits.shape)
 
 
@@ -150,5 +155,5 @@ def criterion_backward_fused(q: np.ndarray, targets: np.ndarray,
     d[~valid] = 0.0
     np.multiply(d, np.float32(grad_scale), out=d)
     record("ls_criterion_bwd", qf.size + n, d.size, flops=3 * qf.size,
-           fp16=fp16)
+           fp16=fp16, family="criterion")
     return dout

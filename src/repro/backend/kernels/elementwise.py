@@ -46,7 +46,8 @@ def bias_add_naive(x: np.ndarray, bias: np.ndarray, *,
     """One kernel: broadcast bias add over the last dimension."""
     y = out_buffer(out, x.shape, np.result_type(x, bias))
     np.add(x, bias, out=y)
-    record("bias_add", x.size + bias.size, y.size, flops=y.size, fp16=fp16)
+    record("bias_add", x.size + bias.size, y.size, flops=y.size, fp16=fp16,
+           family="elementwise")
     return y
 
 
@@ -56,7 +57,8 @@ def bias_grad_naive(dy: np.ndarray, *, fp16: bool = False,
     """One kernel: reduce dy over all leading dims -> dbias."""
     db = out_buffer(out, (dy.shape[-1],), dy.dtype)
     dy.reshape(-1, dy.shape[-1]).sum(axis=0, out=db)
-    record("bias_grad", dy.size, db.size, flops=dy.size, fp16=fp16)
+    record("bias_grad", dy.size, db.size, flops=dy.size, fp16=fp16,
+           family="reduction")
     return db
 
 
@@ -122,7 +124,7 @@ def dropout_forward_naive(x: np.ndarray, p: float, rng: np.random.Generator,
         y = out_buffer(out, x.shape, x.dtype)
         np.multiply(x, mask * np.float32(scale), out=y)
     record("dropout_fwd", x.size + _mask_traffic(mask), y.size,
-           flops=2 * y.size, fp16=fp16)
+           flops=2 * y.size, fp16=fp16, family="dropout")
     return y, mask
 
 
@@ -140,7 +142,7 @@ def dropout_backward_naive(dy: np.ndarray, mask: Optional[np.ndarray],
         dx = out_buffer(out, dy.shape, dy.dtype)
         np.multiply(dy, mask * np.float32(scale), out=dx)
     record("dropout_bwd", dy.size + _mask_traffic(mask), dx.size,
-           flops=2 * dx.size, fp16=fp16)
+           flops=2 * dx.size, fp16=fp16, family="dropout")
     return dx
 
 
@@ -149,7 +151,8 @@ def relu_forward_naive(x: np.ndarray, *, fp16: bool = False,
                        out=None) -> np.ndarray:
     y = out_buffer(out, x.shape, x.dtype)
     np.maximum(x, 0.0, out=y)
-    record("relu_fwd", x.size, y.size, flops=x.size, fp16=fp16)
+    record("relu_fwd", x.size, y.size, flops=x.size, fp16=fp16,
+           family="elementwise")
     return y
 
 
@@ -158,7 +161,8 @@ def relu_backward_naive(dy: np.ndarray, x: np.ndarray, *,
                         fp16: bool = False, out=None) -> np.ndarray:
     dx = out_buffer(out, dy.shape, dy.dtype)
     np.multiply(dy, x > 0.0, out=dx)
-    record("relu_bwd", dy.size + x.size, dx.size, flops=2 * dx.size, fp16=fp16)
+    record("relu_bwd", dy.size + x.size, dx.size, flops=2 * dx.size, fp16=fp16,
+           family="elementwise")
     return dx
 
 
@@ -193,7 +197,8 @@ def gelu_forward_naive(x: np.ndarray, *, fp16: bool = False,
     np.tanh(t, out=t)
     y = out_buffer(out, x.shape, t.dtype)
     np.multiply(0.5 * x, 1.0 + t, out=y)
-    record("gelu_fwd", x.size, y.size, flops=8 * x.size, fp16=fp16)
+    record("gelu_fwd", x.size, y.size, flops=8 * x.size, fp16=fp16,
+           family="elementwise")
     return y
 
 
@@ -207,7 +212,7 @@ def gelu_backward_naive(dy: np.ndarray, x: np.ndarray, *,
     np.multiply(dy, 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner,
                 out=dx)
     record("gelu_bwd", dy.size + x.size, dx.size, flops=12 * dx.size,
-           fp16=fp16)
+           fp16=fp16, family="elementwise")
     return dx
 
 
@@ -217,7 +222,8 @@ def tanh_forward_naive(x: np.ndarray, *, fp16: bool = False,
     """One kernel: tanh (BERT pooler activation)."""
     y = out_buffer(out, x.shape, x.dtype)
     np.tanh(x, out=y)
-    record("tanh_fwd", x.size, y.size, flops=4 * x.size, fp16=fp16)
+    record("tanh_fwd", x.size, y.size, flops=4 * x.size, fp16=fp16,
+           family="elementwise")
     return y
 
 
@@ -228,7 +234,7 @@ def tanh_backward_naive(dy: np.ndarray, y: np.ndarray, *,
     dx = out_buffer(out, dy.shape, np.result_type(dy, y))
     np.multiply(dy, 1.0 - y * y, out=dx)
     record("tanh_bwd", dy.size + y.size, dx.size, flops=3 * dx.size,
-           fp16=fp16)
+           fp16=fp16, family="elementwise")
     return dx
 
 
@@ -239,7 +245,7 @@ def bias_tanh_forward_fused(x: np.ndarray, bias: np.ndarray, *,
     y = out_buffer(out, x.shape, np.result_type(x, bias))
     np.tanh(x + bias, out=y)
     record("ls_bias_tanh_fwd", x.size + bias.size, y.size,
-           flops=5 * x.size, fp16=fp16)
+           flops=5 * x.size, fp16=fp16, family="elementwise")
     return y
 
 
@@ -253,7 +259,7 @@ def bias_tanh_backward_fused(dy: np.ndarray, y: np.ndarray, *,
     dbias = out_buffer(out_dbias, (dx.shape[-1],), dx.dtype)
     dx.reshape(-1, dx.shape[-1]).sum(axis=0, out=dbias)
     record("ls_bias_tanh_bwd", dy.size + y.size, dx.size + dbias.size,
-           flops=4 * dx.size, fp16=fp16)
+           flops=4 * dx.size, fp16=fp16, family="elementwise")
     return dx, dbias
 
 
@@ -263,7 +269,7 @@ def residual_add_naive(x: np.ndarray, residual: np.ndarray, *,
     y = out_buffer(out, x.shape, np.result_type(x, residual))
     np.add(x, residual, out=y)
     record("residual_add", x.size + residual.size, y.size, flops=y.size,
-           fp16=fp16)
+           fp16=fp16, family="elementwise")
     return y
 
 
@@ -295,7 +301,7 @@ def bias_dropout_residual_forward(x: np.ndarray, bias: np.ndarray,
         np.add((x + bias) * (mask * np.float32(scale)), residual, out=y)
     record("ls_bias_dropout_residual_fwd",
            x.size + bias.size + residual.size + _mask_traffic(mask), y.size,
-           flops=4 * y.size, fp16=fp16)
+           flops=4 * y.size, fp16=fp16, family="dropout")
     return y, mask
 
 
@@ -323,7 +329,7 @@ def bias_dropout_residual_backward(dy: np.ndarray,
     dx.reshape(-1, dx.shape[-1]).sum(axis=0, out=dbias)
     record("ls_bias_dropout_residual_bwd",
            dy.size + _mask_traffic(mask), dx.size + dbias.size,
-           flops=3 * dx.size, fp16=fp16)
+           flops=3 * dx.size, fp16=fp16, family="dropout")
     return dx, dbias, dy
 
 
@@ -394,7 +400,7 @@ def bias_act_dropout_forward(x: np.ndarray, bias: np.ndarray, p: float,
         np.multiply(y, mask * np.float32(scale), out=y)
     record("ls_bias_act_dropout_fwd",
            x.size + bias.size + _mask_traffic(mask), y.size + pre.size,
-           flops=10 * y.size, fp16=fp16)
+           flops=10 * y.size, fp16=fp16, family="dropout")
     return y, mask, pre
 
 
@@ -426,5 +432,6 @@ def bias_act_dropout_backward(dy: np.ndarray, mask: Optional[np.ndarray],
     dx.reshape(-1, dx.shape[-1]).sum(axis=0, out=dbias)
     record("ls_bias_act_dropout_bwd",
            dy.size + _mask_traffic(mask) + residual.size,
-           dx.size + dbias.size, flops=14 * dx.size, fp16=fp16)
+           dx.size + dbias.size, flops=14 * dx.size, fp16=fp16,
+           family="dropout")
     return dx, dbias

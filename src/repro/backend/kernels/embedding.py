@@ -78,14 +78,16 @@ def embedding_forward_naive(tokens: np.ndarray, table: np.ndarray,
     h = table.shape[1]
     # launch 1: gather
     emb = table[tokens]
-    record("embed_gather", emb.size + tokens.size, emb.size, fp16=fp16)
+    record("embed_gather", emb.size + tokens.size, emb.size, fp16=fp16,
+           family="embedding")
     # launch 2: scale
     emb = emb * np.float32(scale)
-    record("embed_scale", emb.size, emb.size, flops=emb.size, fp16=fp16)
+    record("embed_scale", emb.size, emb.size, flops=emb.size, fp16=fp16,
+           family="embedding")
     # launch 3: positional add
     emb = emb + pos_table[:l][None, :, :]
     record("embed_pos_add", emb.size + l * h, emb.size, flops=emb.size,
-           fp16=fp16)
+           fp16=fp16, family="embedding")
     if pad_idx is not None:
         emb = np.where((tokens == pad_idx)[..., None], 0.0, emb)
     # launch 4: dropout
@@ -98,7 +100,7 @@ def embedding_forward_naive(tokens: np.ndarray, table: np.ndarray,
         keep = 1.0 / (1.0 - p) if p > 0 else 1.0
         np.multiply(emb, mask * np.float32(keep), out=y)
     record("dropout_fwd", emb.size + _mask_traffic(mask), y.size,
-           flops=2 * y.size, fp16=fp16)
+           flops=2 * y.size, fp16=fp16, family="dropout")
     return y, mask
 
 
@@ -126,7 +128,7 @@ def embedding_forward_fused(tokens: np.ndarray, table: np.ndarray,
         np.multiply(emb, mask * np.float32(keep), out=y)
     record("ls_embedding_fwd",
            b * l * h + tokens.size + l * h + _mask_traffic(mask), y.size,
-           flops=4 * y.size, fp16=fp16)
+           flops=4 * y.size, fp16=fp16, family="embedding")
     return y, mask
 
 
@@ -145,10 +147,11 @@ def embedding_backward_naive(dy: np.ndarray, tokens: np.ndarray,
         keep = 1.0 / (1.0 - p) if p > 0 else 1.0
         d = dy * (mask * np.float32(keep))
     record("dropout_bwd", dy.size + _mask_traffic(mask), d.size,
-           flops=2 * d.size, fp16=fp16)
+           flops=2 * d.size, fp16=fp16, family="dropout")
     # launch 2: un-scale
     d = d * np.float32(scale)
-    record("embed_unscale", d.size, d.size, flops=d.size, fp16=fp16)
+    record("embed_unscale", d.size, d.size, flops=d.size, fp16=fp16,
+           family="embedding")
     if pad_idx is not None:
         d = np.where((tokens == pad_idx)[..., None], 0.0, d)
     # launch 3: scatter-add (index_put_ with accumulate)
@@ -156,7 +159,7 @@ def embedding_backward_naive(dy: np.ndarray, tokens: np.ndarray,
     grad.fill(0.0)
     np.add.at(grad, tokens.reshape(-1), d.reshape(-1, dy.shape[-1]))
     record("embed_scatter_add", d.size + tokens.size, grad.size,
-           flops=d.size, fp16=fp16)
+           flops=d.size, fp16=fp16, family="embedding")
     return grad
 
 
@@ -180,5 +183,5 @@ def embedding_backward_fused(dy: np.ndarray, tokens: np.ndarray,
     np.add.at(grad, tokens.reshape(-1), d.reshape(-1, dy.shape[-1]))
     record("ls_embedding_bwd",
            dy.size + _mask_traffic(mask) + tokens.size, grad.size,
-           flops=3 * dy.size, fp16=fp16)
+           flops=3 * dy.size, fp16=fp16, family="embedding")
     return grad

@@ -366,8 +366,8 @@ def flash_attn_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     read, written, flops = flash_launch_cost(
         "fwd", b * n, lq, lk, dh, tile_q=tile_q, tile_k=tile_k,
         causal=causal, mask_elems=mask.size if mask is not None else 0)
-    record("ls_flash_attn_fwd", read, written, flops=flops, is_gemm=True,
-           fp16=fp16)
+    record("ls_flash_attn_fwd", read, written, flops=flops, fp16=fp16,
+           family="attention")
     return o, stats, seed
 
 
@@ -503,6 +503,6 @@ def flash_attn_backward(d_o: np.ndarray, q: np.ndarray, k: np.ndarray,
     read, written, flops = flash_launch_cost(
         "bwd", b * n, lq, lk, dh, tile_q=tile_q, tile_k=tile_k,
         causal=causal, mask_elems=mask.size if mask is not None else 0)
-    record("ls_flash_attn_bwd", read, written, flops=flops, is_gemm=True,
-           fp16=fp16)
+    record("ls_flash_attn_bwd", read, written, flops=flops, fp16=fp16,
+           family="attention")
     return dq, dk, dv

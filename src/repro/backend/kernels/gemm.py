@@ -3,8 +3,9 @@
 The paper leaves GEMM to cuBLAS ("GEMM has already been handled by the cuBLAS
 library efficiently") and fuses only non-GEMM kernels, so both the baseline
 and the LightSeq2 execution paths share these wrappers.  Each call records a
-single launch flagged ``is_gemm=True``; the cost model prices those with
-(tensor-core) FLOP throughput instead of the launch-bound element-wise curve.
+single launch of family ``gemm``, whatever name the layer gives it; the cost
+model prices those with (tensor-core) FLOP throughput instead of a
+bandwidth-efficiency curve.
 
 Shapes follow numpy ``matmul`` semantics, including batched GEMM with leading
 broadcast dimensions (the attention score/context products).
@@ -40,7 +41,7 @@ def matmul(a: np.ndarray, b: np.ndarray, *, fp16: bool = False,
     out = out_buffer(out, _mm_shape(a, b), np.result_type(a, b))
     np.matmul(a, b, out=out)
     record(name, a.size + b.size, out.size,
-           flops=_gemm_flops(a, b, out), is_gemm=True, fp16=fp16)
+           flops=_gemm_flops(a, b, out), fp16=fp16, family="gemm")
     return out
 
 
@@ -57,7 +58,7 @@ def linear_forward(x: np.ndarray, w: np.ndarray, *, fp16: bool = False,
     out = out_buffer(out, x.shape[:-1] + (w.shape[0],), np.result_type(x, w))
     np.matmul(x, w.T, out=out)
     record(name, x.size + w.size, out.size,
-           flops=_gemm_flops(x, w.T, out), is_gemm=True, fp16=fp16)
+           flops=_gemm_flops(x, w.T, out), fp16=fp16, family="gemm")
     return out
 
 
@@ -74,7 +75,7 @@ def linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, *,
                     np.result_type(dy, w))
     np.matmul(dy, w, out=dx)
     record(name + "_dx", dy.size + w.size, dx.size,
-           flops=_gemm_flops(dy, w, dx), is_gemm=True, fp16=fp16)
+           flops=_gemm_flops(dy, w, dx), fp16=fp16, family="gemm")
 
     dy2 = dy.reshape(-1, dy.shape[-1])
     x2 = x.reshape(-1, x.shape[-1])
@@ -82,7 +83,7 @@ def linear_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray, *,
                     np.result_type(dy, x))
     np.matmul(dy2.T, x2, out=dw)
     record(name + "_dw", dy2.size + x2.size, dw.size,
-           flops=_gemm_flops(dy2.T, x2, dw), is_gemm=True, fp16=fp16)
+           flops=_gemm_flops(dy2.T, x2, dw), fp16=fp16, family="gemm")
     return dx, dw
 
 
@@ -93,5 +94,5 @@ def batched_matmul(a: np.ndarray, b: np.ndarray, *, fp16: bool = False,
     out = out_buffer(out, _mm_shape(a, b), np.result_type(a, b))
     np.matmul(a, b, out=out)
     record(name, a.size + b.size, out.size,
-           flops=_gemm_flops(a, b, out), is_gemm=True, fp16=fp16)
+           flops=_gemm_flops(a, b, out), fp16=fp16, family="gemm")
     return out

@@ -71,18 +71,19 @@ def layernorm_forward_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
     y = out_buffer(out, x.shape, np.result_type(x, w))
     # launch 1: mean reduction
     x.mean(axis=-1, keepdims=True, out=mu)
-    record("layernorm_mean", x.size, mu.size, flops=x.size, fp16=fp16)
+    record("layernorm_mean", x.size, mu.size, flops=x.size, fp16=fp16,
+           family="layernorm")
     # launch 2: variance reduction (depends on mu -> sequential sync)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     record("layernorm_var", x.size + mu.size, var.size, flops=3 * x.size,
-           fp16=fp16)
+           fp16=fp16, family="layernorm")
     # launch 3: normalize + affine
     np.divide(1.0, np.sqrt(var + eps), out=rstd)
     xhat = (x - mu) * rstd
     np.multiply(xhat, w, out=y)
     np.add(y, b, out=y)
     record("layernorm_affine", x.size + mu.size + var.size + 2 * w.size,
-           y.size, flops=4 * x.size, fp16=fp16)
+           y.size, flops=4 * x.size, fp16=fp16, family="layernorm")
     return y, mu, rstd
 
 
@@ -105,7 +106,7 @@ def layernorm_forward_fused(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
     np.multiply(xhat, w, out=y)
     np.add(y, b, out=y)
     record("ls_layernorm_fwd", x.size + 2 * w.size, y.size,
-           flops=7 * x.size, fp16=fp16)
+           flops=7 * x.size, fp16=fp16, family="layernorm")
     return y, mu, rstd
 
 
@@ -126,17 +127,17 @@ def layernorm_backward_naive(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
     (dy * xhat).reshape(-1, m).sum(axis=0, out=dw)
     dy.reshape(-1, m).sum(axis=0, out=db)
     record("layernorm_param_grad", dy.size + x.size, dw.size + db.size,
-           flops=4 * dy.size, fp16=fp16)
+           flops=4 * dy.size, fp16=fp16, family="layernorm")
     # launch 2: row reductions for dx (sequential: mean(g) then mean(g*xhat))
     mg = g.mean(axis=-1, keepdims=True)
     mgx = (g * xhat).mean(axis=-1, keepdims=True)
     record("layernorm_dx_reduce", 2 * g.size, mg.size + mgx.size,
-           flops=4 * g.size, fp16=fp16)
+           flops=4 * g.size, fp16=fp16, family="layernorm")
     # launch 3: element-wise apply
     dx = out_buffer(out_dx, x.shape, dt)
     np.multiply(rstd, g - mg - xhat * mgx, out=dx)
     record("layernorm_dx_apply", g.size + mg.size + mgx.size, dx.size,
-           flops=5 * dx.size, fp16=fp16)
+           flops=5 * dx.size, fp16=fp16, family="layernorm")
     return dx, dw, db
 
 
@@ -170,5 +171,6 @@ def layernorm_backward_fused(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
     (dy * xhat).reshape(-1, m).sum(axis=0, out=dw)
     dy.reshape(-1, m).sum(axis=0, out=db)
     record("ls_layernorm_bwd", dy.size + x.size + w.size,
-           dx.size + dw.size + db.size, flops=14 * dy.size, fp16=fp16)
+           dx.size + dw.size + db.size, flops=14 * dy.size, fp16=fp16,
+           family="layernorm")
     return dx, dw, db

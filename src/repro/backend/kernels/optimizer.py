@@ -107,7 +107,7 @@ def adam_update_fp32_naive(param: np.ndarray, grad: np.ndarray,
     g32 = grad * np.float32(grad_scale) if grad_scale != 1.0 else grad
     param[...] = adam_math(param, g32, m, v, step, hp)
     record("adam_update_fp32", 3 * param.size + g32.size, 3 * param.size,
-           flops=12 * param.size, fp16=False)
+           flops=12 * param.size, fp16=False, family="optimizer")
 
 
 def adam_update_naive(param_fp16: np.ndarray, grad_fp16: np.ndarray,
@@ -123,16 +123,16 @@ def adam_update_naive(param_fp16: np.ndarray, grad_fp16: np.ndarray,
     # launch 1: FP16 grad -> FP32 grad copy (+ unscale)
     g32 = grad_fp16.astype(np.float32) * np.float32(grad_scale)
     record("grad_fp16_to_fp32_copy", grad_fp16.size, g32.size,
-           fp16=False)  # writes FP32
+           fp16=False, family="memcpy")  # writes FP32
     # launch 2: FP32 Adam on the master weight
     master_fp32[...] = adam_math(master_fp32, g32, m, v, step, hp)
     record("adam_update_fp32",
            3 * master_fp32.size + g32.size, 3 * master_fp32.size,
-           flops=12 * master_fp32.size, fp16=False)
+           flops=12 * master_fp32.size, fp16=False, family="optimizer")
     # launch 3: FP32 master -> FP16 weight copy
     param_fp16[...] = master_fp32.astype(param_fp16.dtype)
     record("weight_fp32_to_fp16_copy", master_fp32.size, param_fp16.size,
-           fp16=True)
+           fp16=True, family="memcpy")
 
 
 def sgd_update_naive(param_fp16: np.ndarray, grad_fp16: np.ndarray,
@@ -141,14 +141,16 @@ def sgd_update_naive(param_fp16: np.ndarray, grad_fp16: np.ndarray,
                      weight_decay: float = 0.0) -> None:
     """Naive SGD trainer: same 3-launch structure as Adam."""
     g32 = grad_fp16.astype(np.float32)
-    record("grad_fp16_to_fp32_copy", grad_fp16.size, g32.size, fp16=False)
+    record("grad_fp16_to_fp32_copy", grad_fp16.size, g32.size, fp16=False,
+           family="memcpy")
     master_fp32[...] = sgd_math(master_fp32, g32, mom, lr, momentum,
                                 weight_decay)
     record("sgd_update_fp32", 2 * master_fp32.size + g32.size,
-           2 * master_fp32.size, flops=4 * master_fp32.size, fp16=False)
+           2 * master_fp32.size, flops=4 * master_fp32.size, fp16=False,
+           family="optimizer")
     param_fp16[...] = master_fp32.astype(param_fp16.dtype)
     record("weight_fp32_to_fp16_copy", master_fp32.size, param_fp16.size,
-           fp16=True)
+           fp16=True, family="memcpy")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +189,7 @@ def adam_update_apex(params_fp16: Sequence[np.ndarray],
         # one multi-tensor launch: fp16 grad in, fp32 master/m/v in+out,
         # fp16 weight out.  Count FP32 traffic (dominant).
         record("apex_multi_tensor_adam", 4 * chunk_elems, 4 * chunk_elems,
-               flops=12 * chunk_elems, fp16=False)
+               flops=12 * chunk_elems, fp16=False, family="optimizer")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ def adam_update_ls_fused(ws_param: np.ndarray, ws_grad: np.ndarray,
     fp32_equiv = (4 * m.size * 4) // (2 if fp16 else 4)
     record("ls_fused_adam", half_elems + fp32_equiv // 2,
            half_elems - ws_param.size + fp32_equiv // 2,
-           flops=12 * ws_param.size, fp16=fp16)
+           flops=12 * ws_param.size, fp16=fp16, family="optimizer")
 
 
 def sgd_update_ls_fused(ws_param: np.ndarray, ws_grad: np.ndarray,
@@ -250,4 +252,5 @@ def sgd_update_ls_fused(ws_param: np.ndarray, ws_grad: np.ndarray,
     p32 = sgd_math(p32, g32, mom, lr, momentum, weight_decay)
     ws_param[...] = p32.astype(ws_param.dtype)
     record("ls_fused_sgd", 2 * ws_param.size + mom.size,
-           ws_param.size + mom.size, flops=4 * ws_param.size, fp16=fp16)
+           ws_param.size + mom.size, flops=4 * ws_param.size, fp16=fp16,
+           family="optimizer")

@@ -54,7 +54,7 @@ def softmax_forward_naive(x: np.ndarray, *, axis: int = -1,
     y = out_buffer(out, x.shape, e.dtype)
     np.divide(e, e.sum(axis=axis, keepdims=True), out=y)
     record("softmax_fwd", 2 * x.size, 2 * y.size, flops=5 * x.size,
-           fp16=fp16)
+           fp16=fp16, family="softmax")
     return y
 
 
@@ -66,7 +66,8 @@ def softmax_forward_fused(x: np.ndarray, *, axis: int = -1,
     e = np.exp(x - xmax)
     y = out_buffer(out, x.shape, e.dtype)
     np.divide(e, e.sum(axis=axis, keepdims=True), out=y)
-    record("ls_softmax_fwd", x.size, y.size, flops=5 * x.size, fp16=fp16)
+    record("ls_softmax_fwd", x.size, y.size, flops=5 * x.size, fp16=fp16,
+           family="softmax")
     return y
 
 
@@ -79,7 +80,7 @@ def softmax_backward_naive(dy: np.ndarray, y: np.ndarray, *, axis: int = -1,
     dx = out_buffer(out, dy.shape, np.result_type(dy, y))
     np.multiply(y, dy - dot, out=dx)
     record("softmax_bwd", 2 * (dy.size + y.size), dx.size,
-           flops=4 * dx.size, fp16=fp16)
+           flops=4 * dx.size, fp16=fp16, family="softmax")
     return dx
 
 
@@ -91,7 +92,7 @@ def softmax_backward_fused(dy: np.ndarray, y: np.ndarray, *, axis: int = -1,
     dx = out_buffer(out, dy.shape, np.result_type(dy, y))
     np.multiply(y, dy - dot, out=dx)
     record("ls_softmax_bwd", dy.size + y.size, dx.size, flops=4 * dx.size,
-           fp16=fp16)
+           fp16=fp16, family="softmax")
     return dx
 
 
@@ -107,11 +108,12 @@ def attn_softmax_forward_naive(scores: np.ndarray, scale: float,
     """Baseline attention softmax: scale kernel, mask-add kernel, 3-step
     softmax — up to 5 launches total."""
     s = scores * np.float32(scale)
-    record("attn_scale", scores.size, s.size, flops=scores.size, fp16=fp16)
+    record("attn_scale", scores.size, s.size, flops=scores.size, fp16=fp16,
+           family="elementwise")
     if mask is not None:
         s = s + mask
         record("attn_mask_add", s.size + mask.size, s.size, flops=s.size,
-               fp16=fp16)
+               fp16=fp16, family="elementwise")
     return softmax_forward_naive(s, fp16=fp16, out=out)
 
 
@@ -122,7 +124,8 @@ def attn_softmax_backward_naive(dy: np.ndarray, y: np.ndarray, scale: float,
     ds = softmax_backward_naive(dy, y, fp16=fp16)
     dscores = out_buffer(out, ds.shape, ds.dtype)
     np.multiply(ds, np.float32(scale), out=dscores)
-    record("attn_unscale", ds.size, dscores.size, flops=ds.size, fp16=fp16)
+    record("attn_unscale", ds.size, dscores.size, flops=ds.size, fp16=fp16,
+           family="elementwise")
     return dscores
 
 
@@ -154,7 +157,7 @@ def log_softmax_forward_fused(x: np.ndarray, *, axis: int = -1,
     np.subtract(logq, lz, out=logq)
     np.exp(logq, out=q)
     record("ls_log_softmax_fwd", x.size, logq.size + q.size,
-           flops=6 * x.size, fp16=fp16)
+           flops=6 * x.size, fp16=fp16, family="softmax")
     return logq, q
 
 
@@ -166,7 +169,8 @@ def log_softmax_forward_naive(x: np.ndarray, *, axis: int = -1,
     q = softmax_forward_naive(x, axis=axis, fp16=fp16, out=out_q)
     logq = out_buffer(out_logq, q.shape, q.dtype)
     np.log(np.maximum(q, np.finfo(np.float32).tiny), out=logq)
-    record("log_kernel", q.size, logq.size, flops=q.size, fp16=fp16)
+    record("log_kernel", q.size, logq.size, flops=q.size, fp16=fp16,
+           family="criterion")
     return logq, q
 
 
@@ -217,7 +221,8 @@ def attn_softmax_dropout_forward_fused(scores: np.ndarray, scale: float,
     nread = scores.size + (mask.size if mask is not None else 0)
     mask_traffic = dmask.size // 4 + 1 if dmask is not None else 0
     record("ls_attn_softmax_dropout_fwd", nread + mask_traffic,
-           dropped.size + probs.size, flops=9 * scores.size, fp16=fp16)
+           dropped.size + probs.size, flops=9 * scores.size, fp16=fp16,
+           family="softmax")
     return dropped, probs, dmask
 
 
@@ -247,5 +252,5 @@ def attn_softmax_dropout_backward_fused(dy: np.ndarray, probs: np.ndarray,
     mask_traffic = dmask.size // 4 + 1 if dmask is not None else 0
     record("ls_attn_softmax_dropout_bwd",
            dy.size + probs.size + mask_traffic, d_scores.size,
-           flops=7 * dy.size, fp16=fp16)
+           flops=7 * dy.size, fp16=fp16, family="softmax")
     return d_scores

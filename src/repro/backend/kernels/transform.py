@@ -31,7 +31,8 @@ def split_heads_naive(x: np.ndarray, nhead: int, *,
     d = h // nhead
     y = out_buffer(out, (b, nhead, l, d), x.dtype)
     y[...] = x.reshape(b, l, nhead, d).transpose(0, 2, 1, 3)
-    record("transpose_split_heads", x.size, y.size, fp16=fp16)
+    record("transpose_split_heads", x.size, y.size, fp16=fp16,
+           family="transpose")
     return y
 
 
@@ -42,7 +43,8 @@ def merge_heads_naive(x: np.ndarray, *, fp16: bool = False,
     b, n, l, d = x.shape
     y = out_buffer(out, (b, l, n * d), x.dtype)
     y.reshape(b, l, n, d)[...] = x.transpose(0, 2, 1, 3)
-    record("transpose_merge_heads", x.size, y.size, fp16=fp16)
+    record("transpose_merge_heads", x.size, y.size, fp16=fp16,
+           family="transpose")
     return y
 
 
@@ -55,7 +57,7 @@ def bias_split_heads_fused(x: np.ndarray, bias: np.ndarray, nhead: int, *,
     y = out_buffer(out, (b, nhead, l, d), np.result_type(x, bias))
     y[...] = (x + bias).reshape(b, l, nhead, d).transpose(0, 2, 1, 3)
     record("ls_bias_split_heads", x.size + bias.size, y.size,
-           flops=x.size, fp16=fp16)
+           flops=x.size, fp16=fp16, family="transpose")
     return y
 
 
@@ -85,7 +87,7 @@ def qkv_bias_split_heads_fused(qkv: np.ndarray, bias: np.ndarray,
     np.copyto(k, y[1])
     np.copyto(v, y[2])
     record("ls_qkv_bias_split_heads", qkv.size + bias.size, qkv.size,
-           flops=qkv.size, fp16=fp16)
+           flops=qkv.size, fp16=fp16, family="transpose")
     return q, k, v
 
 
@@ -105,7 +107,8 @@ def qkv_merge_heads_fused(dq: np.ndarray, dk: np.ndarray, dv: np.ndarray, *,
     dbias = out_buffer(out_dbias, (3 * h,), dqkv.dtype)
     dqkv.reshape(-1, 3 * h).sum(axis=0, out=dbias)
     record("ls_qkv_merge_heads_bwd", dq.size + dk.size + dv.size,
-           dqkv.size + dbias.size, flops=dqkv.size, fp16=fp16)
+           dqkv.size + dbias.size, flops=dqkv.size, fp16=fp16,
+           family="transpose")
     return dqkv, dbias
 
 

@@ -209,7 +209,6 @@ class KernelStats:
     elems_written: int = 0
     bytes_moved: int = 0
     flops: int = 0
-    gemm_launches: int = 0
 
     def add(self, k: KernelLaunch) -> None:
         self.launches += 1
@@ -217,8 +216,6 @@ class KernelStats:
         self.elems_written += k.elems_written
         self.bytes_moved += k.bytes_moved
         self.flops += k.flops
-        if k.is_gemm:
-            self.gemm_launches += 1
 
     def merge(self, other: "KernelStats") -> "KernelStats":
         out = KernelStats()
@@ -228,7 +225,6 @@ class KernelStats:
             out.elems_written += src.elems_written
             out.bytes_moved += src.bytes_moved
             out.flops += src.flops
-            out.gemm_launches += src.gemm_launches
         return out
 
 
@@ -249,18 +245,12 @@ def by_kernel(trace: Iterable[KernelLaunch]) -> Dict[str, KernelStats]:
 
 
 def by_family(trace: Iterable[KernelLaunch]) -> Dict[str, KernelStats]:
-    """Group a trace by cost-model kernel family (gemm, softmax, ...).
-
-    The grouping matches the roofline/critical-path attribution in
-    :mod:`repro.obs.roofline`: the family comes from
-    :func:`repro.sim.costmodel.cost_family`.
-    """
-    # imported lazily: sim.costmodel imports backend.device, and an eager
-    # import here would make backend <-> sim import order load-bearing
-    from ..sim.costmodel import cost_family
+    """Group a trace by the kernel family each launch declares (gemm,
+    softmax, ...), the same key the roofline and critical-path
+    attributions use."""
     out: Dict[str, KernelStats] = defaultdict(KernelStats)
     for k in trace:
-        out[cost_family(k)].add(k)
+        out[k.family].add(k)
     return dict(out)
 
 

@@ -70,13 +70,15 @@ class Workspace:
                 f"{name}: shape {value.shape} != registered {shape}")
         self.params[off:off + n] = value.reshape(-1)
         current_device().record("workspace_init_copy", value.size, n,
-                                dtype_bytes=self.params.dtype.itemsize)
+                                dtype_bytes=self.params.dtype.itemsize,
+                                family="criterion")
 
     def zero_grad(self) -> None:
         """One kernel to clear ALL gradients (vs one memset per tensor)."""
         self.grads[...] = 0
         current_device().record("ls_zero_grad", 0, self.grads.size,
-                                dtype_bytes=self.grads.dtype.itemsize)
+                                dtype_bytes=self.grads.dtype.itemsize,
+                                family="optimizer")
 
     # -- per-parameter walks over the flat slabs -------------------------------
 

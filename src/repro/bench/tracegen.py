@@ -213,7 +213,7 @@ def batch_affine_model(trace_b1: Sequence[KernelLaunch],
     """Fit the exact per-record affine model; return ``trace(B)``.
 
     Raises :class:`TraceStructureError` if the traces differ in length,
-    names, stages, GEMM flags or dtypes — structure must be batch-size
+    names, stages, families or dtypes — structure must be batch-size
     independent for the model to be valid.
     """
     if b1 == b2:
@@ -242,7 +242,7 @@ def batch_affine_model(trace_b1: Sequence[KernelLaunch],
 
 def _struct_key(k: KernelLaunch) -> Tuple:
     """Structural identity: everything except the element/flop counts."""
-    return (k.name, k.stage, k.is_gemm, k.dtype_bytes, k.lib)
+    return (k.name, k.stage, k.family, k.dtype_bytes, k.lib)
 
 
 def _full_key(k: KernelLaunch) -> Tuple:

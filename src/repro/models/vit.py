@@ -39,7 +39,8 @@ def extract_patches(images: np.ndarray, patch: int, *,
     x = images.reshape(b, c, gh, patch, gw, patch)
     x = x.transpose(0, 2, 4, 1, 3, 5).reshape(b, gh * gw, c * patch * patch)
     x = np.ascontiguousarray(x)
-    record("transpose_patchify", images.size, x.size, fp16=fp16)
+    record("transpose_patchify", images.size, x.size, fp16=fp16,
+           family="transpose")
     return x
 
 
@@ -57,7 +58,8 @@ def vit_assemble_embed(cls_tok: np.ndarray, proj: np.ndarray,
     x[:, 0, :] = cls_tok
     x[:, 1:, :] = proj
     x += pos[None]
-    record("vit_embed_posadd", x.size, x.size, flops=x.size, fp16=fp16)
+    record("vit_embed_posadd", x.size, x.size, flops=x.size, fp16=fp16,
+           family="embedding")
     return x
 
 

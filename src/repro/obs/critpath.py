@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..backend.device import STAGES, KernelLaunch
 from ..backend.kernels.flash import flash_launch_cost
 from ..sim.comm import ring_allreduce_seconds
-from ..sim.costmodel import cost_family, kernel_time_parts
+from ..sim.costmodel import kernel_time_parts
 from ..sim.gpu_specs import GPUS, GPUSpec
 from ..sim.timeline import (StepInputs, TwoStreamTimeline,
                             bucket_ready_times, synthetic_buckets)
@@ -202,8 +202,7 @@ def stage_decomposition(inputs: StepInputs) -> Dict[str, Dict[str, float]]:
                                   include_host=inputs.include_host)
         d = out.setdefault(k.stage, {})
         d[HOST] = d.get(HOST, 0.0) + parts.fixed_s
-        fam = cost_family(k)
-        d[fam] = d.get(fam, 0.0) + parts.roofline_s
+        d[k.family] = d.get(k.family, 0.0) + parts.roofline_s
     return out
 
 
@@ -418,8 +417,8 @@ def tiled_attention_trace(trace: Sequence[KernelLaunch], *, head_dim: int,
             causal=causal, mask_elems=mask_elems)
         synth = KernelLaunch(
             name=f"ls_flash_attn_{direction}", elems_read=read,
-            elems_written=written, flops=flops, is_gemm=True,
-            dtype_bytes=k.dtype_bytes, stage=k.stage, lib=k.lib)
+            elems_written=written, flops=flops, dtype_bytes=k.dtype_bytes,
+            stage=k.stage, lib=k.lib, family="attention")
         fused_bytes += sum(g.bytes_moved for g in group)
         tiled_bytes += synth.bytes_moved
         out.append(synth)

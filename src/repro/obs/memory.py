@@ -598,6 +598,38 @@ def _is_quadratic(shape: Sequence[int], l0: int) -> bool:
     return l0 > 1 and sum(1 for d in shape if int(d) == l0) >= 2
 
 
+def model_dims(cfg) -> Dict[str, int]:
+    """The model dims a what-if base point stamps as ``model_dims``."""
+    return {"hidden": cfg.hidden_dim, "nhead": cfg.nhead,
+            "head_dim": cfg.hidden_dim // cfg.nhead, "ffn": cfg.ffn_dim,
+            "vocab": cfg.vocab_size}
+
+
+class AmbiguousBasePoint(ValueError):
+    """A batch/seq_len what-if dimension matching cannot disambiguate."""
+
+
+def _refuse_ambiguous_base(dims: object, attn: Dict[str, object],
+                           probes: Dict[str, int], b0: int, l0: int) -> None:
+    if not isinstance(dims, dict) or not dims:
+        raise AmbiguousBasePoint("shape plan lacks base model_dims; "
+                                 "re-record with repro.train --memory-out")
+    named = {f"model_dims.{k}": v for k, v in dims.items()}
+    named.update({f"attn.{k}": attn[k] for k in ("tile_q", "tile_k")
+                  if attn.get(k)})
+    if not all(isinstance(v, int) for v in named.values()):
+        raise ValueError(f"base model_dims/tiles are not integers: {named}")
+    hits = [f"base {knob} = {value} equals {name}"
+            for knob, value in probes.items()
+            for name, d in named.items() if d == value]
+    if b0 == l0:
+        hits.append(f"base batch equals base seq_len ({b0})")
+    if hits:
+        raise AmbiguousBasePoint(
+            "; ".join(hits) + ": dimension matching cannot tell them "
+            "apart; re-record at a base point free of such collisions")
+
+
 def project_capacity(shape_plan: Dict[str, object], *,
                      batch: Optional[int] = None,
                      seq_len: Optional[int] = None,
@@ -627,10 +659,12 @@ def project_capacity(shape_plan: Dict[str, object], *,
     ``max_bytes`` OOM check compares) and ``capacity_bytes`` its
     block-rounded reservation.
 
-    Caveat: dimension matching is positional, not semantic.  Record the
-    base run at a sequence length distinct from the model's hidden size,
-    head count, vocab and tile sizes (e.g. L=512 with 64-dim hidden and
-    256-wide tiles) so no unrelated dimension collides with L.
+    Dimension matching is positional, not semantic, so a ``batch`` or
+    ``seq_len`` what-if raises :class:`AmbiguousBasePoint` (a
+    ``ValueError``) unless the base stamps ``model_dims`` (hidden, nhead,
+    head_dim, ffn, vocab) and neither a changed knob's base value nor
+    ``batch*seq_len`` equals one of them or a tile size, and the base
+    batch differs from the base sequence length.
     """
     base = dict(shape_plan.get("base") or {})
     b0 = int(base.get("batch", 0) or 0)
@@ -651,6 +685,13 @@ def project_capacity(shape_plan: Dict[str, object], *,
     if (batch is not None and not b0) or (seq_len is not None and not l0):
         raise ValueError("shape plan lacks base batch/seq_len dims; "
                          "re-record with base= set")
+    if batch is not None or seq_len is not None:
+        probes = {k: v for k, v, knob in (("batch", b0, batch),
+                                          ("seq_len", l0, seq_len))
+                  if knob is not None}
+        if b0 and l0:
+            probes["batch*seq_len"] = b0 * l0
+        _refuse_ambiguous_base(base.get("model_dims"), attn, probes, b0, l0)
 
     plans = shape_plan.get("plans") or []
     demand = 0

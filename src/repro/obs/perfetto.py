@@ -131,7 +131,7 @@ def kernel_events(trace: Sequence[KernelLaunch], spec: GPUSpec, *,
         # which is how the profile CLI re-analyzes a saved trace.
         events.append(_event(k.name, "kernel", start, dt, pid, tid, args={
             "stage": k.stage, "bytes": k.bytes_moved, "flops": k.flops,
-            "gemm": k.is_gemm, "dtype_bytes": k.dtype_bytes, "lib": k.lib,
+            "family": k.family, "dtype_bytes": k.dtype_bytes, "lib": k.lib,
             "elems_read": k.elems_read, "elems_written": k.elems_written,
         }))
     close_group()
@@ -384,10 +384,10 @@ def trace_kernels(trace: Dict[str, object]
     """Rebuild the kernel-launch list from an exported trace.
 
     The inverse of :func:`kernel_events` for the launch *description*
-    (names, element counts, FLOPs, stages — everything the cost model
-    prices; the simulated timestamps are derived and discarded).  Event
-    order in ``traceEvents`` is trace order, so the reconstructed list
-    replays identically.
+    (names, families, element counts, FLOPs, stages — everything the cost
+    model prices; the simulated timestamps are derived and discarded).
+    Event order in ``traceEvents`` is trace order, so the reconstructed
+    list replays identically.
     """
     out: List[KernelLaunch] = []
     for ev in trace.get("traceEvents", []):
@@ -397,17 +397,17 @@ def trace_kernels(trace: Dict[str, object]
             raise ValueError("kernel slice without a name")
         a = ev.get("args") or {}
         if (not isinstance(a, dict) or "elems_read" not in a
-                or "elems_written" not in a):
+                or "elems_written" not in a or "family" not in a):
             raise ValueError(
                 f"kernel slice {ev.get('name')!r} lacks elems_read/"
-                f"elems_written args (trace from an older exporter?)")
+                f"elems_written/family args (older exporter?)")
         out.append(KernelLaunch(
             name=str(ev["name"]),
             elems_read=int(a["elems_read"]),
             elems_written=int(a["elems_written"]),
             flops=int(a.get("flops", 0)),
-            is_gemm=bool(a.get("gemm", False)),
             dtype_bytes=int(a.get("dtype_bytes", 4)),
             stage=str(a.get("stage", "forward")),
-            lib=str(a.get("lib", "lightseq2"))))
+            lib=str(a.get("lib", "lightseq2")),
+            family=str(a["family"])))
     return out

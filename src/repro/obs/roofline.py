@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..backend.device import KernelLaunch
-from ..sim.costmodel import cost_family, kernel_time_parts, trace_cost
+from ..sim.costmodel import kernel_time_parts, trace_cost
 from ..sim.gpu_specs import GPUSpec, ridge_point
 
 #: the three ways a kernel's simulated time can be bound.
@@ -69,7 +69,7 @@ def analyze_launch(k: KernelLaunch, spec: GPUSpec, *,
     else:
         achieved = 0.0           # launch-bound: the device is mostly idle
     return LaunchRoofline(
-        name=k.name, family=cost_family(k), stage=k.stage, bound=bound,
+        name=k.name, family=k.family, stage=k.stage, bound=bound,
         time_s=total, fixed_s=parts.fixed_s, mem_s=parts.mem_s,
         flop_s=parts.flop_s, bytes_moved=k.bytes_moved, flops=k.flops,
         intensity=intensity, ridge=ridge_point(spec, fp16),
@@ -125,8 +125,6 @@ class RooflineReport:
     by_family: Dict[str, RooflineGroup]
     by_stage: Dict[str, RooflineGroup]
     total_s: float
-    unattributed_s: float
-    unattributed_fraction: float
 
     @property
     def bound_s(self) -> Dict[str, float]:
@@ -155,10 +153,6 @@ class RooflineReport:
             + ", ".join(f"{k} {b[k] * 1e3:.3f} ms"
                         f" ({b[k] / self.total_s:.0%})" if self.total_s > 0
                         else f"{k} 0 ms" for k in BOUNDS))
-        if self.unattributed_s > 0:
-            lines.append(f"  WARNING: {self.unattributed_fraction:.1%} of "
-                         f"time is from unknown kernel names "
-                         f"(unattributed)")
         lines.append(f"  {'#':>3} {'kernel':<32}{'ms':>9}{'share':>7}"
                      f"{'calls':>7}  {'bound':<8}{'FLOP/B':>8}"
                      f"{'ach%':>6}")
@@ -187,8 +181,6 @@ class RooflineReport:
                 "fp32": ridge_point(self.spec, False),
                 "fp16": ridge_point(self.spec, True)},
             "bound_s": self.bound_s,
-            "unattributed_s": self.unattributed_s,
-            "unattributed_fraction": self.unattributed_fraction,
             "top_bottlenecks": [group(g) for g in self.top_bottlenecks(n)],
             "by_family": {k: group(g)
                           for k, g in sorted(self.by_family.items())},
@@ -217,9 +209,7 @@ def roofline_report(trace: Sequence[KernelLaunch], spec: GPUSpec, *,
             if key not in table:
                 table[key] = RooflineGroup(key)
             table[key].add(r)
-    cost = trace_cost(trace, spec, include_host=include_host)
     return RooflineReport(
         spec=spec, launches=launches, by_name=by_name, by_family=by_family,
-        by_stage=by_stage, total_s=cost.total_s,
-        unattributed_s=cost.unattributed_s,
-        unattributed_fraction=cost.unattributed_fraction)
+        by_stage=by_stage,
+        total_s=trace_cost(trace, spec, include_host=include_host).total_s)

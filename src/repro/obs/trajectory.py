@@ -27,7 +27,9 @@ Entry points::
     PYTHONPATH=src python -m repro.obs trajectory RECORD_DIR \
         [--threshold 0.05] [--metric step_total] [--json] [--out FILE]
 
-Both exit 1 when a regression is found, so either doubles as a CI gate.
+Both exit 1 when a regression is found, so either doubles as a CI gate,
+and 2 on unusable input.  ``trajectory`` exits 4 when it skipped a file
+that is not a usable run record and the rest of the series is clean.
 """
 
 from __future__ import annotations
@@ -129,8 +131,11 @@ def _section(record: Dict[str, object], name: str, kind: type):
 
 
 def _number(where: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} is {value!r}, not a number")
+    # NaN fails the range check too: it compares false against every
+    # budget, so it would pass any gate
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{where} is {value!r}, not a finite number")
     return float(value)
 
 
@@ -521,7 +526,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     doc = traj.as_dict(args.threshold)
     emit_document(doc, traj.format_report(args.threshold, args.metric), args)
-    return 1 if doc["regressions"] else 0
+    if doc["regressions"]:
+        return 1
+    return 4 if traj.skipped else 0      # 4: partial input, the rest clean
 
 
 if __name__ == "__main__":

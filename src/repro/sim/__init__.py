@@ -2,8 +2,8 @@
 training timelines, and memory/utilization time series."""
 
 from . import comm, costmodel, gpu_specs, timeline, utilization
-from .costmodel import (KernelTimeParts, TraceCost, kernel_family,
-                        kernel_time, kernel_time_parts, speedup, trace_cost)
+from .costmodel import (KernelTimeParts, TraceCost, kernel_time,
+                        kernel_time_parts, speedup, trace_cost)
 from .gpu_specs import A100, GPUS, H100, V100, GPUSpec, ridge_point
 from .timeline import (BucketSchedule, StepInputs, TwoStreamTimeline,
                        overlap_schedule, two_stream_step_timeline)
@@ -12,7 +12,7 @@ __all__ = [
     "comm", "costmodel", "gpu_specs", "timeline", "utilization",
     "GPUSpec", "V100", "A100", "H100", "GPUS", "ridge_point",
     "kernel_time", "kernel_time_parts", "KernelTimeParts",
-    "kernel_family", "trace_cost", "TraceCost", "speedup",
+    "trace_cost", "TraceCost", "speedup",
     "StepInputs", "BucketSchedule", "TwoStreamTimeline",
     "overlap_schedule", "two_stream_step_timeline",
 ]

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict
 
+from ..backend.device import FAMILIES as KERNEL_FAMILIES
+
 
 @dataclass(frozen=True)
 class GPUSpec:
@@ -135,10 +137,9 @@ def _grow(eff_lo: float, eff_hi: float, n_mid: float
     return f
 
 
-#: kernel families recognised by the cost model.
-FAMILIES = ("layernorm", "softmax", "dropout", "elementwise", "transpose",
-            "embedding", "criterion", "optimizer", "reduction", "memcpy",
-            "attention")
+#: kernel families priced on a bandwidth-efficiency curve: every family a
+#: launch can declare except ``gemm`` (FLOP throughput only).
+FAMILIES = tuple(f for f in KERNEL_FAMILIES if f != "gemm")
 
 #: bandwidth efficiency (fraction of peak HBM BW) by (lib, family) and size.
 #: Calibrated to the paper's kernel benchmarks:

@@ -370,7 +370,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     mem_report = None
     if mem_tracer is not None:
-        from .obs.memory import memory_report, write_memory_report
+        from .obs.memory import (memory_report, model_dims,
+                                 write_memory_report)
         # fold the final step's demand into the reservation so the
         # timeline peak is bitwise comparable to the slab high-water mark
         arena.begin_step()
@@ -384,6 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         if first is not None and args.task != "vit"
                         and first.ndim >= 2 else 0),
             "attn": step_meta["attn"],
+            "model_dims": model_dims(cfg),
         }
         mem_report = memory_report(mem_tracer, arena=arena, base=base)
         write_memory_report(args.memory_out, mem_report)

@@ -219,7 +219,7 @@ class DataParallel:
                     dev.record("allreduce_grads",
                                flats[0].size * self.world_size,
                                flats[0].size * self.world_size,
-                               dtype_bytes=1)
+                               dtype_bytes=1, family="reduction")
                 elif self.zero1:
                     self._guarded(
                         "comm.reduce_scatter",
@@ -227,7 +227,8 @@ class DataParallel:
                         flats)
                     dev.record("reduce_scatter_grads",
                                flats[0].size * self.world_size,
-                               flats[0].size, dtype_bytes=4)
+                               flats[0].size, dtype_bytes=4,
+                               family="reduction")
                 elif self.overlap_grad_sync:
                     for b in reversed(self.buckets):
                         views = [f[b.start:b.stop] for f in flats]
@@ -237,7 +238,8 @@ class DataParallel:
                             views)
                         dev.record("allreduce_grad_bucket",
                                    b.elems * self.world_size,
-                                   b.elems * self.world_size, dtype_bytes=4)
+                                   b.elems * self.world_size, dtype_bytes=4,
+                                   family="reduction")
                 else:
                     self._guarded(
                         "comm.allreduce",
@@ -246,12 +248,13 @@ class DataParallel:
                     dev.record("allreduce_grads",
                                flats[0].size * self.world_size,
                                flats[0].size * self.world_size,
-                               dtype_bytes=4)
+                               dtype_bytes=4, family="reduction")
                 for trainer, flat in zip(self.trainers, flats):
                     trainer.load_flat_grad(flat)
             else:
                 dev.record("allreduce_grads", flats[0].size, flats[0].size,
-                           dtype_bytes=1 if self.compress_gradients else 4)
+                           dtype_bytes=1 if self.compress_gradients else 4,
+                           family="reduction")
             retried = self.retry_stats.retries - retries0
             if sp is not None and retried:
                 sp.attrs["comm_retries"] = retried
@@ -269,7 +272,7 @@ class DataParallel:
                           lambda: ring_allgather(slabs), slabs)
             dev.record("allgather_params",
                        slabs[0].size, slabs[0].size * self.world_size,
-                       dtype_bytes=slabs[0].dtype.itemsize)
+                       dtype_bytes=slabs[0].dtype.itemsize, family="reduction")
 
     def _loss_scale(self) -> float:
         """The replicas' current loss scale (their scalers move in
@@ -487,7 +490,8 @@ class DataParallel:
             flats = [t.flat_grad() for t in self.trainers]
             deterministic_allreduce(contributions, flats)
             dev.record("deterministic_allreduce", flats[0].size * P,
-                       flats[0].size * self.world_size, dtype_bytes=4)
+                       flats[0].size * self.world_size, dtype_bytes=4,
+                       family="reduction")
         for trainer, flat in zip(self.trainers, flats):
             trainer.load_flat_grad(flat)
         gs = 1.0 / (scale * max(total_tokens, 1))

@@ -150,7 +150,8 @@ class NaiveMPTrainer(TrainerBase):
         """One memset launch per tensor."""
         for p in self.params:
             p.grad[...] = 0
-            record("zero_grad", 0, p.grad.size, fp16=p.fp16)
+            record("zero_grad", 0, p.grad.size, fp16=p.fp16,
+                   family="optimizer")
 
     def _apply(self, lr: float, grad_scale: float) -> None:
         hp = self.spec.adam_hparams(lr)
@@ -176,7 +177,7 @@ class NaiveMPTrainer(TrainerBase):
                                            self.m[i], lr, self.spec.momentum,
                                            self.spec.weight_decay)
                     record("sgd_update_fp32", 2 * p.size, 2 * p.size,
-                           flops=4 * p.size, fp16=False)
+                           flops=4 * p.size, fp16=False, family="optimizer")
 
     def extra_state_bytes(self) -> int:
         """Trainer-owned memory beyond params/grads.
@@ -218,7 +219,7 @@ class ApexLikeTrainer(NaiveMPTrainer):
                 for p in self.params[lo:hi]:
                     g32 = p.grad.astype(np.float32) * np.float32(grad_scale)
                     record("grad_fp16_to_fp32_copy", p.grad.size, g32.size,
-                           fp16=False)
+                           fp16=False, family="memcpy")
                     g32s.append(g32)
                 adam_update_apex(self.masters[lo:hi], g32s,
                                  self.masters[lo:hi], self.m[lo:hi],
@@ -227,7 +228,7 @@ class ApexLikeTrainer(NaiveMPTrainer):
                                      self.masters[lo:hi]):
                     p.data[...] = master.astype(p.data.dtype)
                     record("weight_fp32_to_fp16_copy", master.size,
-                           p.data.size, fp16=True)
+                           p.data.size, fp16=True, family="memcpy")
         else:
             adam_update_apex([p.data for p in self.params],
                              [p.grad for p in self.params],

@@ -12,7 +12,7 @@ from repro.backend.device import (NULL_DEVICE, Device, KernelLaunch,
 def test_null_device_when_inactive():
     assert current_device() is NULL_DEVICE
     # recording on the null device is a silent no-op
-    current_device().record("x", 1, 1)
+    current_device().record("x", 1, 1, family="elementwise")
     assert NULL_DEVICE.launches == []
 
 
@@ -29,8 +29,8 @@ def test_use_device_nesting():
 def test_record_and_totals():
     d = Device(lib="pytorch")
     with use_device(d):
-        d.record("k1", 10, 5, flops=7)
-        d.record("k2", 2, 2, flops=3, is_gemm=True, dtype_bytes=2)
+        d.record("k1", 10, 5, flops=7, family="elementwise")
+        d.record("k2", 2, 2, flops=3, dtype_bytes=2, family="gemm")
     assert d.launch_count() == 2
     # bytes: (10+5)*4 + (2+2)*2
     assert d.total_bytes() == 60 + 8
@@ -40,12 +40,12 @@ def test_record_and_totals():
 def test_stage_scoping():
     d = Device()
     with use_device(d):
-        d.record("fwd_k", 1, 1)
+        d.record("fwd_k", 1, 1, family="elementwise")
         with d.stage_scope("backward"):
-            d.record("bwd_k", 1, 1)
+            d.record("bwd_k", 1, 1, family="elementwise")
             with d.stage_scope("update"):
-                d.record("upd_k", 1, 1)
-            d.record("bwd_k2", 1, 1)
+                d.record("upd_k", 1, 1, family="elementwise")
+            d.record("bwd_k2", 1, 1, family="elementwise")
     stages = [k.stage for k in d.launches]
     assert stages == ["forward", "backward", "update", "backward"]
     assert d.launch_count("backward") == 2
@@ -64,7 +64,8 @@ def test_lib_validation():
 
 
 def test_kernel_launch_byte_properties():
-    k = KernelLaunch("k", elems_read=3, elems_written=2, dtype_bytes=2)
+    k = KernelLaunch("k", elems_read=3, elems_written=2, dtype_bytes=2,
+                     family="elementwise")
     assert k.bytes_read == 6
     assert k.bytes_written == 4
     assert k.bytes_moved == 10
@@ -72,14 +73,14 @@ def test_kernel_launch_byte_properties():
 
 def test_reset():
     d = Device()
-    d.record("k", 1, 1)
+    d.record("k", 1, 1, family="elementwise")
     d.reset()
     assert d.launches == []
 
 
 def test_trace_disabled():
     d = Device(trace=False)
-    d.record("k", 1, 1)
+    d.record("k", 1, 1, family="elementwise")
     assert d.launches == []
 
 

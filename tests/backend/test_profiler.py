@@ -7,20 +7,20 @@ import threading
 import pytest
 
 from repro.backend.device import Device, use_device
-from repro.backend.profiler import (KernelStats, alloc_counters, by_kernel,
-                                    by_stage, compare, count_arena_hit,
-                                    count_arena_miss, count_fresh_alloc,
-                                    reset_alloc_counters)
+from repro.backend.profiler import (KernelStats, alloc_counters, by_family,
+                                    by_kernel, by_stage, compare,
+                                    count_arena_hit, count_arena_miss,
+                                    count_fresh_alloc, reset_alloc_counters)
 
 
 @pytest.fixture
 def trace():
     d = Device()
     with use_device(d):
-        d.record("a", 10, 10, flops=5)
-        d.record("gemm_x", 100, 50, flops=1000, is_gemm=True)
+        d.record("a", 10, 10, flops=5, family="elementwise")
+        d.record("gemm_x", 100, 50, flops=1000, family="gemm")
         with d.stage_scope("backward"):
-            d.record("a", 20, 20, flops=10)
+            d.record("a", 20, 20, flops=10, family="elementwise")
     return d.launches
 
 
@@ -36,7 +36,8 @@ def test_by_kernel(trace):
     k = by_kernel(trace)
     assert k["a"].launches == 2
     assert k["a"].elems_read == 30
-    assert k["gemm_x"].gemm_launches == 1
+    assert k["gemm_x"].launches == 1
+    assert by_family(trace)["gemm"].launches == 1
 
 
 def test_merge():

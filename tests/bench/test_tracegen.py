@@ -48,7 +48,7 @@ def _tiny(family, depth, **overrides):
 
 def _records(trace):
     return [(k.name, k.stage, k.elems_read, k.elems_written, k.flops,
-             k.is_gemm, k.dtype_bytes, k.lib) for k in trace]
+             k.family, k.dtype_bytes, k.lib) for k in trace]
 
 
 class TestAffineExactness:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.backend.device import Device, use_device
 from repro.backend.kernels import flash, softmax
-from repro.sim.costmodel import kernel_family
 
 
 def _qkv(rng, b=2, n=2, lq=8, lk=8, dh=4, dtype=np.float32):
@@ -230,7 +229,7 @@ class TestLaunchAccounting:
             ["ls_flash_attn_fwd", "ls_flash_attn_bwd"]
         for launch in dev.launches:
             assert launch.is_gemm
-            assert kernel_family(launch.name) == "attention"
+            assert launch.family == "attention"
 
     def test_written_elems_are_linear_not_quadratic(self, rng):
         """The launch writes O + stats (+ seed) — O(L·Dh), never the L²

@@ -1,7 +1,8 @@
-"""Schema-skewed input to ``python -m repro.obs {profile,memory}``.
+"""Skewed input to ``python -m repro.obs {profile,memory,compare,trajectory}``.
 
 A document of the wrong shape is unusable input: the CLI must exit 2 with
-an ``error:`` line, never a traceback (exit 1 means "gate failed").
+an ``error:`` line, never a traceback (exit 1 means "gate failed";
+``trajectory`` skips an unusable file and exits 4 if the rest is clean).
 """
 
 import copy
@@ -12,7 +13,9 @@ import sys
 
 import pytest
 
+from repro.obs.__main__ import main as obs_main
 from repro.obs.memory import MEMORY_SCHEMA
+from repro.obs.runrecord import RUN_RECORD_SCHEMA
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -23,7 +26,11 @@ _MEMORY = {
     "bitwise_peak_equal": True,
     "attribution": {"by_site": [{"key": "attn", "bytes": 1024,
                                  "share": 1.0, "requests": 1}]},
-    "shape_plan": {"base": {"batch": 2, "seq_len": 16},
+    # batch 2, seq_len 16 and their product 32 collide with no model dim
+    "shape_plan": {"base": {"batch": 2, "seq_len": 16,
+                            "model_dims": {"hidden": 24, "nhead": 3,
+                                           "head_dim": 8, "ffn": 96,
+                                           "vocab": 100}},
                    "requests": [{"shape": [2, 16, 8], "dtype": "float32",
                                  "plan": None}],
                    "plans": []},
@@ -55,6 +62,13 @@ _PROFILE_CASES = {
         {"cat": "kernel", "args": {"elems_read": 1, "elems_written": 1}}]},
     "kernel_args_not_an_object": {"traceEvents": [
         {"cat": "kernel", "name": "k", "args": 5}]},
+    "kernel_event_without_family": {"traceEvents": [
+        {"cat": "kernel", "name": "k",
+         "args": {"elems_read": 1, "elems_written": 1}}]},
+    "kernel_event_with_unknown_family": {"traceEvents": [
+        {"cat": "kernel", "name": "k",
+         "args": {"elems_read": 1, "elems_written": 1,
+                  "family": "warp_shuffle"}}]},
 }
 
 _MEMORY_CASES = {
@@ -69,6 +83,15 @@ _MEMORY_CASES = {
     "oom_without_forensics_keys": (("oom",), {"step": 1}),
     "oom_byte_count_not_an_integer": (("oom",),
                                       {**_OOM, "requested_bytes": "64"}),
+    # what-if bases dimension matching cannot disambiguate
+    "base_without_model_dims": (("shape_plan", "base"),
+                                {"batch": 2, "seq_len": 16}),
+    "base_seq_len_equals_head_dim": (
+        ("shape_plan", "base", "model_dims", "head_dim"), 16),
+    "base_tokens_equal_ffn": (("shape_plan", "base", "model_dims", "ffn"),
+                              32),
+    "base_model_dims_not_integers": (
+        ("shape_plan", "base", "model_dims", "hidden"), [24]),
 }
 
 #: memory runs a what-if so the shape plan is walked too
@@ -110,3 +133,100 @@ def test_well_formed_oom_is_accepted(tmp_path):
                 *_MEMORY_ARGS)
     assert done.returncode == 0, done.stderr
     assert "OOM at step 1: request of 64 bytes" in done.stdout
+
+
+# -- compare / trajectory: truncated, reordered and schema-skewed records ----
+
+def _run_record(i, step_s):
+    """A minimal run record at position ``i`` in history."""
+    return {"schema": RUN_RECORD_SCHEMA, "name": "fuzz",
+            "provenance": {"order_key": f"{1000 + i:012d}-{'a' * 12}"},
+            "stage_seconds": {"forward": 0.4 * step_s,
+                              "backward": 0.6 * step_s},
+            "counters": {"launches": 100.0},
+            "metrics": [{"step": 1, "num_tokens": 100, "wall_s": 1.0,
+                         "applied": True}]}
+
+
+def _skewed_record(key, value):
+    doc = _run_record(1, 0.1)
+    doc[key] = value
+    return json.dumps(doc)
+
+
+_RECORD_CASES = {
+    "truncated": json.dumps(_run_record(1, 0.1))[:70],
+    "not_an_object": "[1, 2]",
+    "wrong_schema": _skewed_record("schema", "nope/v0"),
+    "provenance_not_an_object": _skewed_record("provenance", [1]),
+    "stage_seconds_not_an_object": _skewed_record("stage_seconds", [1]),
+    "stage_value_not_a_number": _skewed_record("stage_seconds",
+                                               {"forward": "fast"}),
+    "stage_value_nan": _skewed_record("stage_seconds",
+                                      {"forward": float("nan")}),
+    "counter_infinite": _skewed_record("counters",
+                                       {"launches": float("inf")}),
+    "metrics_row_not_an_object": _skewed_record("metrics", [5]),
+    "metrics_tokens_infinite": _skewed_record(
+        "metrics", [{"wall_s": 1.0, "num_tokens": float("inf")}]),
+    "metrics_tokens_past_float_range": _skewed_record(
+        "metrics", [{"wall_s": 1.0, "num_tokens": 10 ** 400}]),
+}
+
+
+def _obs(capsys, *argv):
+    capsys.readouterr()
+    code = obs_main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("text", _RECORD_CASES.values(), ids=_RECORD_CASES)
+def test_compare_refuses_skewed_record(tmp_path, capsys, text):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_run_record(0, 0.1)))
+    bad.write_text(text)
+    for pair in ((good, bad), (bad, good)):
+        code, out, err = _obs(capsys, "compare", *map(str, pair))
+        assert code == 2, err
+        assert err.startswith("error:") and "bad.json" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("text", _RECORD_CASES.values(), ids=_RECORD_CASES)
+def test_trajectory_skips_skewed_record(tmp_path, capsys, text):
+    """The rest of the series still gates; a clean rest exits 4."""
+    for j, step_s in enumerate((0.100, 0.101)):
+        (tmp_path / f"r{j}.json").write_text(
+            json.dumps(_run_record(j, step_s)))
+    (tmp_path / "r2.json").write_text(text)
+    code, out, _ = _obs(capsys, "trajectory", str(tmp_path))
+    assert code == 4
+    assert "skipped" in out and "r2.json" in out
+    (tmp_path / "r3.json").write_text(json.dumps(_run_record(3, 0.2)))
+    assert _obs(capsys, "trajectory", str(tmp_path))[0] == 1
+    for j in range(4):
+        if j != 2:
+            (tmp_path / f"r{j}.json").unlink()
+    code, _, err = _obs(capsys, "trajectory", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_reordered_records_read_the_same(tmp_path, capsys):
+    """Key order inside a record and file order inside a directory are
+    not meaningful: history comes from the provenance order key."""
+    recs = [_run_record(j, s) for j, s in enumerate((0.10, 0.11, 0.12))]
+    ordered, shuffled = tmp_path / "ordered", tmp_path / "shuffled"
+    ordered.mkdir()
+    shuffled.mkdir()
+    for j, rec in enumerate(recs):
+        (ordered / f"r{j}.json").write_text(json.dumps(rec))
+        flipped = dict(reversed(list(rec.items())))
+        (shuffled / f"r{2 - j}.json").write_text(json.dumps(flipped))
+    want = _obs(capsys, "trajectory", str(ordered))
+    assert want[0] == 1 and want == _obs(capsys, "trajectory", str(shuffled))
+    want = _obs(capsys, "compare", str(ordered / "r0.json"),
+                str(ordered / "r2.json"))
+    assert want[0] == 1
+    assert want == _obs(capsys, "compare", str(shuffled / "r2.json"),
+                        str(shuffled / "r0.json"))

@@ -40,14 +40,15 @@ def _stage_trace():
     with use_device(dev):
         with dev.stage_scope("forward"):
             dev.record("gemm_qkv", 2_000_000, 2_000_000,
-                       flops=8_000_000_000, is_gemm=True)
-            dev.record("softmax_fwd", 1_000_000, 1_000_000)
+                       flops=8_000_000_000, family="gemm")
+            dev.record("softmax_fwd", 1_000_000, 1_000_000, family="softmax")
         with dev.stage_scope("backward"):
             dev.record("gemm_qkv_dw", 2_000_000, 2_000_000,
-                       flops=16_000_000_000, is_gemm=True)
-            dev.record("dropout_bwd", 1_000_000, 1_000_000)
+                       flops=16_000_000_000, family="gemm")
+            dev.record("dropout_bwd", 1_000_000, 1_000_000, family="dropout")
         with dev.stage_scope("update"):
-            dev.record("ls_fused_adam", 3_000_000, 3_000_000)
+            dev.record("ls_fused_adam", 3_000_000, 3_000_000,
+                       family="optimizer")
     return tuple(dev.launches)
 
 

@@ -18,10 +18,12 @@ from repro.backend.arena import ActivationArena, ArenaOOM, use_memory_tracer
 from repro.backend.device import current_device
 from repro.config import get_config
 from repro.models import BertModel, GPTModel, TransformerModel, ViTModel
-from repro.obs.memory import (MEMORY_SCHEMA, MemoryTracer, fits,
-                              load_memory_report, main, max_fit,
-                              memory_report, oom_forensics, project_capacity,
-                              tensor_family, write_memory_report)
+from repro.obs.memory import (MEMORY_SCHEMA, AmbiguousBasePoint,
+                              MemoryTracer, fits, load_memory_report, main,
+                              max_fit, memory_report, model_dims,
+                              oom_forensics, project_capacity, tensor_family,
+                              write_memory_report)
+from repro.train import main as train_main
 
 _MIB = float(1 << 20)
 
@@ -57,11 +59,25 @@ def _bert():
     return m, (rng.integers(1, 61, (4, 16)), rng.integers(0, 2, 4))
 
 
-def _gpt():
+def _gpt(batch=4, seq=16):
     m = GPTModel(_small("gpt2-small", num_decoder_layers=2), seed=0)
     rng = np.random.default_rng(0)
-    toks = rng.integers(1, 61, (4, 16))
+    toks = rng.integers(1, 61, (batch, seq))
     return m, (toks, np.roll(toks, -1, axis=1))
+
+
+def _base(model, batch, seq):
+    """A what-if base point stamped as ``repro.train`` stamps it."""
+    return {"batch": batch, "seq_len": seq,
+            "model_dims": model_dims(model.config)}
+
+
+def _clear_gpt_trace():
+    """A GPT recording whose batch 3, seq_len 20 and 60 flattened tokens
+    collide with no model dim (hidden 32, 4 heads of 8, ffn 64, vocab 61)
+    or tile (128)."""
+    model, batch = _gpt(3, 20)
+    return _trace(model, batch, base=_base(model, 3, 20))
 
 
 def _mt():
@@ -136,7 +152,7 @@ class TestProjection:
         assert proj["capacity_bytes"] == arena.capacity
 
     def test_scaling_is_monotone(self):
-        report, _ = _trace(*_gpt(), base={"batch": 4, "seq_len": 16})
+        report, _ = _clear_gpt_trace()
         caps = [project_capacity(report.shape_plan, seq_len=l)
                 ["capacity_bytes"] for l in (16, 32, 64, 128)]
         assert caps == sorted(caps) and caps[-1] > caps[0]
@@ -144,11 +160,52 @@ class TestProjection:
         assert b2["capacity_bytes"] > caps[0]
 
     def test_max_fit_boundary_is_exact(self):
-        report, arena = _trace(*_gpt(), base={"batch": 4, "seq_len": 16})
+        report, arena = _clear_gpt_trace()
         budget = 4 * arena.capacity
         best = max_fit(report.shape_plan, budget, knob="seq_len")
         assert fits(report.shape_plan, budget, seq_len=best)
         assert not fits(report.shape_plan, budget, seq_len=best + 1)
+
+
+class TestAmbiguousBase:
+    """Dimension matching cannot tell the batch from an equal model dim:
+    such a what-if is refused, never silently mis-scaled."""
+
+    def test_batch_equal_to_head_count_refused(self):
+        model, batch = _gpt()                       # batch 4, 4 heads
+        report, _ = _trace(model, batch, base=_base(model, 4, 16))
+        with pytest.raises(AmbiguousBasePoint, match="nhead"):
+            project_capacity(report.shape_plan, batch=8)
+        # 4 x 16 = 64 flattened tokens is the ffn width too
+        with pytest.raises(AmbiguousBasePoint, match="ffn"):
+            project_capacity(report.shape_plan, seq_len=32)
+        # the identity projection scales nothing, so it stays allowed
+        assert project_capacity(report.shape_plan)["demand_bytes"] \
+            == report.peak_demand_bytes
+
+    def test_base_without_model_dims_refused(self):
+        report, _ = _trace(*_gpt(3, 20), base={"batch": 3, "seq_len": 20})
+        with pytest.raises(AmbiguousBasePoint, match="model_dims"):
+            project_capacity(report.shape_plan, seq_len=32)
+
+    def test_batch_equal_to_seq_len_refused(self):
+        plan = {"base": {"batch": 6, "seq_len": 6,
+                         "model_dims": {"hidden": 32, "nhead": 4}},
+                "requests": [], "plans": []}
+        with pytest.raises(AmbiguousBasePoint, match="seq_len"):
+            project_capacity(plan, batch=12)
+
+    def test_gpt_batch8_with_8_heads_exits_2(self, tmp_path, capsys):
+        """``--max-tokens 512`` trains GPT at batch 8 with 8 heads: its
+        batch=16 what-if used to predict 223.2 MB against a measured
+        139.8 MB, with no warning."""
+        path = str(tmp_path / "m.json")
+        assert train_main(["--task", "gpt", "--steps", "2", "--max-tokens",
+                           "512", "--memory-out", path]) == 0
+        capsys.readouterr()
+        assert main([path, "--whatif", "batch=16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nhead" in err
 
 
 class TestCapacityProjection:
@@ -177,6 +234,7 @@ class TestCapacityProjection:
         report, _ = _trace(
             model, (toks, np.roll(toks, -1, axis=1)), steps=1,
             base={"batch": 1, "seq_len": self.L0,
+                  "model_dims": model_dims(cfg),
                   "attn": {"attn_impl": "fused", "tile_q": self.TILE,
                            "tile_k": self.TILE}})
         return report.shape_plan
@@ -252,8 +310,7 @@ class TestOOMForensics:
 
 class TestReportRoundTrip:
     def test_write_load_check_cli(self, tmp_path):
-        model, batch = _gpt()
-        report, _ = _trace(model, batch, base={"batch": 4, "seq_len": 16})
+        report, _ = _clear_gpt_trace()
         path = str(tmp_path / "mem.json")
         write_memory_report(path, report)
         loaded = load_memory_report(path)

@@ -32,12 +32,12 @@ def _trace_with_sync():
     dev = Device()
     with use_device(dev):
         with dev.stage_scope("forward"):
-            dev.record("gemm_fwd", 1000, 1000, flops=2000, is_gemm=True)
-            dev.record("softmax_fwd", 500, 500)
+            dev.record("gemm_fwd", 1000, 1000, flops=2000, family="gemm")
+            dev.record("softmax_fwd", 500, 500, family="softmax")
         with dev.stage_scope("backward"):
-            dev.record("gemm_bwd", 1000, 1000, flops=4000, is_gemm=True)
+            dev.record("gemm_bwd", 1000, 1000, flops=4000, family="gemm")
         with dev.stage_scope("sync"):
-            dev.record("allreduce", 4096, 4096)
+            dev.record("allreduce", 4096, 4096, family="reduction")
     return dev.launches
 
 
@@ -86,7 +86,8 @@ def test_kernel_events_split_compute_and_comm_threads():
         assert nxt["ts"] == pytest.approx(prev["ts"] + prev["dur"])
     # kernel slices carry the roofline inputs as args
     for e in kernels:
-        for key in ("stage", "bytes", "flops", "gemm", "dtype_bytes", "lib"):
+        for key in ("stage", "bytes", "flops", "family", "dtype_bytes",
+                    "lib"):
             assert key in e["args"], key
 
 

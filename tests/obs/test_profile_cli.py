@@ -17,13 +17,13 @@ def _trace_doc(metadata=None):
     with use_device(dev):
         with dev.stage_scope("forward"):
             dev.record("gemm_qkv", 500_000, 500_000, flops=2_000_000_000,
-                       is_gemm=True)
-            dev.record("softmax_fwd", 250_000, 250_000)
+                       family="gemm")
+            dev.record("softmax_fwd", 250_000, 250_000, family="softmax")
         with dev.stage_scope("backward"):
             dev.record("gemm_qkv_dw", 500_000, 500_000,
-                       flops=4_000_000_000, is_gemm=True)
+                       flops=4_000_000_000, family="gemm")
         with dev.stage_scope("update"):
-            dev.record("ls_fused_adam", 750_000, 750_000)
+            dev.record("ls_fused_adam", 750_000, 750_000, family="optimizer")
     return perfetto_trace(kernels=dev.launches, spec=V100,
                           metadata=metadata), dev.launches
 

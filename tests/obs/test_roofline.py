@@ -6,13 +6,13 @@ import pytest
 
 from repro.backend.device import KernelLaunch
 from repro.obs.roofline import analyze_launch, roofline_report
-from repro.sim.costmodel import cost_family, kernel_time, trace_cost
+from repro.sim.costmodel import kernel_time, trace_cost
 from repro.sim.gpu_specs import V100, ridge_point
 
 
-def _k(name, er, ew, flops=0, gemm=False, db=4, stage="forward"):
-    return KernelLaunch(name, er, ew, flops=flops, is_gemm=gemm,
-                        dtype_bytes=db, stage=stage, lib="lightseq2")
+def _k(name, er, ew, flops=0, family="elementwise", db=4, stage="forward"):
+    return KernelLaunch(name, er, ew, flops=flops, dtype_bytes=db,
+                        stage=stage, lib="lightseq2", family=family)
 
 
 # big enough that the launch constant is negligible
@@ -29,7 +29,7 @@ class TestAnalyzeLaunch:
     def test_fat_gemm_is_compute_bound(self):
         flops = 400 * (_BIG * 4 * 2)      # intensity 400 FLOP/B >> ridge
         r = analyze_launch(_k("gemm_ffn1", _BIG, _BIG, flops=flops,
-                              gemm=True), V100)
+                              family="gemm"), V100)
         assert r.bound == "compute"
         assert r.intensity > r.ridge
 
@@ -39,16 +39,16 @@ class TestAnalyzeLaunch:
         assert r.achieved_fraction == 0.0
 
     def test_time_matches_cost_model(self):
-        k = _k("gemm_qk", _BIG, _BIG, flops=_BIG * 64, gemm=True)
+        k = _k("gemm_qk", _BIG, _BIG, flops=_BIG * 64, family="gemm")
         r = analyze_launch(k, V100)
         assert r.time_s == kernel_time(k, V100)
 
     def test_fp16_gemm_uses_fp16_ridge(self):
-        k = _k("gemm_qk", _BIG, _BIG, flops=_BIG, gemm=True, db=2)
+        k = _k("gemm_qk", _BIG, _BIG, flops=_BIG, family="gemm", db=2)
         assert analyze_launch(k, V100).ridge == ridge_point(V100, fp16=True)
 
     def test_include_host_false_drops_dispatch(self):
-        k = _k("softmax_fwd", _BIG, _BIG)
+        k = _k("softmax_fwd", _BIG, _BIG, family="softmax")
         with_host = analyze_launch(k, V100, include_host=True)
         without = analyze_launch(k, V100, include_host=False)
         assert without.fixed_s < with_host.fixed_s
@@ -57,21 +57,24 @@ class TestAnalyzeLaunch:
 
 class TestCostFamily:
     def test_gemm_promotion(self):
-        assert cost_family(_k("matmul_custom", 10, 10, gemm=True)) == "gemm"
+        # a launch declared "gemm" is attributed to gemm whatever its name
+        k = _k("matmul_custom", 10, 10, family="gemm")
+        assert analyze_launch(k, V100).family == "gemm" and k.is_gemm
 
     def test_named_family_wins_over_gemm_flag(self):
         # tiled attention kernels are GEMM-priced but stay "attention"
-        assert cost_family(_k("ls_flash_attn_fwd", 10, 10,
-                              gemm=True)) == "attention"
+        k = _k("ls_flash_attn_fwd", 10, 10, family="attention")
+        assert analyze_launch(k, V100).family == "attention" and k.is_gemm
 
 
 class TestReport:
     def _trace(self):
         return [
-            _k("gemm_ffn1", _BIG, _BIG, flops=_BIG * 800, gemm=True),
-            _k("softmax_fwd", _BIG, _BIG),
-            _k("softmax_fwd", _BIG, _BIG),
-            _k("ls_fused_adam", _BIG, _BIG, stage="update"),
+            _k("gemm_ffn1", _BIG, _BIG, flops=_BIG * 800, family="gemm"),
+            _k("softmax_fwd", _BIG, _BIG, family="softmax"),
+            _k("softmax_fwd", _BIG, _BIG, family="softmax"),
+            _k("ls_fused_adam", _BIG, _BIG, stage="update",
+               family="optimizer"),
             _k("bias_add", 4, 4),
         ]
 

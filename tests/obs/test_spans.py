@@ -68,8 +68,8 @@ def test_kernel_launch_delta():
     dev = Device()
     with use_device(dev), use_recorder(rec):
         with span("two-kernels"):
-            dev.record("a", 10, 10)
-            dev.record("b", 10, 10)
+            dev.record("a", 10, 10, family="elementwise")
+            dev.record("b", 10, 10, family="elementwise")
         with span("no-kernels"):
             pass
     by_name = {s.name: s for s in rec.spans}

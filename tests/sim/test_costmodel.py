@@ -1,24 +1,29 @@
-"""Roofline cost model: family classification, monotonicity, GEMM pricing."""
+"""Roofline cost model: declared families, monotonicity, GEMM pricing."""
 
 import pytest
 
-from repro.backend.device import Device, KernelLaunch, use_device
-from repro.sim.costmodel import (kernel_family, kernel_time, speedup,
-                                 stage_seconds, trace_cost)
+from repro.backend.device import (FAMILIES, Device, KernelLaunch,
+                                  UnknownKernelFamily)
+from repro.sim.costmodel import (kernel_time, speedup, stage_seconds,
+                                 trace_cost)
 from repro.sim.gpu_specs import A100, V100
 
+from ..test_family_declarations import declared_families
 
-def _k(name="bias_x", er=1000, ew=1000, flops=0, gemm=False, db=4,
+
+def _k(name="bias_x", er=1000, ew=1000, flops=0, family="elementwise", db=4,
        stage="forward", lib="pytorch"):
-    return KernelLaunch(name, er, ew, flops=flops, is_gemm=gemm,
-                        dtype_bytes=db, stage=stage, lib=lib)
+    return KernelLaunch(name, er, ew, flops=flops, dtype_bytes=db,
+                        stage=stage, lib=lib, family=family)
 
 
 class TestFamilyClassification:
+    """Each kernel's declared family, pinned: moving one moves every
+    per-family sim-clock and launch metric."""
+
     @pytest.mark.parametrize("name,family", [
         ("ls_layernorm_fwd", "layernorm"),
         ("layernorm_var", "layernorm"),
-        ("ls_attn_softmax_bwd", "softmax"),
         ("dropout_fwd", "dropout"),
         ("ls_embedding_bwd", "embedding"),
         ("ls_criterion_fwd", "criterion"),
@@ -32,7 +37,28 @@ class TestFamilyClassification:
         ("layernorm_param_grad", "layernorm"),
     ])
     def test_names(self, name, family):
-        assert kernel_family(name) == family
+        assert declared_families()[name] == family
+
+
+class TestUnknownFamily:
+    def test_launch_refuses_unknown_family(self):
+        with pytest.raises(UnknownKernelFamily, match="warp_shuffle"):
+            _k(family="warp_shuffle")
+        assert issubclass(UnknownKernelFamily, ValueError)
+
+    def test_record_refuses_unknown_family(self):
+        dev = Device()
+        with pytest.raises(UnknownKernelFamily, match="bias_typo"):
+            dev.record("bias_typo", 1, 1, family="elementwize")
+        assert dev.launches == []
+
+    def test_family_is_required(self):
+        with pytest.raises(TypeError):
+            KernelLaunch("k", 1, 1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gemm_pricing_follows_family(self, family):
+        assert _k(family=family).is_gemm == (family in ("gemm", "attention"))
 
 
 class TestKernelTime:
@@ -46,10 +72,11 @@ class TestKernelTime:
 
     def test_bandwidth_bound_scales_linearly(self):
         # use a flat-efficiency family (layernorm) so time is linear
-        t1 = kernel_time(_k(name="layernorm_x", er=10**7, ew=10**7), V100)
-        t2 = kernel_time(_k(name="layernorm_x", er=2 * 10**7,
-                            ew=2 * 10**7), V100)
-        fixed = kernel_time(_k(name="layernorm_x", er=0, ew=0), V100)
+        def ln(n):
+            return _k(name="layernorm_x", er=n, ew=n, family="layernorm")
+        t1 = kernel_time(ln(10**7), V100)
+        t2 = kernel_time(ln(2 * 10**7), V100)
+        fixed = kernel_time(ln(0), V100)
         assert (t2 - fixed) == pytest.approx(2 * (t1 - fixed), rel=0.01)
 
     def test_fp16_halves_traffic_time(self):
@@ -62,14 +89,16 @@ class TestKernelTime:
         assert kernel_time(k, A100) < kernel_time(k, V100)
 
     def test_gemm_priced_by_flops(self):
-        k = _k(name="gemm", er=10**4, ew=10**4, flops=10**11, gemm=True)
+        k = _k(name="gemm", er=10**4, ew=10**4, flops=10**11, family="gemm")
         t = kernel_time(k, V100)
         # 1e11 flops at ~<=15.7 TF can't beat 6ms even at full efficiency
         assert t > 6e-3
 
     def test_gemm_tensor_core_fp16(self):
-        k32 = _k(name="g", er=10**4, ew=10**4, flops=10**12, gemm=True, db=4)
-        k16 = _k(name="g", er=10**4, ew=10**4, flops=10**12, gemm=True, db=2)
+        k32 = _k(name="g", er=10**4, ew=10**4, flops=10**12, family="gemm",
+                 db=4)
+        k16 = _k(name="g", er=10**4, ew=10**4, flops=10**12, family="gemm",
+                 db=2)
         assert kernel_time(k16, V100) < kernel_time(k32, V100) / 3
 
     def test_lightseq_host_overhead_lower(self):
@@ -80,12 +109,12 @@ class TestKernelTime:
 
 class TestTraceAggregation:
     def test_trace_cost_sums(self):
-        trace = [_k(), _k(stage="backward"), _k(gemm=True, flops=100)]
+        trace = [_k(), _k(stage="backward"), _k(family="gemm", flops=100)]
         c = trace_cost(trace, V100)
         assert c.launches == 3
         assert c.total_s == pytest.approx(
             sum(kernel_time(k, V100) for k in trace))
-        assert c.gemm_s > 0 and c.non_gemm_s > 0
+        assert c.by_family["gemm"] > 0 and c.by_family["elementwise"] > 0
 
     def test_stage_seconds(self):
         trace = [_k(stage="forward"), _k(stage="update")]
@@ -101,13 +130,11 @@ class TestTraceAggregation:
 
 
 @pytest.mark.parametrize("name,family", [
-    ("ls_remove_padding", "memcpy"),
-    ("ls_restore_padding", "memcpy"),
-    ("ls_attn_softmax_dropout_fwd", "softmax"),   # softmax wins over dropout
+    ("ls_attn_softmax_dropout_fwd", "softmax"),   # softmax, not dropout
     ("ls_bias_tanh_fwd", "elementwise"),
 ])
 def test_new_kernel_families(name, family):
-    assert kernel_family(name) == family
+    assert declared_families()[name] == family
 
 
 class TestTraceHbmBytesByFamily:
@@ -117,19 +144,28 @@ class TestTraceHbmBytesByFamily:
 
     # one launch per family, with a distinct byte footprint each
     _FAMILY_KERNELS = {
-        "attention": _k("ls_flash_attn_fwd", 1_000, 2_000, gemm=True),
-        "layernorm": _k("ls_layernorm_fwd", 1_001, 2_001),
-        "softmax": _k("ls_attn_softmax_fwd", 1_002, 2_002),
-        "dropout": _k("dropout_bwd", 1_003, 2_003),
-        "embedding": _k("ls_embedding_fwd", 1_004, 2_004),
-        "criterion": _k("ls_criterion_fwd", 1_005, 2_005),
-        "optimizer": _k("ls_fused_adam", 1_006, 2_006, stage="update"),
-        "memcpy": _k("grad_fp16_to_fp32_copy", 1_007, 2_007),
-        "transpose": _k("transpose_split_heads", 1_008, 2_008),
+        "attention": _k("ls_flash_attn_fwd", 1_000, 2_000,
+                        family="attention"),
+        "layernorm": _k("ls_layernorm_fwd", 1_001, 2_001,
+                        family="layernorm"),
+        "softmax": _k("ls_attn_softmax_fwd", 1_002, 2_002,
+                      family="softmax"),
+        "dropout": _k("dropout_bwd", 1_003, 2_003, family="dropout"),
+        "embedding": _k("ls_embedding_fwd", 1_004, 2_004,
+                        family="embedding"),
+        "criterion": _k("ls_criterion_fwd", 1_005, 2_005,
+                        family="criterion"),
+        "optimizer": _k("ls_fused_adam", 1_006, 2_006, stage="update",
+                        family="optimizer"),
+        "memcpy": _k("grad_fp16_to_fp32_copy", 1_007, 2_007,
+                     family="memcpy"),
+        "transpose": _k("transpose_split_heads", 1_008, 2_008,
+                        family="transpose"),
         "reduction": _k("allreduce_grad_bucket", 1_009, 2_009,
-                        stage="sync"),
-        "elementwise": _k("bias_relu_fwd", 1_010, 2_010),
-        "gemm": _k("matmul_block", 1_011, 2_011, gemm=True),
+                        stage="sync", family="reduction"),
+        "elementwise": _k("bias_relu_fwd", 1_010, 2_010,
+                          family="elementwise"),
+        "gemm": _k("matmul_block", 1_011, 2_011, family="gemm"),
     }
 
     def _trace(self):
@@ -155,29 +191,12 @@ class TestTraceHbmBytesByFamily:
 
 
 class TestUnknownKernelNames:
-    def test_unknown_name_warns_once(self):
-        from repro.sim.costmodel import kernel_family
-        with pytest.warns(UserWarning, match="no cost-model family"):
-            assert kernel_family("mystery_kernel_warns") == "elementwise"
-        # second classification of the same name is silent
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            kernel_family("mystery_kernel_warns")
-
-    def test_unattributed_fraction_surfaces_unknown_time(self):
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            cost = trace_cost(
-                [_k("gemm_qkv", 10_000, 10_000, flops=10_000, gemm=True),
-                 _k("mystery_kernel_frac", 10_000, 10_000)], V100)
-        assert 0 < cost.unattributed_fraction < 1
-        assert cost.unattributed_s == pytest.approx(
-            cost.total_s * cost.unattributed_fraction)
-
     def test_known_trace_fully_attributed(self):
-        cost = trace_cost([_k("ls_layernorm_fwd", 10_000, 10_000),
-                           _k("gemm_qkv", 10_000, 10_000, gemm=True)], V100)
+        """Every launch declares its family, so no time is unattributed."""
+        cost = trace_cost([_k("ls_layernorm_fwd", 10_000, 10_000,
+                              family="layernorm"),
+                           _k("gemm_qkv", 10_000, 10_000, family="gemm")],
+                          V100)
         assert cost.unattributed_s == 0.0
         assert cost.unattributed_fraction == 0.0
+        assert sum(cost.by_family.values()) == cost.total_s

@@ -95,9 +95,11 @@ class TestTwoStreamTimeline:
         dev = Device(lib="lightseq2")
         with use_device(dev):
             with dev.stage_scope("forward"):
-                dev.record("bias_k", 1 << 20, 1 << 20, dtype_bytes=4)
+                dev.record("bias_k", 1 << 20, 1 << 20, dtype_bytes=4,
+                           family="elementwise")
             with dev.stage_scope("backward"):
-                dev.record("bias_k", 1 << 22, 1 << 22, dtype_bytes=4)
+                dev.record("bias_k", 1 << 22, 1 << 22, dtype_bytes=4,
+                           family="elementwise")
         b = partition_buckets([("p", 1 << 18)], 4, 1 << 18)
         on = two_stream_step_timeline(dev.launches, V100, buckets=b,
                                       itemsize=4, world_size=4,

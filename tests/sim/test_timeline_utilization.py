@@ -12,7 +12,8 @@ from repro.sim.utilization import (StepShape, TrainingRunSimulator,
 
 
 def _k(stage, er=1000, lib="pytorch"):
-    return KernelLaunch("bias_k", er, er, stage=stage, lib=lib)
+    return KernelLaunch("bias_k", er, er, stage=stage, lib=lib,
+                        family="elementwise")
 
 
 class TestTimeline:
@@ -36,12 +37,14 @@ class TestTimeline:
 
 class TestBusyOverhead:
     def test_big_kernels_hide_overhead(self):
-        big = [KernelLaunch("bias_k", 10**8, 10**8, lib="lightseq2")]
+        big = [KernelLaunch("bias_k", 10**8, 10**8, lib="lightseq2",
+                            family="elementwise")]
         busy, exposed = trace_busy_overhead(big, V100)
         assert busy > 0 and exposed == 0.0
 
     def test_tiny_kernels_expose_gaps(self):
-        tiny = [KernelLaunch("bias_k", 10, 10, lib="pytorch")] * 100
+        tiny = [KernelLaunch("bias_k", 10, 10, lib="pytorch",
+                             family="elementwise")] * 100
         busy, exposed = trace_busy_overhead(tiny, V100)
         assert exposed > busy
 

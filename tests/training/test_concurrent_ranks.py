@@ -85,7 +85,8 @@ def _serial_step(dp, shards):
         with dev.stage_scope("sync"):
             dev.record("allgather_params", slabs[0].size,
                        slabs[0].size * world,
-                       dtype_bytes=slabs[0].dtype.itemsize)
+                       dtype_bytes=slabs[0].dtype.itemsize,
+                       family="reduction")
     return total_loss, total_tokens
 
 
