@@ -4,7 +4,7 @@ The profiler's hot-path residue is :meth:`repro.backend.device.Device
 .record` — one ``KernelLaunch`` dataclass append per kernel call while a
 tracing device is active (and a bare ``if not trace_enabled: return``
 guard when it is not).  Everything else the observatory does — roofline
-attribution, the critical-path DAG, what-if re-costing
+attribution, the critical path, what-if re-costing
 (:mod:`repro.obs.profile`) — happens *offline* on the saved trace, after
 the step.
 
@@ -15,9 +15,9 @@ eyeballed:
    launches one training step makes, must stay under **3%** of the traced
    step's wallclock (the issue's regression budget);
 2. informationally, it also times the full offline analysis (roofline +
-   DAG + comm-free and tiled what-ifs) so the post-hoc cost is visible in
-   the record — it is allowed to cost whole milliseconds, because it runs
-   zero times in the training loop.
+   critical path + comm-free and tiled what-ifs) so the post-hoc cost is
+   visible in the record — it is allowed to cost whole milliseconds,
+   because it runs zero times in the training loop.
 
 The gate is deliberately load-independent: a direct A/B of two full step
 timings on a shared CI runner jitters by more than 3%, but "record cost
@@ -195,7 +195,7 @@ def _report(r):
           f"ns/call")
     print(f"  traced step           : {r['step_ms']:7.2f} ms")
     print(f"  offline analysis      : {r['analysis_ms']:7.2f} ms "
-          f"(roofline + DAG + 2 what-ifs)")
+          f"(roofline + critical path + 2 what-ifs)")
     print(f"  tracing overhead      : {r['tracing_overhead_frac']:.3%} "
           f"of step (budget {_BUDGET:.0%})")
 

@@ -129,11 +129,10 @@ GATES = {
     "profile": [
         TRAIN + ["--task", "gpt", "--steps", "2", "--max-tokens", "256",
                  "--log-interval", "1",
-                 "--trace-out", "{records}/step.trace.json",
-                 "--profile-out", "{records}/step.profile.json"],
+                 "--trace-out", "{records}/step.trace.json"],
         OBS + ["profile", "{records}/step.trace.json",
                "--out", "{records}/profile.json"],
-        PYTEST + ["tests/test_train_cli.py::test_profile_out_matches_trace",
+        PYTEST + ["tests/test_train_cli.py::test_trace_out_then_obs_profile",
                   "tests/obs/test_critpath.py::TestTiledProjection",
                   "tests/obs/test_cli_fuzz.py"],
         PYTEST + ["benchmarks/bench_profile_overhead.py::"

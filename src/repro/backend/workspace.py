@@ -71,7 +71,7 @@ class Workspace:
         self.params[off:off + n] = value.reshape(-1)
         current_device().record("workspace_init_copy", value.size, n,
                                 dtype_bytes=self.params.dtype.itemsize,
-                                family="criterion")
+                                family="memcpy")
 
     def zero_grad(self) -> None:
         """One kernel to clear ALL gradients (vs one memset per tensor)."""

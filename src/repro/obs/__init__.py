@@ -27,10 +27,9 @@ instead of ad-hoc printouts:
   order-key stamps making telemetry streams comparable across commits.
 * :mod:`~repro.obs.roofline` / :mod:`~repro.obs.critpath` — the
   performance observatory: per-kernel compute- vs memory-bound roofline
-  attribution, the step's dependency-DAG critical path, and what-if
-  re-costing ("comm is free", "attn_impl=tiled", "world=16", "gpu=H100"),
-  surfaced by ``python -m repro.obs profile`` (and ``repro.train
-  --profile-out``).
+  attribution, the step's critical path read off its two-stream
+  schedule, and what-if re-costing ("comm is free", "attn_impl=tiled",
+  "world=16", "gpu=H100"), surfaced by ``python -m repro.obs profile``.
 * :mod:`~repro.obs.trajectory` — the one run-record comparer:
   ``python -m repro.obs trajectory DIR`` orders a directory of run
   records by commit history and applies budget-based regression
@@ -52,7 +51,7 @@ from .numerics import (NUMERICS_SCHEMA, NumericsCollector, StepNumerics,
                        TensorStats, current_collector, saturation_histogram,
                        tap_activation, tensor_stats, use_collector)
 from .critpath import (CriticalPath, Projection, attribute_critical_path,
-                       build_step_dag, tiled_attention_trace, whatif)
+                       critical_path, tiled_attention_trace, whatif)
 from .perfetto import (anomaly_events, kernel_events, memory_counter_events,
                        metric_counter_events, perfetto_trace, read_trace,
                        roofline_counter_events, schedule_events, span_events,
@@ -70,7 +69,6 @@ from .memory import (MEMORY_SCHEMA, MemoryReport, MemoryTracer,
                      load_memory_report, max_fit, mem_scope, memory_report,
                      oom_forensics, project_capacity, use_memory_tracer,
                      write_memory_report)
-from .profile import profile_report
 from .trajectory import Trajectory, load_trajectory, summarize_run_records
 
 __all__ = [
@@ -92,8 +90,8 @@ __all__ = [
     "summarize_run_records",
     "LaunchRoofline", "RooflineReport", "analyze_launch", "roofline_report",
     "CriticalPath", "Projection", "attribute_critical_path",
-    "build_step_dag", "tiled_attention_trace", "whatif",
-    "Trajectory", "load_trajectory", "profile_report",
+    "critical_path", "tiled_attention_trace", "whatif",
+    "Trajectory", "load_trajectory",
     "MEMORY_SCHEMA", "MemoryTracer", "MemoryReport", "memory_report",
     "write_memory_report", "load_memory_report", "project_capacity",
     "max_fit", "oom_forensics", "use_memory_tracer", "mem_scope",

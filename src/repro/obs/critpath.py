@@ -3,14 +3,14 @@
 :meth:`repro.sim.timeline.StepInputs.timeline` prices one optimisation
 step as a closed-form sum (forward + backward + exposed sync + update);
 it is the one step pricer, and everything here reads it.  This module
-keeps the *structure* instead of just the sum: it reconstructs the step's
-dependency DAG — setup, forward, backward split at every gradient
-bucket's ready boundary, the FIFO comm stream with straggler delay and
-retry pricing, update — extracts the critical (zero-slack) path through
-it, and attributes every second on that path to {compute family, host
-overhead, exposed comm, retry} using the same
-:func:`repro.sim.costmodel.kernel_time_parts` decomposition the roofline
-report uses.
+keeps the *structure* instead of just the sum: :func:`critical_path`
+walks back over the :class:`~repro.sim.timeline.BucketSchedule` that
+:meth:`~repro.sim.timeline.StepInputs.schedule` returns — setup, forward,
+backward up to the ready boundary of the bucket that binds, that
+bucket's straggler delay and the comm chain after it, retries, sync-stage
+kernels, update — and :func:`attribute_critical_path` splits every second
+on that path over {compute family, host overhead, exposed comm, retry}
+with the per-launch roofline terms of :mod:`repro.obs.roofline`.
 
 The same :class:`~repro.sim.timeline.StepInputs` bundle also powers the
 **what-if engine**: :func:`whatif` re-prices a modified copy of it —
@@ -26,16 +26,14 @@ will search over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
-from ..backend.device import STAGES, KernelLaunch
+from ..backend.device import KernelLaunch
 from ..backend.kernels.flash import flash_launch_cost
-from ..sim.comm import ring_allreduce_seconds
-from ..sim.costmodel import kernel_time_parts
 from ..sim.gpu_specs import GPUS, GPUSpec
-from ..sim.timeline import (StepInputs, TwoStreamTimeline,
-                            bucket_ready_times, synthetic_buckets)
+from ..sim.timeline import StepInputs, TwoStreamTimeline, synthetic_buckets
+from .roofline import RooflineReport
 
 #: attribution categories that are not compute families.
 HOST, EXPOSED_COMM, RETRY = "host", "exposed_comm", "retry"
@@ -47,68 +45,30 @@ def _free_comm(nbytes: int, world_size: int, spec: GPUSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dependency DAG + critical path
+# critical path
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class DagNode:
-    """One node of the step DAG: a span of work on some stream."""
+class PathNode:
+    """One span of work on the critical path."""
 
     name: str
     kind: str                  # "host" | "compute" | "comm" | "retry"
     stage: str                 # training stage ("" for non-stage nodes)
     dur_s: float
-    deps: Tuple[str, ...]
-
-
-@dataclass
-class StepDAG:
-    """The step's dependency DAG (nodes in insertion = topological order)."""
-
-    nodes: Dict[str, DagNode] = field(default_factory=dict)
-
-    def add(self, name: str, kind: str, dur_s: float,
-            deps: Sequence[str] = (), stage: str = "") -> str:
-        if name in self.nodes:
-            raise ValueError(f"duplicate DAG node {name!r}")
-        for d in deps:
-            if d not in self.nodes:
-                raise ValueError(f"node {name!r} depends on unknown {d!r}")
-        self.nodes[name] = DagNode(name, kind, stage, dur_s, tuple(deps))
-        return name
-
-    def finish_times(self) -> Dict[str, float]:
-        """Earliest finish time of every node (nodes are topo-ordered)."""
-        finish: Dict[str, float] = {}
-        for name, node in self.nodes.items():
-            start = max((finish[d] for d in node.deps), default=0.0)
-            finish[name] = start + node.dur_s
-        return finish
-
-    def critical_path(self) -> "CriticalPath":
-        """The zero-slack chain ending at the last-finishing node."""
-        finish = self.finish_times()
-        if not finish:
-            return CriticalPath((), 0.0)
-        # walk back from the sink along the binding dependency each time
-        cur = max(finish, key=lambda n: finish[n])
-        total = finish[cur]
-        chain: List[DagNode] = []
-        while cur is not None:
-            node = self.nodes[cur]
-            chain.append(node)
-            cur = max(node.deps, key=lambda d: finish[d], default=None) \
-                if node.deps else None
-        chain.reverse()
-        return CriticalPath(tuple(chain), total)
 
 
 @dataclass(frozen=True)
 class CriticalPath:
-    """The critical path: nodes in execution order, zero slack between."""
+    """The critical path: nodes in execution order, zero slack between.
 
-    nodes: Tuple[DagNode, ...]
+    ``total_s`` is the step time the path spans,
+    ``StepInputs.timeline().total_s``; the node durations sum to it up to
+    float re-association.
+    """
+
+    nodes: Tuple[PathNode, ...]
     total_s: float
 
     @property
@@ -116,108 +76,76 @@ class CriticalPath:
         return tuple(n.name for n in self.nodes)
 
 
-def build_step_dag(inputs: StepInputs) -> StepDAG:
-    """Reconstruct the step's dependency DAG from the priced trace.
+def critical_path(inputs: StepInputs) -> CriticalPath:
+    """The zero-slack chain through the step, read off its schedule.
 
-    Structure: ``host:setup -> compute:forward -> compute:backward[i]``
-    (backward is split at every bucket-ready boundary), each bucket's
-    all-reduce depends on the backward segment that completes its
-    gradients (plus a straggler-delay node when modeled) and on the
-    previous bucket FIFO; retries serialize after both streams; sync-stage
-    kernels and ``compute:update`` close the step.  The sink's finish time
-    equals :meth:`StepInputs.timeline`'s ``total_s`` (up to float
-    re-association of the backward split, ~1 ulp).
+    Backward is split at every distinct bucket-ready boundary
+    (``compute:backward[k]``).  When the comm stream is still busy after
+    backward, the path leaves backward at the ready boundary of the
+    bucket that binds — the last one the comm stream picked up as soon
+    as it was ready rather than when the previous collective finished —
+    and runs that bucket's straggler delay and every collective from it
+    on.  Retries serialize after both streams; sync-stage kernels and
+    ``compute:update`` close the step.
     """
     by = inputs.stage_seconds()
-    backward_s = by.get("backward", 0.0)
-    dag = StepDAG()
-    dag.add("host:setup", "host", inputs.step_setup_s)
-    dag.add("compute:forward", "compute", by.get("forward", 0.0),
-            ["host:setup"], stage="forward")
+    sched = inputs.schedule()
+    ready, start, finish = sched.ready_s, sched.start_s, sched.finish_s
+    delay = inputs.straggler_delay_s
+    bounds = sorted(set(ready))
+    if not bounds or bounds[-1] < sched.backward_s:
+        bounds.append(sched.backward_s)
+    # walk back from the last collective to the first one that waited on
+    # its gradients, not on the one before it (the schedule starts a
+    # bucket at exactly max(ready + delay, previous finish))
+    binds = bool(finish) and finish[-1] > sched.backward_s
+    first = len(finish) - 1
+    while binds and first and start[first] != ready[first] + delay:
+        first -= 1
+    segments = bounds.index(ready[first]) + 1 if binds else len(bounds)
 
-    nbuckets = (len(inputs.buckets)
-                if inputs.world_size > 1 and inputs.buckets else 0)
-    if nbuckets:
-        ready = (bucket_ready_times(inputs.buckets, backward_s)
-                 if inputs.overlap else [backward_s] * nbuckets)
-    else:
-        ready = []
-
-    # backward segments: one per distinct ready boundary, tiling
-    # [0, backward_s] so every bucket's gradients complete at a node edge.
-    boundaries = sorted(set(ready)) if ready else []
-    if not boundaries or boundaries[-1] < backward_s:
-        boundaries.append(backward_s)
-    prev_t, prev_node = 0.0, "compute:forward"
-    seg_at: Dict[float, str] = {}
-    for i, t in enumerate(boundaries):
-        name = dag.add(f"compute:backward[{i}]", "compute", t - prev_t,
-                       [prev_node], stage="backward")
-        seg_at[t] = name
-        prev_t, prev_node = t, name
-    last_backward = prev_node
-
-    # comm stream: FIFO over buckets in launch order
-    price = inputs.comm_seconds_fn or ring_allreduce_seconds
-    prev_comm: Optional[str] = None
-    launch_order = tuple(reversed(inputs.buckets))
-    for i in range(nbuckets):
-        dt = price(launch_order[i].nbytes(inputs.itemsize),
-                   inputs.world_size, inputs.spec)
-        dep = seg_at[ready[i]]
-        if inputs.straggler_delay_s:
-            dep = dag.add(f"comm:straggler[{i}]", "comm",
-                          inputs.straggler_delay_s, [dep], stage="sync")
-        deps = [dep] if prev_comm is None else [dep, prev_comm]
-        prev_comm = dag.add(f"comm:bucket[{i}]", "comm", dt, deps,
-                            stage="sync")
-
-    tail = [last_backward]
-    if prev_comm is not None:
-        if inputs.retry_exposed_s:
-            # nothing hides retries: they serialize after both streams
-            prev_comm = dag.add("comm:retries", "retry",
-                                inputs.retry_exposed_s,
-                                [prev_comm, last_backward], stage="sync")
-        tail.append(prev_comm)
-    sync_kernel_s = by.get("sync", 0.0)
-    if sync_kernel_s > 0:
-        tail = [dag.add("compute:sync_kernels", "compute", sync_kernel_s,
-                        tail, stage="sync")]
-    dag.add("compute:update", "compute", by.get("update", 0.0), tail,
-            stage="update")
-    return dag
+    nodes = [PathNode("host:setup", "host", "", inputs.step_setup_s),
+             PathNode("compute:forward", "compute", "forward",
+                      by.get("forward", 0.0))]
+    prev = 0.0
+    for k, t in enumerate(bounds[:segments]):
+        nodes.append(PathNode(f"compute:backward[{k}]", "compute",
+                              "backward", t - prev))
+        prev = t
+    if binds:
+        if delay:
+            nodes.append(PathNode(f"comm:straggler[{first}]", "comm",
+                                  "sync", delay))
+        nodes += [PathNode(f"comm:bucket[{j}]", "comm", "sync",
+                           sched.comm_s[j])
+                  for j in range(first, len(finish))]
+    if finish and inputs.retry_exposed_s:
+        nodes.append(PathNode("comm:retries", "retry", "sync",
+                              inputs.retry_exposed_s))
+    if by.get("sync", 0.0) > 0:
+        nodes.append(PathNode("compute:sync_kernels", "compute", "sync",
+                              by["sync"]))
+    nodes.append(PathNode("compute:update", "compute", "update",
+                          by.get("update", 0.0)))
+    return CriticalPath(tuple(nodes), inputs.timeline().total_s)
 
 
-def stage_decomposition(inputs: StepInputs) -> Dict[str, Dict[str, float]]:
-    """Per-stage split of kernel time into {family: s, "host": s}.
-
-    ``host`` collects the fixed launch + dispatch constants; the families
-    collect the roofline (device-side) terms.  Per stage the categories
-    sum to that stage's ``trace_cost`` seconds exactly.
-    """
-    out: Dict[str, Dict[str, float]] = {s: {} for s in STAGES}
-    for k in inputs.trace:
-        parts = kernel_time_parts(k, inputs.spec,
-                                  include_host=inputs.include_host)
-        d = out.setdefault(k.stage, {})
-        d[HOST] = d.get(HOST, 0.0) + parts.fixed_s
-        d[k.family] = d.get(k.family, 0.0) + parts.roofline_s
-    return out
-
-
-def attribute_critical_path(dag: StepDAG, path: CriticalPath,
-                            inputs: StepInputs) -> Dict[str, float]:
+def attribute_critical_path(path: CriticalPath,
+                            roofline: RooflineReport) -> Dict[str, float]:
     """Attribute every second on the critical path to a category.
 
-    Categories: compute families (via :func:`stage_decomposition`
-    fractions of each on-path compute node), ``"host"`` (setup + launch
-    and dispatch constants), ``"exposed_comm"`` (comm-stream time on the
-    path — by definition not hidden), ``"retry"``.  Values sum to
+    Categories: compute families (each on-path compute node is split by
+    its stage's roofline terms — the fixed launch and dispatch constants
+    go to ``"host"``, the device-side term to the launch's family),
+    ``"host"`` (setup too), ``"exposed_comm"`` (comm-stream time on the
+    path — by definition not hidden) and ``"retry"``.  Values sum to
     ``path.total_s`` (up to float re-association).
     """
-    decomp = stage_decomposition(inputs)
-    by = inputs.stage_seconds()
+    split: Dict[str, Dict[str, float]] = {}
+    for r in roofline.launches:
+        d = split.setdefault(r.stage, {})
+        d[HOST] = d.get(HOST, 0.0) + r.fixed_s
+        d[r.family] = d.get(r.family, 0.0) + max(r.mem_s, r.flop_s)
     attr: Dict[str, float] = {}
 
     def credit(cat: str, s: float) -> None:
@@ -231,14 +159,13 @@ def attribute_critical_path(dag: StepDAG, path: CriticalPath,
             credit(EXPOSED_COMM, node.dur_s)
         elif node.kind == "retry":
             credit(RETRY, node.dur_s)
-        else:  # compute: split by the node's stage decomposition
-            stage_total = by.get(node.stage, 0.0)
-            split = decomp.get(node.stage, {})
-            if stage_total <= 0 or not split:
+        else:  # compute: split by the stage's roofline terms
+            group = roofline.by_stage.get(node.stage)
+            if group is None or group.time_s <= 0:
                 credit(HOST, node.dur_s)
                 continue
-            for cat, s in split.items():
-                credit(cat, node.dur_s * (s / stage_total))
+            for cat, s in split[node.stage].items():
+                credit(cat, node.dur_s * (s / group.time_s))
     return attr
 
 

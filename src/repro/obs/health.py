@@ -26,10 +26,10 @@ import statistics
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence
 
-from .numerics import StepNumerics
+from .numerics import StepNumerics, number
 
 
 @dataclass
@@ -55,11 +55,14 @@ class Anomaly:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "Anomaly":
+        layer = d.get("layer")
+        if layer is not None and not isinstance(layer, str):
+            raise ValueError(f"layer is {layer!r}, not a string")
         return cls(kind=str(d.get("kind", "unknown")),
-                   step=int(d.get("step", 0)),
-                   layer=d.get("layer"), detail=str(d.get("detail", "")),
+                   step=number(d, "step", 0, int), layer=layer,
+                   detail=str(d.get("detail", "")),
                    severity=str(d.get("severity", "error")),
-                   t_s=float(d.get("t_s", 0.0)))
+                   t_s=number(d, "t_s", 0.0))
 
 
 class AnomalyHalted(RuntimeError):
@@ -462,14 +465,8 @@ def analyze_rows(rows: Sequence[Dict[str, object]],
                                  CommRetryDetector()])
     streaks = _skip_streaks(step_rows)
     for r, streak in zip(step_rows, streaks):
-        step_engine.observe(StepNumerics(
-            step=int(r.get("step", 0)), loss=float(r.get("loss", 0.0)),
-            num_tokens=int(r.get("num_tokens", 0)),
-            applied=bool(r.get("applied", True)),
-            loss_scale=(None if r.get("loss_scale") is None
-                        else float(r["loss_scale"])),
-            skip_streak=streak,
-            comm_retries=int(r.get("comm_retries", 0))))
+        step_engine.observe(replace(StepNumerics.from_dict(r),
+                                    skip_streak=streak))
 
     seen = set()
     merged: List[Anomaly] = []
@@ -516,8 +513,11 @@ def _load_rows(path: str) -> "tuple[List[Dict[str, object]], int]":
     """
     if path.endswith(".json"):
         from .runrecord import load_run_record
-        record = load_run_record(path)
-        return [dict(m) for m in record.get("metrics", [])], 0
+        metrics = load_run_record(path).get("metrics", [])
+        if not isinstance(metrics, list) or not all(
+                isinstance(m, dict) for m in metrics):
+            raise ValueError(f"{path}: metrics is not a list of objects")
+        return [dict(m) for m in metrics], 0
     from .metrics import read_jsonl_tolerant
     return read_jsonl_tolerant(path)
 
@@ -541,7 +541,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rows, skipped = _load_rows(args.path)
         report = analyze_rows(rows)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, OverflowError) as e:
+        # OverflowError: a detector's int() of a count recorded as ±inf
         print(f"error: {e}", file=sys.stderr)
         return 2
     if skipped:

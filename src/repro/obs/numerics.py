@@ -206,21 +206,47 @@ class StepNumerics:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "StepNumerics":
+        """Parse a recorded row; a field of the wrong type (a string,
+        null, list or object where a number belongs) is a ValueError."""
+        def stats(key: str) -> Dict[str, Dict[str, float]]:
+            table = d.get(key) or {}
+            if not isinstance(table, dict) or not all(
+                    isinstance(v, dict) for v in table.values()):
+                raise ValueError(f"{key} is not an object of objects")
+            return {k: {sk: number(v, sk, 0.0) for sk in v}
+                    for k, v in table.items()}
+
         return cls(
-            step=int(d.get("step", 0)), loss=float(d.get("loss", 0.0)),
-            num_tokens=int(d.get("num_tokens", 0)),
+            step=number(d, "step", 0, int),
+            loss=number(d, "loss", 0.0),
+            num_tokens=number(d, "num_tokens", 0, int),
             applied=bool(d.get("applied", True)),
             loss_scale=(None if d.get("loss_scale") is None
-                        else float(d["loss_scale"])),
-            grad_scale=float(d.get("grad_scale", 1.0)),
-            global_grad_norm=float(d.get("global_grad_norm", 0.0)),
-            skip_streak=int(d.get("skip_streak", 0)),
-            comm_retries=int(d.get("comm_retries", 0)),
-            groups={str(k): dict(v)
-                    for k, v in (d.get("groups") or {}).items()},
-            activations={str(k): dict(v)
-                         for k, v in (d.get("activations") or {}).items()},
+                        else number(d, "loss_scale", None)),
+            grad_scale=number(d, "grad_scale", 1.0),
+            global_grad_norm=number(d, "global_grad_norm", 0.0),
+            skip_streak=number(d, "skip_streak", 0, int),
+            comm_retries=number(d, "comm_retries", 0, int),
+            groups=stats("groups"), activations=stats("activations"),
         )
+
+
+def number(d: Dict[str, object], key: str, default: object,
+           kind: type = float):
+    """``d[key]`` (``default`` when absent) as ``kind``.
+
+    Anything but a JSON number is a ValueError, and so is a number
+    ``kind`` cannot hold (NaN or ±inf as an integer, an integer past the
+    float range); a float field keeps NaN and ±inf, which the detectors
+    exist to report.
+    """
+    v = d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{key} is {v!r}, not a number")
+    try:
+        return kind(v)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{key} is {v!r}, not a {kind.__name__}") from None
 
 
 def group_of(param_name: str) -> str:

@@ -7,15 +7,14 @@ performance observatory in one shot:
 
 1. the **roofline attribution** table (:mod:`repro.obs.roofline`) —
    top-N bottleneck kernels, compute- vs memory- vs launch-bound;
-2. the **critical path** through the step's dependency DAG
+2. the **critical path** through the step's two-stream schedule
    (:mod:`repro.obs.critpath`) with every second attributed to
    {compute family, host overhead, exposed comm, retry};
 3. **what-if projections** — the same trace re-priced under "comm is
    free", "attn_impl=tiled", "world=16", "gpu=H100", ...
 
 ``--json`` emits the same analysis as one machine-readable document
-(schema ``repro.obs.profile/v1``); ``repro.train --profile-out`` writes
-that document directly at the end of a traced run.
+(schema ``repro.obs.profile/v1``), and ``--out PATH`` writes it to a file.
 
 Step-model metadata (GPU, world size, gradient size, attention geometry)
 is read from the trace's ``otherData`` where the train CLI stamps it;
@@ -32,8 +31,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..sim.gpu_specs import GPUS, GPUSpec
 from ..sim.timeline import StepInputs, synthetic_buckets
-from .critpath import (CriticalPath, Projection, StepDAG,
-                       attribute_critical_path, build_step_dag, whatif)
+from .critpath import (CriticalPath, Projection, attribute_critical_path,
+                       critical_path, whatif)
 from .perfetto import read_trace, trace_kernels
 from .roofline import RooflineReport, roofline_report
 from .runrecord import emit_document
@@ -52,7 +51,6 @@ class ProfileAnalysis:
 
     inputs: StepInputs
     roofline: RooflineReport
-    dag: StepDAG
     path: CriticalPath
     attribution: Dict[str, float]
     projections: List[Projection]
@@ -118,25 +116,13 @@ def analyze(inputs: StepInputs, scenarios: Sequence[str] = ()
     asked to project something it cannot price should say so, not emit a
     silently-shortened report.
     """
-    dag = build_step_dag(inputs)
-    path = dag.critical_path()
+    roofline = roofline_report(inputs.trace, inputs.spec,
+                               include_host=inputs.include_host)
+    path = critical_path(inputs)
     return ProfileAnalysis(
-        inputs=inputs,
-        roofline=roofline_report(inputs.trace, inputs.spec,
-                                 include_host=inputs.include_host),
-        dag=dag, path=path,
-        attribution=attribute_critical_path(dag, path, inputs),
+        inputs=inputs, roofline=roofline, path=path,
+        attribution=attribute_critical_path(path, roofline),
         projections=[whatif(inputs, s) for s in scenarios])
-
-
-def profile_report(inputs: StepInputs,
-                   scenarios: Optional[Sequence[str]] = None,
-                   top: int = 10) -> Dict[str, object]:
-    """One-call JSON-ready report — what ``repro.train --profile-out``
-    writes at the end of a traced run."""
-    if scenarios is None:
-        scenarios = default_scenarios(inputs)
-    return analyze(inputs, scenarios).as_dict(top)
 
 
 def default_scenarios(inputs: StepInputs) -> List[str]:

@@ -6,9 +6,10 @@ description of such a step — its kernel trace, GPU, world size, gradient
 buckets and comm/resilience knobs — and :meth:`StepInputs.timeline` is the
 one function that prices it, combining the roofline cost of the kernel
 stages with the communication model for the sync stage.  The figures, the
-measurement ladder (through :func:`two_stream_step_timeline`), the
-critical-path DAG and what-if engine of :mod:`repro.obs.critpath`, and
-``repro.train --profile-out`` all call it.
+measurement ladder (through :func:`two_stream_step_timeline`) and the
+what-if engine of :mod:`repro.obs.critpath` all call it; the critical
+path of :mod:`repro.obs.critpath` reads the :class:`BucketSchedule` that
+:meth:`StepInputs.schedule` returns.
 
 Sync is a two-stream (compute + comm) model of DDP-style bucketed
 all-reduce: the backward pass runs on the compute stream producing
@@ -43,11 +44,13 @@ class BucketSchedule:
     """
 
     ready_s: Tuple[float, ...]     # grads for the bucket finish on compute
-    start_s: Tuple[float, ...]     # comm stream picks the bucket up
+    start_s: Tuple[float, ...]     # comm stream picks the bucket up (no
+                                   # earlier than ready + straggler delay)
     finish_s: Tuple[float, ...]    # bucket's ring all-reduce completes
     comm_total_s: float            # sum of per-bucket comm times
     exposed_s: float               # comm time sticking out past backward
     backward_s: float
+    comm_s: Tuple[float, ...] = ()  # each bucket's collective time
 
     @property
     def hidden_s(self) -> float:
@@ -107,19 +110,17 @@ def overlap_schedule(buckets: Sequence[GradBucket], itemsize: int,
         ready = bucket_ready_times(buckets, backward_s)
     else:
         ready = [backward_s] * len(buckets)
-    if straggler_delay_s:
-        ready = [r + straggler_delay_s for r in ready]
     start: List[float] = []
     finish: List[float] = []
     t = 0.0
     for r, dt in zip(ready, times):
-        s = max(r, t)
+        s = max(r + straggler_delay_s, t)
         t = s + dt
         start.append(s)
         finish.append(t)
     exposed = max(0.0, finish[-1] - backward_s)
     return BucketSchedule(tuple(ready), tuple(start), tuple(finish),
-                          comm_total, exposed, backward_s)
+                          comm_total, exposed, backward_s, tuple(times))
 
 
 def with_extra_exposed(sched: BucketSchedule,
@@ -139,7 +140,8 @@ def with_extra_exposed(sched: BucketSchedule,
         return sched
     return BucketSchedule(sched.ready_s, sched.start_s, sched.finish_s,
                           sched.comm_total_s + extra_s,
-                          sched.exposed_s + extra_s, sched.backward_s)
+                          sched.exposed_s + extra_s, sched.backward_s,
+                          sched.comm_s)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def synthetic_buckets(grad_elems: int, itemsize: int,
 @dataclass(frozen=True)
 class StepInputs:
     """Everything needed to price one training step — the re-costable
-    description the timeline, the critical-path DAG, the attribution, and
+    description the timeline, the critical path, the attribution, and
     every what-if share.
 
     ``attn`` optionally carries the attention geometry needed by the
@@ -208,13 +210,16 @@ class StepInputs:
                           include_host=self.include_host).by_stage
 
     def schedule(self) -> BucketSchedule:
-        """The step's bucketed comm schedule (retry time appended)."""
+        """The step's bucketed comm schedule, retry time appended — when
+        there is a collective to retry: a step with no buckets has none."""
         by = self.stage_seconds()
         sched = overlap_schedule(
             self.buckets, self.itemsize, by.get("backward", 0.0),
             self.world_size, self.spec, overlap=self.overlap,
             comm_seconds_fn=self.comm_seconds_fn,
             straggler_delay_s=self.straggler_delay_s)
+        if not sched.finish_s:
+            return sched
         return with_extra_exposed(sched, self.retry_exposed_s)
 
     def timeline(self) -> TwoStreamTimeline:

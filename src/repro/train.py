@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a Chrome/Perfetto trace JSON of the run "
                         "(host spans + simulated kernel slices + roofline "
                         "counter tracks)")
-    p.add_argument("--profile-out", default=None, metavar="PATH",
-                   help="write the performance-observatory report "
-                        "(roofline attribution, critical path, what-if "
-                        "projections) as JSON at the end of the run")
     p.add_argument("--memory-out", default=None, metavar="PATH",
                    help="run arena-backed with the memory observatory "
                         "tracing every request, and write the memory "
@@ -262,7 +258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"fp16={cfg.fp16} fused={cfg.fused}")
 
     dev = Device(lib=lib)
-    keep_trace = bool(args.trace_out or args.profile_out)
     recorder = SpanRecorder() if args.trace_out else None
     metrics = (MetricsRecorder(path=args.metrics_out, config=vars(args))
                if args.metrics_out else None)
@@ -343,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if step % args.log_interval == 0 or step == args.steps:
                 wall = time.perf_counter() - window_t0
                 sim = trace_cost(dev.launches, spec).total_s
-                if keep_trace:
+                if args.trace_out:
                     kept_launches.extend(dev.launches)
                 dev.reset()
                 print(f"step {step:>5} | loss/tok "
@@ -404,19 +399,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"trace written to {args.trace_out} "
               f"({len(recorder.spans)} spans, {len(kept_launches)} kernel "
               f"slices)")
-    if args.profile_out:
-        import json as _json
-
-        from .obs.profile import profile_report
-        from .sim.timeline import StepInputs
-        inputs = StepInputs(
-            trace=tuple(kept_launches), spec=spec,
-            grad_elems=step_meta["grad_elems"], attn=step_meta["attn"])
-        with open(args.profile_out, "w") as f:
-            _json.dump(profile_report(inputs), f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"profile report written to {args.profile_out} "
-              f"({len(kept_launches)} kernel launches analyzed)")
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out} "
               f"({metrics.steps} steps)")

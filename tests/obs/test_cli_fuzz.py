@@ -1,8 +1,10 @@
-"""Skewed input to ``python -m repro.obs {profile,memory,compare,trajectory}``.
+"""Skewed input to ``python -m repro.obs {profile,memory,compare,trajectory,
+health}``.
 
 A document of the wrong shape is unusable input: the CLI must exit 2 with
 an ``error:`` line, never a traceback (exit 1 means "gate failed";
-``trajectory`` skips an unusable file and exits 4 if the rest is clean).
+``trajectory`` skips an unusable file and ``health`` an unparseable line,
+and each exits 4 if the rest is clean).
 """
 
 import copy
@@ -230,3 +232,104 @@ def test_reordered_records_read_the_same(tmp_path, capsys):
     assert want[0] == 1
     assert want == _obs(capsys, "compare", str(shuffled / "r2.json"),
                         str(shuffled / "r0.json"))
+
+
+# -- health: truncated, reordered and wrongly typed metrics streams ----------
+
+_GROUP = {"grad_l2": 0.5, "grad_nan": 0, "grad_inf": 0, "grad_n": 64,
+          "grad_sat_frac": 0.0, "grad_sub_frac": 0.0, "update_ratio": 1e-3}
+
+
+def _metrics_rows(loss2=40.0):
+    """A two-step FP16 recording: a step row and a numerics event each."""
+    rows = [{"event": "header", "config_hash": "abc"}]
+    for step, loss in ((1, 40.0), (2, loss2)):
+        rows.append({"step": step, "loss": loss, "num_tokens": 10,
+                     "wall_s": 0.1, "applied": True, "loss_scale": 128.0})
+        rows.append({"event": "numerics", "step": step, "loss": loss,
+                     "num_tokens": 10, "loss_scale": 128.0,
+                     "groups": {"enc.0": dict(_GROUP)}})
+    return rows
+
+
+def _health(tmp_path, capsys, lines):
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, err = _obs(capsys, "health", str(path))
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def _jsonl(rows):
+    return [json.dumps(r) for r in rows]
+
+
+_WRONG_TYPES = {"null": None, "string": "3", "list": [3], "dict": {"v": 3}}
+
+
+def _typed_cases():
+    for field in ("step", "loss", "num_tokens", "loss_scale"):
+        for row, index in (("step_row", 1), ("numerics_row", 2)):
+            for name, value in _WRONG_TYPES.items():
+                # a null loss scale is a run without one (FP32)
+                want = 0 if (field, name) == ("loss_scale", "null") else 2
+                yield pytest.param(index, (field,), value, want,
+                                   id=f"{row}-{field}-{name}")
+    for name, value in _WRONG_TYPES.items():
+        yield pytest.param(2, ("groups", "enc.0", "grad_l2"), value, 2,
+                           id=f"groups_stat-{name}")
+    yield pytest.param(2, ("groups", "enc.0", "grad_nan"), float("inf"), 2,
+                       id="groups_count-infinite")
+    yield pytest.param(1, ("num_tokens",), 10 ** 400, 2,
+                       id="step_row-num_tokens-past_float_range")
+    yield pytest.param(2, ("groups",), [1], 2, id="groups-list")
+    yield pytest.param(2, ("groups", "enc.0"), 5, 2, id="groups-row_number")
+    yield pytest.param(2, ("activations",), "x", 2, id="activations-string")
+
+
+@pytest.mark.parametrize("index, path, value, want", _typed_cases())
+def test_health_wrongly_typed_field(tmp_path, capsys, index, path, value,
+                                    want):
+    rows = _metrics_rows()
+    target = rows[index]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, _, err = _health(tmp_path, capsys, _jsonl(rows))
+    assert code == want, err
+    if want == 2:
+        assert err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("value", _WRONG_TYPES.values(), ids=_WRONG_TYPES)
+def test_health_wrongly_typed_anomaly_step(tmp_path, capsys, value):
+    rows = _metrics_rows() + [{"event": "anomaly", "kind": "loss_spike",
+                               "step": value, "severity": "warn"}]
+    code, _, err = _health(tmp_path, capsys, _jsonl(rows))
+    assert code == 2 and err.startswith("error:"), err
+
+
+def test_health_well_formed_stream_is_healthy(tmp_path, capsys):
+    """The base the typed cases skew is itself usable, healthy input."""
+    code, out, _ = _health(tmp_path, capsys, _jsonl(_metrics_rows()))
+    assert code == 0 and "HEALTHY" in out
+
+
+@pytest.mark.parametrize("where", ["truncated_tail", "garbage_middle"])
+def test_health_skips_unparseable_lines(tmp_path, capsys, where):
+    lines = _jsonl(_metrics_rows())
+    if where == "truncated_tail":
+        lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    else:
+        lines.insert(2, "{not json")
+    code, _, err = _health(tmp_path, capsys, lines)
+    assert code == 4 and "skipped 1 unparseable line" in err
+
+
+@pytest.mark.parametrize("loss2, want", [(40.0, 0), (float("nan"), 1)],
+                         ids=["healthy", "nonfinite_loss"])
+def test_health_reordered_lines_read_the_same(tmp_path, capsys, loss2, want):
+    lines = _jsonl(_metrics_rows(loss2))
+    code, out, _ = _health(tmp_path, capsys, lines)
+    assert code == want
+    assert _health(tmp_path, capsys, lines[::-1])[0] == want

@@ -1,9 +1,9 @@
-"""Critical path & what-if projection: DAG totals, attribution, re-costing.
+"""Critical path & what-if projection: path totals, attribution, re-costing.
 
 The three acceptance gates of the performance observatory live here:
 
-* the DAG critical-path total agrees with the simulated two-stream step
-  time to <1% on a stage-tagged trace;
+* the critical path spans exactly the simulated two-stream step time,
+  and its nodes sum to it, on a stage-tagged trace;
 * the "comm is free" projection is *bitwise* equal to the timeline's
   fully-hidden overlap bound;
 * the "attn_impl=tiled" projection's HBM-byte ratio agrees with the
@@ -22,8 +22,9 @@ from repro.backend.device import Device, use_device
 from repro.config import get_config
 from repro.models import GPTModel
 from repro.obs.critpath import (EXPOSED_COMM, HOST, RETRY,
-                                attribute_critical_path, build_step_dag,
+                                attribute_critical_path, critical_path,
                                 tiled_attention_trace, whatif)
+from repro.obs.roofline import roofline_report
 from repro.sim.comm import bucketed_allreduce_seconds
 from repro.sim.costmodel import trace_hbm_bytes
 from repro.sim.gpu_specs import GPUS, V100
@@ -67,6 +68,11 @@ def _inputs(**kw):
     return StepInputs(**kw)
 
 
+def _attribution(inp):
+    return attribute_critical_path(critical_path(inp),
+                                   roofline_report(inp.trace, inp.spec))
+
+
 class TestProjectTimeline:
     @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("world", [1, 2, 8])
@@ -99,52 +105,56 @@ class TestProjectTimeline:
         bumped = _inputs(retry_exposed_s=0.005).timeline().total_s
         assert math.isclose(bumped, base + 0.005, rel_tol=1e-12)
 
+    def test_retry_needs_a_collective(self):
+        """A step with no buckets has nothing to retry: its retry time
+        prices at zero, at world 1 and in a world=1 what-if alike."""
+        clean = _inputs(world_size=1).timeline().total_s
+        assert _inputs(world_size=1,
+                       retry_exposed_s=0.5).timeline().total_s == clean
+        assert whatif(_inputs(retry_exposed_s=0.5),
+                      "world=1").total_s == clean
+
 
 class TestCriticalPath:
-    def test_total_agrees_with_timeline_within_1pct(self):
-        inp = _inputs()
-        dag = build_step_dag(inp)
-        path = dag.critical_path()
-        total = inp.timeline().total_s
-        assert abs(path.total_s - total) / total < 0.01
+    def test_total_equals_timeline_total(self):
+        for kw in ({}, {"overlap": False}, {"world_size": 1},
+                   {"world_size": 1, "retry_exposed_s": 0.5},
+                   {"straggler_delay_s": 0.5}, {"retry_exposed_s": 0.5},
+                   {"straggler_delay_s": 0.01, "retry_exposed_s": 0.005}):
+            inp = _inputs(**kw)
+            path = critical_path(inp)
+            total = inp.timeline().total_s
+            assert path.total_s == total, kw
+            assert math.isclose(sum(n.dur_s for n in path.nodes), total,
+                                rel_tol=1e-12), kw
 
     def test_attribution_sums_to_path_total(self):
         inp = _inputs()
-        dag = build_step_dag(inp)
-        path = dag.critical_path()
-        attr = attribute_critical_path(dag, path, inp)
-        assert math.isclose(sum(attr.values()), path.total_s,
+        attr = _attribution(inp)
+        assert math.isclose(sum(attr.values()), critical_path(inp).total_s,
                             rel_tol=1e-9)
         assert attr.get(HOST, 0) > 0          # step setup is on the path
 
     def test_path_runs_setup_to_update(self):
-        dag = build_step_dag(_inputs())
-        names = dag.critical_path().names
+        names = critical_path(_inputs()).names
         assert names[0] == "host:setup"
         assert names[-1] == "compute:update"
 
     def test_straggler_on_path_when_large(self):
         inp = _inputs(straggler_delay_s=0.5)
-        dag = build_step_dag(inp)
-        path = dag.critical_path()
+        path = critical_path(inp)
         assert any("straggler" in n for n in path.names)
-        total = inp.timeline().total_s
-        assert abs(path.total_s - total) / total < 0.01
+        assert path.total_s == inp.timeline().total_s
 
     def test_retry_node_attributed_as_retry(self):
-        inp = _inputs(retry_exposed_s=0.5)
-        dag = build_step_dag(inp)
-        path = dag.critical_path()
-        attr = attribute_critical_path(dag, path, inp)
+        attr = _attribution(_inputs(retry_exposed_s=0.5))
         assert attr.get(RETRY, 0) == pytest.approx(0.5)
 
     def test_exposed_comm_attributed(self):
         # huge gradient on a 16-wide ring: comm cannot hide
         inp = _inputs(world_size=16, grad_elems=400_000_000,
                       buckets=tuple(synthetic_buckets(400_000_000, 4)))
-        dag = build_step_dag(inp)
-        attr = attribute_critical_path(dag, dag.critical_path(), inp)
-        assert attr.get(EXPOSED_COMM, 0) > 0
+        assert _attribution(inp).get(EXPOSED_COMM, 0) > 0
 
 
 class TestWhatIf:

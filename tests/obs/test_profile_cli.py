@@ -7,8 +7,8 @@ import pytest
 from repro.backend.device import Device, use_device
 from repro.obs.perfetto import (perfetto_trace, read_trace, trace_kernels,
                                 write_trace)
-from repro.obs.profile import (PROFILE_SCHEMA, main, profile_report,
-                               step_inputs_from_trace)
+from repro.obs.profile import (PROFILE_SCHEMA, analyze, default_scenarios,
+                               main, step_inputs_from_trace)
 from repro.sim.gpu_specs import V100
 
 
@@ -115,9 +115,10 @@ class TestCLI:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == 2
 
-    def test_profile_report_matches_cli(self, tmp_path, capsys):
+    def test_json_is_the_analysis_of_the_trace(self, tmp_path, capsys):
         path, _ = _write(tmp_path, metadata={"gpu": "V100"})
         inp = step_inputs_from_trace(read_trace(path))
-        doc = profile_report(inp)
-        assert doc["schema"] == PROFILE_SCHEMA
+        doc = analyze(inp, default_scenarios(inp)).as_dict()
         assert doc["timeline"]["total_s"] > 0
+        assert main([path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == doc

@@ -95,28 +95,27 @@ def test_trace_and_metrics_out(tmp_path, capsys):
             assert key in m, key
 
 
-def test_profile_out_matches_trace(tmp_path, capsys):
-    """--profile-out writes what ``repro.obs profile`` derives from the
-    saved trace: schema-tagged, critical path within 1% of the timeline,
-    the comm-free what-if always answered."""
+def test_trace_out_then_obs_profile(tmp_path, capsys):
+    """A traced run's ``--trace-out`` file is all ``repro.obs profile``
+    needs: ``--out`` writes the ``--json`` document, schema-tagged, its
+    critical path spanning exactly the timeline, the comm-free what-if
+    always answered."""
     import json
 
     from repro.obs.__main__ import main as obs_main
     trace_path = tmp_path / "step.trace.json"
     profile_path = tmp_path / "step.profile.json"
     assert main(["--task", "gpt", "--steps", "2", "--max-tokens", "256",
-                 "--log-interval", "1", "--trace-out", str(trace_path),
-                 "--profile-out", str(profile_path)]) == 0
+                 "--log-interval", "1", "--trace-out", str(trace_path)]) == 0
     capsys.readouterr()
-    assert obs_main(["profile", str(trace_path), "--json"]) == 0
-    for doc in (json.loads(capsys.readouterr().out),
-                json.loads(profile_path.read_text())):
-        assert doc["schema"] == "repro.obs.profile/v1"
-        assert doc["launch_count"] > 0
-        timeline, path = doc["timeline"], doc["critical_path"]
-        err = abs(path["total_s"] - timeline["total_s"]) / timeline["total_s"]
-        assert err < 0.01, f"critical path off timeline by {err:.2%}"
-        assert "comm_free" in {w["scenario"] for w in doc["whatif"]}
+    assert obs_main(["profile", str(trace_path), "--json",
+                     "--out", str(profile_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == json.loads(profile_path.read_text())
+    assert doc["schema"] == "repro.obs.profile/v1"
+    assert doc["launch_count"] > 0
+    assert doc["critical_path"]["total_s"] == doc["timeline"]["total_s"]
+    assert "comm_free" in {w["scenario"] for w in doc["whatif"]}
 
 
 def test_numerics_every_emits_events(tmp_path, capsys):
