@@ -22,6 +22,7 @@ Quick start (mirrors Fig. 10 of the paper)::
     enc_layer = LSTransformerEncoderLayer(config)
 """
 
+from . import blas  # noqa: F401  (first: pins BLAS before any GEMM runs)
 from .backend.profiler import (alloc_counters, by_stage,
                                reset_alloc_counters)
 from .config import LSConfig, get_config

@@ -3,17 +3,22 @@
 Layers here are *manual-backward* modules, like the CUDA layers they
 reproduce: ``forward`` saves exactly the activations its hand-written
 ``backward`` needs (the memory-manager experiments depend on that inventory
-being explicit), and ``backward`` accumulates parameter gradients in place.
+being explicit), and ``backward`` lands each parameter-gradient contribution
+in the parameter's ``grad`` (§3.2, Fig. 7): the first one after a clear is
+*written* there, later ones are added to it.
 
 A :class:`Parameter` owns storage-precision ``data``/``grad`` arrays until a
 trainer re-links them into a workspace (symbolic tensor link), after which
-they are views — layer code never notices the difference.
+they are views — layer code never notices the difference.  FP16 data is
+widened to FP32 once per forward+backward pass (:func:`widened`), not at
+every use.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +50,48 @@ def _grad_accum(grad: np.ndarray, g: np.ndarray) -> None:
         grad += g.astype(grad.dtype)
 
 
+def _grad_write(grad: np.ndarray, g: np.ndarray) -> None:
+    """First contribution after a clear: ``grad = 0 + g``, stored, not added.
+
+    ``0 + x`` is ``x`` except that a zero of either sign comes out ``+0``.
+    At one dtype ``np.add(g, 0)`` is exactly that; a narrowing store
+    (FP32 into FP16) also rounds tiny negatives to ``-0``, so it is one
+    narrowing copy with every ``-0`` rewritten as ``+0`` — instead of a cast
+    plus numpy's software FP16 add.  An overflow still stores ``inf``, under
+    the same error state as :func:`_grad_accum`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.dtype == grad.dtype:
+            np.add(g, 0, out=grad)
+            return
+        np.copyto(grad, g, casting="unsafe")
+    bits = grad.view(f"u{grad.itemsize}")
+    np.copyto(bits, 0, where=bits == 1 << (8 * grad.itemsize - 1))
+
+
+def _grad_write_rows(grad: np.ndarray, g: np.ndarray,
+                     tokens: np.ndarray) -> None:
+    """:func:`_grad_write` of the rows ``tokens`` index; the rest of ``g``
+    is +0 and the cleared ``grad`` already holds it."""
+    rows = tokens.reshape(-1)
+    part = np.empty((rows.size,) + grad.shape[1:], grad.dtype)
+    _grad_write(part, g[rows])
+    grad[rows] = part
+
+
+def _grad_accum_rows(grad: np.ndarray, g: np.ndarray,
+                     tokens: np.ndarray) -> None:
+    """:func:`_grad_accum` of the rows ``tokens`` index.  Adding the +0 of
+    every other row would leave it unchanged: a gradient never holds -0,
+    since writes store +0 and a sum is -0 only when both terms are.  A
+    repeated token gathers the same row each time, so every copy scattered
+    back is equal."""
+    rows = tokens.reshape(-1)
+    part = grad[rows]
+    _grad_accum(part, g[rows])
+    grad[rows] = part
+
+
 class Parameter:
     """A trainable tensor with storage-precision data and gradient."""
 
@@ -54,10 +101,17 @@ class Parameter:
         self.fp16 = fp16
         self.data = value.astype(dt)
         self.grad = np.zeros_like(self.data)
+        #: True from a gradient clear until the first contribution lands:
+        #: ``grad`` then holds only +0, so that contribution is written
+        #: rather than added.  Every clearing path sets it; False is
+        #: always safe (an add onto +0 gives the same bits).
+        self.grad_fresh = False
         #: lazily-created FP32 widen buffer (fp16 only).  Its *identity* is
         #: stable across steps so captured programs can bake it in; its
-        #: contents are refreshed from ``data`` on every :meth:`compute`.
+        #: contents are refreshed from ``data`` once per pass.
         self._compute_buf: Optional[np.ndarray] = None
+        #: True inside :func:`widened`: the buffer already holds ``data``.
+        self._widened = False
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -73,30 +127,49 @@ class Parameter:
         FP32 storage returns ``data`` itself; FP16 widens into a cached
         buffer whose identity is stable across steps (refreshed in place),
         so capture & replay can treat it like any other parameter memory.
+        Inside a :func:`widened` pass the buffer is returned as it is;
+        outside one every call re-widens, so a write to ``data`` is always
+        seen.
         """
         if self.data.dtype == COMPUTE_DTYPE:
             return self.data
         buf = self._compute_buf
+        if self._widened:
+            return buf
         if buf is None or buf.shape != self.data.shape:
             self._compute_buf = buf = np.empty(self.data.shape, COMPUTE_DTYPE)
         np.copyto(buf, self.data)
         return buf
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Accumulate a gradient contribution (stored at storage dtype).
+    def accumulate_grad(self, g: np.ndarray,
+                        rows: Optional[np.ndarray] = None) -> None:
+        """Land a gradient contribution in ``grad`` (at storage dtype).
 
-        The in-place add is routed through
+        The first contribution after a clear (:attr:`grad_fresh`) is
+        written, later ones are added; both give the bits of an add onto
+        the cleared gradient.  ``rows`` (an integer array) says that only
+        the rows of ``g`` it indexes can be nonzero, so only those are
+        touched — the embedding's scatter over a batch's tokens.
+
+        The write or add is routed through
         :func:`repro.backend.program.host_call` so a capture session records
-        it and replayed steps accumulate into parameter storage exactly as
-        eager steps do.
+        it and replayed steps land gradients in parameter storage exactly as
+        eager steps do.  Which of the two was recorded depends on
+        :attr:`grad_fresh`, so the capture engine keys programs on it.
         """
         if g.shape != self.data.shape:
             raise ValueError(
                 f"{self.name}: grad shape {g.shape} != param {self.data.shape}")
-        host_call(_grad_accum, self.grad, g)
+        fresh, self.grad_fresh = self.grad_fresh, False
+        if rows is None:
+            host_call(_grad_write if fresh else _grad_accum, self.grad, g)
+        else:
+            host_call(_grad_write_rows if fresh else _grad_accum_rows,
+                      self.grad, g, rows)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0
+        self.grad_fresh = True
 
     def link(self, data_view: np.ndarray, grad_view: np.ndarray) -> None:
         """Re-link to workspace views (symbolic tensor link, Fig. 7).
@@ -112,10 +185,29 @@ class Parameter:
         _LINK_EPOCH += 1
         self.data = data_view
         self.grad = grad_view
+        self.grad_fresh = False
         self._compute_buf = None     # identity changed: drop the stale widen
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Parameter({self.name}, shape={self.shape}, fp16={self.fp16})"
+
+
+@contextmanager
+def widened(params: Iterable[Parameter]) -> Iterator[None]:
+    """One forward+backward pass over ``params``: every FP16 parameter is
+    widened once at entry, and inside the pass :meth:`Parameter.compute`
+    returns that buffer without re-widening — the data cannot change
+    between a pass's forward and its backward.  A replayed program reads
+    the same buffers, so it runs under this too."""
+    half = [p for p in params if p.data.dtype != COMPUTE_DTYPE]
+    for p in half:
+        p.compute()
+        p._widened = True
+    try:
+        yield
+    finally:
+        for p in half:
+            p._widened = False
 
 
 class Layer:

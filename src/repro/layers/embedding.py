@@ -73,4 +73,7 @@ class LSEmbeddingLayer(Layer):
               else embk.embedding_backward_naive)
         grad = fn(dy, self._tokens, self.saved("dmask"), self.scale, p,
                   cfg.vocab_size, fp16=cfg.fp16, pad_idx=cfg.padding_idx)
-        self.table.accumulate_grad(grad)
+        # only the batch's rows can be nonzero; the token array itself (the
+        # step's input, not a view of it) goes into the host call so a
+        # replay rebinds it
+        self.table.accumulate_grad(grad, rows=self._tokens)

@@ -10,7 +10,10 @@ module stamps every record with:
   when git is unavailable — records stay writable everywhere);
 * a **config hash** — a short stable digest of the run's configuration
   dict, key-order independent, so "same config" is machine-checkable;
-* a **schema version** for the provenance block itself.
+* a **schema version** for the provenance block itself;
+* the **BLAS thread count** (:data:`repro.blas.BLAS_THREADS`; ``None``
+  when BLAS could not be pinned and the run's bits may depend on the
+  host's core count).
 
 Everything here is best-effort and read-only: provenance must never be
 the reason a run fails to record.
@@ -25,6 +28,8 @@ import platform
 import subprocess
 from functools import lru_cache
 from typing import Dict, Mapping, Optional
+
+from ..blas import BLAS_THREADS
 
 #: version of the provenance block layout (bump on incompatible change).
 PROVENANCE_SCHEMA = 1
@@ -114,6 +119,7 @@ def provenance(config: Optional[Mapping] = None) -> Dict[str, object]:
         "order_key": order_key(),
         "config_hash": config_hash(config),
         "python": platform.python_version(),
+        "blas_threads": BLAS_THREADS,
     }
     if config is not None and "attn_impl" in config:
         block["attn_impl"] = str(config["attn_impl"])

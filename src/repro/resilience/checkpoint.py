@@ -21,7 +21,9 @@ trainers use:
   (dropout streams) alongside the trainer payload's optimizer moments,
   step counters, and loss-scaler state, so a resumed run replays the
   exact trajectory of an uninterrupted one (the golden test compares
-  final parameters bitwise).
+  final parameters bitwise).  It also records the BLAS thread count
+  (:data:`repro.blas.BLAS_THREADS`), the host setting those bits depend
+  on.
 * **Retention + fallback** — :class:`CheckpointStore` keeps the newest
   ``keep`` valid checkpoints, and :meth:`CheckpointStore.resume_auto`
   walks backwards past torn/corrupt checkpoints to the newest one whose
@@ -45,6 +47,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..blas import BLAS_THREADS
 from ..obs.spans import span
 from .faults import TornWrite, current_injector
 
@@ -181,6 +184,7 @@ class CheckpointStore:
                 },
                 "tensors": tensors,
                 "rng": model.rng_states(),
+                "blas_threads": BLAS_THREADS,
                 "extra": dict(extra or {}),
             }
             atomic_write_bytes(paths["model"], model_bytes)

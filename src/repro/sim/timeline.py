@@ -25,12 +25,13 @@ serial Fig.-4 stage sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..backend.device import KernelLaunch
 from .comm import DDP_BUCKET_BYTES, GradBucket, ring_allreduce_seconds
-from .costmodel import trace_cost
+from .costmodel import TraceCost, trace_cost
 from .gpu_specs import STEP_SETUP_S, GPUSpec
 
 
@@ -205,9 +206,15 @@ class StepInputs:
     grad_elems: int = 0
     attn: Optional[Dict[str, object]] = None
 
-    def stage_seconds(self) -> Dict[str, float]:
+    @cached_property
+    def cost(self) -> TraceCost:
+        """The trace priced once per instance (fields are frozen; a
+        ``dataclasses.replace`` copy prices its own)."""
         return trace_cost(self.trace, self.spec,
-                          include_host=self.include_host).by_stage
+                          include_host=self.include_host)
+
+    def stage_seconds(self) -> Dict[str, float]:
+        return self.cost.by_stage
 
     def schedule(self) -> BucketSchedule:
         """The step's bucketed comm schedule, retry time appended — when

@@ -10,9 +10,14 @@ graph.
 
 Guard rails, in order, per step:
 
-1. **signature** — batch shapes/dtypes + loss scale + train/eval mode key
-   the program cache; any divergence (a new shape, a loss-scaler skip
-   changing the scale) is a cache miss and captures a fresh program.
+1. **signature** — batch shapes/dtypes + loss scale + train/eval mode +
+   which gradients are freshly cleared key the program cache; any
+   divergence (a new shape, a loss-scaler skip changing the scale, a
+   second forward+backward without a ``zero_grad``) is a cache miss and
+   captures a fresh program.  The last matters because a fresh
+   gradient's first contribution is recorded as a *write*
+   (:meth:`~repro.layers.base.Parameter.accumulate_grad`): replayed onto a
+   gradient that already holds a contribution, it would overwrite it.
 2. **validity** — a cached program is checked against the arena generation
    and the parameter link epoch; staleness raises
    :class:`~repro.backend.program.ProgramInvalidated`, clears the cache,
@@ -29,7 +34,7 @@ Every outcome is accounted in
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,17 +42,18 @@ from ..backend.arena import ActivationArena
 from ..backend.profiler import replay_counters
 from ..backend.program import (CaptureError, CaptureSession, KernelProgram,
                                ProgramInvalidated, capturing)
-from ..layers.base import Layer, link_epoch
+from ..layers.base import Layer, Parameter, link_epoch, widened
 from ..obs.numerics import current_collector
 from .loop import StepResult, _optimisation_step, staged_forward_backward
 from .trainer import TrainerBase
 
 
-def _batch_signature(batch: Sequence, grad_scale: float,
-                     training: bool) -> tuple:
+def _batch_signature(batch: Sequence, grad_scale: float, training: bool,
+                     fresh: Tuple[bool, ...]) -> tuple:
     parts = tuple((a.shape, a.dtype.str) if isinstance(a, np.ndarray)
                   else repr(a) for a in batch)
-    return parts + (("gs", float(grad_scale)), ("training", bool(training)))
+    return parts + (("gs", float(grad_scale)), ("training", bool(training)),
+                    ("fresh", fresh))
 
 
 class CaptureReplayEngine:
@@ -69,6 +75,10 @@ class CaptureReplayEngine:
         self.arena = arena
         self.max_programs = max_programs
         self._programs: Dict[tuple, KernelProgram] = {}
+        self._params: List[Parameter] = list(model.parameters())
+        #: per program, each parameter's ``grad_fresh`` after its captured
+        #: step — what a replay of it leaves behind
+        self._fresh_after: Dict[tuple, Tuple[bool, ...]] = {}
         if arena is not None:
             model.set_arena(arena)
 
@@ -98,8 +108,11 @@ class CaptureReplayEngine:
         """Capture only once memory is steady: no arena, or a warmed slab."""
         return self.arena is None or self.arena.warmed_up
 
+    def _fresh(self) -> Tuple[bool, ...]:
+        return tuple(p.grad_fresh for p in self._params)
+
     def _register_stable(self, sess: CaptureSession) -> None:
-        for p in self.model.parameters():
+        for p in self._params:
             sess.add_stable(p.data, p.grad)
             if p.data.dtype != np.float32:
                 sess.add_stable(p.compute())    # the cached widen buffer
@@ -107,12 +120,6 @@ class CaptureReplayEngine:
             sess.add_stable(const)
         if self.arena is not None and self.arena._slab is not None:
             sess.add_stable(self.arena._slab)
-
-    def _refresh_compute_views(self) -> None:
-        """Re-widen FP16 parameter data into the baked compute buffers."""
-        for p in self.model.parameters():
-            if p.data.dtype != np.float32:
-                p.compute()
 
     # -- forward/backward ---------------------------------------------------
 
@@ -123,7 +130,8 @@ class CaptureReplayEngine:
         counters = replay_counters()
         col = current_collector()
         observing = col is not None and col.active
-        sig = _batch_signature(batch, grad_scale, self.model.training)
+        sig = _batch_signature(batch, grad_scale, self.model.training,
+                               self._fresh())
 
         prog = self._programs.get(sig)
         if prog is not None:
@@ -135,13 +143,16 @@ class CaptureReplayEngine:
                 # invalidated slab/links) and fall through to eager
                 counters.invalidations += 1
                 self._programs.clear()
+                self._fresh_after.clear()
                 prog = None
 
         if prog is not None and not observing:
-            self._refresh_compute_views()
             bindings = {f"in{i}": a for i, a in enumerate(batch)
                         if isinstance(a, np.ndarray)}
-            loss, ntok = prog.replay(bindings)
+            with widened(self._params):
+                loss, ntok = prog.replay(bindings)
+            for p, fresh in zip(self._params, self._fresh_after[sig]):
+                p.grad_fresh = fresh
             counters.replays += 1
             return loss, ntok
 
@@ -182,8 +193,10 @@ class CaptureReplayEngine:
             counters.eager_fallbacks += 1
             return result
         if len(self._programs) >= self.max_programs:
-            self._programs.pop(next(iter(self._programs)))
+            oldest = next(iter(self._programs))
+            del self._programs[oldest], self._fresh_after[oldest]
         self._programs[sig] = prog
+        self._fresh_after[sig] = self._fresh()
         counters.captures += 1
         return result
 

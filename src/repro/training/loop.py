@@ -15,7 +15,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..backend.arena import ActivationArena
 from ..backend.device import current_device
-from ..layers.base import Layer
+from ..layers.base import Layer, widened
 from ..obs.numerics import current_collector
 from ..obs.spans import span
 from .trainer import TrainerBase
@@ -39,10 +39,12 @@ def staged_forward_backward(model: Layer, batch: Sequence,
                             arena: Optional[ActivationArena] = None
                             ) -> Tuple[float, int]:
     """Eager forward+backward under their device stage scopes and spans
-    (shared with the capture engine's eager and capturing steps), inside
-    ``arena.step()`` when an arena is given."""
+    (shared with the capture engine's eager and capturing steps and with
+    ``DataParallel``'s replicas), inside ``arena.step()`` when an arena is
+    given.  FP16 parameters are widened once, at entry (:func:`widened`)."""
     dev = current_device()
-    with arena.step() if arena is not None else nullcontext():
+    with widened(model.parameters()), \
+            arena.step() if arena is not None else nullcontext():
         with dev.stage_scope("forward"), span("train/forward"):
             loss, ntok = model.forward(*batch)
         with dev.stage_scope("backward"), span("train/backward"):

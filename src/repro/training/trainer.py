@@ -149,7 +149,7 @@ class NaiveMPTrainer(TrainerBase):
     def zero_grad(self) -> None:
         """One memset launch per tensor."""
         for p in self.params:
-            p.grad[...] = 0
+            p.zero_grad()
             record("zero_grad", 0, p.grad.size, fp16=p.fp16,
                    family="optimizer")
 
@@ -299,6 +299,8 @@ class LSFusedTrainer(TrainerBase):
 
     def zero_grad(self) -> None:
         self.workspace.zero_grad()         # single memset launch
+        for p in self.params:
+            p.grad_fresh = True
 
     def _apply(self, lr: float, grad_scale: float) -> None:
         lo, hi = self.shard

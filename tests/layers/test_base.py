@@ -1,9 +1,11 @@
 """Layer/Parameter base machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.layers.base import Layer, Parameter
+from repro.layers.base import Layer, Parameter, widened
 
 
 class TestParameter:
@@ -39,6 +41,72 @@ class TestParameter:
         with pytest.raises(ValueError):
             p.link(np.zeros((3, 2), np.float32),
                    np.zeros((3, 2), np.float32))
+
+
+#: contributions whose first landing must keep the add-only bits: zeros of
+#: both signs, values an FP16 narrowing flushes to -0, and overflow
+_EDGES = np.array([-0.0, 0.0, -1e-10, 1e-10, -3e-8, 1.0, -2.5, 6e-5, 7e4,
+                   -7e4, np.inf, -np.inf], np.float32)
+
+
+class TestWriteFirst:
+    @pytest.mark.parametrize("fp16", [True, False])
+    def test_first_contribution_after_a_clear_has_add_only_bits(self, fp16):
+        p = Parameter("p", np.zeros(_EDGES.size, np.float32), fp16=fp16)
+        p.zero_grad()
+        assert p.grad_fresh
+        with np.errstate(over="ignore"):
+            want = np.zeros_like(p.grad) + _EDGES.astype(p.grad.dtype)
+        p.accumulate_grad(_EDGES)
+        assert not p.grad_fresh
+        assert p.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_rows_touch_only_the_indexed_rows(self, fresh):
+        p = Parameter("t", np.zeros((6, 2), np.float32), fp16=True)
+        p.zero_grad()
+        if not fresh:
+            p.accumulate_grad(np.full((6, 2), 0.5, np.float32))
+        g = np.zeros((6, 2), np.float32)
+        g[[1, 4]] = [[1.0, -0.0], [-1e-10, 3.0]]
+        want = p.grad.copy()
+        with np.errstate(over="ignore"):
+            want += g.astype(np.float16)
+        p.accumulate_grad(g, rows=np.array([[4, 1], [4, 4]]))
+        assert p.grad.tobytes() == want.tobytes()
+
+    def test_fp16_overflow_still_lands_as_inf_and_skips_the_step(
+            self, tiny_config_fp16):
+        """The narrowing write overflows to inf silently, as the add does,
+        so the loss scaler sees it and skips the update."""
+        from repro.models import TransformerModel
+        from repro.precision import DynamicLossScaler
+        from repro.training import OptimizerSpec, make_trainer
+        model = TransformerModel(tiny_config_fp16, seed=0)
+        trainer = make_trainer("lightseq", model, OptimizerSpec(),
+                               DynamicLossScaler(init_scale=4.0))
+        before = trainer.workspace.params.copy()
+        trainer.zero_grad()
+        p = next(model.parameters())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p.accumulate_grad(np.full(p.shape, 1e6, np.float32))
+        assert np.isposinf(p.grad).all()
+        assert not trainer.step()
+        assert trainer.skipped_steps == 1
+        assert trainer.workspace.params.tobytes() == before.tobytes()
+
+
+class TestWidened:
+    def test_pass_widens_once_and_always_ends(self):
+        p = Parameter("p", np.ones(3, np.float32), fp16=True)
+        with pytest.raises(RuntimeError):
+            with widened([p]):
+                buf = p.compute()
+                p.data[...] = 2                 # not read back inside
+                assert p.compute() is buf and (buf == 1).all()
+                raise RuntimeError("pass failed")
+        assert (p.compute() == 2).all()         # outside: widened again
 
 
 class TestLayer:

@@ -80,6 +80,28 @@ class TestStepInputs:
         with pytest.raises(ValueError, match="unknown GPU"):
             step_inputs_from_trace(read_trace(path), gpu="TPUv9")
 
+    def test_analysis_prices_each_step_model_once(self, tmp_path,
+                                                  monkeypatch):
+        """One ``analyze`` prices the trace once for the roofline, once
+        for the step model (its timeline, schedule and critical path
+        share it) and once per what-if step model — never per query."""
+        import repro.obs.roofline as roofline
+        import repro.sim.timeline as timeline
+        calls = []
+        for mod in (roofline, timeline):
+            real = mod.trace_cost
+            monkeypatch.setattr(
+                mod, "trace_cost",
+                lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        path, _ = _write(tmp_path, metadata={"world_size": 2,
+                                             "grad_elems": 100_000})
+        inputs = step_inputs_from_trace(read_trace(path))
+        scenarios = ["comm_free", "no_overlap", "gpu=A100", "world=4"]
+        rep = analyze(inputs, scenarios)
+        assert len(calls) == 2 + len(scenarios)
+        assert rep.path.total_s == inputs.timeline().total_s
+        assert len(calls) == 2 + len(scenarios)      # still cached
+
 
 class TestCLI:
     def test_text_report(self, tmp_path, capsys):

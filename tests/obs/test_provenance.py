@@ -103,3 +103,19 @@ def test_record_order_key_roundtrip(tmp_path):
     fallback = record_order_key(rec, path)
     assert fallback.endswith("-mtime")
     assert record_order_key({"name": "x"}) == f"{0:012d}-x"
+
+
+def test_blas_thread_count_stamped():
+    from repro.blas import BLAS_THREADS
+    assert provenance()["blas_threads"] == BLAS_THREADS
+
+
+def test_missing_openblas_is_a_flag_not_an_import_error(monkeypatch):
+    """No loadable bundled OpenBLAS: the pin reports ``None`` (recorded
+    as the provenance flag) instead of failing ``import repro``."""
+    from repro import blas
+    monkeypatch.setattr(blas.glob, "glob", lambda pattern: [])
+    assert blas._pin_one_thread() is None
+    monkeypatch.setattr(blas.glob, "glob",
+                        lambda pattern: ["/nonexistent/libscipy_openblas.so"])
+    assert blas._pin_one_thread() is None

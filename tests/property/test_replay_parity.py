@@ -19,17 +19,26 @@ Shape sequences repeat so replays actually happen, and the
 shrink-then-grow run forces an arena re-reservation mid-run — the captured
 program is invalidated, the engine recaptures, and parity must survive the
 whole fallback-and-recapture cycle.
+
+The last group pins write-first gradients: a gradient's first contribution
+after a clear is *written*, and replay, micro-batch accumulation and the
+MT model's tied table must give exactly the bits of the add-only rule
+(:func:`_add_only`).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.arena import ActivationArena
 from repro.backend.profiler import replay_counters, reset_replay_counters
 from repro.config import get_config
+from repro.layers.base import Parameter
 from repro.models import BertModel, GPTModel, TransformerModel, ViTModel
-from repro.training import CaptureReplayEngine
+from repro.training import (CaptureReplayEngine, OptimizerSpec, make_trainer,
+                            train_step_accumulated)
+from repro.training.loop import staged_forward_backward
 
 HID, NHEAD, FFN, V = 32, 4, 64, 61
 
@@ -203,3 +212,128 @@ def test_replayed_step_skips_layer_graph():
     loss, ntok = engine.forward_backward(*batch)
     assert np.isfinite(loss) and ntok > 0
     assert replay_counters().replays == 1
+
+
+# -- write-first gradients ---------------------------------------------------
+
+def _add_only(self, g, rows=None):
+    """The rule write-first replaces: every contribution, the first after a
+    clear included, is added densely at storage dtype."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        self.grad += g.astype(self.grad.dtype)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _mt_cfg(fp16):
+    return get_config("transformer-base", max_batch_tokens=256,
+                      max_seq_len=24, hidden_dim=HID, nhead=NHEAD,
+                      ffn_dim=FFN, vocab_size=V, num_encoder_layers=1,
+                      num_decoder_layers=1, fp16=fp16)
+
+
+def _mt_batch(rng, cfg, b=3, l=7):
+    """Repeated tokens and trailing padding, so the tied table's row
+    scatter meets both."""
+    src, tgt_in, tgt = (rng.integers(4, 12, (b, l)) for _ in range(3))
+    src[0, -2:] = tgt_in[1, -3:] = tgt[1, -3:] = cfg.padding_idx
+    return src, tgt_in, tgt
+
+
+_MODELS = {
+    "bert": (lambda s: BertModel(get_config(
+        "bert-base", max_batch_tokens=256, max_seq_len=32, hidden_dim=HID,
+        nhead=NHEAD, ffn_dim=FFN, vocab_size=V, num_encoder_layers=2,
+        fp16=True), seed=s),
+             lambda rng: (rng.integers(1, V, (2, 8)), rng.integers(0, 2, 2))),
+    "mt": (lambda s: TransformerModel(_mt_cfg(True), seed=s),
+           lambda rng: _mt_batch(rng, _mt_cfg(True))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_MODELS))
+def test_replayed_passes_without_zero_grad_add_up(family):
+    """Two and three forward+backwards without a ``zero_grad`` between them
+    must add up exactly as the eager, add-only twin does, on replayed
+    steps too.  The program captured after a clear writes each first
+    contribution; replayed onto gradients that already hold one, it would
+    overwrite them — so freshness keys the signature, and a replay leaves
+    no parameter marked fresh that it wrote."""
+    make_model, make_batch = _MODELS[family]
+    reset_replay_counters()
+    eager, replayed = make_model(0), make_model(0)
+    engine = CaptureReplayEngine(replayed, arena=ActivationArena())
+    batch = make_batch(np.random.default_rng(3))
+    calls = [1, 1, 1, 2, 3, 3]      # passes after each clear
+    for n in calls:
+        for p in eager.parameters():
+            p.grad[...] = 0         # a clear that leaves grad_fresh False
+        replayed.zero_grad()
+        for _ in range(n):
+            le = staged_forward_backward(eager, batch, 1.0)
+            lr = engine.forward_backward(*batch)
+            assert le == lr
+            for pe, pr in zip(eager.parameters(), replayed.parameters()):
+                assert _bits(pe.grad) == _bits(pr.grad), pe.name
+    counters = replay_counters()
+    # one program after a clear, one onto held gradients; all else replays
+    assert counters.captures == 2 and counters.invalidations == 0
+    assert counters.replays == sum(calls) - 3
+
+
+def test_accumulated_step_matches_add_only(monkeypatch):
+    """``train_step_accumulated``: the first micro-batch writes, the rest
+    add — parameters, gradients, Adam moments and losses bitwise equal to
+    the add-only rule over two FP16 steps of three micro-batches."""
+    cfg = _mt_cfg(True)
+    rng = np.random.default_rng(5)
+    steps = [[_mt_batch(rng, cfg) for _ in range(3)] for _ in range(2)]
+
+    def run():
+        model = TransformerModel(cfg, seed=4)
+        trainer = make_trainer("lightseq", model, OptimizerSpec())
+        losses = [train_step_accumulated(model, trainer, mbs).loss
+                  for mbs in steps]
+        return model, trainer, losses
+
+    with monkeypatch.context() as m:
+        m.setattr(Parameter, "accumulate_grad", _add_only)
+        ref_model, ref_trainer, ref_losses = run()
+    model, trainer, losses = run()
+    assert losses == ref_losses
+    for name in ("params", "grads"):
+        assert _bits(getattr(trainer.workspace, name)) == \
+            _bits(getattr(ref_trainer.workspace, name))
+    assert _bits(trainer.m) == _bits(ref_trainer.m)
+    assert _bits(trainer.v) == _bits(ref_trainer.v)
+
+
+@pytest.mark.parametrize("fp16", [True, False])
+def test_mt_tied_table_three_contributions(fp16, monkeypatch):
+    """The MT table gets the output projection's dense gradient, then the
+    target and source embeddings' row scatters.  After a clear the first
+    is written, and only the batch's rows of the other two are added:
+    the bits equal three dense adds onto the cleared table."""
+    cfg = _mt_cfg(fp16)
+    batch = _mt_batch(np.random.default_rng(8), cfg)
+
+    def table_grad(record=None):
+        model = TransformerModel(cfg, seed=6)
+        model.zero_grad()
+        table = model.src_embed.table
+        if record is not None:
+            land = table.accumulate_grad
+            table.accumulate_grad = lambda g, rows=None: (
+                record.append(rows is None), land(g, rows))
+        staged_forward_backward(model, batch, 1024.0)
+        return table.grad
+
+    with monkeypatch.context() as m:
+        m.setattr(Parameter, "accumulate_grad", _add_only)
+        want = table_grad()
+    landed = []
+    got = table_grad(landed)
+    assert landed == [True, False, False]    # dense, then two row scatters
+    assert _bits(got) == _bits(want)

@@ -302,3 +302,32 @@ class TestResilienceCli:
                    "--checkpoint-every", "2", "--resume"])
         assert rc == 0
         assert "starting fresh" in capsys.readouterr().out
+
+
+def test_parameters_independent_of_blas_threads(tmp_path):
+    """``import repro`` pins BLAS to one thread: an MT run asked for one
+    and for two OpenBLAS threads writes byte-identical parameters, and the
+    manifest records the pinned count.  (Unpinned, the weight-gradient
+    GEMMs reduce in a thread-dependent order and most tensors differ.)"""
+    import json
+    import os
+    import subprocess
+    import sys
+    root = os.path.join(os.path.dirname(__file__), "..")
+    params = []
+    for threads in ("1", "2"):
+        d = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.train", "--task", "mt",
+             "--steps", "3", "--save-dir", str(d), "--checkpoint-every", "3"],
+            env=env, cwd=root, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads(
+            (d / "step-00000003.manifest.json").read_text())
+        assert manifest["blas_threads"] == 1
+        with np.load(d / "step-00000003.model.npz") as z:
+            params.append({k: z[k].tobytes() for k in z.files})
+    assert params[0].keys() == params[1].keys()
+    assert [k for k in params[0] if params[0][k] != params[1][k]] == []
