@@ -35,6 +35,7 @@ from repro.backend.device import Device, use_device
 from repro.config import get_config
 from repro.models import GPTModel
 from repro.obs.runrecord import make_run_record, write_run_record
+from repro.training.loop import staged_forward_backward
 
 from conftest import gate_main
 from repro.sim.costmodel import trace_hbm_bytes
@@ -68,8 +69,8 @@ def run_parity():
     batch = _batch(_PARITY_L)
     fused = _model("fused", _PARITY_L)
     tiled = _model("tiled", _PARITY_L)
-    loss_f, ntok_f = fused.forward_backward(*batch)
-    loss_t, ntok_t = tiled.forward_backward(*batch)
+    loss_f, ntok_f = staged_forward_backward(fused, batch, 1.0)
+    loss_t, ntok_t = staged_forward_backward(tiled, batch, 1.0)
     grads_equal = all(
         np.array_equal(pf.grad, pt.grad)
         for pf, pt in zip(fused.parameters(), tiled.parameters()))
@@ -86,8 +87,7 @@ def _step_demand(attn_impl, L):
     model = _model(attn_impl, L)
     arena = ActivationArena()
     model.set_arena(arena)
-    with arena.step():
-        model.forward_backward(*_batch(L))
+    staged_forward_backward(model, _batch(L), 1.0, arena)
     arena.begin_step()              # fold the scanned demand into the slab
     return arena.capacity
 
@@ -100,8 +100,7 @@ def _trains_under_budget(attn_impl, L, max_bytes, steps=2):
     batch = _batch(L)
     try:
         for _ in range(steps):
-            with arena.step():
-                loss, _ = model.forward_backward(*batch)
+            loss, _ = staged_forward_backward(model, batch, 1.0, arena)
         return bool(np.isfinite(loss))
     except ArenaOOM:
         return False
@@ -112,7 +111,7 @@ def _step_hbm(attn_impl, L):
     model = _model(attn_impl, L)
     dev = Device()
     with use_device(dev):
-        model.forward_backward(*_batch(L))
+        staged_forward_backward(model, _batch(L), 1.0)
     return (trace_hbm_bytes(dev.launches),
             trace_hbm_bytes(dev.launches, family="attention"))
 

@@ -40,6 +40,7 @@ from repro.models import GPTModel
 from repro.obs.profile import analyze
 from repro.obs.runrecord import make_run_record, write_run_record
 from repro.sim.timeline import StepInputs
+from repro.training.loop import staged_forward_backward
 
 from conftest import gate_main
 from repro.sim.gpu_specs import GPUS
@@ -77,7 +78,7 @@ def _traced_step(model, batch):
     """One step's kernel trace (and its launch count)."""
     dev = Device()
     with use_device(dev):
-        model.forward_backward(*batch)
+        staged_forward_backward(model, batch, 1.0)
     return tuple(dev.launches)
 
 
@@ -88,7 +89,7 @@ def _time_step(model, batch, trace):
     def one_step():
         dev.launches.clear()
         with use_device(dev):
-            model.forward_backward(*batch)
+            staged_forward_backward(model, batch, 1.0)
 
     one_step()                          # warm-up
     best = float("inf")
@@ -154,7 +155,7 @@ def test_step_traced(benchmark):
     def run():
         dev.launches.clear()
         with use_device(dev):
-            model.forward_backward(*batch)
+            staged_forward_backward(model, batch, 1.0)
 
     run()
     benchmark(run)
@@ -167,7 +168,7 @@ def test_step_untraced(benchmark):
 
     def run():
         with use_device(dev):
-            model.forward_backward(*batch)
+            staged_forward_backward(model, batch, 1.0)
 
     run()
     benchmark(run)

@@ -45,6 +45,7 @@ from repro.obs.runrecord import make_run_record, write_run_record
 
 from conftest import flag_path
 from repro.training import CaptureReplayEngine
+from repro.training.loop import staged_forward_backward
 
 #: replay may trail eager by at most this factor before we call it a
 #: regression.  Replay should *win* (it skips the whole layer graph), but
@@ -86,8 +87,7 @@ def _prepare(seed=0):
     engine = CaptureReplayEngine(replay_m, arena=ActivationArena())
 
     def eager_step():
-        with eager_arena.step():
-            return eager_m.forward_backward(*batch)
+        return staged_forward_backward(eager_m, batch, 1.0, eager_arena)
 
     def replay_step():
         return engine.forward_backward(*batch)

@@ -3,10 +3,9 @@
 
 Simulates 4-GPU data parallelism in-process: 4 replicas trained on batch
 shards, synchronised each step with the real chunked ring all-reduce — and,
-as variants, with int8-compressed gradients + error feedback, with
-overlapped bucketed sync (per-bucket all-reduces launched as backward
-produces each bucket), and with the ZeRO-1 sharded optimizer (reduce-
-scatter, shard-only fused Adam, parameter all-gather).  Reports loss
+as variants, with overlapped bucketed sync (per-bucket all-reduces launched
+as backward produces each bucket) and with the ZeRO-1 sharded optimizer
+(reduce-scatter, shard-only fused Adam, parameter all-gather).  Reports loss
 curves, shows the replicas stay bit-identical, and prints the alpha–beta
 sync-time comparison plus the overlap hidden/exposed split and the ZeRO-1
 optimizer-memory saving.
@@ -21,16 +20,13 @@ from repro.data import batch_by_tokens
 from repro.data.synthetic import SentencePair, SyntheticTranslationCorpus
 from repro.models import TransformerModel
 from repro.sim import V100
-from repro.sim.comm import (bucketed_allreduce_seconds,
-                            compressed_allreduce_seconds,
-                            parameter_server_seconds)
+from repro.sim.comm import bucketed_allreduce_seconds, parameter_server_seconds
 from repro.training import DataParallel, OptimizerSpec, shard_batch
 
 
-def run(world: int, compress: bool, batches, cfg, epochs: int = 4, **kw):
+def run(world: int, batches, cfg, epochs: int = 4, **kw):
     dp = DataParallel(lambda: TransformerModel(cfg, seed=11), world,
-                      "lightseq", OptimizerSpec(lr=3e-3),
-                      compress_gradients=compress, **kw)
+                      "lightseq", OptimizerSpec(lr=3e-3), **kw)
     curve = []
     for _ in range(epochs):
         total = tokens = 0
@@ -55,23 +51,16 @@ def main() -> None:
     batches = [b.as_tuple() for b in batch_by_tokens(pairs, 512)]
 
     world = 4
-    dp, curve = run(world, compress=False, batches=batches, cfg=cfg)
+    dp, curve = run(world, batches=batches, cfg=cfg)
     print(f"{world}-way DP, FP32 ring all-reduce:")
     print("  loss/token per epoch:",
           " -> ".join(f"{l:.3f}" for l in curve))
     print(f"  replicas bit-identical after training: "
           f"{dp.parameters_in_sync()}")
 
-    dp_c, curve_c = run(world, compress=True, batches=batches, cfg=cfg)
-    print(f"\n{world}-way DP, int8 error-feedback all-reduce:")
-    print("  loss/token per epoch:",
-          " -> ".join(f"{l:.3f}" for l in curve_c))
-    print(f"  final loss within "
-          f"{abs(curve_c[-1] - curve[-1]) / curve[-1]:.1%} of FP32 sync")
-
     # overlapped bucketed sync: same training, but each bucket's ring
     # all-reduce launches as soon as backward finishes writing it
-    dp_o, curve_o = run(world, compress=False, batches=batches, cfg=cfg,
+    dp_o, curve_o = run(world, batches=batches, cfg=cfg,
                         overlap_grad_sync=True, bucket_bytes=64 * 1024)
     sched = dp_o.sync_timeline(V100, backward_s=5e-3)
     print(f"\n{world}-way DP, overlapped bucketed sync "
@@ -84,8 +73,7 @@ def main() -> None:
           f"{sched.exposed_s * 1e3:.2f} ms exposed")
 
     # ZeRO-1: reduce-scatter + shard-only fused Adam + param all-gather
-    dp_z, curve_z = run(world, compress=False, batches=batches, cfg=cfg,
-                        zero1=True)
+    dp_z, curve_z = run(world, batches=batches, cfg=cfg, zero1=True)
     full_bytes = dp.optimizer_state_bytes()
     z_bytes = dp_z.optimizer_state_bytes()
     print(f"\n{world}-way DP, ZeRO-1 sharded optimizer:")
@@ -105,8 +93,6 @@ def main() -> None:
           "(alpha-beta model):")
     print(f"  ring all-reduce:    "
           f"{bucketed_allreduce_seconds(grad_bytes, 8, V100) * 1e3:7.2f} ms")
-    print(f"  int8 + feedback:    "
-          f"{compressed_allreduce_seconds(grad_bytes * 2, 8, V100) * 1e3:7.2f} ms")
     print(f"  parameter server:   "
           f"{parameter_server_seconds(grad_bytes, 8, V100) * 1e3:7.2f} ms")
 

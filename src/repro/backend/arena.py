@@ -13,8 +13,8 @@ Life cycle::
     arena = ActivationArena()
     model.set_arena(arena)              # thread the handle through layers
     for batch in corpus:
-        with arena.step():              # reset cursor, (re-)reserve on growth
-            model.forward_backward(batch)
+        # runs inside arena.step(): reset cursor, (re-)reserve on growth
+        staged_forward_backward(model, batch, 1.0, arena)
 
 * **Step 1 is the scan**: the slab does not exist yet, so every request
   falls back to a fresh allocation (an *arena miss*) while the arena

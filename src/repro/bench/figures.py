@@ -1077,14 +1077,7 @@ def ablations(scale: Optional[str] = None) -> ExperimentResult:
               ">15% of position-wise compute",
               mean_waste > 0.15, f"{mean_waste:.0%} wasted")
 
-    # (g) int8-compressed gradient sync
-    from ..sim.comm import compressed_allreduce_seconds
-    comp = compressed_allreduce_seconds(gb, world, spec)
-    rows.append(["comm", "int8 ring all-reduce", comp * 1e3, ar / comp])
-    res.claim("int8 compression shrinks gradient sync further",
-              comp < ar, f"{ar / comp:.2f}x vs fp all-reduce")
-
-    # (h) DeepSpeed's 16-multiple sequence requirement (Table 1): at
+    # (g) DeepSpeed's 16-multiple sequence requirement (Table 1): at
     # seq 100 DeepSpeed must pad to 112 and pay for the dead positions;
     # LightSeq2 supports arbitrary shapes
     bcfg = _bert_config(scale)

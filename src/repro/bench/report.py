@@ -59,7 +59,7 @@ PAPER_EXPECTATIONS: Dict[str, str] = {
     "ablations": "Design choices: each fusion stage helps cumulatively; "
                  "FP16 > FP32; ring all-reduce > parameter server; static "
                  "allocation removes mid-run growth (plus extensions: "
-                 "checkpointing, padding removal, int8 sync).",
+                 "checkpointing, padding removal).",
     "gpt": "Supplementary (Table 1 capability): decoder-only (GPT) "
            "training accelerates like MT — DeepSpeed cannot run this "
            "workload at all.",

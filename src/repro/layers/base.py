@@ -239,14 +239,6 @@ class Layer:
             if method in cls.__dict__:
                 setattr(cls, method, mem_scoped(cls.__dict__[method]))
 
-    def forward_backward(self, *batch, grad_scale: float = 1.0
-                         ) -> Tuple[float, int]:
-        """One step's compute for a model whose ``forward`` returns
-        ``(loss, ntok)``: forward then backward, returning that pair."""
-        loss, ntok = self.forward(*batch)
-        self.backward(grad_scale)
-        return loss, ntok
-
     # -- parameter / sublayer registry ---------------------------------------
 
     def add_param(self, name: str, value: np.ndarray) -> Parameter:

@@ -6,9 +6,10 @@ pre-LN decoder layers with cross-attention, a final LayerNorm per stack
 (fairseq pre-norm convention), an output projection *tied* to the embedding
 table, and the label-smoothed cross-entropy criterion.
 
-``forward_backward`` runs a whole training step's compute (stages 1–2 of
-Fig. 3) and returns the summed loss and token count; parameter gradients
-are accumulated on the layers, ready for the trainer.
+``forward`` returns the summed loss and token count and ``backward``
+accumulates parameter gradients on the layers, ready for the trainer;
+:func:`repro.training.loop.staged_forward_backward` runs the pair as a
+training step's compute (stages 1–2 of Fig. 3).
 """
 
 from __future__ import annotations

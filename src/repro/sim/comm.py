@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -340,64 +340,3 @@ def parameter_server_seconds(nbytes: int, world_size: int,
     alpha = spec.nvlink_latency_us * 1e-6
     beta = 1.0 / (spec.nvlink_gbs * 1e9)
     return 2 * world_size * alpha + 2 * world_size * nbytes * beta
-
-
-# ---------------------------------------------------------------------------
-# quantized gradient synchronisation (DeepSpeed-style, paper §1/§5)
-# ---------------------------------------------------------------------------
-
-
-def quantize_int8(x: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Symmetric per-tensor int8 quantisation: q = round(x/scale)."""
-    amax = float(np.abs(x).max(initial=0.0))
-    scale = amax / 127.0 if amax > 0 else 1.0
-    q = np.clip(np.rint(x / scale), -127, 127).astype(np.int8)
-    return q, scale
-
-
-def dequantize_int8(q: np.ndarray, scale: float) -> np.ndarray:
-    return q.astype(np.float32) * np.float32(scale)
-
-
-def compressed_ring_allreduce(buffers: Sequence[np.ndarray], *,
-                              error_feedback: Optional[
-                                  Sequence[np.ndarray]] = None) -> None:
-    """All-reduce with int8-compressed payloads and error feedback.
-
-    Models the "quantized gradient update across multiple GPUs" the paper
-    attributes to DeepSpeed: each device quantises (gradient + its carried
-    quantisation residual) to int8, the quantised payloads are averaged via
-    the exact ring, and every device keeps the new residual so the bias is
-    corrected on the *next* step (1-bit-Adam-style error feedback).
-
-    Mutates ``buffers`` to the approximate mean; mutates ``error_feedback``
-    (same shapes) in place when provided.  Payload is 1 byte/element versus
-    4 — see :func:`compressed_allreduce_seconds`.
-    """
-    p = len(buffers)
-    if p == 0:
-        raise ValueError("no buffers to all-reduce")
-    if error_feedback is not None and len(error_feedback) != p:
-        raise ValueError("need one error-feedback buffer per device")
-    deq = []
-    for i, b in enumerate(buffers):
-        x = b if error_feedback is None else b + error_feedback[i]
-        q, scale = quantize_int8(x)
-        d = dequantize_int8(q, scale)
-        if error_feedback is not None:
-            error_feedback[i][...] = x - d     # carry what got rounded away
-        deq.append(d)
-    ring_allreduce(deq, average=True)
-    for b, d in zip(buffers, deq):
-        b[...] = d
-
-
-def compressed_allreduce_seconds(nbytes_fp32: int, world_size: int,
-                                 spec: GPUSpec) -> float:
-    """Alpha–beta time for the int8 ring: quarter the payload, plus one
-    extra latency round for the scale exchange."""
-    if world_size <= 1:
-        return 0.0
-    alpha = spec.nvlink_latency_us * 1e-6
-    return ring_allreduce_seconds(nbytes_fp32 // 4, world_size, spec) \
-        + 2 * (world_size - 1) * alpha

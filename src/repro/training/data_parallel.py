@@ -54,8 +54,7 @@ from ..obs.spans import span
 from ..resilience.faults import ReplicaCrash, current_injector
 from ..resilience.recovery import (CommRetryStats, RetryPolicy,
                                    retry_collective)
-from ..sim.comm import (DDP_BUCKET_BYTES, GradBucket,
-                        compressed_ring_allreduce, deterministic_allreduce,
+from ..sim.comm import (DDP_BUCKET_BYTES, GradBucket, deterministic_allreduce,
                         partition_buckets, reduce_scatter_seconds,
                         ring_allgather, ring_allreduce, ring_allreduce_seconds,
                         ring_reduce_scatter, shard_bounds)
@@ -98,14 +97,11 @@ class DataParallel:
     def __init__(self, model_factory: Callable[[], Layer], world_size: int,
                  trainer_kind: str, spec: OptimizerSpec,
                  scaler_factory: Optional[Callable[[], object]] = None,
-                 compress_gradients: bool = False,
                  overlap_grad_sync: bool = False,
                  bucket_bytes: int = DDP_BUCKET_BYTES,
                  zero1: bool = False,
                  retry_policy: Optional[RetryPolicy] = None):
-        """``compress_gradients``: sync with the int8 error-feedback ring
-        (DeepSpeed-style quantized gradient updates) instead of FP32.
-        ``overlap_grad_sync``: bucket the flat gradient buffer and launch
+        """``overlap_grad_sync``: bucket the flat gradient buffer and launch
         per-bucket all-reduces as backward produces them.  ``zero1``:
         shard the optimizer ZeRO-1 style (requires the "lightseq"
         workspace trainer).  ``retry_policy``: bounded deterministic-
@@ -113,14 +109,10 @@ class DataParallel:
         fault injector is installed; default :class:`RetryPolicy`)."""
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
-        if compress_gradients and (overlap_grad_sync or zero1):
-            raise ValueError("compress_gradients cannot combine with "
-                             "overlap_grad_sync or zero1")
         if zero1 and trainer_kind != "lightseq":
             raise ValueError("zero1 requires the 'lightseq' workspace "
                              f"trainer, got {trainer_kind!r}")
         self.world_size = world_size
-        self.compress_gradients = compress_gradients
         self.overlap_grad_sync = overlap_grad_sync
         self.zero1 = zero1
         self.replicas: List[Layer] = [model_factory()
@@ -136,7 +128,6 @@ class DataParallel:
         self.buckets: List[GradBucket] = partition_buckets(
             [(p.name, p.size) for p in self.replicas[0].parameters()],
             itemsize=4, bucket_bytes=bucket_bytes)
-        self._error_feedback: Optional[List[np.ndarray]] = None
         # -- resilience plane (all no-ops unless a fault injector or a
         #    drop_rank() call brings them into play) ------------------------
         self.retry_policy = retry_policy or RetryPolicy()
@@ -206,21 +197,7 @@ class DataParallel:
             flats = [t.flat_grad() for t in self.trainers]
             nbytes = flats[0].nbytes
             if self.world_size > 1:
-                if self.compress_gradients:
-                    if self._error_feedback is None:
-                        self._error_feedback = [np.zeros_like(f)
-                                                for f in flats]
-                    feedback = self._error_feedback
-                    self._guarded(
-                        "comm.allreduce",
-                        lambda: compressed_ring_allreduce(
-                            flats, error_feedback=feedback),
-                        list(flats) + list(feedback))
-                    dev.record("allreduce_grads",
-                               flats[0].size * self.world_size,
-                               flats[0].size * self.world_size,
-                               dtype_bytes=1, family="reduction")
-                elif self.zero1:
+                if self.zero1:
                     self._guarded(
                         "comm.reduce_scatter",
                         lambda: ring_reduce_scatter(flats, average=True),
@@ -253,8 +230,7 @@ class DataParallel:
                     trainer.load_flat_grad(flat)
             else:
                 dev.record("allreduce_grads", flats[0].size, flats[0].size,
-                           dtype_bytes=1 if self.compress_gradients else 4,
-                           family="reduction")
+                           dtype_bytes=4, family="reduction")
             retried = self.retry_stats.retries - retries0
             if sp is not None and retried:
                 sp.attrs["comm_retries"] = retried
@@ -522,9 +498,6 @@ class DataParallel:
         :func:`shard_bounds` chunking the ring reduce-scatter uses.
         Survivors' parameters are untouched — they were in sync before
         the loss and remain so, which the elastic golden test asserts.
-
-        The int8 error-feedback residuals (``compress_gradients``) are
-        per-replica state of the old membership and are reset.
         """
         if self.world_size <= 1:
             raise ValueError("cannot drop the last replica")
@@ -536,7 +509,6 @@ class DataParallel:
             dead = self.trainers[rank]
             del self.replicas[rank]
             del self.trainers[rank]
-            self._error_feedback = None
             if self.zero1:
                 n = dead.workspace.total_elems
                 full_m = np.zeros(n, dtype=np.float32)

@@ -6,6 +6,7 @@ import pytest
 from repro.config import get_config
 from repro.models import (BertModel, GPTModel, TransformerModel, ViTModel,
                           activation_bytes, parameter_bytes)
+from repro.training.loop import staged_forward_backward
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def _mt_batch(rng, b=2, l=8, v=80):
 class TestTransformerModel:
     def test_forward_backward_runs(self, mt_cfg, rng):
         m = TransformerModel(mt_cfg, seed=0)
-        loss, ntok = m.forward_backward(*_mt_batch(rng))
+        loss, ntok = staged_forward_backward(m, _mt_batch(rng), 1.0)
         assert loss > 0 and ntok == 16
         for p in m.parameters():
             assert np.all(np.isfinite(p.grad))
@@ -33,8 +34,8 @@ class TestTransformerModel:
         batch = _mt_batch(rng)
         mf = TransformerModel(mt_cfg.with_overrides(fused=True), seed=7)
         mn = TransformerModel(mt_cfg.with_overrides(fused=False), seed=7)
-        lf, _ = mf.forward_backward(*batch)
-        ln, _ = mn.forward_backward(*batch)
+        lf, _ = staged_forward_backward(mf, batch, 1.0)
+        ln, _ = staged_forward_backward(mn, batch, 1.0)
         assert lf == pytest.approx(ln, rel=1e-4)
         for pf, pn in zip(mf.parameters(), mn.parameters()):
             np.testing.assert_allclose(pf.grad, pn.grad, atol=5e-3,
@@ -68,7 +69,7 @@ class TestTransformerModel:
     def test_gradients_flow_to_encoder(self, mt_cfg, rng):
         """Cross-attention must backprop into every encoder layer."""
         m = TransformerModel(mt_cfg, seed=0)
-        m.forward_backward(*_mt_batch(rng))
+        staged_forward_backward(m, _mt_batch(rng), 1.0)
         for layer in m.encoder_layers:
             g = np.abs(layer.attn.w_qkv.grad.astype(np.float32)).sum()
             assert g > 0
@@ -102,7 +103,7 @@ class TestBert:
         m = BertModel(cfg, seed=0)
         toks = rng.integers(1, 60, (4, 12))
         labels = rng.integers(0, 2, 4)
-        loss, n = m.forward_backward(toks, labels)
+        loss, n = staged_forward_backward(m, (toks, labels), 1.0)
         assert loss > 0 and n == 4
         assert np.abs(m.pool_w.grad.astype(np.float32)).sum() > 0
 
@@ -126,7 +127,7 @@ class TestGPT:
         m = GPTModel(cfg, seed=0)
         toks = rng.integers(4, 60, (2, 10))
         tgts = rng.integers(4, 60, (2, 10))
-        loss, n = m.forward_backward(toks, tgts)
+        loss, n = staged_forward_backward(m, (toks, tgts), 1.0)
         assert loss > 0 and n == 20
         assert m.out_proj.weight is m.embed.table   # tied
 
@@ -152,7 +153,7 @@ class TestViT:
         m = ViTModel(cfg, seed=0)
         imgs = rng.standard_normal((3, 3, 64, 64)).astype(np.float32)
         labels = np.array([0, 5, 9])
-        loss, n = m.forward_backward(imgs, labels)
+        loss, n = staged_forward_backward(m, (imgs, labels), 1.0)
         assert loss > 0 and n == 3
         assert np.abs(m.w_patch.grad.astype(np.float32)).sum() > 0
         assert np.abs(m.pos_embed.grad.astype(np.float32)).sum() > 0

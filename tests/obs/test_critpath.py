@@ -30,6 +30,7 @@ from repro.sim.costmodel import trace_hbm_bytes
 from repro.sim.gpu_specs import GPUS, V100
 from repro.sim.timeline import (StepInputs, synthetic_buckets,
                                 two_stream_step_timeline)
+from repro.training.loop import staged_forward_backward
 
 _BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                          "benchmarks", "baselines", "BENCH_flashattn.json")
@@ -212,7 +213,7 @@ def _fused_gpt_trace(L=2048):
     toks = rng.integers(1, 128, (1, L))
     dev = Device()
     with use_device(dev):
-        model.forward_backward(toks, np.roll(toks, -1, axis=1))
+        staged_forward_backward(model, (toks, np.roll(toks, -1, axis=1)), 1.0)
     return tuple(dev.launches), model
 
 

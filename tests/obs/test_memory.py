@@ -24,6 +24,7 @@ from repro.obs.memory import (MEMORY_SCHEMA, AmbiguousBasePoint,
                               oom_forensics, project_capacity, tensor_family,
                               write_memory_report)
 from repro.train import main as train_main
+from repro.training.loop import staged_forward_backward
 
 _MIB = float(1 << 20)
 
@@ -286,8 +287,7 @@ class TestOOMForensics:
         model2.set_arena(arena2)
         with use_memory_tracer(tracer):
             with pytest.raises(ArenaOOM) as ei:
-                with arena2.step():
-                    model2.forward_backward(*batch2)
+                staged_forward_backward(model2, batch2, 1.0, arena2)
         return tracer, ei.value, arena2, budget
 
     def test_exception_carries_forensics(self):
@@ -331,8 +331,7 @@ class TestReportRoundTrip:
         model2.set_arena(arena2)
         with use_memory_tracer(tracer):
             with pytest.raises(ArenaOOM):
-                with arena2.step():
-                    model2.forward_backward(*batch2)
+                staged_forward_backward(model2, batch2, 1.0, arena2)
         path = str(tmp_path / "oom.json")
         write_memory_report(path, memory_report(tracer, arena=arena2))
         assert main([path, "--check"]) == 1

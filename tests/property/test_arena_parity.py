@@ -24,6 +24,7 @@ from repro.backend.arena import ActivationArena
 from repro.backend.profiler import alloc_counters, reset_alloc_counters
 from repro.config import get_config
 from repro.models import BertModel, GPTModel, TransformerModel, ViTModel
+from repro.training.loop import staged_forward_backward
 
 HID, NHEAD, FFN, V = 32, 4, 64, 61
 
@@ -38,9 +39,8 @@ def _assert_lockstep_identical(make_model, make_batch, shapes, seed):
     for i, shape in enumerate(shapes):
         batch_rng = np.random.default_rng(1000 + 31 * seed + i)
         batch = make_batch(batch_rng, *shape)
-        loss_f, ntok_f = fresh.forward_backward(*batch)
-        with arena.step():
-            loss_a, ntok_a = arena_m.forward_backward(*batch)
+        loss_f, ntok_f = staged_forward_backward(fresh, batch, 1.0)
+        loss_a, ntok_a = staged_forward_backward(arena_m, batch, 1.0, arena)
         assert loss_a == loss_f                     # float equality, no tol
         assert ntok_a == ntok_f
         for pf, pa in zip(fresh.parameters(), arena_m.parameters()):
@@ -145,14 +145,12 @@ def test_steady_state_step_allocates_nothing():
     m.set_arena(arena)
     rng = np.random.default_rng(0)
     batch = (rng.integers(1, V, (4, 16)), rng.integers(0, 2, 4))
-    with arena.step():                  # scan step: all misses
-        m.forward_backward(*batch)
+    staged_forward_backward(m, batch, 1.0, arena)   # scan step: all misses
     for _ in range(3):                  # steady state: zero new allocations
-        with arena.step():
-            reset_alloc_counters()
-            m.forward_backward(*batch)
-            c = alloc_counters()
-            assert c.new_allocs == 0, (
-                f"steady-state step allocated: {c.fresh} fresh + "
-                f"{c.arena_misses} misses")
-            assert c.arena_hits > 0
+        reset_alloc_counters()
+        staged_forward_backward(m, batch, 1.0, arena)
+        c = alloc_counters()
+        assert c.new_allocs == 0, (
+            f"steady-state step allocated: {c.fresh} fresh + "
+            f"{c.arena_misses} misses")
+        assert c.arena_hits > 0

@@ -56,7 +56,7 @@ def _assert_replay_lockstep(make_model, make_batch, shapes, seed, *,
     for i, shape in enumerate(shapes):
         batch_rng = np.random.default_rng(1000 + 31 * seed + i)
         batch = make_batch(batch_rng, *shape)
-        loss_e, ntok_e = eager.forward_backward(*batch)
+        loss_e, ntok_e = staged_forward_backward(eager, batch, 1.0)
         loss_r, ntok_r = engine.forward_backward(*batch)
         assert loss_r == loss_e                     # float equality, no tol
         assert ntok_r == ntok_e

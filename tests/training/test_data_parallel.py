@@ -8,6 +8,7 @@ from repro.models import TransformerModel
 from repro.precision import DynamicLossScaler
 from repro.training import (DataParallel, NaiveMPTrainer, OptimizerSpec,
                             make_trainer, shard_batch, train_step)
+from repro.training.loop import staged_forward_backward
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ def test_matches_single_device(cfg, rng):
     single = TransformerModel(cfg, seed=5)
     tr = NaiveMPTrainer(single, spec)
     tr.zero_grad()
-    loss_s, ntok_s = single.forward_backward(*batch)
+    loss_s, ntok_s = staged_forward_backward(single, batch, 1.0)
     tr.step(grad_scale=1.0 / ntok_s)
 
     dp = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
@@ -138,7 +139,6 @@ SYNC_MODES = {
     "plain": {},
     "overlap": {"overlap_grad_sync": True, "bucket_bytes": 4096},
     "zero1": {"zero1": True},
-    "compress": {"compress_gradients": True},
 }
 
 
@@ -166,8 +166,7 @@ def test_inplace_sync_matches_gathered_copy(cfg, rng, monkeypatch, mode,
             model.backward()
 
     reduced = []
-    for name in ("ring_allreduce", "ring_reduce_scatter",
-                 "compressed_ring_allreduce"):
+    for name in ("ring_allreduce", "ring_reduce_scatter"):
         def spy(buffers, *args, _op=getattr(dp_mod, name), **kwargs):
             reduced.append(list(buffers))
             return _op(buffers, *args, **kwargs)
@@ -199,53 +198,3 @@ def test_wrong_shard_count(cfg, rng):
                       "naive", OptimizerSpec())
     with pytest.raises(ValueError):
         dp.train_step([_batch(rng)])
-
-
-class TestCompressedSync:
-    def test_replicas_agree_and_training_progresses(self, cfg, rng):
-        dp = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
-                          "naive", OptimizerSpec(lr=1e-3),
-                          compress_gradients=True)
-        losses = []
-        for step in range(4):
-            batch = _batch(np.random.default_rng(step % 2), b=4)
-            loss, ntok = dp.train_step(shard_batch(list(batch), 2))
-            losses.append(loss / ntok)
-        assert dp.parameters_in_sync()
-        # quantized sync still optimises (repeat batches -> loss falls)
-        assert losses[-1] < losses[0]
-
-    def test_close_to_uncompressed(self, cfg, rng):
-        """One int8 sync differs from FP32 sync by at most the
-        quantisation step (max|g|/127 per device)."""
-        batch = _batch(rng, b=4)
-        ref = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
-                           "naive", OptimizerSpec(kind="sgd", lr=1e-2))
-        comp = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
-                            "naive", OptimizerSpec(kind="sgd", lr=1e-2),
-                            compress_gradients=True)
-        ref.train_step(shard_batch(list(batch), 2))
-        comp.train_step(shard_batch(list(batch), 2))
-        for pr, pc in zip(ref.replicas[0].parameters(),
-                          comp.replicas[0].parameters()):
-            np.testing.assert_allclose(np.asarray(pr.data),
-                                       np.asarray(pc.data), atol=5e-3,
-                                       err_msg=pr.name)
-
-    def test_sync_records_int8_payload(self, cfg, rng):
-        """The recorded sync traffic is 1 byte/elem when compressed.
-        (The time crossover vs FP32 is pinned at realistic payload sizes
-        in tests/sim/test_compressed_comm.py — this tiny model sits below
-        it, where the extra scale-exchange latency dominates.)"""
-        from repro.backend.device import Device, use_device
-        dp = DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
-                          "naive", OptimizerSpec(),
-                          compress_gradients=True)
-        for r in dp.replicas:
-            for p in r.parameters():
-                p.grad[...] = 0.5
-        dev = Device()
-        with use_device(dev):
-            dp.sync_gradients()
-        (k,) = [k for k in dev.launches if k.name == "allreduce_grads"]
-        assert k.dtype_bytes == 1 and k.stage == "sync"

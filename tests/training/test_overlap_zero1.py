@@ -85,12 +85,6 @@ class TestOverlappedSync:
         assert on.exposed_s < off.exposed_s         # strictly better
         assert on.hidden_s > 0.0
 
-    def test_incompatible_with_compression(self, cfg):
-        with pytest.raises(ValueError):
-            DataParallel(lambda: TransformerModel(cfg, seed=5), 2,
-                         "lightseq", OptimizerSpec(lr=1e-3),
-                         compress_gradients=True, overlap_grad_sync=True)
-
 
 class TestZeRO1:
     def test_bitwise_matches_unsharded_lightseq(self, cfg):

@@ -25,6 +25,7 @@ from repro.obs import (NumericsCollector, SpanRecorder, use_collector,
 from repro.precision import DynamicLossScaler
 from repro.training import (CaptureReplayEngine, OptimizerSpec, make_trainer,
                             train_step, train_step_accumulated)
+from repro.training.loop import staged_forward_backward
 
 HID, NHEAD, FFN, V = 32, 4, 64, 61
 
@@ -149,7 +150,7 @@ def test_invalidation_preserves_parity_with_eager_twin():
     shapes = [(2, 8)] * 3 + [(4, 16)] * 2 + [(2, 8)] * 2
     for i, (b, l) in enumerate(shapes):
         batch = _batch(np.random.default_rng(100 + i), b, l)
-        loss_e, _ = eager.forward_backward(*batch)
+        loss_e, _ = staged_forward_backward(eager, batch, 1.0)
         loss_r, _ = engine.forward_backward(*batch)
         assert loss_r == loss_e
         for pe, pr in zip(eager.parameters(), m.parameters()):
@@ -169,9 +170,9 @@ def test_replayed_step_allocates_nothing():
     engine = CaptureReplayEngine(m, arena=ActivationArena())
     batch = _batch(np.random.default_rng(seed), 2, 8)
     for _ in range(3):                             # scan, capture, replay
-        eager.forward_backward(*batch)
+        staged_forward_backward(eager, batch, 1.0)
         engine.forward_backward(*batch)
-    loss_e, _ = eager.forward_backward(*batch)
+    loss_e, _ = staged_forward_backward(eager, batch, 1.0)
     replays = replay_counters().replays
     base = alloc_counters().snapshot()
     loss_r, _ = engine.forward_backward(*batch)

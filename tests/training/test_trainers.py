@@ -10,6 +10,7 @@ from repro.models import TransformerModel
 from repro.precision import DynamicLossScaler, StaticLossScaler
 from repro.training import (ApexLikeTrainer, LSFusedTrainer, NaiveMPTrainer,
                             OptimizerSpec, make_trainer, train_step)
+from repro.training.loop import staged_forward_backward
 
 
 @pytest.fixture
@@ -76,8 +77,8 @@ class TestTrajectoryEquivalence:
             batch = _batch(np.random.default_rng(step))
             ref_tr.zero_grad()
             other_tr.zero_grad()
-            ref.forward_backward(*batch)
-            other.forward_backward(*batch)
+            staged_forward_backward(ref, batch, 1.0)
+            staged_forward_backward(other, batch, 1.0)
             ref_tr.step()
             other_tr.step()
         for pr, po in zip(ref.parameters(), other.parameters()):
@@ -98,8 +99,8 @@ class TestTrajectoryEquivalence:
             batch = _batch(np.random.default_rng(100 + step))
             a_tr.zero_grad()
             b_tr.zero_grad()
-            la, _ = a.forward_backward(*batch)
-            lb, _ = b.forward_backward(*batch)
+            la, _ = staged_forward_backward(a, batch, 1.0)
+            lb, _ = staged_forward_backward(b, batch, 1.0)
             a_tr.step(grad_scale=0.1)
             b_tr.step(grad_scale=0.1)
             assert la == pytest.approx(lb, rel=2e-2)
@@ -115,7 +116,7 @@ class TestTrajectoryEquivalence:
             m = TransformerModel(mt_cfg, seed=0)
             tr = make_trainer(kind, m, spec)
             tr.zero_grad()
-            m.forward_backward(*_batch(rng))
+            staged_forward_backward(m, _batch(rng), 1.0)
             assert tr.step()
 
 
@@ -146,7 +147,7 @@ class TestOverflowProtocol:
         scaler = StaticLossScaler(128)
         tr = make_trainer("lightseq", model, OptimizerSpec(lr=1e-3), scaler)
         tr.zero_grad()
-        model.forward_backward(*_batch(rng))
+        staged_forward_backward(model, _batch(rng), 1.0)
         assert tr.step(grad_scale=1 / 128)
         assert tr.step_count == 1
 
@@ -158,7 +159,7 @@ class TestApexStructure:
         model = TransformerModel(cfg, seed=0)
         tr = ApexLikeTrainer(model, OptimizerSpec())
         tr.zero_grad()
-        model.forward_backward(*_batch(rng))
+        staged_forward_backward(model, _batch(rng), 1.0)
         dev = Device(lib="apex")
         with use_device(dev):
             tr.step()
