@@ -261,10 +261,6 @@ class Layer:
         for sub in self._sublayers.values():
             yield from sub.parameters()
 
-    def named_parameters(self) -> Iterator[Tuple[str, Parameter]]:
-        for p in self.parameters():
-            yield p.name, p
-
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 

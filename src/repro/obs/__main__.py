@@ -8,7 +8,10 @@
 
 Every subcommand takes ``--help`` and follows one exit-code convention:
 0 clean · 1 gate failed · 2 unusable input or usage · 4 partial input (some
-of it was skipped, the rest is clean).  ``error:`` lines go to stderr.
+of it was skipped, the rest is clean).  Each input document is parsed
+under its declaration (:mod:`repro.obs.schema`), so a field of the wrong
+type is unusable input: exit 2 with one ``error:`` line on stderr naming
+the file and the field's dotted path.
 """
 
 import sys

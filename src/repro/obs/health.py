@@ -26,10 +26,12 @@ import statistics
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
-from .numerics import StepNumerics, number
+from .metrics import STEP_ROW
+from .numerics import StepNumerics
+from .schema import declare
 
 
 @dataclass
@@ -54,15 +56,13 @@ class Anomaly:
                 "t_s": self.t_s}
 
     @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "Anomaly":
-        layer = d.get("layer")
-        if layer is not None and not isinstance(layer, str):
-            raise ValueError(f"layer is {layer!r}, not a string")
-        return cls(kind=str(d.get("kind", "unknown")),
-                   step=number(d, "step", 0, int), layer=layer,
-                   detail=str(d.get("detail", "")),
-                   severity=str(d.get("severity", "error")),
-                   t_s=number(d, "t_s", 0.0))
+    def from_dict(cls, d: Dict[str, object], path: str = "") -> "Anomaly":
+        """Parse a recorded ``anomaly`` row (:data:`ANOMALY_ROW`)."""
+        return ANOMALY_ROW.make(ANOMALY_ROW.parse(d, path))
+
+
+#: an ``anomaly`` event row as :meth:`Anomaly.as_dict` writes it.
+ANOMALY_ROW = declare(Anomaly)
 
 
 class AnomalyHalted(RuntimeError):
@@ -429,14 +429,6 @@ class HealthReport:
         return "\n".join(lines)
 
 
-def _skip_streaks(step_rows: List[Dict[str, object]]) -> List[int]:
-    streak, out = 0, []
-    for r in step_rows:
-        streak = streak + 1 if not r.get("applied", True) else 0
-        out.append(streak)
-    return out
-
-
 def analyze_rows(rows: Sequence[Dict[str, object]],
                  detectors: Optional[Sequence[Detector]] = None
                  ) -> HealthReport:
@@ -446,14 +438,16 @@ def analyze_rows(rows: Sequence[Dict[str, object]],
     (so a run recorded *without* an engine still gets triaged), recorded
     ``anomaly`` events are merged in, and plain step rows feed the
     loss-spike and skip-streak detectors even when numerics sampling was
-    off.  Duplicates are collapsed on (kind, step, layer).
+    off.  Duplicates are collapsed on (kind, step, layer).  A row of the
+    wrong shape raises :class:`~repro.obs.schema.SchemaError`.
     """
     header = next((r for r in rows if r.get("event") == "header"), None)
-    step_rows = [r for r in rows if "event" not in r]
-    numerics = [StepNumerics.from_dict(r) for r in rows
-                if r.get("event") == "numerics"]
-    recorded = [Anomaly.from_dict(r) for r in rows
-                if r.get("event") == "anomaly"]
+    step_rows = [STEP_ROW.parse(r, f"rows[{i}]")
+                 for i, r in enumerate(rows) if "event" not in r]
+    numerics = [StepNumerics.from_dict(r, f"rows[{i}]")
+                for i, r in enumerate(rows) if r.get("event") == "numerics"]
+    recorded = [Anomaly.from_dict(r, f"rows[{i}]")
+                for i, r in enumerate(rows) if r.get("event") == "anomaly"]
 
     engine = AnomalyEngine(detectors)
     for rec in numerics:
@@ -463,10 +457,13 @@ def analyze_rows(rows: Sequence[Dict[str, object]],
     # sampled sparsely, or not at all)
     step_engine = AnomalyEngine([LossSpikeDetector(), SkipStreakDetector(),
                                  CommRetryDetector()])
-    streaks = _skip_streaks(step_rows)
-    for r, streak in zip(step_rows, streaks):
-        step_engine.observe(replace(StepNumerics.from_dict(r),
-                                    skip_streak=streak))
+    streak = 0
+    for r in step_rows:
+        streak = streak + 1 if not r["applied"] else 0
+        step_engine.observe(StepNumerics(
+            step=r["step"], loss=r["loss"], num_tokens=r["num_tokens"],
+            applied=r["applied"], loss_scale=r["loss_scale"],
+            skip_streak=streak, comm_retries=r["comm_retries"]))
 
     seen = set()
     merged: List[Anomaly] = []
@@ -513,11 +510,7 @@ def _load_rows(path: str) -> "tuple[List[Dict[str, object]], int]":
     """
     if path.endswith(".json"):
         from .runrecord import load_run_record
-        metrics = load_run_record(path).get("metrics", [])
-        if not isinstance(metrics, list) or not all(
-                isinstance(m, dict) for m in metrics):
-            raise ValueError(f"{path}: metrics is not a list of objects")
-        return [dict(m) for m in metrics], 0
+        return load_run_record(path)["metrics"], 0
     from .metrics import read_jsonl_tolerant
     return read_jsonl_tolerant(path)
 
@@ -541,8 +534,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rows, skipped = _load_rows(args.path)
         report = analyze_rows(rows)
-    except (OSError, ValueError, OverflowError) as e:
-        # OverflowError: a detector's int() of a count recorded as ±inf
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if skipped:

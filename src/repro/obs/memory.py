@@ -50,7 +50,9 @@ from ..backend.allocator import pack_plan, round_block
 from ..backend.arena import (ActivationArena, ArenaOOM, current_site,
                              mem_scope, mem_scoped, use_memory_tracer)
 from ..backend.device import current_device
-from .runrecord import load_json_document
+from .perfetto import ATTN
+from .schema import (BOOL, FLOAT, INT, STR, Kind, ListOf, Nullable,
+                     ObjectOf, Record, TupleOf)
 
 __all__ = [
     "MEMORY_SCHEMA", "SlotEvent", "PlanRecord", "MemoryTracer",
@@ -434,52 +436,50 @@ def write_memory_report(path: str, report: MemoryReport) -> None:
         f.write("\n")
 
 
-#: the ``oom`` forensics fields :func:`_format_oom` reads unconditionally
-#: (``oom_forensics`` writes them all); the byte counts are formatted as
-#: integers.
-_OOM_BYTES = frozenset({"requested_bytes", "budget_bytes",
-                        "over_budget_bytes", "live_bytes",
-                        "sharing_saved_bytes"})
-_OOM_KEYS = _OOM_BYTES | {"step", "live_slots", "would_fit_without_largest",
-                          "would_fit_without_padding"}
+def _dtype(v: object) -> object:
+    np.dtype(STR.parse(v))      # TypeError on a name numpy does not know
+    return v
+
+
+DTYPE = Kind("a numpy dtype name", _dtype)
+_OPT_STR = (Nullable(STR), None)
+
+#: what the memory CLI reads of a report: :meth:`MemoryReport.as_dict`'s
+#: peak block, attribution tables, what-if shape plan and OOM forensics.
+MEMORY_REPORT = Record({
+    "peak": (Record({k: (INT, 0) for k in (
+        "step", "demand_bytes", "capacity_bytes", "waste_bytes",
+        "padding_bytes", "slack_bytes", "sharing_saved_bytes")}), {}),
+    "bitwise_peak_equal": (BOOL, False),
+    "attribution": (Record({t: (ListOf(Record({
+        "key": STR, "bytes": INT, "share": FLOAT, "requests": INT})), [])
+        for t in ("by_site", "by_stage", "by_family")}), {}),
+    "shape_plan": (Record({
+        "base": (Record({"batch": (INT, 0), "seq_len": (INT, 0),
+                         "attn": (ATTN, {}),
+                         "model_dims": (ObjectOf(INT), {})}), {}),
+        "requests": (ListOf(Record({
+            "shape": ListOf(INT), "dtype": DTYPE, "site": _OPT_STR,
+            "plan": (Nullable(INT), None)})), []),
+        "plans": (ListOf(Record({"entries": ListOf(TupleOf(
+            STR, ListOf(INT), DTYPE, INT, INT))})), []),
+    }), {}),
+    # written by oom_forensics
+    "oom": (Nullable(Record({
+        **{k: INT for k in ("step", "requested_bytes", "budget_bytes",
+                            "over_budget_bytes", "live_bytes",
+                            "sharing_saved_bytes")},
+        "requested_shape": (ListOf(INT), []), "site": _OPT_STR,
+        "live_slots": ListOf(Record({})),
+        "would_fit_without_largest": BOOL,
+        "would_fit_without_padding": BOOL,
+        "hints": (ListOf(STR), [])})), None),
+}, tag=MEMORY_SCHEMA)
 
 
 def load_memory_report(path: str) -> Dict[str, object]:
-    """Load and schema-check a memory report document.
-
-    The containers the CLI walks are type-checked too, so a schema-skewed
-    report raises ``ValueError`` (exit 2) instead of a traceback.
-    """
-    doc = load_json_document(path, schema=MEMORY_SCHEMA)
-    parts = {k: doc.get(k) or {} for k in ("peak", "attribution",
-                                            "shape_plan", "oom")}
-    for name, part in parts.items():
-        if not isinstance(part, dict):
-            raise ValueError(f"{path}: {name} is not an object")
-    row = {"key", "bytes", "share", "requests"}
-    lists = [(f"attribution.{t}", parts["attribution"].get(t), row)
-             for t in ("by_site", "by_stage", "by_family")]
-    lists += [(f"shape_plan.{t}", parts["shape_plan"].get(t), keys)
-              for t, keys in (("requests", {"shape", "dtype"}),
-                              ("plans", {"entries"}))]
-    for name, rows, keys in lists:
-        rows = rows or []
-        if not isinstance(rows, list) or not all(
-                isinstance(r, dict) and keys <= r.keys() for r in rows):
-            raise ValueError(f"{path}: {name} is not a list of objects "
-                             f"with keys {sorted(keys)}")
-    oom = parts["oom"]
-    if oom:
-        missing = sorted(_OOM_KEYS - oom.keys())
-        if missing:
-            raise ValueError(f"{path}: oom lacks the forensics keys "
-                             f"{missing}")
-        if not all(isinstance(oom[k], int) for k in _OOM_BYTES) \
-                or not isinstance(oom["live_slots"], list) \
-                or not isinstance(oom.get("hints", []), list):
-            raise ValueError(f"{path}: oom's byte counts are not integers "
-                             f"or its live_slots/hints are not lists")
-    return doc
+    """Load and parse a memory report document (:data:`MEMORY_REPORT`)."""
+    return MEMORY_REPORT.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +546,8 @@ def _format_oom(oom: Dict[str, object]) -> str:
     lines = [
         f"  OOM at step {oom['step']}: request of "
         f"{oom['requested_bytes']:,} bytes "
-        f"{tuple(oom.get('requested_shape') or ())} at "
-        f"{oom.get('site') or '(unattributed)'} over budget "
+        f"{tuple(oom['requested_shape'])} at "
+        f"{oom['site'] or '(unattributed)'} over budget "
         f"{oom['budget_bytes']:,} by {oom['over_budget_bytes']:,} bytes",
         f"    live: {oom['live_bytes']:,} raw bytes in "
         f"{len(oom['live_slots'])} largest slots; sharing already saved "
@@ -556,7 +556,7 @@ def _format_oom(oom: Dict[str, object]) -> str:
         f"{oom['would_fit_without_largest']}; without rounding padding: "
         f"{oom['would_fit_without_padding']}",
     ]
-    for h in oom.get("hints", []):
+    for h in oom["hints"]:
         lines.append(f"    hint: {h}")
     return "\n".join(lines)
 
@@ -609,16 +609,14 @@ class AmbiguousBasePoint(ValueError):
     """A batch/seq_len what-if dimension matching cannot disambiguate."""
 
 
-def _refuse_ambiguous_base(dims: object, attn: Dict[str, object],
+def _refuse_ambiguous_base(dims: Dict[str, int], attn: Dict[str, object],
                            probes: Dict[str, int], b0: int, l0: int) -> None:
-    if not isinstance(dims, dict) or not dims:
+    if not dims:
         raise AmbiguousBasePoint("shape plan lacks base model_dims; "
                                  "re-record with repro.train --memory-out")
     named = {f"model_dims.{k}": v for k, v in dims.items()}
     named.update({f"attn.{k}": attn[k] for k in ("tile_q", "tile_k")
                   if attn.get(k)})
-    if not all(isinstance(v, int) for v in named.values()):
-        raise ValueError(f"base model_dims/tiles are not integers: {named}")
     hits = [f"base {knob} = {value} equals {name}"
             for knob, value in probes.items()
             for name, d in named.items() if d == value]
@@ -807,26 +805,25 @@ def _parse_whatif(text: str) -> Dict[str, object]:
 
 
 def _print_report(doc: Dict[str, object], n: int = 10) -> None:
-    peak = doc.get("peak") or {}
+    peak = doc["peak"]
     print(f"memory observatory: peak "
-          f"{peak.get('demand_bytes', 0) / _MIB:.1f} MiB at step "
-          f"{peak.get('step', 0)}; slab "
-          f"{peak.get('capacity_bytes', 0) / _MIB:.1f} MiB"
-          + ("" if doc.get("bitwise_peak_equal")
+          f"{peak['demand_bytes'] / _MIB:.1f} MiB at step "
+          f"{peak['step']}; slab "
+          f"{peak['capacity_bytes'] / _MIB:.1f} MiB"
+          + ("" if doc["bitwise_peak_equal"]
              else "  [PEAK != RESERVED HIGH-WATER]"))
-    print(f"  waste {peak.get('waste_bytes', 0) / _MIB:.2f} MiB (padding "
-          f"{peak.get('padding_bytes', 0) / _MIB:.2f}, slack "
-          f"{peak.get('slack_bytes', 0) / _MIB:.2f}); sharing saved "
-          f"{peak.get('sharing_saved_bytes', 0) / _MIB:.2f} MiB")
-    attribution = doc.get("attribution") or {}
+    print(f"  waste {peak['waste_bytes'] / _MIB:.2f} MiB (padding "
+          f"{peak['padding_bytes'] / _MIB:.2f}, slack "
+          f"{peak['slack_bytes'] / _MIB:.2f}); sharing saved "
+          f"{peak['sharing_saved_bytes'] / _MIB:.2f} MiB")
     for title in ("by_site", "by_stage", "by_family"):
-        rows = attribution.get(title) or []
+        rows = doc["attribution"][title]
         print(f"  peak attribution {title.replace('_', ' ')}:")
         print(f"  {'#':>3} {'key':<36}{'MiB':>9}{'share':>7}{'reqs':>7}")
         for i, r in enumerate(rows[:n], 1):
-            print(f"  {i:>3} {str(r['key']):<36}{r['bytes'] / _MIB:>9.2f}"
+            print(f"  {i:>3} {r['key']:<36}{r['bytes'] / _MIB:>9.2f}"
                   f"{r['share']:>7.1%}{r['requests']:>7}")
-    if doc.get("oom"):
+    if doc["oom"]:
         print(_format_oom(doc["oom"]))
 
 
@@ -862,7 +859,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         budget = _parse_bytes(args.budget) if args.budget else None
         if args.max_fit and budget is None:
             raise ValueError("--max-fit requires --budget")
-        plan = doc.get("shape_plan") or {}
+        plan = doc["shape_plan"]
         whatifs = []
         for term in args.whatif:
             knobs = _parse_whatif(term)
@@ -880,7 +877,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             maxfit = {"knob": args.max_fit, "budget_bytes": budget,
                       "value": max_fit(plan, budget, knob=args.max_fit,
                                        **fixed)}
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, LookupError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.json:
@@ -905,11 +902,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if maxfit:
             print(f"  max-fit {maxfit['knob']} under "
                   f"{budget / _MIB:.1f} MiB: {maxfit['value']}")
-    if args.check and not doc.get("bitwise_peak_equal"):
+    if args.check and not doc["bitwise_peak_equal"]:
         print("CHECK FAILED: timeline peak is not bitwise equal to the "
               "arena's reserved high-water mark")
         return 1
-    if args.check and doc.get("oom"):
+    if args.check and doc["oom"]:
         print("CHECK FAILED: the traced run hit an ArenaOOM")
         return 1
     return 0

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from ..backend.profiler import alloc_counters
+from .schema import FINITE, FLOAT, INT, declare
 
 #: schema tag carried by the stream's provenance header line.
 METRICS_SCHEMA = "repro.obs.metrics/v2"
@@ -90,6 +91,13 @@ class StepMetrics:
         d["loss_per_token"] = self.loss_per_token
         d["tokens_per_s"] = self.tokens_per_s
         return d
+
+
+#: a step row as :meth:`StepMetrics.as_dict` writes it; a hand-written row
+#: may carry only ``step``.  ``wall_s`` and the exposed comm seconds are
+#: finite because the trajectory gates their sums (NaN passes any budget).
+STEP_ROW = declare(StepMetrics, loss=(FLOAT, 0.0), num_tokens=(INT, 0),
+                   wall_s=(FINITE, 0.0), comm_exposed_s=(FINITE, 0.0))
 
 
 class MetricsRecorder:

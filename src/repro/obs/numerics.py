@@ -38,6 +38,7 @@ import numpy as np
 
 from ..backend.ambient import Slot
 from ..precision.half import FP16_MAX, FP16_TINY
+from .schema import ABSENT, FLOAT, ObjectOf, Record, declare
 
 #: JSONL schema tag for numerics event lines.
 NUMERICS_SCHEMA = "repro.obs.numerics/v1"
@@ -205,48 +206,22 @@ class StepNumerics:
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "StepNumerics":
-        """Parse a recorded row; a field of the wrong type (a string,
-        null, list or object where a number belongs) is a ValueError."""
-        def stats(key: str) -> Dict[str, Dict[str, float]]:
-            table = d.get(key) or {}
-            if not isinstance(table, dict) or not all(
-                    isinstance(v, dict) for v in table.values()):
-                raise ValueError(f"{key} is not an object of objects")
-            return {k: {sk: number(v, sk, 0.0) for sk in v}
-                    for k, v in table.items()}
-
-        return cls(
-            step=number(d, "step", 0, int),
-            loss=number(d, "loss", 0.0),
-            num_tokens=number(d, "num_tokens", 0, int),
-            applied=bool(d.get("applied", True)),
-            loss_scale=(None if d.get("loss_scale") is None
-                        else number(d, "loss_scale", None)),
-            grad_scale=number(d, "grad_scale", 1.0),
-            global_grad_norm=number(d, "global_grad_norm", 0.0),
-            skip_streak=number(d, "skip_streak", 0, int),
-            comm_retries=number(d, "comm_retries", 0, int),
-            groups=stats("groups"), activations=stats("activations"),
-        )
+    def from_dict(cls, d: Dict[str, object], path: str = ""
+                  ) -> "StepNumerics":
+        """Parse a recorded ``numerics`` row (:data:`NUMERICS_ROW`)."""
+        return NUMERICS_ROW.make(NUMERICS_ROW.parse(d, path))
 
 
-def number(d: Dict[str, object], key: str, default: object,
-           kind: type = float):
-    """``d[key]`` (``default`` when absent) as ``kind``.
-
-    Anything but a JSON number is a ValueError, and so is a number
-    ``kind`` cannot hold (NaN or ±inf as an integer, an integer past the
-    float range); a float field keeps NaN and ±inf, which the detectors
-    exist to report.
-    """
-    v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{key} is {v!r}, not a number")
-    try:
-        return kind(v)
-    except (OverflowError, ValueError):
-        raise ValueError(f"{key} is {v!r}, not a {kind.__name__}") from None
+#: a ``numerics`` event row as :meth:`StepNumerics.as_dict` writes it: a
+#: group holds its gradient's :class:`TensorStats` (``grad_``-prefixed),
+#: the unscaled norm, the parameter norm and the update ratio (absent in
+#: rows written without them); an activation tap holds its own stats.
+_STATS = declare(TensorStats)
+NUMERICS_ROW = declare(StepNumerics, groups=(ObjectOf(Record({
+    **{f"grad_{k}": spec for k, spec in _STATS.fields.items()},
+    **{k: (FLOAT, ABSENT) for k in ("grad_l2_unscaled", "param_l2",
+                                     "update_ratio")}})), {}),
+    activations=(ObjectOf(_STATS), {}))
 
 
 def group_of(param_name: str) -> str:

@@ -23,12 +23,13 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..backend.device import KernelLaunch
+from ..backend.device import FAMILIES, LIBS, STAGES, KernelLaunch
 from ..sim.costmodel import kernel_time
 from ..sim.gpu_specs import GPUSpec
 from ..sim.timeline import BucketSchedule
 from .roofline import analyze_launch
-from .runrecord import load_json_document
+from .schema import (ABSENT, BOOL, INT, POSITIVE, STR, ListOf, Nullable,
+                     Record, SchemaError, declare, one_of)
 from .spans import Span
 
 #: trace_event timestamps are microseconds.
@@ -361,21 +362,41 @@ def write_trace(path: str, trace: Dict[str, object]) -> None:
         json.dump(trace, f)
 
 
-def read_trace(path: str) -> Dict[str, object]:
-    """Load a Perfetto trace JSON written by :func:`write_trace`.
+#: the attention geometry ``repro.train`` stamps into a trace's
+#: ``otherData`` and a memory report's what-if base; absent keys are
+#: unknown, and each reader picks its own fallback.
+ATTN = Record({k: (kind, ABSENT) for k, kind in (
+    ("head_dim", POSITIVE), ("tile_q", POSITIVE), ("tile_k", POSITIVE),
+    ("causal", BOOL), ("attn_impl", STR), ("mask_elems", INT))})
 
-    The containers readers walk are type-checked too, so a schema-skewed
-    trace raises ``ValueError`` instead of a traceback downstream.
-    """
-    trace = load_json_document(path)
-    events = trace.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError(f"{path}: not a trace_event JSON document "
-                         f"(traceEvents is not a list)")
-    if not all(isinstance(ev, dict) for ev in events):
-        raise ValueError(f"{path}: traceEvents holds a non-object event")
-    if not isinstance(trace.get("otherData") or {}, dict):
-        raise ValueError(f"{path}: otherData is not an object")
+#: what ``repro.obs profile`` reads of a trace: the events (kernel slices
+#: are parsed by :func:`trace_kernels`) and the step-model stamps.
+TRACE = Record({
+    "traceEvents": ListOf(Record({})),
+    "otherData": (Record({"gpu": (STR, "V100"),
+                          "world_size": (POSITIVE, 1),
+                          "grad_elems": (INT, 0), "itemsize": (POSITIVE, 4),
+                          "attn": (Nullable(ATTN), None)}), {}),
+}, title="trace_event document")
+
+#: a kernel slice: its args are the :class:`KernelLaunch` description,
+#: whose stage, library and family the cost model looks up
+KERNEL_ARGS = declare(KernelLaunch, exclude=("name",),
+                      stage=(one_of(*STAGES), "forward"),
+                      lib=(one_of(*LIBS), "lightseq2"),
+                      family=one_of(*FAMILIES))
+KERNEL_SLICE = Record({"name": STR, "args": KERNEL_ARGS})
+
+
+def read_trace(path: str) -> Dict[str, object]:
+    """Load and parse a Perfetto trace JSON written by :func:`write_trace`
+    (:data:`TRACE`, and every kernel slice as :func:`trace_kernels` reads
+    it), so a skewed field is refused naming the file."""
+    trace = TRACE.load(path)
+    try:
+        trace_kernels(trace)
+    except SchemaError as e:
+        raise SchemaError(f"{path}: not a {TRACE.title}: {e}") from None
     return trace
 
 
@@ -387,27 +408,12 @@ def trace_kernels(trace: Dict[str, object]
     (names, families, element counts, FLOPs, stages — everything the cost
     model prices; the simulated timestamps are derived and discarded).
     Event order in ``traceEvents`` is trace order, so the reconstructed
-    list replays identically.
+    list replays identically.  A kernel slice of the wrong shape raises
+    :class:`~repro.obs.schema.SchemaError` naming its event.
     """
     out: List[KernelLaunch] = []
-    for ev in trace.get("traceEvents", []):
-        if ev.get("cat") != "kernel":
-            continue
-        if "name" not in ev:
-            raise ValueError("kernel slice without a name")
-        a = ev.get("args") or {}
-        if (not isinstance(a, dict) or "elems_read" not in a
-                or "elems_written" not in a or "family" not in a):
-            raise ValueError(
-                f"kernel slice {ev.get('name')!r} lacks elems_read/"
-                f"elems_written/family args (older exporter?)")
-        out.append(KernelLaunch(
-            name=str(ev["name"]),
-            elems_read=int(a["elems_read"]),
-            elems_written=int(a["elems_written"]),
-            flops=int(a.get("flops", 0)),
-            dtype_bytes=int(a.get("dtype_bytes", 4)),
-            stage=str(a.get("stage", "forward")),
-            lib=str(a.get("lib", "lightseq2")),
-            family=str(a["family"])))
+    for i, ev in enumerate(trace["traceEvents"]):
+        if ev.get("cat") == "kernel":
+            ev = KERNEL_SLICE.parse(ev, f"traceEvents[{i}]")
+            out.append(KERNEL_ARGS.make(ev["args"], name=ev["name"]))
     return out

@@ -141,25 +141,21 @@ def step_inputs_from_trace(trace: Dict[str, object], *,
                            itemsize: Optional[int] = None,
                            attn: Optional[Dict[str, object]] = None
                            ) -> StepInputs:
-    """Build :class:`StepInputs` from a trace document + CLI overrides.
+    """Build :class:`StepInputs` from a parsed trace (:func:`~repro.obs
+    .perfetto.read_trace`) + CLI overrides.
 
     The train CLI stamps ``gpu``/``world_size``/``grad_elems``/
     ``itemsize``/``attn`` into the trace's ``otherData``; explicit
     keyword arguments win over the stamps.
     """
-    meta = trace.get("otherData") or {}
-    gpu = gpu or str(meta.get("gpu", "V100"))
+    meta = trace["otherData"]
+    gpu = gpu or meta["gpu"]
     if gpu not in GPUS:
         raise ValueError(f"unknown GPU {gpu!r}; have {sorted(GPUS)}")
-    world = int(world if world is not None
-                else meta.get("world_size", 1))
-    grad_elems = int(grad_elems if grad_elems is not None
-                     else meta.get("grad_elems", 0))
-    itemsize = int(itemsize if itemsize is not None
-                   else meta.get("itemsize", 4))
-    if attn is None:
-        attn = meta.get("attn") if isinstance(meta.get("attn"), dict) \
-            else None
+    world = world if world is not None else meta["world_size"]
+    grad_elems = grad_elems if grad_elems is not None else meta["grad_elems"]
+    itemsize = itemsize if itemsize is not None else meta["itemsize"]
+    attn = attn if attn is not None else meta["attn"]
     buckets = (tuple(synthetic_buckets(grad_elems, itemsize))
                if world > 1 and grad_elems > 0 else ())
     return StepInputs(

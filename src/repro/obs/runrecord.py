@@ -13,9 +13,31 @@ from __future__ import annotations
 import json
 import os
 import platform
+from dataclasses import fields
 from typing import Dict, Optional, Sequence
 
+from .memory import MemoryReport
+from .metrics import STEP_ROW
+from .schema import ABSENT, FINITE, STR, ListOf, Nullable, ObjectOf, Record
+
 RUN_RECORD_SCHEMA = "repro.obs.run_record/v1"
+
+#: the ``memory`` section's metrics: the byte counts of a MemoryReport
+MEMORY_BYTES = tuple(f.name for f in fields(MemoryReport)
+                     if f.name.endswith("_bytes")) + ("waste_bytes",)
+
+#: what the readers take from a run record; the table, claims, config and
+#: profile sections are carried for people, not parsed.
+RUN_RECORD = Record({
+    "name": (STR, ""),
+    "provenance": (Record({"order_key": (Nullable(STR), None),
+                           "git_sha": (Nullable(STR), None)}), {}),
+    # absent and empty differ: compare refuses an empty baseline section
+    "stage_seconds": (ObjectOf(FINITE), ABSENT),
+    "counters": (ObjectOf(FINITE), {}),
+    "memory": (Record({k: (FINITE, ABSENT) for k in MEMORY_BYTES}), {}),
+    "metrics": (ListOf(STEP_ROW), []),
+}, tag=RUN_RECORD_SCHEMA)
 
 
 def make_run_record(name: str, *,
@@ -91,36 +113,9 @@ def write_run_record(path: str, record: Dict[str, object]) -> None:
         f.write("\n")
 
 
-def load_json_document(path: str, *, schema: Optional[str] = None
-                       ) -> Dict[str, object]:
-    """Load one JSON object, the loader behind every obs reader.
-
-    With ``schema``, the document's ``"schema"`` tag must equal it.  A
-    truncated or corrupt file (torn by a crash mid-write) or a foreign
-    document raises a clear ``ValueError`` naming the file, not a bare
-    JSON traceback.
-    """
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON (truncated or "
-                             f"corrupt write?): {e}") from e
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object "
-                         f"(got {type(doc).__name__})")
-    if schema is not None and doc.get("schema") != schema:
-        raise ValueError(f"{path}: not a {schema} document "
-                         f"(schema={doc.get('schema')!r})")
-    return doc
-
-
 def load_run_record(path: str) -> Dict[str, object]:
-    """Load and schema-check a run record."""
-    record = load_json_document(path, schema=RUN_RECORD_SCHEMA)
-    if not isinstance(record.get("provenance") or {}, dict):
-        raise ValueError(f"{path}: provenance is not an object")
-    return record
+    """Load and parse a run record (:data:`RUN_RECORD`)."""
+    return RUN_RECORD.load(path)
 
 
 def emit_document(doc: Dict[str, object], text: str, args) -> None:

@@ -40,10 +40,17 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .runrecord import (emit_document, load_run_record,
-                        record_order_key)
+from .metrics import STEP_ROW
+from .runrecord import (MEMORY_BYTES, RUN_RECORD, RUN_RECORD_SCHEMA,
+                        emit_document, record_order_key)
+from .schema import FINITE, ListOf, Record
 
 TRAJECTORY_SCHEMA = "repro.obs.trajectory/v1"
+
+#: a run record as the gates read it: step rows are summed into tok/s, so
+#: each must say how long it took.
+GATED_RECORD = Record({**RUN_RECORD.fields, "metrics": (ListOf(Record(
+    {**STEP_ROW.fields, "wall_s": FINITE})), [])}, tag=RUN_RECORD_SCHEMA)
 
 #: schema tag every ``compare --json`` diff document carries (the name
 #: predates the merge of ``repro.obs.summarize`` into this module).
@@ -120,47 +127,21 @@ def _ratio(value: float, reference: float, lower: bool) -> float:
     return 1.0 if value <= reference else float("inf")
 
 
-def _section(record: Dict[str, object], name: str, kind: type):
-    value = record.get(name)
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        raise ValueError(f"{name!r} section is a {type(value).__name__}, "
-                         f"not a {kind.__name__}")
-    return value
-
-
-def _number(where: str, value: object) -> float:
-    # NaN fails the range check too: it compares false against every
-    # budget, so it would pass any gate
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not -sys.float_info.max <= value <= sys.float_info.max):
-        raise ValueError(f"{where} is {value!r}, not a finite number")
-    return float(value)
-
-
 def _metrics_summary(record: Dict[str, object]) -> Dict[str, float]:
-    metrics = _section(record, "metrics", list)
-    for i, m in enumerate(metrics):
-        if not isinstance(m, dict) or "wall_s" not in m:
-            raise ValueError(f"metrics[{i}] is not a step row with 'wall_s'")
-        for key in ("num_tokens", "wall_s", "loss", "new_allocs",
-                    "comm_exposed_s", "arena_peak_bytes"):
-            _number(f"metrics[{i}].{key}", m.get(key, 0))
+    """The step-metric aggregates of a parsed record."""
+    metrics = record["metrics"]
     if not metrics:
         return {}
-    tokens = sum(int(m.get("num_tokens", 0)) for m in metrics)
-    wall = sum(float(m.get("wall_s", 0.0)) for m in metrics)
+    tokens = sum(m["num_tokens"] for m in metrics)
+    wall = sum(m["wall_s"] for m in metrics)
     return {
         "tokens_per_s": tokens / wall if wall > 0 else 0.0,
-        "mean_loss_per_token": (sum(float(m.get("loss", 0.0))
-                                    for m in metrics) / max(tokens, 1)),
-        "skipped_steps": sum(1 for m in metrics if not m.get("applied", True)),
-        "new_allocs": sum(int(m.get("new_allocs", 0)) for m in metrics),
-        "comm_exposed_s": sum(float(m.get("comm_exposed_s", 0.0))
-                              for m in metrics),
-        "arena_peak_bytes": max((int(m.get("arena_peak_bytes", 0))
-                                 for m in metrics), default=0),
+        "mean_loss_per_token": (sum(m["loss"] for m in metrics)
+                                / max(tokens, 1)),
+        "skipped_steps": sum(1 for m in metrics if not m["applied"]),
+        "new_allocs": sum(m["new_allocs"] for m in metrics),
+        "comm_exposed_s": sum(m["comm_exposed_s"] for m in metrics),
+        "arena_peak_bytes": max(m["arena_peak_bytes"] for m in metrics),
     }
 
 
@@ -169,35 +150,29 @@ def metric_values(record: Dict[str, object]) -> Dict[str, float]:
 
     Namespaced by section (``stage_seconds.*``, ``counters.*``,
     ``memory.*``, ``metrics.*``) plus the derived ``step_total_s`` so the
-    headline number needs no client-side summing.  A section of the wrong
-    shape or a non-numeric value raises ``ValueError`` — a schema-skewed
-    record is refused whole, never half-read.
+    headline number needs no client-side summing.  The record is parsed
+    first (:data:`GATED_RECORD`): a schema-skewed record is refused whole,
+    never half-read.
     """
-    out: Dict[str, float] = {}
-    for k, v in _section(record, "stage_seconds", dict).items():
-        out[f"stage_seconds.{k}"] = _number(f"stage_seconds.{k}", v)
+    record = GATED_RECORD.parse(record)
+    out = {f"stage_seconds.{k}": v
+           for k, v in record.get("stage_seconds", {}).items()}
     if out:
         out["step_total_s"] = sum(out.values())
-    for k, v in _section(record, "counters", dict).items():
-        out[f"counters.{k}"] = _number(f"counters.{k}", v)
-    # memory-observatory section: only the *_bytes quantities are metrics
-    # (peak_step is an index and bitwise_peak_equal a flag — gating either
-    # as a magnitude would be nonsense)
-    for k, v in _section(record, "memory", dict).items():
-        if k.endswith("_bytes"):
-            out[f"memory.{k}"] = _number(f"memory.{k}", v)
+    out.update((f"counters.{k}", v) for k, v in record["counters"].items())
+    # only the memory section's *_bytes quantities are metrics (peak_step
+    # is an index and bitwise_peak_equal a flag)
+    out.update((f"memory.{k}", v) for k, v in record["memory"].items()
+               if k in MEMORY_BYTES)
     for k, v in _metrics_summary(record).items():
         out[f"metrics.{k}"] = float(v)
     return out
 
 
 def _load_flat(path: str) -> Tuple[Dict[str, object], Dict[str, float]]:
-    """``(record, metric_values(record))`` with every error naming the file."""
-    record = load_run_record(path)
-    try:
-        return record, metric_values(record)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
+    """``(record, metric_values(record))``; every error names the file."""
+    record = GATED_RECORD.load(path)
+    return record, metric_values(record)
 
 
 @dataclass(frozen=True)
@@ -261,9 +236,8 @@ class Trajectory:
             "schema": TRAJECTORY_SCHEMA,
             "threshold": threshold,
             "records": [{"order_key": k, "path": p,
-                         "name": r.get("name"),
-                         "git_sha": (r.get("provenance") or {}).get(
-                             "git_sha")}
+                         "name": r["name"],
+                         "git_sha": r["provenance"]["git_sha"]}
                         for k, p, r in self.records],
             "series": {
                 m: {"lower_is_better": lower_is_better(m),
@@ -346,8 +320,7 @@ def load_trajectory(directory: str) -> Trajectory:
     for key, path, rec in records:
         for metric, value in flat[path].items():
             series.setdefault(metric, []).append(
-                TrajectoryPoint(key, str(rec.get("name", "")), path,
-                                value))
+                TrajectoryPoint(key, rec["name"], path, value))
     return Trajectory(records, series, skipped)
 
 
@@ -390,6 +363,8 @@ def diff_records(baseline: Dict[str, object], current: Dict[str, object], *,
         raise ValueError(
             "baseline run record has an empty stage_seconds section — "
             "nothing to diff against (was it produced by an older run?)")
+    baseline, current = GATED_RECORD.parse(baseline), GATED_RECORD.parse(
+        current)
     base, cur = metric_values(baseline), metric_values(current)
     b_sum, c_sum = _metrics_summary(baseline), _metrics_summary(current)
     stages = [
@@ -405,10 +380,10 @@ def diff_records(baseline: Dict[str, object], current: Dict[str, object], *,
          if c is not None), key=lambda row: row["counter"])
     return {
         "schema": SUMMARIZE_SCHEMA,
-        "baseline": {"name": baseline.get("name"),
-                     "provenance": baseline.get("provenance")},
-        "current": {"name": current.get("name"),
-                    "provenance": current.get("provenance")},
+        "baseline": {"name": baseline["name"],
+                     "provenance": baseline["provenance"]},
+        "current": {"name": current["name"],
+                    "provenance": current["provenance"]},
         "threshold": threshold,
         "stages": stages,
         "counters": counters,

@@ -48,11 +48,24 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..blas import BLAS_THREADS
+from ..obs.schema import ABSENT, INT, STR, ObjectOf, Record
 from ..obs.spans import span
 from .faults import TornWrite, current_injector
 
 #: manifest layout version (bump on incompatible change).
 MANIFEST_SCHEMA = "repro.resilience.checkpoint/v1"
+
+#: what validate and load read of a manifest :meth:`CheckpointStore.save`
+#: writes; ``rng`` holds each layer's PCG64 ``bit_generator.state``.
+MANIFEST = Record({
+    "step": INT,
+    "files": ObjectOf(Record({"nbytes": INT, "crc32": INT})),
+    "tensors": ObjectOf(INT),
+    "rng": ObjectOf(Record({
+        "bit_generator": STR, "state": Record({"state": INT, "inc": INT}),
+        "has_uint32": INT, "uinteger": INT})),
+    "extra": (Record({"loop_step": (INT, ABSENT)}), {}),
+}, tag=MANIFEST_SCHEMA)
 
 _PathLike = Union[str, Path]
 
@@ -212,37 +225,38 @@ class CheckpointStore:
 
     # -- validate / load -------------------------------------------------------
 
+    def read_manifest(self, step: int) -> Dict[str, object]:
+        """One checkpoint's manifest, parsed under :data:`MANIFEST`."""
+        return MANIFEST.load(self.paths(step)["manifest"])
+
     def validate(self, step: int) -> List[str]:
         """Integrity problems of one checkpoint ([] = valid).
 
-        Checks, in order: manifest parses and carries the right schema;
-        each file exists with the recorded byte count and whole-file
-        CRC32; every tensor matches its recorded CRC32.
+        Checks, in order: the manifest parses under :data:`MANIFEST`
+        (schema tag and field types); each file exists with the recorded
+        byte count and whole-file CRC32; every tensor matches its recorded
+        CRC32.
         """
-        paths = self.paths(step)
-        problems: List[str] = []
         try:
-            manifest = json.loads(paths["manifest"].read_text())
+            manifest = self.read_manifest(step)
         except FileNotFoundError:
-            return [f"no manifest {paths['manifest'].name}"]
-        except (OSError, json.JSONDecodeError) as e:
+            return [f"no manifest {self.paths(step)['manifest'].name}"]
+        except (OSError, ValueError) as e:  # torn JSON, skewed field types
             return [f"manifest unreadable: {e}"]
-        if manifest.get("schema") != MANIFEST_SCHEMA:
-            return [f"manifest schema {manifest.get('schema')!r} != "
-                    f"{MANIFEST_SCHEMA!r}"]
+        problems: List[str] = []
         blobs: Dict[str, bytes] = {}
-        for fname, meta in manifest.get("files", {}).items():
+        for fname, meta in manifest["files"].items():
             fpath = self.dir / fname
             try:
                 blob = fpath.read_bytes()
             except OSError as e:
                 problems.append(f"{fname}: unreadable ({e})")
                 continue
-            if len(blob) != int(meta.get("nbytes", -1)):
+            if len(blob) != meta["nbytes"]:
                 problems.append(f"{fname}: {len(blob)} bytes, manifest "
-                                f"says {meta.get('nbytes')}")
+                                f"says {meta['nbytes']}")
                 continue
-            if zlib.crc32(blob) != int(meta.get("crc32", -1)):
+            if zlib.crc32(blob) != meta["crc32"]:
                 problems.append(f"{fname}: file CRC32 mismatch")
                 continue
             blobs[fname] = blob
@@ -255,35 +269,40 @@ class CheckpointStore:
                 crcs.update(_tensor_crcs(blob, prefix))
             except Exception as e:      # torn zip central directory etc.
                 problems.append(f"{fname}: not a loadable npz ({e})")
-        for key, want in manifest.get("tensors", {}).items():
+        for key, want in manifest["tensors"].items():
             have = crcs.get(key)
             if have is None:
                 problems.append(f"{key}: tensor missing from payload")
-            elif have != int(want):
+            elif have != want:
                 problems.append(f"{key}: tensor CRC32 mismatch")
         return problems
-
-    def read_manifest(self, step: int) -> Dict[str, object]:
-        return json.loads(self.paths(step)["manifest"].read_text())
 
     def load(self, model, trainer, step: int) -> Dict[str, object]:
         """Restore model + trainer + RNG state from one checkpoint.
 
-        Validates first and raises :class:`CheckpointCorrupt` on any
-        integrity problem (use :meth:`resume_auto` to fall back past
-        corrupt checkpoints automatically).  Returns the manifest.
+        Validates first and raises :class:`CheckpointCorrupt`, with the
+        model and trainer untouched, on any integrity problem or on RNG
+        states the model cannot take (use :meth:`resume_auto` to fall back
+        past corrupt checkpoints automatically).  Returns the parsed
+        manifest.
         """
         problems = self.validate(step)
         if problems:
             raise CheckpointCorrupt(step, problems)
         from ..training.serialization import load_model, load_trainer
+        manifest = self.read_manifest(step)
+        if manifest["rng"]:
+            # first, and rolled back on failure: a refused checkpoint
+            # leaves the model as it was
+            before = model.rng_states()
+            try:
+                model.set_rng_states(manifest["rng"])
+            except (KeyError, ValueError) as e:
+                model.set_rng_states(before)
+                raise CheckpointCorrupt(step, [f"manifest rng: {e!r}"])
         paths = self.paths(step)
         load_model(model, paths["model"])
         load_trainer(trainer, paths["trainer"])
-        manifest = self.read_manifest(step)
-        rng = manifest.get("rng")
-        if rng:
-            model.set_rng_states({str(k): dict(v) for k, v in rng.items()})
         return manifest
 
     def resume_auto(self, model, trainer) -> Optional[Dict[str, object]]:
@@ -296,13 +315,12 @@ class CheckpointStore:
         """
         skipped: Dict[str, List[str]] = {}
         for step in reversed(self.steps()):
-            problems = self.validate(step)
-            if problems:
-                skipped[str(step)] = problems
+            try:
+                manifest = self.load(model, trainer, step)
+            except CheckpointCorrupt as e:
+                skipped[str(step)] = e.problems
                 continue
-            manifest = self.load(model, trainer, step)
             if skipped:
-                manifest = dict(manifest)
                 manifest["skipped"] = skipped
             return manifest
         return None

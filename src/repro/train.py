@@ -242,8 +242,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"no valid checkpoint in {args.save_dir}; "
                   f"starting fresh")
         else:
-            start_step = int(manifest.get("extra", {}).get(
-                "loop_step", manifest["step"]))
+            start_step = manifest["extra"].get("loop_step",
+                                               manifest["step"])
             skipped = manifest.get("skipped") or {}
             for bad_step, problems in sorted(skipped.items()):
                 print(f"skipped corrupt checkpoint step {bad_step}: "

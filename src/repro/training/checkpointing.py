@@ -22,14 +22,33 @@ import numpy as np
 from ..layers.base import Layer
 
 
-class CheckpointedLayer:
-    """Wrap any Layer with forward(*args)/backward(dy) in recompute mode."""
+class CheckpointedLayer(Layer):
+    """Wrap any Layer with forward(*args)/backward(dy) in recompute mode.
+
+    The wrapped layer is this layer's one sublayer, so the Layer surface —
+    parameter walks (trainers, serialization), the activation arena, the
+    numerics taps, capture constants, train/eval and RNG snapshot/restore —
+    reaches it through the base class.  Both share one name, so
+    :meth:`rng_states` is the wrapped layer's snapshot (the wrapper's own,
+    unused stream is overwritten by it).
+    """
 
     def __init__(self, layer: Layer):
-        self.layer = layer
+        super().__init__(layer.config, layer.name)
+        self.layer = self.add_sublayer("layer", layer)
         self._inputs: Optional[Tuple] = None
         self._kwargs: Optional[Dict[str, Any]] = None
         self._rng_snapshot: Optional[Dict[str, dict]] = None
+
+    @property
+    def training(self) -> bool:
+        """The wrapped layer's mode: a model that registered the wrapped
+        layer switches it without passing through this wrapper."""
+        return self.layer.training
+
+    @training.setter
+    def training(self, mode: bool) -> None:
+        pass            # Layer.train() switches the wrapped layer itself
 
     def forward(self, *args, **kwargs):
         """Run the wrapped forward, then drop its saved activations."""
@@ -50,70 +69,6 @@ class CheckpointedLayer:
         self.layer.clear_saved()
         self._inputs = None
         return result
-
-    # Layer-surface pass-throughs ----------------------------------------------
-    # Audited against repro.layers.base.Layer so a checkpointed layer
-    # composes wherever a plain Layer does: parameter walks (trainers,
-    # serialization), the activation arena, the numerics observatory's
-    # taps, capture constants, and RNG snapshot/restore (which resume
-    # paths call on whole stacks).
-
-    def parameters(self):
-        return self.layer.parameters()
-
-    def named_parameters(self):
-        return self.layer.named_parameters()
-
-    def num_parameters(self) -> int:
-        return self.layer.num_parameters()
-
-    def zero_grad(self) -> None:
-        self.layer.zero_grad()
-
-    def saved_nbytes(self) -> int:
-        return self.layer.saved_nbytes()
-
-    def clear_saved(self) -> None:
-        self.layer.clear_saved()
-
-    def set_arena(self, arena) -> "CheckpointedLayer":
-        self.layer.set_arena(arena)
-        return self
-
-    @property
-    def arena(self):
-        return self.layer.arena
-
-    def tap(self, tag: str, x: np.ndarray) -> None:
-        self.layer.tap(tag, x)
-
-    def capture_constants(self):
-        return self.layer.capture_constants()
-
-    def rng_states(self) -> Dict[str, dict]:
-        return self.layer.rng_states()
-
-    def set_rng_states(self, states: Dict[str, dict]) -> None:
-        self.layer.set_rng_states(states)
-
-    @property
-    def name(self) -> str:
-        return self.layer.name
-
-    @property
-    def config(self):
-        return self.layer.config
-
-    @property
-    def training(self) -> bool:
-        return self.layer.training
-
-    def train(self, mode: bool = True):
-        self.layer.train(mode)
-        return self
-
-    def eval(self):
-        return self.train(False)
 
 
 def checkpoint_stack(layers: Sequence[Layer]) -> List[CheckpointedLayer]:

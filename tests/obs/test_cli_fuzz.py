@@ -9,17 +9,23 @@ and each exits 4 if the rest is clean).
 
 import copy
 import json
-import os
-import subprocess
-import sys
+from types import SimpleNamespace
 
 import pytest
 
+from repro.backend.device import KernelLaunch
 from repro.obs.__main__ import main as obs_main
-from repro.obs.memory import MEMORY_SCHEMA
-from repro.obs.runrecord import RUN_RECORD_SCHEMA
+from repro.obs.health import ANOMALY_ROW, Anomaly
+from repro.obs.memory import MEMORY_REPORT, MEMORY_SCHEMA
+from repro.obs.metrics import STEP_ROW, StepMetrics
+from repro.obs.numerics import NUMERICS_ROW, StepNumerics, TensorStats
+from repro.obs.perfetto import KERNEL_SLICE, TRACE, perfetto_trace
+from repro.obs.runrecord import MEMORY_BYTES, RUN_RECORD_SCHEMA
+from repro.obs.trajectory import GATED_RECORD
+from repro.sim.gpu_specs import V100
+from repro.train import main as train_main
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+from ..schema_fuzz import skewed
 
 #: a minimal well-formed memory report; each skewed case breaks one part.
 _MEMORY = {
@@ -46,14 +52,17 @@ _OOM = {"step": 1, "requested_bytes": 64, "budget_bytes": 1024,
         "would_fit_without_padding": False, "hints": []}
 
 
-def _skewed_memory(path, value):
-    doc = copy.deepcopy(_MEMORY)
-    *parents, key = path
+def _skew(doc, path, value):
+    doc = copy.deepcopy(doc)
     target = doc
-    for p in parents:
-        target = target[p]
-    target[key] = value
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     return doc
+
+
+def _skewed_memory(path, value):
+    return _skew(_MEMORY, path, value)
 
 
 _PROFILE_CASES = {
@@ -100,12 +109,15 @@ _MEMORY_CASES = {
 _MEMORY_ARGS = ["--whatif", "seq_len=32"]
 
 
-def _run(tmp_path, sub, doc, *args):
+def _run(tmp_path, capsys, sub, doc, *args):
+    """``python -m repro.obs SUB doc.json ARGS`` in-process: an uncaught
+    exception fails the test instead of hiding in a subprocess."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    return subprocess.run(
-        [sys.executable, "-m", "repro.obs", sub, str(path), *args],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    capsys.readouterr()
+    code = obs_main([sub, str(path), *args])
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out, stderr=err)
 
 
 @pytest.mark.parametrize("sub, doc, args", [
@@ -115,23 +127,22 @@ def _run(tmp_path, sub, doc, *args):
                    id=f"memory-{name}")
       for name, case in _MEMORY_CASES.items()],
 ])
-def test_skewed_document_is_unusable_input(tmp_path, sub, doc, args):
-    done = _run(tmp_path, sub, doc, *args)
+def test_skewed_document_is_unusable_input(tmp_path, capsys, sub, doc, args):
+    done = _run(tmp_path, capsys, sub, doc, *args)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:"), done.stderr
-    assert "Traceback" not in done.stderr
 
 
-def test_well_formed_memory_report_is_accepted(tmp_path):
+def test_well_formed_memory_report_is_accepted(tmp_path, capsys):
     """The base the memory cases skew is itself usable input."""
-    done = _run(tmp_path, "memory", _MEMORY, *_MEMORY_ARGS)
+    done = _run(tmp_path, capsys, "memory", _MEMORY, *_MEMORY_ARGS)
     assert done.returncode == 0, done.stderr
     assert "what-if" in done.stdout
 
 
-def test_well_formed_oom_is_accepted(tmp_path):
+def test_well_formed_oom_is_accepted(tmp_path, capsys):
     """The ``oom`` the forensics cases skew is itself usable input."""
-    done = _run(tmp_path, "memory", _skewed_memory(("oom",), _OOM),
+    done = _run(tmp_path, capsys, "memory", _skewed_memory(("oom",), _OOM),
                 *_MEMORY_ARGS)
     assert done.returncode == 0, done.stderr
     assert "OOM at step 1: request of 64 bytes" in done.stdout
@@ -333,3 +344,201 @@ def test_health_reordered_lines_read_the_same(tmp_path, capsys, loss2, want):
     code, out, _ = _health(tmp_path, capsys, lines)
     assert code == want
     assert _health(tmp_path, capsys, lines[::-1])[0] == want
+
+
+# -- the skews that tracebacked before the documents were declared -----------
+
+#: a trace as ``repro.train --trace-out`` stamps it: every ``otherData``
+#: field and every kernel-slice arg present (attn_impl tiled, so the
+#: default what-ifs need no fused attention kernel)
+_TRACE_META = {"gpu": "V100", "world_size": 2, "grad_elems": 4096,
+               "itemsize": 2,
+               "attn": {"head_dim": 8, "tile_q": 128, "tile_k": 128,
+                        "causal": True, "attn_impl": "tiled",
+                        "mask_elems": 0}}
+
+
+def _trace_sample():
+    launch = KernelLaunch("gemm_qkv", 1000, 1000, flops=2_000_000,
+                          dtype_bytes=2, stage="forward", lib="lightseq2",
+                          family="gemm")
+    return perfetto_trace(kernels=[launch], spec=V100,
+                          metadata=copy.deepcopy(_TRACE_META))
+
+
+def _kernel_index(trace):
+    return next(i for i, ev in enumerate(trace["traceEvents"])
+                if ev.get("cat") == "kernel")
+
+
+def _traceback_cases():
+    trace = _trace_sample()
+    k = _kernel_index(trace)
+    for path, value, field in (
+            (("otherData", "world_size"), [2], "otherData.world_size"),
+            (("otherData", "grad_elems"), {"n": 1}, "otherData.grad_elems"),
+            (("otherData", "itemsize"), None, "otherData.itemsize"),
+            (("traceEvents", k, "args", "flops"), [1],
+             f"traceEvents[{k}].args.flops")):
+        yield pytest.param("profile", _skew(trace, path, value), [], field,
+                           id=f"profile-{field}")
+    for path, value, field in (
+            (("peak", "demand_bytes"), "1024", "peak.demand_bytes"),
+            (("shape_plan", "base", "batch"), [2], "shape_plan.base.batch"),
+            (("shape_plan", "requests", 0, "dtype"), ["float32"],
+             "shape_plan.requests[0].dtype"),
+            (("shape_plan", "base", "attn"), [1], "shape_plan.base.attn")):
+        yield pytest.param("memory", _skewed_memory(path, value),
+                           ["--whatif", "seq_len=16"], field,
+                           id=f"memory-{field}")
+
+
+@pytest.mark.parametrize("sub, doc, args, field", _traceback_cases())
+def test_wrongly_typed_field_is_named(tmp_path, capsys, sub, doc, args,
+                                      field):
+    """Exit 2 with one ``error:`` line naming the file and the dotted
+    path of the field (each of these raised a TypeError before)."""
+    done = _run(tmp_path, capsys, sub, doc, *args)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "doc.json" in done.stderr
+    assert field in done.stderr, done.stderr
+
+
+@pytest.fixture(scope="module")
+def gpt_trace(tmp_path_factory):
+    """A real ``repro.train --trace-out`` of one GPT step: its fused
+    attention kernels make the tiled what-if run by default."""
+    path = tmp_path_factory.mktemp("gpt") / "t.json"
+    assert train_main(["--task", "gpt", "--steps", "1", "--max-tokens",
+                       "256", "--trace-out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field", ["head_dim", "tile_q", "tile_k"])
+def test_zero_attention_size_is_refused(tmp_path, capsys, gpt_trace, field):
+    """A zero head dim or tile divided by zero in the tiled what-if."""
+    doc = _skew(gpt_trace, ("otherData", "attn", field), 0)
+    done = _run(tmp_path, capsys, "profile", doc)
+    assert done.returncode == 2, done.stderr
+    assert f"otherData.attn.{field} is 0, not a positive integer" \
+        in done.stderr
+
+
+def test_zero_itemsize_is_refused(tmp_path, capsys):
+    """A zero gradient item size divided by zero sizing the buckets."""
+    doc = _skew(_trace_sample(), ("otherData", "itemsize"), 0)
+    done = _run(tmp_path, capsys, "profile", doc)
+    assert done.returncode == 2, done.stderr
+    assert "otherData.itemsize is 0" in done.stderr
+
+
+# -- generated fuzz: every declared field of every document ------------------
+#
+# Each declared position is set in turn to each of schema_fuzz.WRONG.  The
+# obs front door must answer with an exit code, never an exception: 2
+# (with an ``error:`` line) for a value the declaration refuses, else the
+# CLI's verdict on the usable document (compare and health may find a
+# regression or an anomaly in a value they accept, such as a NaN loss).
+
+def _fuzz(tmp_path, capsys, cases, sub, *args):
+    for label, doc in cases:
+        done = _run(tmp_path, capsys, sub, doc, *args)
+        assert done.returncode in (0, 2), (label, done.stderr)
+        if done.returncode == 2:
+            assert done.stderr.startswith("error:"), (label, done.stderr)
+
+
+def test_profile_fuzz(tmp_path, capsys):
+    trace = _trace_sample()
+    assert _run(tmp_path, capsys, "profile", trace).returncode == 0
+    cases = [*skewed(TRACE, trace),
+             *skewed(KERNEL_SLICE, trace,
+                     at=("traceEvents", _kernel_index(trace)))]
+    _fuzz(tmp_path, capsys, cases, "profile")
+
+
+def _memory_full():
+    """Every part of a memory report populated, down to a lifetime-sharing
+    plan and the OOM forensics with one live slot."""
+    doc = copy.deepcopy(_MEMORY)
+    doc["peak"].update(waste_bytes=0, padding_bytes=0, slack_bytes=0,
+                       sharing_saved_bytes=0)
+    row = doc["attribution"]["by_site"][0]
+    doc["attribution"].update(by_stage=[dict(row, key="forward")],
+                              by_family=[dict(row, key="attention")])
+    plan = doc["shape_plan"]
+    plan["base"]["attn"] = dict(_TRACE_META["attn"])
+    plan["requests"][0].update(site="attn", plan=0)
+    plan["plans"] = [{"entries": [["q", [2, 16, 8], "float32", 0, 1],
+                                  ["k", [2, 16, 8], "float32", 1, 2]]}]
+    doc["oom"] = dict(_OOM, requested_shape=[2, 16, 8], site="attn",
+                      live_slots=[{"site": "attn", "bytes": 512}],
+                      hints=["a hint"])
+    return doc
+
+
+def test_memory_fuzz(tmp_path, capsys):
+    doc = _memory_full()
+    assert _run(tmp_path, capsys, "memory", doc,
+                *_MEMORY_ARGS).returncode == 0
+    _fuzz(tmp_path, capsys, skewed(MEMORY_REPORT, doc), "memory",
+          *_MEMORY_ARGS)
+
+
+def _full_record():
+    rec = _run_record(0, 0.1)
+    rec["provenance"]["git_sha"] = "a" * 40
+    rec["memory"] = {k: 1024 for k in MEMORY_BYTES}
+    rec["metrics"] = [StepMetrics(step=1, loss=4.0, num_tokens=100,
+                                  wall_s=1.0, loss_scale=128.0).as_dict()]
+    return rec
+
+
+def test_run_record_fuzz(tmp_path, capsys):
+    """compare refuses a skewed record exactly when trajectory skips it,
+    and health reads the same record's step rows."""
+    series = tmp_path / "series"
+    series.mkdir()
+    (series / "r0.json").write_text(json.dumps(_run_record(0, 0.1)))
+    rec = _full_record()
+    for label, doc in [("sample", rec), *skewed(GATED_RECORD, rec)]:
+        path = series / "r1.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _obs(capsys, "compare", str(path), str(path))
+        assert code in (0, 2), (label, err)
+        refused = code == 2
+        assert not refused or err.startswith("error:"), (label, err)
+        code, _, err = _obs(capsys, "trajectory", str(series))
+        assert code == 4 if refused else code in (0, 1), (label, code, err)
+        code, _, err = _obs(capsys, "health", str(path))
+        assert code in (0, 1, 2), (label, err)
+        assert code != 2 or err.startswith("error:"), (label, err)
+
+
+def _stream_rows():
+    stats = TensorStats(n=64, total_n=64, l2=0.5)
+    numerics = StepNumerics(step=1, loss=40.0, num_tokens=10,
+                            loss_scale=128.0,
+                            groups={"enc.0": {**stats.as_dict("grad_"),
+                                              "grad_l2_unscaled": 0.5,
+                                              "param_l2": 1.0,
+                                              "update_ratio": 1e-3}},
+                            activations={"enc.0.out": stats.as_dict()})
+    return [{"event": "header", "config_hash": "abc"},
+            StepMetrics(step=1, loss=40.0, num_tokens=10, wall_s=0.1,
+                        loss_scale=128.0).as_dict(),
+            {"event": "numerics", **numerics.as_dict()},
+            {"event": "anomaly",
+             **Anomaly("loss_spike", 1, layer="enc.0", detail="d",
+                       severity="warn").as_dict()}]
+
+
+def test_health_fuzz(tmp_path, capsys):
+    rows = _stream_rows()
+    cases = [*skewed(STEP_ROW, rows, at=(1,)),
+             *skewed(NUMERICS_ROW, rows, at=(2,)),
+             *skewed(ANOMALY_ROW, rows, at=(3,))]
+    for label, doc in [("sample", rows), *cases]:
+        code, _, err = _health(tmp_path, capsys, _jsonl(doc))
+        assert code in (0, 1, 2), (label, err)
+        assert code != 2 or err.startswith("error:"), (label, err)

@@ -15,7 +15,6 @@ import pytest
 
 from repro.backend.allocator import round_block
 from repro.backend.arena import ActivationArena, ArenaOOM, use_memory_tracer
-from repro.backend.device import current_device
 from repro.config import get_config
 from repro.models import BertModel, GPTModel, TransformerModel, ViTModel
 from repro.obs.memory import (MEMORY_SCHEMA, AmbiguousBasePoint,
@@ -34,15 +33,9 @@ def _trace(model, batch, steps=2, max_bytes=None, base=None):
     arena = ActivationArena(max_bytes=max_bytes)
     model.set_arena(arena)
     tracer = MemoryTracer()
-    dev = current_device()
     with use_memory_tracer(tracer):
         for _ in range(steps):
-            with arena.step():
-                # the training loop owns stage scoping; mirror it here
-                with dev.stage_scope("forward"):
-                    model.forward(*batch)
-                with dev.stage_scope("backward"):
-                    model.backward(1.0)
+            staged_forward_backward(model, batch, 1.0, arena)
         arena.begin_step()          # fold the last step's demand
     return memory_report(tracer, arena=arena, base=base), arena
 

@@ -162,8 +162,7 @@ def test_inplace_sync_matches_gathered_copy(cfg, rng, monkeypatch, mode,
         for trainer in dp.trainers:
             trainer.zero_grad()
         for model, shard in zip(dp.replicas, shards):
-            model.forward(*shard)
-            model.backward()
+            staged_forward_backward(model, shard, 1.0)
 
     reduced = []
     for name in ("ring_allreduce", "ring_reduce_scatter"):

@@ -9,6 +9,7 @@ from repro.precision.loss_scaler import DynamicLossScaler
 from repro.sim.gpu_specs import V100
 from repro.training import (DataParallel, OptimizerSpec, make_trainer,
                             shard_batch)
+from repro.training.loop import staged_forward_backward
 
 
 @pytest.fixture
@@ -61,8 +62,7 @@ class TestOverlappedSync:
         for t in dp.trainers:
             t.zero_grad()
         for model, shard in zip(dp.replicas, shards):
-            model.forward(*shard)
-            model.backward()
+            staged_forward_backward(model, shard, 1.0)
         expect = np.mean([np.concatenate(
             [p.grad.astype(np.float32).reshape(-1)
              for p in r.parameters()]) for r in dp.replicas], axis=0)
@@ -172,8 +172,7 @@ class TestScalerAgreement:
         for trainer in dp.trainers:
             trainer.zero_grad()
         for model, shard in zip(dp.replicas, shards):
-            model.forward(*shard)
-            model.backward()
+            staged_forward_backward(model, shard, 1.0)
         # poison ONE rank's shard only, post-sync: inject after reduce
         dp.sync_gradients()
         lo, hi = dp.trainers[0].shard
