@@ -2,8 +2,8 @@
 
 Fault tolerance is only usable if its steady-state cost is negligible:
 nobody enables periodic checkpointing that eats a visible slice of every
-step.  This bench prices the full crash-safety stack (serialize, CRC32
-manifest, temp+fsync+rename commit) against the training step it
+step.  This bench prices the full crash-safety stack (serialize to one
+CRC-checked npz, temp+fsync+rename commit) against the training step it
 protects, and then actually exercises the recovery paths it exists for.
 Gates, asserted rather than eyeballed:
 
@@ -221,8 +221,8 @@ def _report(r):
     print("crash-safe checkpointing vs fp16 training step "
           "(hidden 64, 2+2 layers, batch 8x32)")
     print(f"  step    : {r['step_ms']:7.2f} ms")
-    print(f"  save    : {r['save_ms']:7.2f} ms (serialize + CRC manifest "
-          f"+ fsync + rename)")
+    print(f"  save    : {r['save_ms']:7.2f} ms (serialize one npz + fsync "
+          f"+ rename)")
     print(f"  resume  : {r['resume_ms']:7.2f} ms (validate checksums + "
           f"restore)")
     print(f"  overhead: {r['ckpt_overhead_per_step']:7.2%} of step time "

@@ -104,7 +104,8 @@ GATES = {
     # an injected crash must exit 4 through the resume path and land bitwise
     # equal to an uninterrupted run; DataParallel's concurrent ranks stay
     # bitwise the serial twin and world 1/2/4 stay one trajectory; a
-    # manifest with a skewed field is skipped like a torn one; checkpoint
+    # manifest with a skewed field is skipped like a torn one; a bit
+    # flipped in a checkpoint is reported or restores bitwise; checkpoint
     # overhead held at 0.5 (the dimensionless amortised
     # overhead-per-step ratio: tolerates jitter, fails if checkpointing
     # gets ~50% pricier relative to the step).
@@ -118,7 +119,8 @@ GATES = {
                   "bit_identical",
                   "tests/training/test_concurrent_ranks.py",
                   "tests/training/test_golden_cross_world.py",
-                  "tests/resilience/test_manifest_fuzz.py"],
+                  "tests/resilience/test_manifest_fuzz.py",
+                  "tests/property/test_checkpoint_bitflip.py"],
         PYTEST + ["benchmarks/bench_resilience.py::test_resilience_smoke"],
         PY + ["benchmarks/bench_resilience.py",
               "--record", "{records}/BENCH_resilience.json"],

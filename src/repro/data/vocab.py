@@ -30,16 +30,8 @@ class Vocab:
                 f"got {self.size}")
 
     @property
-    def bos(self) -> int:
-        return BOS
-
-    @property
     def pad(self) -> int:
         return PAD
-
-    @property
-    def unk(self) -> int:
-        return UNK
 
     @property
     def num_content(self) -> int:

@@ -276,9 +276,6 @@ class Layer:
             sub.train(mode)
         return self
 
-    def eval(self) -> "Layer":
-        return self.train(False)
-
     # -- activation arena (§3.3) -----------------------------------------------
 
     def set_arena(self, arena: Optional[ActivationArena]) -> "Layer":

@@ -45,8 +45,7 @@ With no recorder installed every hook is a near-free no-op, so the
 instrumentation can stay permanently threaded through the hot paths.
 """
 
-from .metrics import (METRICS_SCHEMA, MetricsRecorder, StepMetrics,
-                      event_records, read_jsonl, step_records)
+from .metrics import METRICS_SCHEMA, MetricsRecorder, StepMetrics, read_jsonl
 from .numerics import (NUMERICS_SCHEMA, NumericsCollector, StepNumerics,
                        TensorStats, current_collector, saturation_histogram,
                        tap_activation, tensor_stats, use_collector)
@@ -74,7 +73,6 @@ from .trajectory import Trajectory, load_trajectory, summarize_run_records
 __all__ = [
     "Span", "SpanRecorder", "current_recorder", "span", "use_recorder",
     "METRICS_SCHEMA", "MetricsRecorder", "StepMetrics", "read_jsonl",
-    "step_records", "event_records",
     "NUMERICS_SCHEMA", "NumericsCollector", "StepNumerics", "TensorStats",
     "current_collector", "use_collector", "tap_activation", "tensor_stats",
     "saturation_histogram",

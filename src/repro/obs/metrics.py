@@ -12,8 +12,7 @@ runs into the same file remain an append-only trajectory.
 Beyond step rows, the stream carries **event rows** (any object with an
 ``"event"`` key): a provenance ``header`` (git SHA, config hash, schema
 version — what makes two streams comparable across commits), and the
-numerics observatory's ``numerics`` / ``anomaly`` lines.  Use
-:func:`step_records` / :func:`event_records` to split a parsed stream.
+numerics observatory's ``numerics`` / ``anomaly`` lines.
 """
 
 from __future__ import annotations
@@ -238,29 +237,6 @@ class MetricsRecorder:
             for row in self._log:
                 f.write(json.dumps(row) + "\n")
 
-    def summary(self) -> Dict[str, float]:
-        """Aggregates for run records: mean loss/token, tokens/s, skips."""
-        if not self.records:
-            return {"steps": 0}
-        tokens = sum(r.num_tokens for r in self.records)
-        wall = sum(r.wall_s for r in self.records)
-        return {
-            "steps": len(self.records),
-            "total_tokens": tokens,
-            "total_wall_s": wall,
-            "mean_loss_per_token": (sum(r.loss for r in self.records)
-                                    / max(tokens, 1)),
-            "tokens_per_s": tokens / wall if wall > 0 else 0.0,
-            "skipped_steps": sum(1 for r in self.records if not r.applied),
-            "new_allocs": sum(r.new_allocs for r in self.records),
-            "arena_hits": sum(r.arena_hits for r in self.records),
-            "arena_peak_bytes": max(r.arena_peak_bytes
-                                    for r in self.records),
-            "comm_hidden_s": sum(r.comm_hidden_s for r in self.records),
-            "comm_exposed_s": sum(r.comm_exposed_s for r in self.records),
-            "comm_retries": sum(r.comm_retries for r in self.records),
-        }
-
 
 def read_jsonl(path: str) -> List[Dict[str, object]]:
     """Parse a metrics JSONL file back into one dict per step."""
@@ -307,15 +283,3 @@ def read_jsonl_tolerant(path: str) -> "tuple[List[Dict[str, object]], int]":
             else:
                 skipped += 1
     return out, skipped
-
-
-def step_records(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Only the per-step rows of a parsed stream (event rows dropped)."""
-    return [r for r in rows if "event" not in r]
-
-
-def event_records(rows: List[Dict[str, object]],
-                  kind: Optional[str] = None) -> List[Dict[str, object]]:
-    """Only the event rows, optionally of one ``kind``."""
-    return [r for r in rows if "event" in r
-            and (kind is None or r["event"] == kind)]

@@ -36,8 +36,14 @@ from .critpath import (CriticalPath, Projection, attribute_critical_path,
 from .perfetto import read_trace, trace_kernels
 from .roofline import RooflineReport, roofline_report
 from .runrecord import emit_document
+from .schema import INT, POSITIVE
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
+
+#: the kind each numeric override flag is held to: that of the trace
+#: stamp it replaces (``perfetto.TRACE``'s ``otherData`` and ``ATTN``)
+_FLAG_KINDS = {"world": POSITIVE, "grad_elems": INT, "itemsize": POSITIVE,
+               "head_dim": POSITIVE, "tile_q": POSITIVE, "tile_k": POSITIVE}
 
 #: what-if scenarios run when the user names none: the overlap headroom
 #: question every config has, plus the attention-impl question when the
@@ -194,6 +200,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--out", help="also write the JSON report here")
     args = p.parse_args(argv)
     try:
+        for flag, kind in _FLAG_KINDS.items():
+            value = getattr(args, flag)
+            if value is not None:
+                kind.parse(value, "--" + flag.replace("_", "-"))
         doc = read_trace(args.trace)
         attn = None
         if args.head_dim is not None:

@@ -32,22 +32,3 @@ def quantize_fp16(x: np.ndarray) -> np.ndarray:
     to a value in the fused trainer.
     """
     return x.astype(np.float16).astype(np.float32)
-
-
-def quantization_error(x: np.ndarray) -> float:
-    """Max absolute FP16 round-trip error of ``x`` (diagnostics)."""
-    return float(np.max(np.abs(quantize_fp16(x) - x))) if x.size else 0.0
-
-
-def fits_fp16(x: np.ndarray) -> bool:
-    """True if every finite value survives an FP16 store without overflow."""
-    return bool(np.all(np.abs(x[np.isfinite(x)]) <= FP16_MAX))
-
-
-def underflow_fraction(x: np.ndarray) -> float:
-    """Fraction of nonzero values that flush to zero in FP16 storage —
-    the quantity loss scaling is sized to minimise."""
-    nz = x[x != 0]
-    if nz.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(nz) < FP16_SMALLEST_SUBNORMAL / 2))

@@ -11,13 +11,14 @@ Three cooperating pieces (DESIGN §13):
 * :mod:`repro.resilience.recovery` — bounded deterministic-backoff retry
   for transient comm faults and elastic world-shrinking for permanent
   replica loss.
-* :mod:`repro.resilience.checkpoint` — atomic write-to-temp + fsync +
-  rename checkpoints with CRC32 manifests, retention, and
-  checksum-validated auto-resume that restores optimizer, loss-scaler,
-  and RNG state bit-identically.
+* :mod:`repro.resilience.checkpoint` — one atomically written (temp +
+  fsync + rename) ``.npz`` file per checkpoint, checked by its zip CRCs,
+  with retention and auto-resume that restores optimizer, loss-scaler
+  and RNG state bit-identically, all or nothing.
 """
 
-from .checkpoint import (MANIFEST_SCHEMA, CheckpointCorrupt, CheckpointStore,
+from .checkpoint import (MANIFEST_SCHEMA, CheckpointCorrupt,
+                         CheckpointMismatch, CheckpointStore,
                          PeriodicCheckpointer, atomic_write_bytes)
 from .faults import (CollectiveFault, FaultError, FaultInjector, FaultPlan,
                      FaultSpec, Injection, ReplicaCrash, TornWrite,
@@ -26,7 +27,8 @@ from .recovery import (CommRetryError, CommRetryStats, RetryPolicy,
                        retry_collective, run_elastic_step)
 
 __all__ = [
-    "MANIFEST_SCHEMA", "CheckpointCorrupt", "CheckpointStore",
+    "MANIFEST_SCHEMA", "CheckpointCorrupt", "CheckpointMismatch",
+    "CheckpointStore",
     "PeriodicCheckpointer", "atomic_write_bytes",
     "CollectiveFault", "FaultError", "FaultInjector", "FaultPlan",
     "FaultSpec", "Injection", "ReplicaCrash", "TornWrite",

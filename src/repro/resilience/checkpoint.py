@@ -1,38 +1,46 @@
-"""Crash-safe checkpointing: atomic writes, CRC manifests, auto-resume.
+"""Crash-safe checkpointing: one atomically written file per checkpoint.
 
-Writing :mod:`repro.training.serialization` payloads in place would let a
-crash mid-write leave a torn ``.npz`` that poisons the next resume.  This
-module is the one checkpoint protocol (``--save-dir``/``--resume`` and
-every library caller go through it) — the durable one production
-trainers use:
+This module is the one checkpoint protocol (``--save-dir``/``--resume``
+and every library caller go through it).  A checkpoint is one ``.npz``
+file, ``step-<N>.ckpt.npz``, holding:
 
-* **Atomicity** — every artifact is serialised fully in memory, written
-  to a temp file *in the target directory*, flushed + fsynced, and
-  renamed into place (:func:`atomic_write_bytes`).  A crash at any byte
-  offset leaves either the complete old file or no new file — never a
-  torn one under the final name.
-* **Integrity** — each checkpoint carries a JSON **manifest** with a
-  schema version, per-file byte counts + CRC32, and per-tensor CRC32 for
-  every array in the model and trainer payloads.  The manifest is
-  written *last*, so a crash anywhere during the checkpoint leaves no
-  manifest and the whole checkpoint is simply invalid — the previous
-  good one is untouched.
-* **Bit-identical resume** — the manifest stores the model's RNG states
-  (dropout streams) alongside the trainer payload's optimizer moments,
-  step counters, and loss-scaler state, so a resumed run replays the
-  exact trajectory of an uninterrupted one (the golden test compares
-  final parameters bitwise).  It also records the BLAS thread count
-  (:data:`repro.blas.BLAS_THREADS`), the host setting those bits depend
-  on.
+* ``model/<param>`` — every parameter at storage precision;
+* ``trainer/m`` and ``trainer/v`` (the fused trainer's flat moments, or
+  its ZeRO-1 shard of them), or the per-tensor trainers'
+  ``trainer/{m,v,master}/<param>`` arrays;
+* ``__manifest`` — a JSON document (:data:`MANIFEST`) with the step, the
+  model's RNG states (dropout streams), the BLAS thread count the bits
+  depend on (:data:`repro.blas.BLAS_THREADS`), the caller's ``extra``
+  and the trainer's kind, counters, shard and loss-scaler state.
+
+Properties:
+
+* **Atomicity** — the file is serialised fully in memory, written to a
+  temp file *in the target directory*, flushed + fsynced, and renamed
+  into place (:func:`atomic_write_bytes`).  The rename is the commit: a
+  crash at any byte offset leaves either the complete old file or no new
+  file — never a torn one under the final name.
+* **Integrity** — zip stores a CRC32 of every member; :meth:`validate`
+  checks them all (``ZipFile.testzip``), then the member names and the
+  manifest's declaration.
+* **All-or-nothing restore** — :meth:`CheckpointStore.load` reads the
+  file once and checks integrity, parameter names, shapes and dtypes,
+  the trainer's kind, shard and loss scaler, and the RNG streams before
+  it writes anything.  A corrupt file raises :class:`CheckpointCorrupt`
+  (which :meth:`~CheckpointStore.resume_auto` skips); one that does not
+  fit the model or trainer raises :class:`CheckpointMismatch`.  Either
+  way the model and trainer are left as they were.
+* **Bit-identical resume** — moments, step counters, loss-scaler state
+  and RNG streams all round-trip, so a resumed run replays the exact
+  trajectory of an uninterrupted one.
 * **Retention + fallback** — :class:`CheckpointStore` keeps the newest
-  ``keep`` valid checkpoints, and :meth:`CheckpointStore.resume_auto`
-  walks backwards past torn/corrupt checkpoints to the newest one whose
-  checksums all verify.
+  ``keep`` checkpoints, and :meth:`CheckpointStore.resume_auto` walks
+  backwards past torn/corrupt checkpoints to the newest valid one.
 
 The ``checkpoint.write`` fault site (kind ``torn``) lives in
 :func:`atomic_write_bytes`: an armed fault truncates the temp-file write
 at a plan-chosen fraction and raises — the hypothesis property test
-drives it through every file of a checkpoint at arbitrary offsets.
+drives it at arbitrary offsets.
 """
 
 from __future__ import annotations
@@ -41,30 +49,41 @@ import io
 import json
 import os
 import time
-import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..blas import BLAS_THREADS
-from ..obs.schema import ABSENT, INT, STR, ObjectOf, Record
+from ..obs.schema import (ABSENT, FINITE, INT, POSITIVE, STR, Nullable,
+                          ObjectOf, Record, TupleOf)
 from ..obs.spans import span
 from .faults import TornWrite, current_injector
 
-#: manifest layout version (bump on incompatible change).
-MANIFEST_SCHEMA = "repro.resilience.checkpoint/v1"
+#: checkpoint layout version (bump on incompatible change; v1 was three
+#: files: two payloads plus a JSON manifest of their CRCs).
+MANIFEST_SCHEMA = "repro.resilience.checkpoint/v2"
 
-#: what validate and load read of a manifest :meth:`CheckpointStore.save`
-#: writes; ``rng`` holds each layer's PCG64 ``bit_generator.state``.
+#: a loss scaler's ``state_dict``; the dynamic scaler's extra counters
+#: are absent from a static one's
+_SCALER = Record({"kind": STR, "scale": FINITE, "overflows": INT,
+                  "skip_streak": INT, "max_skip_streak": INT,
+                  **{k: (INT, ABSENT) for k in
+                     ("good_steps", "growths", "backoffs")}})
+
+#: the ``__manifest`` member; ``rng`` holds each layer's PCG64
+#: ``bit_generator.state``, ``trainer.shard`` the fused trainer's slice of
+#: the workspace its moments cover (null for the per-tensor trainers).
 MANIFEST = Record({
     "step": INT,
-    "files": ObjectOf(Record({"nbytes": INT, "crc32": INT})),
-    "tensors": ObjectOf(INT),
     "rng": ObjectOf(Record({
         "bit_generator": STR, "state": Record({"state": INT, "inc": INT}),
         "has_uint32": INT, "uinteger": INT})),
     "extra": (Record({"loop_step": (INT, ABSENT)}), {}),
+    "trainer": Record({
+        "kind": STR, "step_count": INT, "skipped_steps": INT,
+        "shard": Nullable(TupleOf(INT, INT)), "world_size": POSITIVE,
+        "scaler": Nullable(_SCALER)}),
 }, tag=MANIFEST_SCHEMA)
 
 _PathLike = Union[str, Path]
@@ -78,6 +97,10 @@ class CheckpointCorrupt(ValueError):
             f"checkpoint step {step} is corrupt: " + "; ".join(problems))
         self.step = step
         self.problems = problems
+
+
+class CheckpointMismatch(ValueError):
+    """A valid checkpoint that does not fit the model or trainer given."""
 
 
 def atomic_write_bytes(path: _PathLike, data: bytes) -> None:
@@ -110,27 +133,58 @@ def atomic_write_bytes(path: _PathLike, data: bytes) -> None:
         os.close(dirfd)
 
 
-def _tensor_crcs(npz_bytes: bytes, prefix: str) -> Dict[str, int]:
-    """Per-array CRC32 of an ``.npz`` payload, keyed ``prefix/name``."""
-    out: Dict[str, int] = {}
-    with np.load(io.BytesIO(npz_bytes)) as data:
-        for name in data.files:
-            arr = np.ascontiguousarray(data[name])
-            out[f"{prefix}/{name}"] = zlib.crc32(arr.tobytes())
+def _arrays(model, trainer) -> Dict[str, np.ndarray]:
+    """Every array a checkpoint holds, by member name, as the live array
+    it is saved from and restored into."""
+    out = {f"model/{p.name}": p.data for p in model.parameters()}
+    if hasattr(trainer, "shard"):       # the fused trainer: flat moments
+        out.update({"trainer/m": trainer.m, "trainer/v": trainer.v})
+        return out
+    for i, p in enumerate(trainer.params):
+        out[f"trainer/m/{p.name}"] = trainer.m[i]
+        out[f"trainer/v/{p.name}"] = trainer.v[i]
+        if trainer.masters is not None:
+            out[f"trainer/master/{p.name}"] = trainer.masters[i]
     return out
+
+
+def _trainer_state(trainer) -> Dict[str, object]:
+    """The trainer's manifest entry: what it is and its counters."""
+    shard = getattr(trainer, "shard", None)
+    return {"kind": type(trainer).__name__,
+            "step_count": trainer.step_count,
+            "skipped_steps": trainer.skipped_steps,
+            "shard": list(shard) if shard is not None else None,
+            "world_size": getattr(trainer, "world_size", 1),
+            "scaler": (trainer.scaler.state_dict()
+                       if trainer.scaler is not None else None)}
+
+
+def _expected_members(manifest: Dict[str, object], names) -> set:
+    """The member names a checkpoint with these parameters must hold."""
+    params = [n[len("model/"):] for n in names if n.startswith("model/")]
+    want = {"__manifest"} | {f"model/{p}" for p in params}
+    if manifest["trainer"]["shard"] is not None:
+        return want | {"trainer/m", "trainer/v"}
+    groups = ["m", "v"]
+    if any(n.startswith("trainer/master/") for n in names):
+        groups.append("master")
+    return want | {f"trainer/{g}/{p}" for g in groups for p in params}
+
+
+def _scaler_layout(state: Optional[dict]):
+    return None if state is None else (state["kind"], sorted(state))
 
 
 class CheckpointStore:
     """A directory of validated, retained, atomically-written checkpoints.
 
-    Layout per checkpoint (``step`` = training-loop step number)::
+    One file per checkpoint (``step`` = training-loop step number)::
 
-        step-00000012.model.npz      model parameters (schema-stamped)
-        step-00000012.trainer.npz    optimizer moments + scaler + counters
-        step-00000012.manifest.json  schema, CRCs, RNG states, extra
+        step-00000012.ckpt.npz   parameters, trainer arrays, __manifest
 
-    The manifest is the commit record: no manifest (or a failing one)
-    means the checkpoint does not exist as far as resume is concerned.
+    A checkpoint exists once its file is renamed into place; a torn write
+    leaves only a ``.tmp`` file, which the next save clears.
     """
 
     def __init__(self, directory: _PathLike, *, keep: int = 3):
@@ -142,20 +196,18 @@ class CheckpointStore:
 
     # -- naming ----------------------------------------------------------------
 
-    def _stem(self, step: int) -> str:
-        return f"step-{step:08d}"
+    def _file(self, step: int) -> Path:
+        return self.dir / f"step-{step:08d}.ckpt.npz"
 
     def paths(self, step: int) -> Dict[str, Path]:
-        stem = self._stem(step)
-        return {"model": self.dir / f"{stem}.model.npz",
-                "trainer": self.dir / f"{stem}.trainer.npz",
-                "manifest": self.dir / f"{stem}.manifest.json"}
+        """The checkpoint's files (one), by role."""
+        return {"checkpoint": self._file(step)}
 
     def steps(self) -> List[int]:
-        """Steps with a committed manifest, ascending (validity unchecked)."""
+        """Steps with a committed file, ascending (validity unchecked)."""
         out = []
-        for p in self.dir.glob("step-*.manifest.json"):
-            tag = p.name[len("step-"):-len(".manifest.json")]
+        for p in self.dir.glob("step-*.ckpt.npz"):
+            tag = p.name[len("step-"):-len(".ckpt.npz")]
             if tag.isdigit():
                 out.append(int(tag))
         return sorted(out)
@@ -164,154 +216,143 @@ class CheckpointStore:
 
     def save(self, model, trainer, *, step: Optional[int] = None,
              extra: Optional[Dict[str, object]] = None) -> Path:
-        """Atomically commit one checkpoint; returns the manifest path.
+        """Atomically commit one checkpoint; returns its file.
 
-        Write order is model, trainer, manifest — the manifest last, so a
-        crash (or injected torn write) during any earlier artifact leaves
-        this checkpoint uncommitted and every previous one intact.
+        A crash (or injected torn write) during the one write leaves this
+        checkpoint uncommitted and every previous one intact.
         """
-        from ..training.serialization import save_model, save_trainer
         if step is None:
             step = trainer.step_count
-        paths = self.paths(step)
+        path = self._file(step)
         with span("resilience/checkpoint_save", {"step": step}):
+            manifest = {"schema": MANIFEST_SCHEMA, "step": int(step),
+                        "rng": model.rng_states(),
+                        "blas_threads": BLAS_THREADS,
+                        "extra": dict(extra or {}),
+                        "trainer": _trainer_state(trainer)}
+            text = json.dumps(manifest, sort_keys=True).encode("utf-8")
+            arrays = _arrays(model, trainer)
+            arrays["__manifest"] = np.frombuffer(text, dtype=np.uint8)
             buf = io.BytesIO()
-            save_model(model, buf)
-            model_bytes = buf.getvalue()
-            buf = io.BytesIO()
-            save_trainer(trainer, buf)
-            trainer_bytes = buf.getvalue()
-            tensors = _tensor_crcs(model_bytes, "model")
-            tensors.update(_tensor_crcs(trainer_bytes, "trainer"))
-            manifest = {
-                "schema": MANIFEST_SCHEMA,
-                "step": int(step),
-                "created_s": time.time(),
-                "files": {
-                    paths["model"].name: {
-                        "nbytes": len(model_bytes),
-                        "crc32": zlib.crc32(model_bytes)},
-                    paths["trainer"].name: {
-                        "nbytes": len(trainer_bytes),
-                        "crc32": zlib.crc32(trainer_bytes)},
-                },
-                "tensors": tensors,
-                "rng": model.rng_states(),
-                "blas_threads": BLAS_THREADS,
-                "extra": dict(extra or {}),
-            }
-            atomic_write_bytes(paths["model"], model_bytes)
-            atomic_write_bytes(paths["trainer"], trainer_bytes)
-            atomic_write_bytes(
-                paths["manifest"],
-                json.dumps(manifest, sort_keys=True).encode("utf-8"))
+            np.savez(buf, **arrays)
+            atomic_write_bytes(path, buf.getvalue())
             self._retire()
-        return paths["manifest"]
+        return path
 
     def _retire(self) -> None:
-        """Drop committed checkpoints beyond the newest ``keep``, plus any
-        stray artifacts (torn temps, unmanifested files) of retired steps."""
-        steps = self.steps()
-        kept = set(steps[-self.keep:])
-        for p in self.dir.glob("step-*"):
-            tag = p.name[len("step-"):].split(".", 1)[0]
-            if tag.isdigit() and int(tag) in kept and \
-                    not p.name.endswith(".tmp"):
-                continue
-            try:
-                p.unlink()
-            except OSError:
-                pass
+        """Drop checkpoints beyond the newest ``keep``, and the temp files
+        torn writes left behind."""
+        for step in self.steps()[:-self.keep]:
+            self._file(step).unlink(missing_ok=True)
+        for tmp in self.dir.glob("step-*.ckpt.npz.tmp"):
+            tmp.unlink(missing_ok=True)
 
     # -- validate / load -------------------------------------------------------
 
-    def read_manifest(self, step: int) -> Dict[str, object]:
-        """One checkpoint's manifest, parsed under :data:`MANIFEST`."""
-        return MANIFEST.load(self.paths(step)["manifest"])
+    def _read(self, step: int, *, arrays: bool
+              ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+        """One checkpoint's parsed manifest and (when ``arrays``) its
+        arrays, from one read of its file; raises :class:`CheckpointCorrupt`
+        on any CRC, member-name or manifest problem."""
+        path = self._file(step)
+        try:
+            with np.load(io.BytesIO(path.read_bytes())) as data:
+                bad = data.zip.testzip()
+                if bad is not None:
+                    raise ValueError(f"member {bad} fails its CRC32")
+                # testzip reads members by name, and an entry's comment
+                # can swallow the entries after it: a member renamed onto
+                # another's name, or lost, would pass unread
+                if len(set(data.files)) != len(data.files) or any(
+                        info.comment for info in data.zip.infolist()):
+                    raise ValueError("damaged central directory")
+                if "__manifest" not in data.files:
+                    raise ValueError("no __manifest member")
+                manifest = MANIFEST.parse(
+                    json.loads(bytes(data["__manifest"])))
+                if manifest["step"] != step:
+                    raise ValueError(f"manifest says step "
+                                     f"{manifest['step']}")
+                want = _expected_members(manifest, data.files)
+                if set(data.files) != want:
+                    raise ValueError(
+                        f"members differ from the layout: missing "
+                        f"{sorted(want - set(data.files))[:3]}, unexpected "
+                        f"{sorted(set(data.files) - want)[:3]}")
+                payload = ({name: data[name] for name in data.files
+                            if name != "__manifest"} if arrays else {})
+        except FileNotFoundError:
+            raise CheckpointCorrupt(step, [f"no file {path.name}"])
+        except Exception as e:      # torn zip, bad CRC, skewed manifest...
+            raise CheckpointCorrupt(step, [f"{path.name}: {e}"])
+        return manifest, payload
 
     def validate(self, step: int) -> List[str]:
-        """Integrity problems of one checkpoint ([] = valid).
-
-        Checks, in order: the manifest parses under :data:`MANIFEST`
-        (schema tag and field types); each file exists with the recorded
-        byte count and whole-file CRC32; every tensor matches its recorded
-        CRC32.
-        """
+        """Integrity problems of one checkpoint ([] = valid): every member's
+        CRC32, the member names, and the manifest's declaration."""
         try:
-            manifest = self.read_manifest(step)
-        except FileNotFoundError:
-            return [f"no manifest {self.paths(step)['manifest'].name}"]
-        except (OSError, ValueError) as e:  # torn JSON, skewed field types
-            return [f"manifest unreadable: {e}"]
-        problems: List[str] = []
-        blobs: Dict[str, bytes] = {}
-        for fname, meta in manifest["files"].items():
-            fpath = self.dir / fname
-            try:
-                blob = fpath.read_bytes()
-            except OSError as e:
-                problems.append(f"{fname}: unreadable ({e})")
-                continue
-            if len(blob) != meta["nbytes"]:
-                problems.append(f"{fname}: {len(blob)} bytes, manifest "
-                                f"says {meta['nbytes']}")
-                continue
-            if zlib.crc32(blob) != meta["crc32"]:
-                problems.append(f"{fname}: file CRC32 mismatch")
-                continue
-            blobs[fname] = blob
-        if problems:
-            return problems
-        crcs: Dict[str, int] = {}
-        for fname, blob in blobs.items():
-            prefix = "model" if ".model." in fname else "trainer"
-            try:
-                crcs.update(_tensor_crcs(blob, prefix))
-            except Exception as e:      # torn zip central directory etc.
-                problems.append(f"{fname}: not a loadable npz ({e})")
-        for key, want in manifest["tensors"].items():
-            have = crcs.get(key)
-            if have is None:
-                problems.append(f"{key}: tensor missing from payload")
-            elif have != want:
-                problems.append(f"{key}: tensor CRC32 mismatch")
-        return problems
+            self._read(step, arrays=False)
+        except CheckpointCorrupt as e:
+            return e.problems
+        return []
 
     def load(self, model, trainer, step: int) -> Dict[str, object]:
-        """Restore model + trainer + RNG state from one checkpoint.
+        """Restore model + trainer + RNG state from one checkpoint, all or
+        nothing; returns the parsed manifest.
 
-        Validates first and raises :class:`CheckpointCorrupt`, with the
-        model and trainer untouched, on any integrity problem or on RNG
-        states the model cannot take (use :meth:`resume_auto` to fall back
-        past corrupt checkpoints automatically).  Returns the parsed
-        manifest.
+        Raises :class:`CheckpointCorrupt` on an integrity problem or RNG
+        states the model refuses, and :class:`CheckpointMismatch` when
+        the parameters (names, shapes, dtypes), the trainer's kind or
+        shard, or its loss scaler differ from the checkpoint's — in each
+        case with the model and trainer untouched (use
+        :meth:`resume_auto` to fall back past corrupt checkpoints).
         """
-        problems = self.validate(step)
-        if problems:
-            raise CheckpointCorrupt(step, problems)
-        from ..training.serialization import load_model, load_trainer
-        manifest = self.read_manifest(step)
-        if manifest["rng"]:
-            # first, and rolled back on failure: a refused checkpoint
-            # leaves the model as it was
-            before = model.rng_states()
-            try:
-                model.set_rng_states(manifest["rng"])
-            except (KeyError, ValueError) as e:
-                model.set_rng_states(before)
-                raise CheckpointCorrupt(step, [f"manifest rng: {e!r}"])
-        paths = self.paths(step)
-        load_model(model, paths["model"])
-        load_trainer(trainer, paths["trainer"])
+        manifest, saved = self._read(step, arrays=True)
+        got, have = manifest["trainer"], _trainer_state(trainer)
+        for key in ("kind", "shard", "world_size"):
+            if got[key] != have[key]:
+                raise CheckpointMismatch(
+                    f"checkpoint step {step}: trainer {key} {got[key]!r}, "
+                    f"the trainer has {have[key]!r}")
+        if _scaler_layout(got["scaler"]) != _scaler_layout(have["scaler"]):
+            raise CheckpointMismatch(
+                f"checkpoint step {step}: loss scaler "
+                f"{_scaler_layout(got['scaler'])}, the trainer has "
+                f"{_scaler_layout(have['scaler'])}")
+        live = _arrays(model, trainer)
+        if set(saved) != set(live):
+            raise CheckpointMismatch(
+                f"checkpoint step {step}: missing "
+                f"{sorted(set(live) - set(saved))[:5]}, unexpected "
+                f"{sorted(set(saved) - set(live))[:5]}")
+        for name, arr in saved.items():
+            if (arr.shape, arr.dtype) != (live[name].shape, live[name].dtype):
+                raise CheckpointMismatch(
+                    f"checkpoint step {step}: {name} has shape "
+                    f"{arr.shape} {arr.dtype}, the live array "
+                    f"{live[name].shape} {live[name].dtype}")
+        before = model.rng_states()
+        try:
+            model.set_rng_states(manifest["rng"])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            model.set_rng_states(before)
+            raise CheckpointCorrupt(step, [f"manifest rng: {e!r}"])
+        for name, arr in saved.items():
+            live[name][...] = arr
+        trainer.step_count = got["step_count"]
+        trainer.skipped_steps = got["skipped_steps"]
+        if trainer.scaler is not None:
+            trainer.scaler.load_state_dict(got["scaler"])
         return manifest
 
     def resume_auto(self, model, trainer) -> Optional[Dict[str, object]]:
-        """Restore from the newest checksum-valid checkpoint, or None.
+        """Restore from the newest valid checkpoint, or None.
 
         Torn and corrupt checkpoints are skipped (with their problems
         collected into the returned manifest under ``"skipped"``), so a
         crash during the very last save costs at most one checkpoint
-        interval — never the run.
+        interval — never the run.  A :class:`CheckpointMismatch` is not
+        skipped: an older checkpoint of the same run would not fit either.
         """
         skipped: Dict[str, List[str]] = {}
         for step in reversed(self.steps()):

@@ -307,10 +307,6 @@ class FaultInjector:
             self.injections[-1].detail = detail
         return detail
 
-    def summary(self) -> List[Dict[str, object]]:
-        """Injection log as JSON-ready dicts (for provenance/run records)."""
-        return [i.as_dict() for i in self.injections]
-
 
 # ---------------------------------------------------------------------------
 # ambient installation

@@ -36,8 +36,9 @@ from .layers.base import Layer
 from .models import BertModel, GPTModel, TransformerModel, ViTModel
 from .precision import DynamicLossScaler
 from .sim import GPUS, trace_cost
-from .resilience import (CheckpointStore, FaultInjector, FaultPlan,
-                         PeriodicCheckpointer, TornWrite, use_faults)
+from .resilience import (CheckpointMismatch, CheckpointStore,
+                         FaultInjector, FaultPlan, PeriodicCheckpointer,
+                         TornWrite, use_faults)
 from .training import (CaptureReplayEngine, InverseSqrtSchedule,
                        OptimizerSpec, make_trainer, train_step)
 
@@ -86,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "corrupt ones) and continue the loop from its "
                         "step")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="write a crash-safe checkpoint (atomic, CRC "
-                        "manifest, RNG state) to --save-dir every N steps; "
+                   help="write a crash-safe checkpoint (one atomic, "
+                        "CRC-checked file with RNG state) to --save-dir "
+                        "every N steps; "
                         "0 disables periodic checkpointing")
     p.add_argument("--keep", type=int, default=3, metavar="K",
                    help="retain the newest K periodic checkpoints "
@@ -237,7 +239,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              if args.save_dir else None)
     start_step = 0
     if args.resume:
-        manifest = store.resume_auto(model, trainer)
+        try:
+            manifest = store.resume_auto(model, trainer)
+        except CheckpointMismatch as e:     # another model or trainer's
+            print(f"--resume: {e}")
+            return 2
         if manifest is None:
             print(f"no valid checkpoint in {args.save_dir}; "
                   f"starting fresh")

@@ -2,12 +2,9 @@
 
 from .capture import CaptureReplayEngine
 from .data_parallel import DataParallel, shard_batch
-from .checkpointing import (CheckpointedLayer, checkpoint_stack,
-                            stack_backward, stack_forward)
+from .checkpointing import CheckpointedLayer
 from .loop import (EpochStats, StepResult, train_epoch, train_step,
                    train_step_accumulated)
-from .serialization import (load_model, load_trainer, save_model,
-                            save_trainer)
 from .optimizers import (ConstantSchedule, InverseSqrtSchedule,
                          LinearDecaySchedule, OptimizerSpec)
 from .trainer import (ApexLikeTrainer, LSFusedTrainer, NaiveMPTrainer,
@@ -20,6 +17,4 @@ __all__ = [
     "CaptureReplayEngine", "DataParallel", "shard_batch",
     "train_step", "train_epoch", "train_step_accumulated",
     "StepResult", "EpochStats", "CheckpointedLayer",
-    "checkpoint_stack", "stack_forward", "stack_backward",
-    "save_model", "load_model", "save_trainer", "load_trainer",
 ]

@@ -47,6 +47,9 @@ from ..obs.numerics import current_collector
 from .loop import StepResult, _optimisation_step, staged_forward_backward
 from .trainer import TrainerBase
 
+#: captured programs kept at once; capturing one more evicts the oldest
+MAX_PROGRAMS = 16
+
 
 def _batch_signature(batch: Sequence, grad_scale: float, training: bool,
                      fresh: Tuple[bool, ...]) -> tuple:
@@ -68,12 +71,10 @@ class CaptureReplayEngine:
     """
 
     def __init__(self, model: Layer, trainer: Optional[TrainerBase] = None,
-                 arena: Optional[ActivationArena] = None, *,
-                 max_programs: int = 16):
+                 arena: Optional[ActivationArena] = None):
         self.model = model
         self.trainer = trainer
         self.arena = arena
-        self.max_programs = max_programs
         self._programs: Dict[tuple, KernelProgram] = {}
         self._params: List[Parameter] = list(model.parameters())
         #: per program, each parameter's ``grad_fresh`` after its captured
@@ -192,7 +193,7 @@ class CaptureReplayEngine:
         except CaptureError:
             counters.eager_fallbacks += 1
             return result
-        if len(self._programs) >= self.max_programs:
+        if len(self._programs) >= MAX_PROGRAMS:
             oldest = next(iter(self._programs))
             del self._programs[oldest], self._fresh_after[oldest]
         self._programs[sig] = prog

@@ -15,9 +15,7 @@ trade-off, quantified in ``benchmarks/bench_figures.py -k test_ablations``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Optional, Tuple
 
 from ..layers.base import Layer
 
@@ -69,23 +67,3 @@ class CheckpointedLayer(Layer):
         self.layer.clear_saved()
         self._inputs = None
         return result
-
-
-def checkpoint_stack(layers: Sequence[Layer]) -> List[CheckpointedLayer]:
-    """Wrap every layer of an encoder/decoder stack."""
-    return [CheckpointedLayer(l) for l in layers]
-
-
-def stack_forward(layers: Sequence, x: np.ndarray, **kw) -> np.ndarray:
-    """Run a (possibly checkpointed) homogeneous stack forward."""
-    for layer in layers:
-        x = layer.forward(x, **kw)
-    return x
-
-
-def stack_backward(layers: Sequence, dy: np.ndarray) -> np.ndarray:
-    """Run the stack backward in reverse order."""
-    for layer in reversed(layers):
-        out = layer.backward(dy)
-        dy = out[0] if isinstance(out, tuple) else out
-    return dy

@@ -75,7 +75,7 @@ class TestSelfAttention:
             np.testing.assert_allclose(pf.grad, pn.grad, atol=1e-3)
 
     def test_causal_mask_blocks_future(self, tiny_config, rng):
-        layer = MultiHeadAttention(tiny_config, seed=0).eval()
+        layer = MultiHeadAttention(tiny_config, seed=0).train(False)
         x = rng.standard_normal((1, 5, 32)).astype(np.float32)
         y1 = layer.forward(x, mask=causal_mask(5))
         x2 = x.copy()

@@ -134,7 +134,7 @@ class TestLayer:
     def test_train_eval_propagates(self, tiny_config):
         root = Layer(tiny_config, name="root")
         child = root.add_sublayer("c", Layer(tiny_config, name="c"))
-        root.eval()
+        root.train(False)
         assert not child.training
         assert root.dropout_p == 0.0
         root.train()

@@ -48,7 +48,7 @@ class TestFFN:
 
     def test_eval_mode_disables_dropout(self, tiny_config, rng):
         cfg = tiny_config.with_overrides(activation_dropout=0.5)
-        layer = FeedForward(cfg, seed=1).eval()
+        layer = FeedForward(cfg, seed=1).train(False)
         x = rng.standard_normal((1, 3, 32)).astype(np.float32)
         y1 = layer.forward(x)
         y2 = layer.forward(x)
@@ -148,7 +148,7 @@ class TestDecoderLayer:
         assert_grad_close(denc, numerical_grad(loss, enc))
 
     def test_causality(self, tiny_config, rng):
-        layer = LSTransformerDecoderLayer(tiny_config, seed=0).eval()
+        layer = LSTransformerDecoderLayer(tiny_config, seed=0).train(False)
         x = rng.standard_normal((1, 5, 32)).astype(np.float32)
         enc = rng.standard_normal((1, 4, 32)).astype(np.float32)
         m = causal_mask(5)

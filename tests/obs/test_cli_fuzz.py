@@ -432,6 +432,23 @@ def test_zero_itemsize_is_refused(tmp_path, capsys):
     assert "otherData.itemsize is 0" in done.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--world", "2", "--itemsize", "0"], "--itemsize is 0"),
+    (["--head-dim", "0"], "--head-dim is 0"),
+    (["--head-dim", "16", "--tile-q", "0"], "--tile-q is 0"),
+    (["--head-dim", "16", "--tile-k", "-4"], "--tile-k is -4"),
+    (["--world", "-1"], "--world is -1"),
+    (["--world", "0"], "--world is 0"),
+])
+def test_bad_override_is_refused(tmp_path, capsys, args, message):
+    """An override flag is held to the kind of the trace stamp it
+    replaces: a zero size divided by zero (exit 1, the "gate failed"
+    code, with a traceback) and a negative world was accepted (exit 0)."""
+    done = _run(tmp_path, capsys, "profile", _trace_sample(), *args)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: {message}, not a positive integer\n"
+
+
 # -- generated fuzz: every declared field of every document ------------------
 #
 # Each declared position is set in turn to each of schema_fuzz.WRONG.  The

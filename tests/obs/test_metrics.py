@@ -6,7 +6,9 @@ import pytest
 
 from repro.backend.profiler import count_fresh_alloc, reset_alloc_counters
 from repro.obs.metrics import (METRICS_SCHEMA, MetricsRecorder, StepMetrics,
-                               event_records, read_jsonl, step_records)
+                               read_jsonl)
+from repro.obs.runrecord import make_run_record
+from repro.obs.trajectory import metric_values
 from repro.precision.loss_scaler import DynamicLossScaler
 from repro.sim.timeline import BucketSchedule
 
@@ -63,8 +65,7 @@ def test_streaming_jsonl_one_object_per_line(tmp_path):
     assert len(lines) == 4             # header event + 3 steps
     for line in lines:
         json.loads(line)               # each line is a standalone object
-    parsed = read_jsonl(path)
-    steps = step_records(parsed)
+    steps = [r for r in read_jsonl(path) if "event" not in r]
     assert [m["step"] for m in steps] == [1, 2, 3]
     assert all("tokens_per_s" in m and "loss_per_token" in m for m in steps)
 
@@ -77,7 +78,8 @@ def test_write_jsonl_appends(tmp_path):
     second = MetricsRecorder()
     second.observe_step(step=2, loss=1.0, num_tokens=8, wall_s=0.1)
     second.write_jsonl(path)           # append-only trajectory
-    assert [m["step"] for m in step_records(read_jsonl(path))] == [1, 2]
+    assert [m["step"] for m in read_jsonl(path) if "event" not in m] == [
+        1, 2]
 
 
 def test_header_event_carries_provenance(tmp_path):
@@ -89,9 +91,6 @@ def test_header_event_carries_provenance(tmp_path):
     assert header["event"] == "header"
     assert header["schema"] == METRICS_SCHEMA
     assert "config_hash" in header and "git_sha" in header
-    # and it is filterable as an event record
-    assert event_records(rows, "header") == [header]
-    assert step_records(rows) == []
 
 
 def test_provenance_header_can_be_disabled():
@@ -106,7 +105,7 @@ def test_observe_event_streams(tmp_path):
     rec.observe_step(step=7, loss=1.0, num_tokens=8, wall_s=0.1)
     rows = read_jsonl(path)
     assert [r.get("event") for r in rows] == ["anomaly", None]
-    assert event_records(rows, "anomaly")[0]["step"] == 7
+    assert rows[0]["kind"] == "nonfinite_grad" and rows[0]["step"] == 7
 
 
 def test_scaler_dynamics_columns():
@@ -129,18 +128,24 @@ def test_read_jsonl_reports_bad_line(tmp_path):
         read_jsonl(str(path))
 
 
+def _metrics_values(rec):
+    """The step-row aggregates a run record of ``rec`` carries."""
+    values = metric_values(make_run_record(
+        "t", metrics=[r.as_dict() for r in rec.records]))
+    return {k[len("metrics."):]: v for k, v in values.items()
+            if k.startswith("metrics.")}
+
+
 def test_summary_aggregates():
     rec = MetricsRecorder()
     rec.observe_step(step=1, loss=4.0, num_tokens=10, wall_s=0.5)
     rec.observe_step(step=2, loss=6.0, num_tokens=10, wall_s=0.5,
                      applied=False)
-    s = rec.summary()
-    assert s["steps"] == 2
-    assert s["total_tokens"] == 20
+    s = _metrics_values(rec)
     assert s["tokens_per_s"] == pytest.approx(20.0)
     assert s["mean_loss_per_token"] == pytest.approx(0.5)
     assert s["skipped_steps"] == 1
-    assert MetricsRecorder().summary() == {"steps": 0}
+    assert _metrics_values(MetricsRecorder()) == {}
 
 
 def test_zero_wall_clock_is_defined():
@@ -161,4 +166,4 @@ def test_arena_memory_columns():
     assert m.arena_peak_bytes == 900_000
     assert m.arena_step_demand_bytes == 800_000
     assert m.arena_waste_bytes == (1 << 20) - 800_000
-    assert rec.summary()["arena_peak_bytes"] == 900_000
+    assert _metrics_values(rec)["arena_peak_bytes"] == 900_000

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRecorder, event_records
+from repro.obs.metrics import MetricsRecorder
 from repro.obs.numerics import (NumericsCollector, StepNumerics, TensorStats,
                                 current_collector, group_of,
                                 saturation_histogram, tap_activation,
@@ -189,7 +189,7 @@ class TestCollector:
         col.begin_step(1)
         col.observe_activation("enc.out", np.ones(4, np.float32))
         col.finish_step(loss=1.0, num_tokens=2)
-        events = event_records(metrics.events, kind="numerics")
+        events = [e for e in metrics.events if e["event"] == "numerics"]
         assert len(events) == 1
         assert events[0]["activations"]["enc.out"]["n"] == 4
 

@@ -130,7 +130,7 @@ class TestStepMetricsResilienceFields:
         assert m.comm_retries == 2
         assert m.comm_retry_s == pytest.approx(1.5e-3)
         assert m.faults_injected == 3
-        assert rec.summary()["comm_retries"] == 2
+        assert rec.records == [m]
 
     def test_defaults_stay_zero(self):
         m = StepMetrics(step=1, loss=0.0, num_tokens=1, wall_s=0.1)

@@ -18,7 +18,10 @@ from repro.obs.schema import (ABSENT, FINITE, FLOAT, INT, POSITIVE, ListOf,
                               Record, SchemaError)
 from repro.obs.trajectory import GATED_RECORD
 from repro.resilience import CheckpointStore
+from repro.resilience.checkpoint import MANIFEST
 from repro.train import main as train_main
+
+from ..ckpt_file import manifest
 
 
 @pytest.mark.parametrize("kind, value, want", [
@@ -79,7 +82,9 @@ def test_train_outputs_parse(tmp_path, capsys):
         kinds[r.get("event", "step")].parse(r)
     assert {r.get("event", "step") for r in rows} == set(kinds)
     store = CheckpointStore(tmp_path / "ck")
-    assert store.read_manifest(store.steps()[-1])["rng"]
+    step = store.steps()[-1]
+    assert store.validate(step) == []
+    assert MANIFEST.parse(manifest(store.paths(step)["checkpoint"]))["rng"]
 
 
 def test_bench_run_record_parses(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
 """Dead-code gate: every function, method and class in ``src/`` has a caller.
 
-A definition counts as referenced when its name appears as a whole word
-anywhere in ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` outside
-the lines of its own definition (a string mention counts, so ``getattr``
-dispatch and re-exports are covered).  Names referenced *only* from
+A definition counts as referenced when its name is *used as an
+identifier* anywhere in ``src/``, ``tests/``, ``benchmarks/`` or
+``examples/`` outside the lines of its own definition: a name, an
+attribute, an import outside ``src/``, or a string literal that is
+exactly the name (``getattr`` dispatch) and not an ``__all__`` entry.
+Docstrings, comments, re-exports and ``__all__`` do not count, so a
+definition they alone mention is dead.  Names referenced *only* from
 ``tests/`` are listed in ``dead_code_allowlist.txt``; each one is a
 candidate for deletion or for a real caller, and the list may only shrink:
 an entry whose definition is gone, or that gained a caller outside
@@ -11,7 +14,6 @@ an entry whose definition is gone, or that gained a caller outside
 """
 
 import ast
-import re
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
@@ -22,7 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SCANNED = ("src", "tests", "benchmarks", "examples")
 ALLOWLIST = Path(__file__).with_name("dead_code_allowlist.txt")
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: (qualified name, bare name, file, first line, last line) of one
 #: definition.
@@ -52,23 +53,52 @@ def _definitions() -> List[Definition]:
     return found
 
 
-def _word_lines() -> Dict[str, Dict[Path, Set[int]]]:
-    """word -> file -> line numbers where it appears, over all scanned
-    trees."""
+def _all_entries(tree: ast.AST) -> Set[int]:
+    """ids of the nodes inside ``__all__ = [...]`` and ``__all__ += [...]``."""
+    out: Set[int] = set()
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AugAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets):
+            out.update(id(n) for n in ast.walk(node.value))
+    return out
+
+
+def _used_name(node: ast.AST, in_src: bool, listed: Set[int]):
+    """The identifier ``node`` uses, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias) and not in_src:
+        return node.name.rsplit(".", 1)[-1]
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in listed):
+        return node.value
+    return None
+
+
+def _uses() -> Dict[str, Dict[Path, Set[int]]]:
+    """identifier -> file -> line numbers where it is used, over all
+    scanned trees."""
     index: Dict[str, Dict[Path, Set[int]]] = defaultdict(
         lambda: defaultdict(set))
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                for word in _WORD.findall(line):
-                    index[word][path].add(lineno)
+            tree = ast.parse(path.read_text(), str(path))
+            listed = _all_entries(tree)
+            for node in ast.walk(tree):
+                name = _used_name(node, top == "src", listed)
+                if name is not None:
+                    index[name][path].add(node.lineno)
     return index
 
 
 def classify() -> Tuple[List[str], List[str]]:
     """(names with no reference at all, names referenced only from
     ``tests/``), each as ``path::Qual.name`` under ``src/repro``."""
-    index = _word_lines()
+    index = _uses()
     tests = ROOT / "tests"
     dead, test_only = [], []
     for qual, name, path, first, last in _definitions():

@@ -68,26 +68,28 @@ class TestOverflowRecovery:
 
 class TestCheckpointCorruption:
     def test_truncated_file_raises(self, cfg, tmp_path):
-        from repro.training.serialization import load_model, save_model
+        from repro.resilience import CheckpointCorrupt, CheckpointStore
         model = TransformerModel(cfg, seed=0)
-        path = tmp_path / "m.npz"
-        save_model(model, path)
+        trainer = make_trainer("lightseq", model, OptimizerSpec())
+        store = CheckpointStore(tmp_path)
+        path = store.save(model, trainer, step=1)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(Exception):
-            load_model(model, path)
+        with pytest.raises(CheckpointCorrupt):
+            store.load(model, trainer, 1)
 
     def test_wrong_task_checkpoint_rejected(self, cfg, tmp_path):
         from repro.models import GPTModel
-        from repro.training.serialization import load_model, save_model
+        from repro.resilience import CheckpointMismatch, CheckpointStore
         mt = TransformerModel(cfg, seed=0)
-        save_model(mt, tmp_path / "mt.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(mt, make_trainer("naive", mt, OptimizerSpec()), step=1)
         gpt = GPTModel(get_config(
             "gpt2-small", max_batch_tokens=256, max_seq_len=24,
             hidden_dim=32, nhead=4, ffn_dim=64, vocab_size=80,
             num_decoder_layers=1), seed=0)
-        with pytest.raises(ValueError):
-            load_model(gpt, tmp_path / "mt.npz")
+        with pytest.raises(CheckpointMismatch):
+            store.load(gpt, make_trainer("naive", gpt, OptimizerSpec()), 1)
 
 
 class TestMisuseErrors:

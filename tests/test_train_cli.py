@@ -5,6 +5,17 @@ import pytest
 
 from repro.train import build_parser, main
 
+from .ckpt_file import members
+
+
+def _assert_same_checkpoint(dir_a, dir_b, name):
+    """Two runs' checkpoint files hold the same members, bit for bit (the
+    manifest too: step, RNG streams, counters, scaler state)."""
+    a, b = members(f"{dir_a}/{name}"), members(f"{dir_b}/{name}")
+    assert a.keys() == b.keys()
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
 
 class TestParser:
     def test_defaults(self):
@@ -49,9 +60,8 @@ def test_save_and_resume(tmp_path, capsys):
                  "--save-dir", d, "--resume", "--log-interval", "1"]) == 0
     out = capsys.readouterr().out
     assert "resumed from" in out and "at step 2" in out
-    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
-        "step-00000002.manifest.json", "step-00000002.model.npz",
-        "step-00000002.trainer.npz"]
+    assert [p.name for p in (tmp_path / "ck").iterdir()] == [
+        "step-00000002.ckpt.npz"]
 
 
 def test_resume_requires_save_dir(capsys):
@@ -208,12 +218,7 @@ class TestResilienceCli:
         assert "CRASHED (injected)" in out and "step 4" in out
         assert main(base + ["--save-dir", crash_d, "--resume"]) == 0
         assert "resumed from" in capsys.readouterr().out
-        for name in ("step-00000006.model.npz", "step-00000006.trainer.npz"):
-            with np.load(f"{clean_d}/{name}") as a, \
-                    np.load(f"{crash_d}/{name}") as b:
-                assert set(a.files) == set(b.files)
-                for k in a.files:
-                    np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+        _assert_same_checkpoint(clean_d, crash_d, "step-00000006.ckpt.npz")
 
     def test_periodic_checkpoints_then_bare_resume_is_bit_identical(
             self, tmp_path, capsys):
@@ -231,12 +236,7 @@ class TestResilienceCli:
         assert main(base + ["--steps", "4", "--save-dir", split_d,
                             "--resume"]) == 0
         assert "at step 2 (trainer step" in capsys.readouterr().out
-        for name in ("step-00000004.model.npz", "step-00000004.trainer.npz"):
-            with np.load(f"{clean_d}/{name}") as a, \
-                    np.load(f"{split_d}/{name}") as b:
-                assert set(a.files) == set(b.files)
-                for k in a.files:
-                    np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+        _assert_same_checkpoint(clean_d, split_d, "step-00000004.ckpt.npz")
 
     def test_torn_checkpoint_write_is_survivable(self, tmp_path, capsys):
         """A checkpoint torn mid-write exits 4; --resume falls back
@@ -246,7 +246,7 @@ class TestResilienceCli:
                 "--log-interval", "6", "--checkpoint-every", "2",
                 "--save-dir", d]
         plan = self._plan(tmp_path, [
-            {"site": "checkpoint.write", "kind": "torn", "after": 3}])
+            {"site": "checkpoint.write", "kind": "torn", "after": 1}])
         assert main(base + ["--fault-plan", plan]) == 4
         assert "torn checkpoint write" in capsys.readouterr().out
         assert main(base + ["--resume"]) == 0
@@ -295,6 +295,18 @@ class TestResilienceCli:
         assert header["fault_seed"] == 11
         assert len(header["fault_plan_digest"]) == 12
 
+    def test_resume_into_another_trainer_exits_2(self, tmp_path, capsys):
+        """A checkpoint of another trainer kind is refused with one line,
+        not a traceback; skipping it would silently start fresh."""
+        d = str(tmp_path / "ck")
+        base = ["--task", "mt", "--steps", "1", "--max-tokens", "128",
+                "--log-interval", "1", "--save-dir", d]
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base + ["--trainer", "naive", "--resume"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("--resume: checkpoint step 1: trainer kind")
+
     def test_resume_auto_with_empty_dir_starts_fresh(self, tmp_path, capsys):
         d = str(tmp_path / "empty")
         rc = main(["--task", "mt", "--steps", "2", "--max-tokens", "128",
@@ -324,10 +336,9 @@ def test_parameters_independent_of_blas_threads(tmp_path):
              "--steps", "3", "--save-dir", str(d), "--checkpoint-every", "3"],
             env=env, cwd=root, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        manifest = json.loads(
-            (d / "step-00000003.manifest.json").read_text())
-        assert manifest["blas_threads"] == 1
-        with np.load(d / "step-00000003.model.npz") as z:
-            params.append({k: z[k].tobytes() for k in z.files})
+        arrays = members(d / "step-00000003.ckpt.npz")
+        assert json.loads(bytes(arrays["__manifest"]))["blas_threads"] == 1
+        params.append({k: a.tobytes() for k, a in arrays.items()
+                       if k.startswith("model/")})
     assert params[0].keys() == params[1].keys()
     assert [k for k in params[0] if params[0][k] != params[1][k]] == []

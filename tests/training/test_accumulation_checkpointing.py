@@ -6,10 +6,8 @@ import pytest
 from repro.config import get_config
 from repro.layers.encoder import LSTransformerEncoderLayer
 from repro.models import TransformerModel
-from repro.training import (CheckpointedLayer, OptimizerSpec,
-                            checkpoint_stack, make_trainer, stack_backward,
-                            stack_forward, train_step,
-                            train_step_accumulated)
+from repro.training import (CheckpointedLayer, OptimizerSpec, make_trainer,
+                            train_step, train_step_accumulated)
 
 
 @pytest.fixture
@@ -102,12 +100,16 @@ class TestCheckpointing:
     def test_stack_helpers(self, cfg, rng):
         layers = [LSTransformerEncoderLayer(cfg, name=f"l{i}", seed=i)
                   for i in range(3)]
-        ck = checkpoint_stack(layers)
+        ck = [CheckpointedLayer(layer) for layer in layers]
         x = rng.standard_normal((2, 4, 32)).astype(np.float32)
-        y = stack_forward(ck, x)
+        y = x
+        for layer in ck:
+            y = layer.forward(y)
         assert y.shape == x.shape
         assert sum(c.saved_nbytes() for c in ck) == 0
-        dx = stack_backward(ck, np.ones_like(y))
+        dx = np.ones_like(y)
+        for layer in reversed(ck):
+            dx = layer.backward(dx)
         assert dx.shape == x.shape
         assert np.all(np.isfinite(dx))
 

@@ -66,7 +66,7 @@ class TestRngAndMode:
         assert layer.rng_states() == states
 
     def test_train_eval_and_training_flag(self, layer, wrapped):
-        assert wrapped.eval() is wrapped
+        assert wrapped.train(False) is wrapped
         assert layer.training is False
         assert wrapped.training is False
         wrapped.train()

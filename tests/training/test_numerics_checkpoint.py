@@ -3,8 +3,8 @@
 The §3.2 overflow protocol is stateful — scale value, good-step counter,
 growth/backoff/skip tallies — and a resume that resets any of it changes
 the training trajectory.  These tests drive a scaler through overflows
-and growths, round-trip it through ``save_trainer``/``load_trainer``, and
-assert the state (and the continued trajectory) is bit-exact.
+and growths, round-trip it through a ``CheckpointStore``, and assert the
+state (and the continued trajectory) is bit-exact.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ import pytest
 from repro.config import get_config
 from repro.models import TransformerModel
 from repro.precision import DynamicLossScaler, StaticLossScaler
+from repro.resilience import CheckpointStore
 from repro.training import OptimizerSpec, make_trainer, train_step
-from repro.training.serialization import load_trainer, save_trainer
 
 _FIELDS = ("_scale", "_good_steps", "overflows", "growths", "backoffs",
            "skip_streak", "max_skip_streak")
@@ -90,10 +90,10 @@ def test_trainer_checkpoint_preserves_scaler_numerics(tmp_path):
     before = trainer.scaler.state_dict()
     assert before["backoffs"] > 0            # the run really backed off
 
-    path = tmp_path / "trainer.npz"
-    save_trainer(trainer, path)
-    _, resumed = _fp16_setup(seed=1)         # different fresh state
-    load_trainer(resumed, path)
+    store = CheckpointStore(tmp_path)
+    store.save(model, trainer, step=4)
+    fresh, resumed = _fp16_setup(seed=1)     # different fresh state
+    store.load(fresh, resumed, 4)
 
     assert resumed.scaler.state_dict() == before
     for f in _FIELDS:

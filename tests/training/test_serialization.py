@@ -1,4 +1,7 @@
-"""Checkpoint save/load: exact training-trajectory resume."""
+"""Checkpoint save/load through :class:`CheckpointStore`: payload
+round trips, refusals, and exact training-trajectory resume."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,9 +10,10 @@ from repro.config import get_config
 from repro.models import TransformerModel
 from repro.precision import DynamicLossScaler
 from repro.training import OptimizerSpec, make_trainer, train_step
-from repro.resilience import CheckpointStore
-from repro.training.serialization import (load_model, load_trainer,
-                                          save_model, save_trainer)
+from repro.resilience import (CheckpointCorrupt, CheckpointMismatch,
+                              CheckpointStore)
+
+from ..ckpt_file import manifest, members, rewrite_manifest
 
 
 @pytest.fixture
@@ -26,39 +30,48 @@ def _batch(seed, b=2, l=8, v=80):
             rng.integers(4, v, (b, l)))
 
 
+def _save(tmp_path, model, kind="naive", scaler=None):
+    """A store holding ``model`` (and a fresh ``kind`` trainer) at step 1."""
+    store = CheckpointStore(tmp_path)
+    store.save(model, make_trainer(kind, model, OptimizerSpec(), scaler),
+               step=1)
+    return store
+
+
+def _load(store, model, kind="naive", scaler=None):
+    trainer = make_trainer(kind, model, OptimizerSpec(), scaler)
+    store.load(model, trainer, 1)
+    return trainer
+
+
 class TestModelRoundTrip:
     def test_save_load_identical(self, cfg, tmp_path):
         a = TransformerModel(cfg, seed=1)
         b = TransformerModel(cfg, seed=2)        # different init
-        save_model(a, tmp_path / "m.npz")
-        load_model(b, tmp_path / "m.npz")
+        _load(_save(tmp_path, a), b)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
     def test_strict_mismatch_rejected(self, cfg, tmp_path):
-        a = TransformerModel(cfg, seed=1)
+        store = _save(tmp_path, TransformerModel(cfg, seed=1))
         bigger = TransformerModel(
             cfg.with_overrides(num_encoder_layers=2), seed=1)
-        save_model(a, tmp_path / "m.npz")
-        with pytest.raises(ValueError, match="mismatch"):
-            load_model(bigger, tmp_path / "m.npz")
-        # non-strict loads the intersection
-        load_model(bigger, tmp_path / "m.npz", strict=False)
+        with pytest.raises(CheckpointMismatch, match="missing"):
+            _load(store, bigger)
 
     def test_shape_conflict_rejected(self, cfg, tmp_path):
-        a = TransformerModel(cfg, seed=1)
-        save_model(a, tmp_path / "m.npz")
-        other = TransformerModel(
-            cfg.with_overrides(ffn_dim=128), seed=1)
-        with pytest.raises(ValueError):
-            load_model(other, tmp_path / "m.npz", strict=False)
+        store = _save(tmp_path, TransformerModel(cfg, seed=1))
+        other = TransformerModel(cfg.with_overrides(ffn_dim=128), seed=1)
+        with pytest.raises(CheckpointMismatch, match="has shape"):
+            _load(store, other)
 
     def test_fp16_storage_preserved(self, cfg, tmp_path):
         a = TransformerModel(cfg.with_overrides(fp16=True), seed=1)
-        save_model(a, tmp_path / "m.npz")
-        with np.load(tmp_path / "m.npz") as data:
-            assert all(data[k].dtype == np.float16
-                       for k in data.files if k != "__meta")
+        store = _save(tmp_path, a)
+        arrays = members(store.paths(1)["checkpoint"])
+        params = [k for k in arrays if k.startswith("model/")]
+        assert len(params) == len(list(a.parameters()))
+        assert all(arrays[k].dtype == np.float16 for k in params)
 
 
 @pytest.mark.parametrize("kind", ["naive", "apex", "lightseq"])
@@ -94,25 +107,20 @@ class TestResumeExactness:
 
 class TestTrainerState:
     def test_kind_mismatch_rejected(self, cfg, tmp_path):
-        m = TransformerModel(cfg, seed=1)
-        tr = make_trainer("naive", m, OptimizerSpec())
-        save_trainer(tr, tmp_path / "t.npz")
-        tr2 = make_trainer("lightseq", TransformerModel(cfg, seed=1),
-                           OptimizerSpec())
-        with pytest.raises(ValueError, match="kind mismatch"):
-            load_trainer(tr2, tmp_path / "t.npz")
+        store = _save(tmp_path, TransformerModel(cfg, seed=1))
+        with pytest.raises(CheckpointMismatch, match="trainer kind"):
+            _load(store, TransformerModel(cfg, seed=1), "lightseq")
 
     def test_scaler_state_round_trip(self, cfg, tmp_path):
         m = TransformerModel(cfg.with_overrides(fp16=True), seed=1)
         scaler = DynamicLossScaler(init_scale=1024)
         scaler.update(overflow=True)                 # scale -> 512
-        tr = make_trainer("lightseq", m, OptimizerSpec(), scaler)
-        save_trainer(tr, tmp_path / "t.npz")
+        store = _save(tmp_path, m, "lightseq", scaler)
         m2 = TransformerModel(cfg.with_overrides(fp16=True), seed=1)
         s2 = DynamicLossScaler(init_scale=1024)
-        tr2 = make_trainer("lightseq", m2, OptimizerSpec(), s2)
-        load_trainer(tr2, tmp_path / "t.npz")
+        _load(store, m2, "lightseq", s2)
         assert s2.scale == 512
+        assert s2.state_dict() == scaler.state_dict()
 
     def test_workspace_links_survive_load(self, cfg, tmp_path):
         cfg16 = cfg.with_overrides(fp16=True)
@@ -133,48 +141,30 @@ class TestTrainerState:
 
 
 class TestSchemaStamp:
-    """Every payload carries a schema stamp; loaders check it first."""
+    """A checkpoint's ``__manifest`` carries the schema tag; a file without
+    it, or with another tag, is refused before anything is read."""
 
     def test_unstamped_file_rejected_clearly(self, cfg, tmp_path):
         m = TransformerModel(cfg, seed=1)
-        # simulate a pre-schema checkpoint: raw arrays, no __meta
-        np.savez(tmp_path / "old.npz",
+        store = CheckpointStore(tmp_path)
+        # a foreign npz under a checkpoint's name: raw arrays, no manifest
+        np.savez(store.paths(1)["checkpoint"],
                  **{p.name: np.asarray(p.data) for p in m.parameters()})
-        with pytest.raises(ValueError, match="no __meta stamp"):
-            load_model(m, tmp_path / "old.npz")
+        assert store.validate(1) == [
+            "step-00000001.ckpt.npz: no __manifest member"]
+        with pytest.raises(CheckpointCorrupt, match="no __manifest"):
+            _load(store, m)
 
     def test_wrong_schema_version_rejected(self, cfg, tmp_path):
-        import json
-        m = TransformerModel(cfg, seed=1)
-        meta = np.frombuffer(
-            json.dumps({"schema": 99, "payload": "model"}).encode(),
-            dtype=np.uint8)
-        np.savez(tmp_path / "future.npz", __meta=meta,
-                 **{p.name: np.asarray(p.data) for p in m.parameters()})
-        with pytest.raises(ValueError, match="schema 99"):
-            load_model(m, tmp_path / "future.npz")
-
-    def test_swapped_payloads_named_in_error(self, cfg, tmp_path):
-        m = TransformerModel(cfg, seed=1)
-        tr = make_trainer("lightseq", m, OptimizerSpec())
-        save_model(m, tmp_path / "m.npz")
-        save_trainer(tr, tmp_path / "t.npz")
-        with pytest.raises(ValueError, match="'trainer' checkpoint"):
-            load_model(m, tmp_path / "t.npz")
-        with pytest.raises(ValueError, match="'model' checkpoint"):
-            load_trainer(tr, tmp_path / "m.npz")
-
-    def test_file_objects_round_trip(self, cfg, tmp_path):
-        import io
-        m = TransformerModel(cfg, seed=1)
-        tr = make_trainer("lightseq", m, OptimizerSpec())
-        buf = io.BytesIO()
-        save_model(m, buf)
-        buf.seek(0)
-        m2 = TransformerModel(cfg, seed=2)
-        load_model(m2, buf)
-        for pa, pb in zip(m.parameters(), m2.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
+        store = _save(tmp_path, TransformerModel(cfg, seed=1))
+        path = store.paths(1)["checkpoint"]
+        doc = manifest(path)
+        doc["schema"] = "repro.resilience.checkpoint/v1"
+        rewrite_manifest(path, json.dumps(doc))
+        (problem,) = store.validate(1)
+        assert "'repro.resilience.checkpoint/v1'" in problem
+        with pytest.raises(CheckpointCorrupt, match="checkpoint/v1"):
+            _load(store, TransformerModel(cfg, seed=1))
 
 
 class TestShardStamp:
@@ -192,20 +182,26 @@ class TestShardStamp:
 
     def test_other_rank_rejected(self, cfg, tmp_path):
         dp = self._trained_dp(cfg)
-        save_trainer(dp.trainers[1], tmp_path / "t.npz")
-        rank0 = make_trainer("zero1", TransformerModel(cfg, seed=5),
-                             OptimizerSpec(lr=1e-3), rank=0, world_size=2)
-        with pytest.raises(ValueError, match="shard mismatch"):
-            load_trainer(rank0, tmp_path / "t.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(dp.replicas[1], dp.trainers[1], step=2)
+        model = TransformerModel(cfg, seed=5)
+        rank0 = make_trainer("zero1", model, OptimizerSpec(lr=1e-3), rank=0,
+                             world_size=2)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(CheckpointMismatch, match="trainer shard"):
+            store.resume_auto(model, rank0)
         assert rank0.step_count == 0 and not rank0.m.any()
+        for a, b in zip(model.parameters(), before):
+            np.testing.assert_array_equal(a.data, b)
 
     def test_sharded_into_unsharded_rejected(self, cfg, tmp_path):
         dp = self._trained_dp(cfg)
-        save_trainer(dp.trainers[0], tmp_path / "t.npz")
-        whole = make_trainer("lightseq", TransformerModel(cfg, seed=5),
-                             OptimizerSpec(lr=1e-3))
-        with pytest.raises(ValueError, match="shard mismatch"):
-            load_trainer(whole, tmp_path / "t.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(dp.replicas[0], dp.trainers[0], step=2)
+        model = TransformerModel(cfg, seed=5)
+        whole = make_trainer("lightseq", model, OptimizerSpec(lr=1e-3))
+        with pytest.raises(CheckpointMismatch, match="trainer shard"):
+            store.load(model, whole, 2)
 
     def test_rank0_world2_round_trip(self, cfg, tmp_path):
         """The benchmark's resume check: rank 0 of world 2 restores into a
